@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import random
 import sys
@@ -179,9 +178,11 @@ def _cmd_krivine(args) -> tuple[int, dict, dict, dict]:
 
 
 def _cmd_lp_cb(args) -> tuple[int, dict, dict, dict]:
+    n = args.grid
+    if n < 1:
+        raise InvariantError(f"--grid: must be >= 1, got {n}")
     pair = load_space(args.space)
     f = load_element(args.element, pair)
-    n = args.grid
     if args.intervals:
         grid = [k / n for k in range(n + 1)]
     else:

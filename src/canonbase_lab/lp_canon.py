@@ -1,12 +1,13 @@
-"""Partial conditional expectations over a fibered extension, computed by
-exact piecewise-linear conjugation, together with slices, increasing
-realisations, grid approximations, L_p <-> L_q transport, and the canonical
-base tuples built from them.
+"""Partial conditional expectations over a fibered extension, together with
+slices, increasing realisations, grid approximations, L_p <-> L_q transport,
+and the canonical base tuples built from them.
 
-Everything here works per base atom: the fiber values over an atom determine
-a convex piecewise-linear shortfall function, whose conjugate evaluated at
-slope t*f0 is the partial conditional expectation E_t, equal to the integral
-of the sorted fiber profile from 0 to t.
+Everything here works per base atom through one kernel, ``SliceFamily``: the
+sorted fiber values and their prefix sums. The slice at t is an order
+statistic, and E_t, the integral of the sorted fiber profile from 0 to t, is a
+prefix sum plus a fraction of the next cell. E_t is also the conjugate at
+slope t*f0 of the piecewise-linear shortfall function ``psi``; that exact
+route is how the prefix kernel is checked.
 """
 
 from __future__ import annotations
@@ -104,19 +105,15 @@ def psi(f: LatticeElement, pair: ExtensionPair, p: float) -> PsiFamily:
 
 
 def partial_cond_exp(f: LatticeElement, pair: ExtensionPair, p: float, t: float) -> LatticeElement:
-    """E_t: per atom, the conjugate of the shortfall function at slope t*f0.
-
-    Equals the integral of the sorted fiber profile from 0 to t, so E_0 = 0
-    and E_1 is the full conditional expectation.
-    """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise InvariantError(f"t must lie in [0, 1], got {t}")
-    fam = psi(f, pair, p)
-    return _partial_from_family(fam, t)
+    """E_t: per atom, the integral of the sorted fiber profile from 0 to t,
+    read off the prefix sums, so E_0 = 0 and E_1 is the full conditional
+    expectation. Checked against the conjugate of the shortfall function at
+    slope t*f0 (``_partial_from_family``)."""
+    return slices(f, pair, p).partial_at(t)
 
 
 def _partial_from_family(fam: PsiFamily, t: float) -> LatticeElement:
+    """E_t by exact conjugation of each atom's shortfall function."""
     out = []
     for fn, f0w in zip(fam.fibers, fam.f0.values):
         if f0w == 0.0:
@@ -133,21 +130,24 @@ def interval_cond_exp(
     t, s = float(t), float(s)
     if not (0.0 <= t < s <= 1.0):
         raise InvariantError(f"need 0 <= t < s <= 1, got t={t}, s={s}")
-    fam = psi(f, pair, p)
-    return _partial_from_family(fam, s) - _partial_from_family(fam, t)
+    fam = slices(f, pair, p)
+    return fam.partial_at(s) - fam.partial_at(t)
 
 
 # ---------------------------------------------------------------------------
 # Slices and the increasing realisation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SliceFamily:
-    """Per base atom, the nondecreasing rearrangement of the fiber values;
-    the slice at t is the ceil(t*n)-th order statistic."""
+    """Per base atom, the nondecreasing rearrangement of the fiber values,
+    shape (m, n), and its prefix sums, shape (m, n + 1) with a leading zero
+    column; both read-only float64 arrays. The slice at t is the
+    ceil(t*n)-th order statistic and E_t the integral of the row up to t."""
 
     pair: ExtensionPair
-    sorted_rows: tuple[tuple[float, ...], ...]
+    sorted_rows: np.ndarray
+    prefix: np.ndarray
 
     def slice_at(self, t: float) -> LatticeElement:
         t = float(t)
@@ -155,15 +155,31 @@ class SliceFamily:
         if not 0.0 < t <= 1.0:
             raise InvariantError(f"slices are defined for t in (0, 1], got {t}")
         k = min(n, max(1, math.ceil(t * n)))
-        return LatticeElement(
-            self.pair.base_space(), tuple(row[k - 1] for row in self.sorted_rows)
-        )
+        return LatticeElement(self.pair.base_space(), tuple(self.sorted_rows[:, k - 1].tolist()))
+
+    def partial_at(self, t: float) -> LatticeElement:
+        """E_t: the sum of the k = floor(t*n) smallest cells plus the fraction
+        t*n - k of the next one, divided by n."""
+        t = float(t)
+        if not 0.0 <= t <= 1.0:
+            raise InvariantError(f"t must lie in [0, 1], got {t}")
+        n = self.pair.n
+        k = min(math.floor(t * n), n)
+        total = self.prefix[:, k]
+        if k < n:
+            total = total + (t * n - k) * self.sorted_rows[:, k]
+        return LatticeElement(self.pair.base_space(), tuple((total / n).tolist()))
 
 
 def slices(f: LatticeElement, pair: ExtensionPair, p: float) -> SliceFamily:
+    """Sort the fibers of f over the base once and take their prefix sums."""
     _check_p(p)
     _require_on_pair(f, pair)
-    return SliceFamily(pair, tuple(tuple(sorted(row)) for row in pair.rows(f)))
+    m, n = pair.m, pair.n
+    rows = np.sort(np.array(f.values[: m * n]).reshape(m, n), axis=1)
+    prefix = np.pad(np.cumsum(rows, axis=1), ((0, 0), (1, 0)))
+    rows.flags.writeable = prefix.flags.writeable = False
+    return SliceFamily(pair, rows, prefix)
 
 
 def increasing_realisation(f: LatticeElement, pair: ExtensionPair, p: float) -> LatticeElement:
@@ -171,8 +187,7 @@ def increasing_realisation(f: LatticeElement, pair: ExtensionPair, p: float) -> 
     ascending, and the orthogonal part replaced by the signed constants
     +|f+ restricted to the orthogonal part| and -|f- restricted|."""
     p = _check_p(p)
-    _require_on_pair(f, pair)
-    rows = [sorted(row) for row in pair.rows(f)]
+    rows = slices(f, pair, p).sorted_rows.tolist()
     if not pair.has_orthogonal:
         return pair.element(rows)
     orth = pair.plus_values(f) + pair.minus_values(f)
@@ -246,7 +261,7 @@ def lq_transport(f: LatticeElement, p: float, q: float) -> LatticeElement:
     if p == q:
         return f
     alpha = p / q
-    return f.map(lambda v: signed_power(v, alpha) if v != 0.0 else 0.0)
+    return f.map(lambda v: signed_power(v, alpha))
 
 
 def duality_pairing(f: LatticeElement, g: LatticeElement, p: float, q: float) -> float:
@@ -261,10 +276,8 @@ def duality_pairing(f: LatticeElement, g: LatticeElement, p: float, q: float) ->
     qc = q / (q - 1.0)
     total = 0.0
     for w, a, b in zip(f.space.weights, f.values, g.values):
-        kernel = (signed_power(a, 1.0 / q) if a != 0.0 else 0.0) * (
-            signed_power(b, 1.0 / qc) if b != 0.0 else 0.0
-        )
-        total += w * (signed_power(kernel, p) if kernel != 0.0 else 0.0)
+        kernel = signed_power(a, 1.0 / q) * signed_power(b, 1.0 / qc)
+        total += w * signed_power(kernel, p)
     return total
 
 
@@ -285,12 +298,12 @@ def cond_exp_pairing_check(
         raise SpaceMismatchError("h must live on the base space")
     h_lift = pair.embed(h)
     lhs = sum(
-        w * v * (signed_power(hv, p - 1.0) if hv != 0.0 else 0.0)
+        w * v * signed_power(hv, p - 1.0)
         for w, v, hv in zip(f.space.weights, f.values, h_lift.values)
     )
     e = pair.cond_exp_base(f)
     rhs = sum(
-        w * v * (signed_power(hv, p - 1.0) if hv != 0.0 else 0.0)
+        w * v * signed_power(hv, p - 1.0)
         for w, v, hv in zip(e.space.weights, e.values, h.values)
     )
     return lhs, rhs
@@ -316,7 +329,7 @@ def transported_interval_convergence(
         if not q > 1.0:
             raise InvariantError(f"transport exponents must exceed 1, got {q}")
         transported = interval_cond_exp(lq_transport(f, 1.0, q), pair, q, t, s)
-        back = transported.map(lambda v: signed_power(v, q) if v != 0.0 else 0.0)
+        back = transported.map(lambda v: signed_power(v, q))
         deviations.append(max(abs(a - b) for a, b in zip(back.values, reference.values)))
     return deviations
 
@@ -368,40 +381,22 @@ class LpCanonicalBase:
 
     def reconstruct_sorted_rows(self, fiber_cells: int) -> list[list[float]]:
         """Invert the prefix sums: the k-th sorted fiber value per atom is
-        n*(E_{k/n} - E_{(k-1)/n}). Requires the full grid."""
+        n*(E_{k/n} - E_{(k-1)/n}), or n*E_[(k-1)/n, k/n] in the interval form.
+        Requires the full grid, {k/n : k = 1..n} or {k/n : k = 0..n}."""
         n = int(fiber_cells)
+        if self.partials is None and self.intervals is None:
+            raise InvariantError("empty canonical base")
+        first = 1 if self.partials is not None else 0
+        if n < 1 or len(self.grid) != n + 1 - first or any(
+            abs(a - (first + k) / n) > 1e-12 for k, a in enumerate(self.grid)
+        ):
+            raise InvariantError(f"reconstruction needs the grid {{k/n : k = {first}..n}}")
         if self.partials is not None:
-            expected = [(k + 1) / n for k in range(n)]
-            if len(self.grid) != n or any(
-                abs(a - b) > 1e-12 for a, b in zip(self.grid, expected)
-            ):
-                raise InvariantError("reconstruction needs the full grid {k/n : k = 1..n}")
-            m = len(next(iter(self.partials.values())).values)
-            rows = [[0.0] * n for _ in range(m)]
-            prev = [0.0] * m
-            for k, tk in enumerate(self.grid):
-                cur = self.partials[tk].values
-                for i in range(m):
-                    rows[i][k] = n * (cur[i] - prev[i])
-                prev = list(cur)
-            return rows
-        if self.intervals is not None:
-            expected = [k / n for k in range(n + 1)]
-            if len(self.grid) != n + 1 or any(
-                abs(a - b) > 1e-12 for a, b in zip(self.grid, expected)
-            ):
-                raise InvariantError(
-                    "interval reconstruction needs the grid {k/n : k = 0..n}"
-                )
-            first = self.intervals[(self.grid[0], self.grid[1])]
-            m = len(first.values)
-            rows = [[0.0] * n for _ in range(m)]
-            for k in range(n):
-                seg = self.intervals[(self.grid[k], self.grid[k + 1])]
-                for i in range(m):
-                    rows[i][k] = n * seg.values[i]
-            return rows
-        raise InvariantError("empty canonical base")
+            stacked = np.array([self.partials[t].values for t in self.grid])
+            steps = np.diff(stacked, axis=0, prepend=0.0)
+        else:
+            steps = np.array([self.intervals[ab].values for ab in zip(self.grid, self.grid[1:])])
+        return (n * steps).T.tolist()
 
 
 def canonical_base_1type(
@@ -426,10 +421,10 @@ def canonical_base_1type(
         raise InvariantError("grid points must lie in [0, 1]")
     if any(b <= a for a, b in zip(pts, pts[1:])):
         raise InvariantError("grid points must be strictly increasing")
-    fam = psi(f, pair, p)
+    fam = slices(f, pair, p)
     pos_norm = lp_norm(pos_part(f), p)
     neg_norm = lp_norm(neg_part(f), p)
-    values = {t: _partial_from_family(fam, t) for t in pts}
+    values = {t: fam.partial_at(t) for t in pts}
     if intervals:
         pairs = {
             (a, b): values[b] - values[a]

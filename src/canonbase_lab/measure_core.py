@@ -8,7 +8,7 @@ concurrent use from multiple threads needs no coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -426,13 +426,3 @@ class ExtensionPair:
         n = self.n
         means = tuple(math.fsum(row) / n for row in self.rows(f))
         return LatticeElement(self.base_space(), means)
-
-    def base_part(self, f: LatticeElement) -> LatticeElement:
-        """f restricted to the cells over the base (zero on the +/- part)."""
-        fe, _ = band_decompose(f, self.base_substructure())
-        return fe
-
-    def orthogonal_part(self, f: LatticeElement) -> LatticeElement:
-        """f restricted to the +/- fibers (zero over the base)."""
-        _, fperp = band_decompose(f, self.base_substructure())
-        return fperp

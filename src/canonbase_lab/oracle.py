@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvariantError, SpaceMismatchError
-from .measure_core import ExtensionPair, LatticeElement, MeasureSpace
-
-TOL = 1e-9
+from .measure_core import TOL, ExtensionPair, LatticeElement, MeasureSpace
 
 
 def _sorted_close(a: Sequence[float], b: Sequence[float], tol: float) -> bool:

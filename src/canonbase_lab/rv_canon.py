@@ -18,10 +18,9 @@ from .measure_core import (
     LatticeElement,
     MeasureSpace,
     SubStructure,
+    TOL,
     cond_exp,
 )
-
-TOL = 1e-9
 
 
 def validate_rv(x: LatticeElement, tol: float = TOL) -> None:

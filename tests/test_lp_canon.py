@@ -7,6 +7,7 @@ import pytest
 from canonbase_lab.errors import InvariantError
 from canonbase_lab.legendre import biconjugate
 from canonbase_lab.lp_canon import (
+    _partial_from_family,
     canonical_base_1type,
     canonical_base_ntype,
     cond_exp_dotminus,
@@ -179,6 +180,35 @@ def test_partial_convex_in_t(rng):
                 assert c - 2 * b + a >= -1e-9  # convexity
             for t, v in zip(ts, seq):
                 assert v <= t * e1[i] + 1e-9
+
+
+def test_partial_prefix_matches_conjugation():
+    # the prefix kernel against exact conjugation of each shortfall function,
+    # on zero, constant and random fibers, at every t = k/n, just below it,
+    # and at random t inside the cells
+    kinds_seen = set()
+    for n in (16, 7):
+        for r, pair, f in instances(30 + n, 10, n=n):
+            rows = pair.rows(f)
+            for row in rows:
+                kind = r.choice(["zero", "constant", "random", "random"])
+                kinds_seen.add(kind)
+                if kind == "zero":
+                    row[:] = [0.0] * n
+                elif kind == "constant":
+                    row[:] = [row[0]] * n
+            f = pair.element(rows, pair.plus_values(f) or None, pair.minus_values(f) or None)
+            ts = [k / n for k in range(n + 1)]
+            ts += [math.nextafter(k / n, 0.0) for k in range(1, n + 1)]
+            ts += [r.random() for _ in range(4)]
+            for p in (1, 2):
+                fam = psi(f, pair, p)
+                for t in ts:
+                    got = partial_cond_exp(f, pair, p, t).values
+                    want = _partial_from_family(fam, t).values
+                    for a, b, row in zip(got, want, rows):
+                        assert abs(a - b) <= 1e-9 * (1 + max(abs(v) for v in row)), (t, row)
+    assert kinds_seen == {"zero", "constant", "random"}
 
 
 def test_remark_phi_attainment(rng):
