@@ -13,8 +13,9 @@ import os
 import random
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Any, Sequence
 
 from . import hilbert_canon, krivine, legendre, lp_canon, oracle, rv_canon, ultra_ball
@@ -35,64 +36,66 @@ class _Parser(argparse.ArgumentParser):
 # Input documents
 # ---------------------------------------------------------------------------
 
-def _read_json(path: str) -> Any:
+def _read_json(path: str, *required: str) -> dict:
+    """The JSON object in ``path``, which must have every ``required`` key."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise InvariantError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvariantError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise InvariantError(f"{path}: expected a JSON object")
+    for key in required:
+        if key not in doc:
+            raise InvariantError(f"{path}: /{key}: missing")
+    return doc
+
+
+@contextmanager
+def _prefixed(prefix: str):
+    """Prefix an InvariantError raised inside the block. The constructors
+    name the argument they reject (``base_weights/0: ...``) and the documents
+    use the same keys, so the prefix "<file>: /" turns that into a pointer."""
+    try:
+        yield
+    except InvariantError as exc:
+        raise InvariantError(f"{prefix}{exc}") from exc
 
 
 def load_space(path: str) -> ExtensionPair:
-    doc = _read_json(path)
-    for key in ("base_weights", "fiber_cells"):
-        if key not in doc:
-            raise InvariantError(f"{path}: /{key}: missing")
-    return ExtensionPair(
-        tuple(float(w) for w in doc["base_weights"]),
-        int(doc["fiber_cells"]),
-        bool(doc.get("orthogonal_part", False)),
-    )
+    doc = _read_json(path, "base_weights", "fiber_cells")
+    with _prefixed(f"{path}: /"):
+        return ExtensionPair(
+            doc["base_weights"], doc["fiber_cells"], bool(doc.get("orthogonal_part", False))
+        )
 
 
 def load_element(path: str, pair: ExtensionPair) -> LatticeElement:
-    doc = _read_json(path)
-    rows = doc.get("rows")
-    if rows is None:
-        raise InvariantError(f"{path}: /rows: missing")
-    if len(rows) != pair.m:
-        raise InvariantError(f"{path}: /rows: expected {pair.m} fibers, got {len(rows)}")
-    for i, row in enumerate(rows):
-        if len(row) != pair.n:
-            raise InvariantError(
-                f"{path}: /rows/{i}: expected {pair.n} values, got {len(row)}"
-            )
-    for key in ("plus", "minus"):
-        part = doc.get(key)
-        if part is not None and len(part) != pair.n:
-            raise InvariantError(
-                f"{path}: /{key}: expected {pair.n} values, got {len(part)}"
-            )
-        if part is not None and not pair.has_orthogonal:
-            raise InvariantError(f"{path}: /{key}: space document has no orthogonal part")
-    return pair.element(rows, doc.get("plus"), doc.get("minus"))
+    doc = _read_json(path, "rows")
+    with _prefixed(f"{path}: /"):
+        return pair.element(doc["rows"], doc.get("plus"), doc.get("minus"))
 
 
-def _load_blocks(doc: Any, path: str) -> SubStructure:
-    blocks = doc.get("blocks")
-    if blocks is None:
-        raise InvariantError(f"{path}: /blocks: missing")
-    return SubStructure(tuple(tuple(int(i) for i in b) for b in blocks))
+def _load_elements(doc: dict, key: str, space: MeasureSpace, path: str) -> list[LatticeElement]:
+    rows = doc[key]
+    if not isinstance(rows, list):
+        raise InvariantError(f"{path}: /{key}: expected a list of elements")
+    elements = []
+    for j, row in enumerate(rows):
+        with _prefixed(f"{path}: /{key}/{j}: "):
+            elements.append(LatticeElement(space, row))
+    return elements
+
+
+def _probability_space(doc: dict, path: str) -> tuple[MeasureSpace, SubStructure]:
+    with _prefixed(f"{path}: /"):
+        return MeasureSpace(doc["weights"]), SubStructure(doc["blocks"])
 
 
 def load_probability_space(path: str) -> tuple[MeasureSpace, SubStructure]:
-    doc = _read_json(path)
-    if "weights" not in doc:
-        raise InvariantError(f"{path}: /weights: missing")
-    space = MeasureSpace(tuple(float(w) for w in doc["weights"]))
-    return space, _load_blocks(doc, path)
+    return _probability_space(_read_json(path, "weights", "blocks"), path)
 
 
 def _digest(path: str) -> str:
@@ -118,18 +121,25 @@ def _proj_point(text: str) -> ultra_ball.ProjPoint:
 # ---------------------------------------------------------------------------
 
 def _emit(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True, indent=2))
+    """Write the report to stdout as it is encoded, not as one string, so a
+    large report is never held twice."""
+    json.dump(report, sys.stdout, sort_keys=True, indent=2)
+    sys.stdout.write("\n")
+
+
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
 
 
 def emit_curve(cb: lp_canon.LpCanonicalBase, path: str) -> None:
     """CSV of the partial family: header t,atom_0,...; 12 significant digits."""
     if cb.partials is None:
         raise InvariantError("curve export needs the partial (non-interval) form")
-    atom_count = len(next(iter(cb.partials.values())).values) if cb.partials else 0
+    atom_count = len(next(iter(cb.partials.values())).array) if cb.partials else 0
     lines = ["t," + ",".join(f"atom_{i}" for i in range(atom_count))]
     for t in cb.grid:
-        vals = cb.partials[t].values
-        lines.append(",".join(f"{x:.12g}" for x in (t, *vals)))
+        lines.append(",".join(f"{x:.12g}" for x in (t, *cb.partials[t].array.tolist())))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -147,8 +157,7 @@ def _cmd_legendre(args) -> tuple[int, dict, dict, dict]:
         abs(back.evaluate(b) - phi.evaluate(b)) <= 1e-9 for b in phi.breakpoints
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
+        _write_json(args.out, doc)
     return 0, {"conjugate": doc}, {"biconjugate_roundtrip": ok}, {args.fn: _digest(args.fn)}
 
 
@@ -160,7 +169,8 @@ def _cmd_krivine(args) -> tuple[int, dict, dict, dict]:
         return 0, {"term": text}, {"roundtrip": ok}, {}
     if args.action == "eval":
         term = krivine.parse_term(args.term, args.arity)
-        point = [float(Fraction(v)) for v in args.point.split(",")]
+        with _prefixed("--point: "):
+            point = [float(_fraction(v)) for v in args.point.split(",")]
         value = krivine.eval_scalar(term, point)
         return 0, {"value": value}, {}, {}
     fn = krivine.registry_function(args.fn)
@@ -195,15 +205,14 @@ def _cmd_lp_cb(args) -> tuple[int, dict, dict, dict]:
         "p": cb.p,
     }
     if cb.partials is not None:
-        outputs["partials"] = {f"{t:.12g}": list(v.values) for t, v in cb.partials.items()}
+        outputs["partials"] = {f"{t:.12g}": v.array.tolist() for t, v in cb.partials.items()}
     if cb.intervals is not None:
         outputs["intervals"] = {
-            f"{a:.12g}:{b:.12g}": list(v.values) for (a, b) in sorted(cb.intervals)
+            f"{a:.12g}:{b:.12g}": v.array.tolist() for (a, b) in sorted(cb.intervals)
             for v in [cb.intervals[(a, b)]]
         }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(outputs, fh, sort_keys=True, indent=2)
+        _write_json(args.out, outputs)
     if args.curve:
         emit_curve(cb, args.curve)
     inputs = {args.space: _digest(args.space), args.element: _digest(args.element)}
@@ -218,53 +227,35 @@ def _cmd_typeq(args) -> tuple[int, dict, dict, dict]:
         equal = oracle.absolute_type_equal([fa], [fb], args.p)
     else:
         equal = oracle.type_equal_1(fa, fb, pair, args.p)
-    inputs = {
-        args.space: _digest(args.space),
-        args.a: _digest(args.a),
-        args.b: _digest(args.b),
-    }
+    inputs = {path: _digest(path) for path in (args.space, args.a, args.b)}
     return (0 if equal else 3), {"equal": equal}, {}, inputs
 
 
 def _cmd_rv_cb(args) -> tuple[int, dict, dict, dict]:
     space, blocks = load_probability_space(args.space)
-    doc = _read_json(args.elements)
-    elems = doc.get("elements")
-    if elems is None:
-        raise InvariantError(f"{args.elements}: /elements: missing")
-    xs = [LatticeElement(space, tuple(float(v) for v in row)) for row in elems]
+    xs = _load_elements(_read_json(args.elements, "elements"), "elements", space, args.elements)
     for x in xs:
         rv_canon.validate_rv(x)
     moments: dict[str, list[float]] = {}
-    from itertools import product as iproduct
-
-    for ks in iproduct(range(args.k_max + 1), repeat=len(xs)):
+    for ks in product(range(args.k_max + 1), repeat=len(xs)):
         if all(k == 0 for k in ks):
             continue
         val = rv_canon.cond_moment(xs, ks, blocks)
-        moments[",".join(map(str, ks))] = list(val.values)
+        moments[",".join(map(str, ks))] = val.array.tolist()
     outputs = {"moments": moments, "k_max": args.k_max}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(outputs, fh, sort_keys=True, indent=2)
+        _write_json(args.out, outputs)
     inputs = {args.space: _digest(args.space), args.elements: _digest(args.elements)}
     return 0, outputs, {}, inputs
 
 
 def _cmd_apr_cb(args) -> tuple[int, dict, dict, dict]:
-    doc = _read_json(args.events)
-    if "weights" not in doc:
-        raise InvariantError(f"{args.events}: /weights: missing")
-    space = MeasureSpace(tuple(float(w) for w in doc["weights"]))
-    blocks = _load_blocks(doc, args.events)
-    events_doc = doc.get("events")
-    if events_doc is None:
-        raise InvariantError(f"{args.events}: /events: missing")
-    events = [LatticeElement(space, tuple(float(v) for v in row)) for row in events_doc]
-    cb = rv_canon.apr_cb(events, blocks)
+    doc = _read_json(args.events, "weights", "blocks", "events")
+    space, blocks = _probability_space(doc, args.events)
+    cb = rv_canon.apr_cb(_load_elements(doc, "events", space, args.events), blocks)
     outputs = {
         "conditional_probabilities": {
-            ",".join(map(str, sorted(subset))): list(val.values)
+            ",".join(map(str, sorted(subset))): val.array.tolist()
             for subset, val in cb.items()
         }
     }
@@ -272,10 +263,8 @@ def _cmd_apr_cb(args) -> tuple[int, dict, dict, dict]:
 
 
 def _cmd_hs_cb(args) -> tuple[int, dict, dict, dict]:
-    vecs_doc = _read_json(args.vectors)
+    vecs_doc = _read_json(args.vectors, "vectors")
     sub_doc = _read_json(args.subspace)
-    if "vectors" not in vecs_doc:
-        raise InvariantError(f"{args.vectors}: /vectors: missing")
     if "dim" not in sub_doc or "basis" not in sub_doc:
         raise InvariantError(f"{args.subspace}: needs /dim and /basis")
     sub = hilbert_canon.Subspace(
@@ -331,7 +320,7 @@ def _cmd_demo(args) -> tuple[int, dict, dict, dict]:
             "eps": str(report.eps),
             "p": report.p,
             "f_norm": report.f_norm,
-            "partial_values": list(report.partial.values),
+            "partial_values": report.partial.array.tolist(),
             "partial_norm": report.partial_norm,
         }
         checks = {"f_norm_is_one": abs(report.f_norm - 1.0) <= 1e-9}

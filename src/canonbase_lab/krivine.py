@@ -141,11 +141,10 @@ def eval_element(term: LatticeTerm, args: Sequence[LatticeElement]) -> LatticeEl
         raise InvariantError(
             f"term uses {term_arity(term)} variables but got {len(args)} elements"
         )
-    rows = np.array([g.values for g in args], dtype=float)
-    out = _eval(term, list(rows))
+    out = _eval(term, [g.array for g in args])
     if np.ndim(out) == 0:
         out = np.full(len(space), float(out))
-    return LatticeElement(space, tuple(float(v) for v in out))
+    return LatticeElement(space, out)
 
 
 def term_lipschitz_bound(term: LatticeTerm) -> float:

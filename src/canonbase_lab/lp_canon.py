@@ -26,6 +26,8 @@ from .measure_core import (
     ExtensionPair,
     LatticeElement,
     MeasureSpace,
+    dotminus,
+    integral,
     lp_norm,
     neg_part,
     pos_part,
@@ -99,7 +101,7 @@ def psi(f: LatticeElement, pair: ExtensionPair, p: float) -> PsiFamily:
     f0 = f_zero(f, pair, p)
     n = pair.n
     fibers = tuple(
-        _fiber_psi(row, f0.values[i], n) for i, row in enumerate(pair.rows(f))
+        _fiber_psi(row, f0w, n) for row, f0w in zip(pair.rows(f), f0.array.tolist())
     )
     return PsiFamily(pair, fibers, f0)
 
@@ -115,7 +117,7 @@ def partial_cond_exp(f: LatticeElement, pair: ExtensionPair, p: float, t: float)
 def _partial_from_family(fam: PsiFamily, t: float) -> LatticeElement:
     """E_t by exact conjugation of each atom's shortfall function."""
     out = []
-    for fn, f0w in zip(fam.fibers, fam.f0.values):
+    for fn, f0w in zip(fam.fibers, fam.f0.array.tolist()):
         if f0w == 0.0:
             out.append(0.0)
         else:
@@ -155,7 +157,7 @@ class SliceFamily:
         if not 0.0 < t <= 1.0:
             raise InvariantError(f"slices are defined for t in (0, 1], got {t}")
         k = min(n, max(1, math.ceil(t * n)))
-        return LatticeElement(self.pair.base_space(), tuple(self.sorted_rows[:, k - 1].tolist()))
+        return LatticeElement(self.pair.base_space(), self.sorted_rows[:, k - 1])
 
     def partial_at(self, t: float) -> LatticeElement:
         """E_t: the sum of the k = floor(t*n) smallest cells plus the fraction
@@ -168,15 +170,14 @@ class SliceFamily:
         total = self.prefix[:, k]
         if k < n:
             total = total + (t * n - k) * self.sorted_rows[:, k]
-        return LatticeElement(self.pair.base_space(), tuple((total / n).tolist()))
+        return LatticeElement(self.pair.base_space(), total / n)
 
 
 def slices(f: LatticeElement, pair: ExtensionPair, p: float) -> SliceFamily:
     """Sort the fibers of f over the base once and take their prefix sums."""
     _check_p(p)
     _require_on_pair(f, pair)
-    m, n = pair.m, pair.n
-    rows = np.sort(np.array(f.values[: m * n]).reshape(m, n), axis=1)
+    rows = np.sort(pair.fibers(f), axis=1)
     prefix = np.pad(np.cumsum(rows, axis=1), ((0, 0), (1, 0)))
     rows.flags.writeable = prefix.flags.writeable = False
     return SliceFamily(pair, rows, prefix)
@@ -187,13 +188,11 @@ def increasing_realisation(f: LatticeElement, pair: ExtensionPair, p: float) -> 
     ascending, and the orthogonal part replaced by the signed constants
     +|f+ restricted to the orthogonal part| and -|f- restricted|."""
     p = _check_p(p)
-    rows = slices(f, pair, p).sorted_rows.tolist()
-    if not pair.has_orthogonal:
+    rows = slices(f, pair, p).sorted_rows
+    orth = pair.orthogonal_part(f)
+    if orth is None:
         return pair.element(rows)
-    orth = pair.plus_values(f) + pair.minus_values(f)
-    w = 1.0 / pair.n
-    plus_c = (sum(w * max(v, 0.0) ** p for v in orth)) ** (1.0 / p)
-    minus_c = (sum(w * max(-v, 0.0) ** p for v in orth)) ** (1.0 / p)
+    plus_c, minus_c = lp_norm(pos_part(orth), p), lp_norm(neg_part(orth), p)
     return pair.element(rows, plus=[plus_c] * pair.n, minus=[-minus_c] * pair.n)
 
 
@@ -237,7 +236,7 @@ def grid_approx(
         raise InvariantError("need bound > 0 and grid_n >= 1")
     fam = psi(f, pair, p)
     g_vals, h_vals = [], []
-    for fn, f0w in zip(fam.fibers, fam.f0.values):
+    for fn, f0w in zip(fam.fibers, fam.f0.array.tolist()):
         g = max(
             t * (bound * k / grid_n) * f0w - fn.evaluate(bound * k / grid_n)
             for k in range(-grid_n, grid_n + 1)
@@ -247,7 +246,7 @@ def grid_approx(
         g_vals.append(g)
         h_vals.append(h)
     base = pair.base_space()
-    return LatticeElement(base, tuple(g_vals)), LatticeElement(base, tuple(h_vals))
+    return LatticeElement(base, g_vals), LatticeElement(base, h_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +259,7 @@ def lq_transport(f: LatticeElement, p: float, q: float) -> LatticeElement:
     p, q = _check_p(p), _check_p(q)
     if p == q:
         return f
-    alpha = p / q
-    return f.map(lambda v: signed_power(v, alpha))
+    return signed_power(f, p / q)
 
 
 def duality_pairing(f: LatticeElement, g: LatticeElement, p: float, q: float) -> float:
@@ -274,11 +272,8 @@ def duality_pairing(f: LatticeElement, g: LatticeElement, p: float, q: float) ->
     if f.space != g.space:
         raise SpaceMismatchError("pairing needs elements on one space")
     qc = q / (q - 1.0)
-    total = 0.0
-    for w, a, b in zip(f.space.weights, f.values, g.values):
-        kernel = signed_power(a, 1.0 / q) * signed_power(b, 1.0 / qc)
-        total += w * signed_power(kernel, p)
-    return total
+    kernel = signed_power(f, 1.0 / q) * signed_power(g, 1.0 / qc)
+    return integral(signed_power(kernel, p))
 
 
 def cond_exp_pairing_check(
@@ -296,16 +291,8 @@ def cond_exp_pairing_check(
     _require_on_pair(f, pair)
     if h.space != pair.base_space():
         raise SpaceMismatchError("h must live on the base space")
-    h_lift = pair.embed(h)
-    lhs = sum(
-        w * v * signed_power(hv, p - 1.0)
-        for w, v, hv in zip(f.space.weights, f.values, h_lift.values)
-    )
-    e = pair.cond_exp_base(f)
-    rhs = sum(
-        w * v * signed_power(hv, p - 1.0)
-        for w, v, hv in zip(e.space.weights, e.values, h.values)
-    )
+    lhs = integral(f * signed_power(pair.embed(h), p - 1.0))
+    rhs = integral(pair.cond_exp_base(f) * signed_power(h, p - 1.0))
     return lhs, rhs
 
 
@@ -329,8 +316,7 @@ def transported_interval_convergence(
         if not q > 1.0:
             raise InvariantError(f"transport exponents must exceed 1, got {q}")
         transported = interval_cond_exp(lq_transport(f, 1.0, q), pair, q, t, s)
-        back = transported.map(lambda v: signed_power(v, q))
-        deviations.append(max(abs(a - b) for a, b in zip(back.values, reference.values)))
+        deviations.append(lp_norm(signed_power(transported, q) - reference, math.inf))
     return deviations
 
 
@@ -363,19 +349,11 @@ class LpCanonicalBase:
             return False
         if abs(self.neg_norm - other.neg_norm) > tol:
             return False
-        if (self.partials is None) != (other.partials is None):
-            return False
-        if self.partials is not None:
-            for key, mine in self.partials.items():
-                theirs = other.partials.get(key)
-                if theirs is None or not mine.approx_equal(theirs, tol):
-                    return False
-        if (self.intervals is None) != (other.intervals is None):
-            return False
-        if self.intervals is not None:
-            for key, mine in self.intervals.items():
-                theirs = other.intervals.get(key)
-                if theirs is None or not mine.approx_equal(theirs, tol):
+        for mine, theirs in ((self.partials, other.partials), (self.intervals, other.intervals)):
+            if (mine is None) != (theirs is None):
+                return False
+            for key, value in (mine or {}).items():
+                if key not in theirs or not value.approx_equal(theirs[key], tol):
                     return False
         return True
 
@@ -392,10 +370,10 @@ class LpCanonicalBase:
         ):
             raise InvariantError(f"reconstruction needs the grid {{k/n : k = {first}..n}}")
         if self.partials is not None:
-            stacked = np.array([self.partials[t].values for t in self.grid])
+            stacked = np.stack([self.partials[t].array for t in self.grid])
             steps = np.diff(stacked, axis=0, prepend=0.0)
         else:
-            steps = np.array([self.intervals[ab].values for ab in zip(self.grid, self.grid[1:])])
+            steps = np.stack([self.intervals[ab].array for ab in zip(self.grid, self.grid[1:])])
         return (n * steps).T.tolist()
 
 
@@ -554,16 +532,12 @@ def remark_counterexample(k_bound: int = 5) -> RemarkReport:
                 all_equal = False
     joint_equal = absolute_type_equal([g, h], [g, -h], 1.0)
     witness = TJoin(TMeet(TVar(0), TVar(1)), TZero())
-    wa = eval_element(witness, [g, h])
-    wb = eval_element(witness, [g, -h])
-    integral_a = sum(w * v for w, v in zip(space.weights, wa.values))
-    integral_b = sum(w * v for w, v in zip(space.weights, wb.values))
     return RemarkReport(
         k_bound=k_bound,
         single_types_all_equal=all_equal,
         joint_types_equal=joint_equal,
-        witness_with_h=integral_a,
-        witness_with_minus_h=integral_b,
+        witness_with_h=integral(eval_element(witness, [g, h])),
+        witness_with_minus_h=integral(eval_element(witness, [g, -h])),
     )
 
 
@@ -576,8 +550,4 @@ def cond_exp_dotminus(g: LatticeElement, f: LatticeElement, pair: ExtensionPair)
     if g.space != pair.base_space():
         raise SpaceMismatchError("g must live on the base space")
     _require_on_pair(f, pair)
-    n = pair.n
-    out = []
-    for gw, row in zip(g.values, pair.rows(f)):
-        out.append(math.fsum(max(gw - v, 0.0) for v in row) / n)
-    return LatticeElement(pair.base_space(), tuple(out))
+    return pair.cond_exp_base(dotminus(pair.embed(g), f))

@@ -1,8 +1,17 @@
 """Finite measure spaces, lattice elements with L_p structure, and conditional expectation.
 
 Elements are real-valued functions on the atoms of a finite measure space.
-Every value here is immutable and every operation is a pure function, so
-concurrent use from multiple threads needs no coordination.
+This module decides how they are stored, how input becomes real numbers and
+how the cells of a fibered pair are laid out, and it holds every per-atom
+loop, each written as an array expression.
+
+An element's values and a space's weights live in float64 arrays marked
+read-only at construction, so every value here is immutable, every operation
+is a pure function, and concurrent use from multiple threads needs no
+coordination. Input is coerced to finite reals once, at construction; the
+``InvariantError`` for a bad entry names the argument and the entry as a
+relative pointer (``rows/1/3: ...``). The cell order of a fibered pair is
+defined on ``ExtensionPair.fibers``.
 """
 
 from __future__ import annotations
@@ -10,7 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import InvariantError, SpaceMismatchError
 
@@ -18,84 +30,139 @@ from .errors import InvariantError, SpaceMismatchError
 TOL = 1e-9
 
 
+def _reals(values, name: str) -> np.ndarray:
+    """A fresh float64 array of ``values``; every entry must be a finite real."""
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvariantError(f"{name}: expected real numbers ({exc})") from None
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = np.argwhere(~finite)[0]
+        pos = "".join(f"/{k}" for k in bad)
+        raise InvariantError(f"{name}{pos}: must be finite, got {arr[tuple(bad)]!r}")
+    return arr
+
+
+def _weights(values, name: str) -> np.ndarray:
+    """``_reals`` for atom weights: one or more, each strictly positive."""
+    arr = _reals(values, name)
+    if arr.ndim != 1 or len(arr) < 1:
+        raise InvariantError(f"{name}: a measure space needs at least one atom")
+    bad = np.flatnonzero(arr <= 0.0)
+    if len(bad):
+        raise InvariantError(f"{name}/{bad[0]}: must be positive, got {arr[bad[0]]!r}")
+    return arr
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class MeasureSpace:
-    """Atoms indexed 0..len-1, each carrying a strictly positive finite weight."""
+    """Atoms indexed 0..len-1, each carrying a strictly positive finite weight.
+
+    ``weights`` is a tuple of floats; ``weight_array`` holds the same weights
+    as a read-only float64 array.
+    """
 
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        ws = tuple(float(w) for w in self.weights)
-        if len(ws) < 1:
-            raise InvariantError("a measure space needs at least one atom")
-        for i, w in enumerate(ws):
-            if not (math.isfinite(w) and w > 0.0):
-                raise InvariantError(f"atom {i}: weight must be finite and positive, got {w!r}")
-        object.__setattr__(self, "weights", ws)
+        arr = _weights(self.weights, "weights")
+        object.__setattr__(self, "weights", tuple(arr.tolist()))
+        object.__setattr__(self, "weight_array", _frozen(arr))
 
     def __len__(self) -> int:
         return len(self.weights)
 
     @property
     def total_mass(self) -> float:
-        return sum(self.weights)
+        return float(self.weight_array.sum())
 
 
-@dataclass(frozen=True)
 class LatticeElement:
-    """One real value per atom of its measure space."""
+    """One real value per atom of its measure space.
 
-    space: MeasureSpace
-    values: tuple[float, ...]
+    ``array`` is the read-only float64 array of the values; ``values`` is the
+    same data as a tuple of floats, built on first use. Equality compares the
+    space and the values.
+    """
 
-    def __post_init__(self):
-        vs = tuple(float(v) for v in self.values)
-        if len(vs) != len(self.space):
+    __slots__ = ("space", "array", "_values")
+
+    def __init__(self, space: MeasureSpace, values):
+        arr = _reals(values, "values")
+        if arr.shape != (len(space),):
             raise InvariantError(
-                f"element has {len(vs)} values but the space has {len(self.space)} atoms"
+                f"values: element has shape {arr.shape} but the space has {len(space)} atoms"
             )
-        for i, v in enumerate(vs):
-            if not math.isfinite(v):
-                raise InvariantError(f"atom {i}: value must be finite, got {v!r}")
-        object.__setattr__(self, "values", vs)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "array", _frozen(arr))
+        object.__setattr__(self, "_values", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LatticeElement is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return (LatticeElement, (self.space, self.array))
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        if self._values is None:
+            object.__setattr__(self, "_values", tuple(self.array.tolist()))
+        return self._values
+
+    def __eq__(self, other):
+        if not isinstance(other, LatticeElement):
+            return NotImplemented
+        return self.space == other.space and bool(np.array_equal(self.array, other.array))
+
+    def __hash__(self):
+        return hash((self.space, self.values))
+
+    def __repr__(self):
+        return f"LatticeElement(space={self.space!r}, values={self.values!r})"
 
     # -- convenience arithmetic (pointwise, same space) -------------------
 
     def __add__(self, other: "LatticeElement") -> "LatticeElement":
         _check_same_space(self, other)
-        return LatticeElement(self.space, tuple(a + b for a, b in zip(self.values, other.values)))
+        return LatticeElement(self.space, self.array + other.array)
 
     def __sub__(self, other: "LatticeElement") -> "LatticeElement":
         _check_same_space(self, other)
-        return LatticeElement(self.space, tuple(a - b for a, b in zip(self.values, other.values)))
+        return LatticeElement(self.space, self.array - other.array)
 
     def __neg__(self) -> "LatticeElement":
-        return LatticeElement(self.space, tuple(-a for a in self.values))
+        return LatticeElement(self.space, -self.array)
 
     def __abs__(self) -> "LatticeElement":
-        return LatticeElement(self.space, tuple(abs(a) for a in self.values))
+        return LatticeElement(self.space, np.abs(self.array))
 
     def __mul__(self, c) -> "LatticeElement":
-        c = float(c)
-        return LatticeElement(self.space, tuple(c * a for a in self.values))
+        """A scalar multiple, or the pointwise product with another element."""
+        if isinstance(c, LatticeElement):
+            _check_same_space(self, c)
+            return LatticeElement(self.space, self.array * c.array)
+        return LatticeElement(self.space, float(c) * self.array)
 
     __rmul__ = __mul__
-
-    def map(self, fn: Callable[[float], float]) -> "LatticeElement":
-        return LatticeElement(self.space, tuple(fn(a) for a in self.values))
 
     def approx_equal(self, other: "LatticeElement", tol: float = TOL) -> bool:
         if self.space != other.space:
             return False
-        return all(abs(a - b) <= tol for a, b in zip(self.values, other.values))
+        return bool(np.all(np.abs(self.array - other.array) <= tol))
 
     @classmethod
     def zero(cls, space: MeasureSpace) -> "LatticeElement":
-        return cls(space, (0.0,) * len(space))
+        return cls(space, np.zeros(len(space)))
 
     @classmethod
     def constant(cls, space: MeasureSpace, c: float) -> "LatticeElement":
-        return cls(space, (float(c),) * len(space))
+        return cls(space, np.full(len(space), float(c)))
 
 
 def _check_same_space(f: LatticeElement, g: LatticeElement) -> None:
@@ -107,33 +174,25 @@ def _check_same_space(f: LatticeElement, g: LatticeElement) -> None:
 # Vector-lattice operations
 # ---------------------------------------------------------------------------
 
-def neg(f: LatticeElement) -> LatticeElement:
-    return -f
-
-
-def absolute(f: LatticeElement) -> LatticeElement:
-    return abs(f)
-
-
 def join(f: LatticeElement, g: LatticeElement) -> LatticeElement:
     _check_same_space(f, g)
-    return LatticeElement(f.space, tuple(max(a, b) for a, b in zip(f.values, g.values)))
+    return LatticeElement(f.space, np.maximum(f.array, g.array))
 
 
 def meet(f: LatticeElement, g: LatticeElement) -> LatticeElement:
     _check_same_space(f, g)
-    return LatticeElement(f.space, tuple(min(a, b) for a, b in zip(f.values, g.values)))
+    return LatticeElement(f.space, np.minimum(f.array, g.array))
 
 
 def halfsum(f: LatticeElement, g: LatticeElement) -> LatticeElement:
     _check_same_space(f, g)
-    return LatticeElement(f.space, tuple((a + b) / 2.0 for a, b in zip(f.values, g.values)))
+    return LatticeElement(f.space, (f.array + g.array) / 2.0)
 
 
 def dotminus(f: LatticeElement, g: LatticeElement) -> LatticeElement:
     """Truncated subtraction, (a - b) v 0, per atom."""
     _check_same_space(f, g)
-    return LatticeElement(f.space, tuple(max(a - b, 0.0) for a, b in zip(f.values, g.values)))
+    return LatticeElement(f.space, np.maximum(f.array - g.array, 0.0))
 
 
 def scale(q, f: LatticeElement) -> LatticeElement:
@@ -143,14 +202,14 @@ def scale(q, f: LatticeElement) -> LatticeElement:
 
 
 def pos_part(f: LatticeElement) -> LatticeElement:
-    return LatticeElement(f.space, tuple(max(a, 0.0) for a in f.values))
+    return LatticeElement(f.space, np.maximum(f.array, 0.0))
 
 
 def neg_part(f: LatticeElement) -> LatticeElement:
-    return LatticeElement(f.space, tuple(max(-a, 0.0) for a in f.values))
+    return LatticeElement(f.space, np.maximum(-f.array, 0.0))
 
 
-_UNARY = {"neg": neg, "abs": absolute}
+_UNARY = {"neg": LatticeElement.__neg__, "abs": LatticeElement.__abs__}
 _BINARY = {"join": join, "meet": meet, "halfsum": halfsum, "dotminus": dotminus}
 
 
@@ -174,11 +233,17 @@ def lattice_op(op: str, f: LatticeElement, g: LatticeElement | None = None, *, s
     raise InvariantError(f"unknown lattice operation {op!r}")
 
 
-def signed_power(x: float, alpha: float) -> float:
-    """x**alpha extended to negative x by odd reflection, so (-7)**2 -> -49."""
+def signed_power(x, alpha: float):
+    """x**alpha extended to negative x by odd reflection, so (-7)**2 -> -49.
+
+    ``x`` is a float, or an element, which is raised atom by atom.
+    """
     alpha = float(alpha)
     if not alpha > 0:
         raise InvariantError(f"signed_power needs a positive exponent, got {alpha}")
+    if isinstance(x, LatticeElement):
+        mag = np.abs(x.array) ** alpha
+        return LatticeElement(x.space, np.where(x.array >= 0.0, mag, -mag))
     x = float(x)
     if x >= 0.0:
         return x ** alpha
@@ -186,16 +251,24 @@ def signed_power(x: float, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Norms and distance
+# Norms, integrals and distance
 # ---------------------------------------------------------------------------
 
 def lp_norm(f: LatticeElement, p: float) -> float:
-    """Weighted L_p norm (sum_i w_i |v_i|^p)^(1/p); requires p >= 1."""
+    """Weighted L_p norm (sum_i w_i |v_i|^p)^(1/p); requires p >= 1.
+    At p = inf it is the sup norm max_i |v_i|."""
     p = float(p)
     if not p >= 1.0:
         raise InvariantError(f"L_p exponent must satisfy p >= 1, got {p}")
-    total = sum(w * abs(v) ** p for w, v in zip(f.space.weights, f.values))
-    return total ** (1.0 / p)
+    mag = np.abs(f.array)
+    if p == math.inf:
+        return float(mag.max())
+    return float(np.sum(f.space.weight_array * mag**p)) ** (1.0 / p)
+
+
+def integral(f: LatticeElement) -> float:
+    """The weighted sum sum_i w_i v_i."""
+    return float(np.sum(f.space.weight_array * f.array))
 
 
 def distance(f: LatticeElement, g: LatticeElement, p: float) -> float:
@@ -212,37 +285,49 @@ class SubStructure:
     """A partition of a subset of atom indices into nonempty blocks.
 
     The blocks generate the conditioning algebra; atoms outside the support
-    are invisible to it.
+    are invisible to it. Blocks are stored sorted.
     """
 
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        canon = []
-        seen: set[int] = set()
-        for k, block in enumerate(self.blocks):
-            idx = tuple(sorted(int(i) for i in block))
-            if not idx:
-                raise InvariantError(f"block {k} is empty")
-            for i in idx:
-                if i < 0:
-                    raise InvariantError(f"block {k}: negative atom index {i}")
-                if i in seen:
-                    raise InvariantError(f"atom {i} appears in more than one block")
-                seen.add(i)
-            canon.append(idx)
+        canon, k = [], 0
+        try:
+            for k, block in enumerate(self.blocks):
+                canon.append(tuple(sorted(int(i) for i in block)))
+        except (TypeError, ValueError) as exc:
+            raise InvariantError(f"blocks/{k}: expected a list of atom indices ({exc})") from None
+        for k, idx in enumerate(canon):
+            if not idx or idx[0] < 0:
+                raise InvariantError(f"blocks/{k}: must be nonempty with nonnegative indices")
+        atoms = np.fromiter(chain.from_iterable(canon), np.intp)
+        ordered = np.sort(atoms)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if len(repeated):
+            raise InvariantError(f"blocks: atom {repeated[0]} appears more than once")
         object.__setattr__(self, "blocks", tuple(canon))
+        object.__setattr__(self, "_atoms", _frozen(atoms))
+        object.__setattr__(
+            self, "_block_ids", _frozen(np.repeat(np.arange(len(canon)), [len(b) for b in canon]))
+        )
 
     @property
     def support(self) -> frozenset[int]:
         return frozenset(i for block in self.blocks for i in block)
 
     def validate_for(self, space: MeasureSpace) -> None:
-        top = max(self.support, default=-1)
+        top = max((block[-1] for block in self.blocks), default=-1)
         if top >= len(space):
             raise InvariantError(
                 f"sub-structure references atom {top} but the space has {len(space)} atoms"
             )
+
+    def _labels(self, space: MeasureSpace) -> np.ndarray:
+        """Per atom, the index of its block; len(blocks) off the support."""
+        self.validate_for(space)
+        labels = np.full(len(space), len(self.blocks), np.intp)
+        labels[self._atoms] = self._block_ids
+        return labels
 
     @classmethod
     def single_block(cls, indices: Iterable[int]) -> "SubStructure":
@@ -253,40 +338,44 @@ class SubStructure:
         return cls(tuple((i,) for i in range(n)))
 
 
+def _block_sums(x: np.ndarray, labels: np.ndarray, blocks: int) -> np.ndarray:
+    """Per block, the sum of x over its atoms, added in atom-index order."""
+    return np.bincount(labels, x, blocks + 1)[:blocks]
+
+
+def block_integrals(f: LatticeElement, s: SubStructure) -> np.ndarray:
+    """Per block of s, in block order, the integral of f over the block."""
+    labels = s._labels(f.space)
+    return _block_sums(f.space.weight_array * f.array, labels, len(s.blocks))
+
+
 def cond_exp(f: LatticeElement, s: SubStructure) -> LatticeElement:
     """Block-averaging conditional expectation; zero off the support.
 
     On each block the result is the weighted mean of f, so the integral of
-    the result over any block equals the integral of f there.
+    the result over any block equals the integral of f there. Both sums run
+    in atom-index order.
     """
-    s.validate_for(f.space)
-    out = [0.0] * len(f.space)
-    w = f.space.weights
-    for block in s.blocks:
-        wsum = sum(w[i] for i in block)
-        vsum = sum(w[i] * f.values[i] for i in block)
-        mean = vsum / wsum
-        for i in block:
-            out[i] = mean
-    return LatticeElement(f.space, tuple(out))
+    labels = s._labels(f.space)
+    w = f.space.weight_array
+    nb = len(s.blocks)
+    means = _block_sums(w * f.array, labels, nb) / _block_sums(w, labels, nb)
+    return LatticeElement(f.space, np.append(means, 0.0)[labels])
 
 
 def band_decompose(f: LatticeElement, s: SubStructure) -> tuple[LatticeElement, LatticeElement]:
     """Split f into its part over the support and the orthogonal remainder."""
-    sup = s.support
-    fe = LatticeElement(
-        f.space, tuple(v if i in sup else 0.0 for i, v in enumerate(f.values))
+    inside = s._labels(f.space) < len(s.blocks)
+    return (
+        LatticeElement(f.space, np.where(inside, f.array, 0.0)),
+        LatticeElement(f.space, np.where(inside, 0.0, f.array)),
     )
-    fperp = LatticeElement(
-        f.space, tuple(0.0 if i in sup else v for i, v in enumerate(f.values))
-    )
-    return fe, fperp
 
 
 def orthogonal(f: LatticeElement, g: LatticeElement, tol: float = TOL) -> bool:
     """True iff |f| ^ |g| is the zero element."""
     _check_same_space(f, g)
-    return all(min(abs(a), abs(b)) <= tol for a, b in zip(f.values, g.values))
+    return bool(np.all(np.minimum(np.abs(f.array), np.abs(g.array)) <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +386,10 @@ def orthogonal(f: LatticeElement, g: LatticeElement, tol: float = TOL) -> bool:
 class ExtensionPair:
     """The base space with each atom split into equal fiber cells, plus an
     optional orthogonal part made of two extra unit-mass fibers ("plus" and
-    "minus").
-
-    Atom order of the total space: base atom i occupies cells i*n .. i*n+n-1,
-    followed (when present) by the n cells of the plus fiber and then the n
-    cells of the minus fiber. The embedded copy of the base lattice consists
-    of exactly the elements that are constant along each base fiber and zero
-    on the plus/minus part.
+    "minus"). The cell order of the total space is defined on ``fibers``.
+    The embedded copy of the base lattice consists of exactly the elements
+    that are constant along each base fiber and zero on the plus/minus part.
+    The base and total spaces are built once, with the pair.
     """
 
     base_weights: tuple[float, ...]
@@ -311,17 +397,23 @@ class ExtensionPair:
     has_orthogonal: bool = False
 
     def __post_init__(self):
-        ws = tuple(float(w) for w in self.base_weights)
-        if len(ws) < 1:
-            raise InvariantError("the base space needs at least one atom")
-        for i, w in enumerate(ws):
-            if not (math.isfinite(w) and w > 0.0):
-                raise InvariantError(f"base atom {i}: weight must be finite and positive")
-        if int(self.fiber_cells) < 1:
-            raise InvariantError("fiber_cells must be a positive integer")
-        object.__setattr__(self, "base_weights", ws)
-        object.__setattr__(self, "fiber_cells", int(self.fiber_cells))
-        object.__setattr__(self, "has_orthogonal", bool(self.has_orthogonal))
+        base = MeasureSpace(_weights(self.base_weights, "base_weights"))
+        try:
+            n = int(self.fiber_cells)
+        except (TypeError, ValueError) as exc:
+            raise InvariantError(f"fiber_cells: must be a positive integer ({exc})") from None
+        if n < 1:
+            raise InvariantError("fiber_cells: must be a positive integer")
+        has_orth = bool(self.has_orthogonal)
+        cells = np.repeat(base.weight_array / n, n)
+        if has_orth:
+            cells = np.append(cells, np.full(2 * n, 1.0 / n))
+        object.__setattr__(self, "base_weights", base.weights)
+        object.__setattr__(self, "fiber_cells", n)
+        object.__setattr__(self, "has_orthogonal", has_orth)
+        object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_total", MeasureSpace(cells))
+        object.__setattr__(self, "_orth", MeasureSpace(np.full(2 * n, 1.0 / n)) if has_orth else None)
 
     # -- geometry ----------------------------------------------------------
 
@@ -333,29 +425,11 @@ class ExtensionPair:
     def n(self) -> int:
         return self.fiber_cells
 
-    @property
-    def total_atoms(self) -> int:
-        return (self.m + (2 if self.has_orthogonal else 0)) * self.n
-
-    @property
-    def plus_offset(self) -> int:
-        return self.m * self.n
-
-    @property
-    def minus_offset(self) -> int:
-        return self.m * self.n + self.n
-
     def base_space(self) -> MeasureSpace:
-        return MeasureSpace(self.base_weights)
+        return self._base
 
     def total_space(self) -> MeasureSpace:
-        n = self.n
-        weights: list[float] = []
-        for w in self.base_weights:
-            weights.extend([w / n] * n)
-        if self.has_orthogonal:
-            weights.extend([1.0 / n] * (2 * n))
-        return MeasureSpace(tuple(weights))
+        return self._total
 
     # -- element plumbing ----------------------------------------------------
 
@@ -365,53 +439,71 @@ class ExtensionPair:
         plus: Sequence[float] | None = None,
         minus: Sequence[float] | None = None,
     ) -> LatticeElement:
-        if len(rows) != self.m:
-            raise InvariantError(f"expected {self.m} fiber rows, got {len(rows)}")
-        values: list[float] = []
-        for i, row in enumerate(rows):
-            if len(row) != self.n:
-                raise InvariantError(f"row {i}: expected {self.n} cells, got {len(row)}")
-            values.extend(float(v) for v in row)
+        grid = _reals(rows, "rows")
+        if grid.shape != (self.m, self.n):
+            raise InvariantError(
+                f"rows: expected {self.m} fiber rows of {self.n} cells, got shape {grid.shape}"
+            )
+        parts = [grid.ravel()]
         for name, part in (("plus", plus), ("minus", minus)):
-            if part is None:
-                part = [0.0] * self.n
-            elif not self.has_orthogonal:
-                if any(float(v) != 0.0 for v in part):
-                    raise InvariantError(f"{name} fiber given but the pair has no orthogonal part")
-                part = []
-            if self.has_orthogonal:
-                if len(part) != self.n:
-                    raise InvariantError(f"{name} fiber: expected {self.n} cells, got {len(part)}")
-                values.extend(float(v) for v in part)
-        return LatticeElement(self.total_space(), tuple(values))
+            cells = np.zeros(self.n) if part is None else _reals(part, name)
+            if not self.has_orthogonal:
+                if np.any(cells != 0.0):
+                    raise InvariantError(f"{name}: fiber given but the pair has no orthogonal part")
+                continue
+            if cells.shape != (self.n,):
+                raise InvariantError(f"{name}: expected {self.n} cells, got shape {cells.shape}")
+            parts.append(cells)
+        return LatticeElement(self.total_space(), np.concatenate(parts))
+
+    def _require(self, f: LatticeElement) -> None:
+        if f.space != self._total:
+            raise SpaceMismatchError("element must live on the total space of the pair")
+
+    def fibers(self, f: LatticeElement) -> np.ndarray:
+        """The base fibers of f as a read-only (m, n) view: row i holds the
+        cells over base atom i.
+
+        This is the one place the cell order of the total space is defined:
+        base atom i occupies cells i*n .. i*n+n-1, followed (when present) by
+        the n cells of the plus fiber and then the n cells of the minus fiber,
+        which ``orthogonal_part`` returns.
+        """
+        self._require(f)
+        return f.array[: self.m * self.n].reshape(self.m, self.n)
+
+    def orthogonal_part(self, f: LatticeElement) -> LatticeElement | None:
+        """The plus cells then the minus cells of f, as an element of the
+        2n-cell space with cell weight 1/n; None when the pair has no
+        orthogonal part."""
+        self._require(f)
+        if self._orth is None:
+            return None
+        return LatticeElement(self._orth, f.array[self.m * self.n :])
 
     def rows(self, f: LatticeElement) -> list[list[float]]:
-        n = self.n
-        return [list(f.values[i * n : (i + 1) * n]) for i in range(self.m)]
+        return self.fibers(f).tolist()
 
     def plus_values(self, f: LatticeElement) -> list[float]:
-        if not self.has_orthogonal:
-            return []
-        return list(f.values[self.plus_offset : self.plus_offset + self.n])
+        orth = self.orthogonal_part(f)
+        return [] if orth is None else orth.array[: self.n].tolist()
 
     def minus_values(self, f: LatticeElement) -> list[float]:
-        if not self.has_orthogonal:
-            return []
-        return list(f.values[self.minus_offset : self.minus_offset + self.n])
+        orth = self.orthogonal_part(f)
+        return [] if orth is None else orth.array[self.n :].tolist()
 
     def embed(self, g: LatticeElement) -> LatticeElement:
         """Lift a base element to the total space: fiber-constant, zero on +/-."""
         if g.space != self.base_space():
             raise SpaceMismatchError("element to embed must live on the base space")
-        rows = [[v] * self.n for v in g.values]
-        return self.element(rows)
+        return self.element(np.repeat(g.array[:, None], self.n, axis=1))
 
     def is_embedded(self, f: LatticeElement, tol: float = TOL) -> bool:
-        rows = self.rows(f)
-        if any(abs(v - row[0]) > tol for row in rows for v in row):
-            return False
-        orth = self.plus_values(f) + self.minus_values(f)
-        return all(abs(v) <= tol for v in orth)
+        fib = self.fibers(f)
+        orth = self.orthogonal_part(f)
+        return bool(np.all(np.abs(fib - fib[:, :1]) <= tol)) and (
+            orth is None or lp_norm(orth, math.inf) <= tol
+        )
 
     def base_substructure(self) -> SubStructure:
         """The fibers over the base, as blocks of the total space."""
@@ -420,9 +512,10 @@ class ExtensionPair:
 
     def cond_exp_base(self, f: LatticeElement) -> LatticeElement:
         """Conditional expectation onto the embedded base lattice, returned as
-        a base-space element (per base atom, the mean of its fiber cells)."""
+        a base-space element (per base atom, the correctly rounded mean of its
+        fiber cells)."""
         if f.space != self.total_space():
             raise SpaceMismatchError("element must live on the total space of the pair")
         n = self.n
-        means = tuple(math.fsum(row) / n for row in self.rows(f))
-        return LatticeElement(self.base_space(), means)
+        return LatticeElement(self._base, [math.fsum(row) / n for row in self.fibers(f).tolist()])
+

@@ -12,30 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InvariantError, SpaceMismatchError
-from .measure_core import TOL, ExtensionPair, LatticeElement, MeasureSpace
-
-
-def _sorted_close(a: Sequence[float], b: Sequence[float], tol: float) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(abs(x - y) <= tol for x, y in zip(sorted(a), sorted(b)))
-
-
-@dataclass(frozen=True)
-class ConditionalDistribution:
-    """Per base atom, the sorted fiber values; plus the orthogonal cells."""
-
-    sorted_rows: tuple[tuple[float, ...], ...]
-    orthogonal_cells: tuple[float, ...]
-
-    @classmethod
-    def of(cls, f: LatticeElement, pair: ExtensionPair) -> "ConditionalDistribution":
-        if f.space != pair.total_space():
-            raise SpaceMismatchError("element does not live on the total space of this pair")
-        rows = tuple(tuple(sorted(row)) for row in pair.rows(f))
-        orth = tuple(pair.plus_values(f) + pair.minus_values(f))
-        return cls(rows, orth)
+from .measure_core import TOL, ExtensionPair, LatticeElement, lp_norm, neg_part, pos_part
 
 
 @dataclass(frozen=True)
@@ -53,15 +33,12 @@ class DirectionalMass:
         for g in fs[1:]:
             if g.space != space:
                 raise SpaceMismatchError("elements must share one measure space")
-        raw: list[tuple[tuple[float, ...], float]] = []
-        for i, w in enumerate(space.weights):
-            vec = tuple(g.values[i] for g in fs)
-            sup = max(abs(v) for v in vec)
-            if sup == 0.0:
-                continue
-            direction = tuple(v / sup for v in vec)
-            raw.append((direction, w * sup ** float(p)))
-        return cls(_merge(raw))
+        vecs = np.stack([g.array for g in fs], axis=1)
+        sup = np.abs(vecs).max(axis=1)
+        ray = sup != 0.0
+        directions = (vecs[ray] / sup[ray, None]).tolist()
+        masses = (space.weight_array[ray] * sup[ray] ** float(p)).tolist()
+        return cls(_merge(list(zip(map(tuple, directions), masses))))
 
     def approx_equal(self, other: "DirectionalMass", tol: float = TOL) -> bool:
         if len(self.entries) != len(other.entries):
@@ -89,14 +66,6 @@ def _merge(raw: list[tuple[tuple[float, ...], float]], tol: float = TOL) -> tupl
 # Type equality over the base
 # ---------------------------------------------------------------------------
 
-def _orth_pm_norms(f: LatticeElement, pair: ExtensionPair, p: float) -> tuple[float, float]:
-    cells = pair.plus_values(f) + pair.minus_values(f)
-    w = 1.0 / pair.n
-    plus = sum(w * max(v, 0.0) ** p for v in cells) ** (1.0 / p)
-    minus = sum(w * max(-v, 0.0) ** p for v in cells) ** (1.0 / p)
-    return plus, minus
-
-
 def type_equal_1(
     f: LatticeElement,
     g: LatticeElement,
@@ -107,35 +76,31 @@ def type_equal_1(
     """Types over the base agree iff every per-atom fiber multiset matches and
     the positive/negative norms of the orthogonal parts match."""
     p = float(p)
-    df = ConditionalDistribution.of(f, pair)
-    dg = ConditionalDistribution.of(g, pair)
-    for row_f, row_g in zip(df.sorted_rows, dg.sorted_rows):
-        if not _sorted_close(row_f, row_g, tol):
-            return False
-    fp, fm = _orth_pm_norms(f, pair, p)
-    gp, gm = _orth_pm_norms(g, pair, p)
-    return abs(fp - gp) <= tol and abs(fm - gm) <= tol
+    for e in (f, g):
+        if e.space != pair.total_space():
+            raise SpaceMismatchError("element does not live on the total space of this pair")
+    rows_f = np.sort(pair.fibers(f), axis=1)
+    rows_g = np.sort(pair.fibers(g), axis=1)
+    if np.any(np.abs(rows_f - rows_g) > tol):
+        return False
+    orth_f, orth_g = pair.orthogonal_part(f), pair.orthogonal_part(g)
+    if orth_f is None:
+        return True
+    return all(
+        abs(lp_norm(part(orth_f), p) - lp_norm(part(orth_g), p)) <= tol
+        for part in (pos_part, neg_part)
+    )
 
 
-def _joint_rows(fs: Sequence[LatticeElement], pair: ExtensionPair) -> list[list[tuple[float, ...]]]:
-    per_elem_rows = [pair.rows(g) for g in fs]
-    out = []
-    for i in range(pair.m):
-        cells = list(zip(*(rows[i] for rows in per_elem_rows)))
-        out.append(sorted(cells, key=lambda c: tuple(round(v, 9) for v in c)))
-    return out
+def _joint_rows(fs: Sequence[LatticeElement], pair: ExtensionPair) -> np.ndarray:
+    """Per base atom, the fiber cells as value vectors (one coordinate per
+    element), sorted by their coordinates rounded to 9 places; (m, n, len(fs))."""
+    cells = np.stack([pair.fibers(g) for g in fs], axis=-1).tolist()
+    return np.array([sorted(row, key=_rounded) for row in cells])
 
 
-def _orth_space_elements(
-    fs: Sequence[LatticeElement], pair: ExtensionPair
-) -> list[LatticeElement] | None:
-    if not pair.has_orthogonal:
-        return None
-    space = MeasureSpace((1.0 / pair.n,) * (2 * pair.n))
-    return [
-        LatticeElement(space, tuple(pair.plus_values(g) + pair.minus_values(g)))
-        for g in fs
-    ]
+def _rounded(cell: list[float]) -> tuple[float, ...]:
+    return tuple(round(v, 9) for v in cell)
 
 
 def type_equal_n(
@@ -154,16 +119,12 @@ def type_equal_n(
     for e in list(fs) + list(gs):
         if e.space != pair.total_space():
             raise SpaceMismatchError("all elements must live on the total space")
-    for rows_f, rows_g in zip(_joint_rows(fs, pair), _joint_rows(gs, pair)):
-        for cell_f, cell_g in zip(rows_f, rows_g):
-            if any(abs(a - b) > tol for a, b in zip(cell_f, cell_g)):
-                return False
-    orth_f = _orth_space_elements(fs, pair)
-    orth_g = _orth_space_elements(gs, pair)
-    if orth_f is None:
+    if np.any(np.abs(_joint_rows(fs, pair) - _joint_rows(gs, pair)) > tol):
+        return False
+    if not pair.has_orthogonal:
         return True
-    mf = DirectionalMass.from_elements(orth_f, p)
-    mg = DirectionalMass.from_elements(orth_g, p)
+    mf = DirectionalMass.from_elements([pair.orthogonal_part(g) for g in fs], p)
+    mg = DirectionalMass.from_elements([pair.orthogonal_part(g) for g in gs], p)
     return mf.approx_equal(mg, tol)
 
 

@@ -19,14 +19,20 @@ from .measure_core import (
     MeasureSpace,
     SubStructure,
     TOL,
+    block_integrals,
     cond_exp,
+    integral,
+    join,
+    lp_norm,
+    meet,
 )
 
 
 def validate_rv(x: LatticeElement, tol: float = TOL) -> None:
-    for i, v in enumerate(x.values):
-        if v < -tol or v > 1.0 + tol:
-            raise InvariantError(f"atom {i}: random-variable value {v} outside [0, 1]")
+    bad = np.flatnonzero((x.array < -tol) | (x.array > 1.0 + tol))
+    if len(bad):
+        i = bad[0]
+        raise InvariantError(f"atom {i}: random-variable value {x.array[i]} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -45,24 +51,21 @@ class EventAlgebra:
 
 
 def expectation(x: LatticeElement) -> float:
-    return sum(w * v for w, v in zip(x.space.weights, x.values))
+    return integral(x)
 
 
 def rv_op(op: str, x: LatticeElement, y: LatticeElement | None = None) -> LatticeElement:
     """The random-variable operations: not (1 - X), half, join, meet."""
     validate_rv(x)
     if op == "not":
-        return x.map(lambda v: 1.0 - v)
+        return LatticeElement.constant(x.space, 1.0) - x
     if op == "half":
-        return x.map(lambda v: v / 2.0)
+        return 0.5 * x
     if op in ("join", "meet"):
         if y is None:
             raise InvariantError(f"operation {op!r} needs two random variables")
         validate_rv(y)
-        if x.space != y.space:
-            raise SpaceMismatchError("random variables live on different spaces")
-        fn = max if op == "join" else min
-        return LatticeElement(x.space, tuple(fn(a, b) for a, b in zip(x.values, y.values)))
+        return (join if op == "join" else meet)(x, y)
     raise InvariantError(f"unknown random-variable operation {op!r}")
 
 
@@ -70,16 +73,15 @@ def _monomial(xs: Sequence[LatticeElement], ks: Sequence[int]) -> LatticeElement
     if len(xs) != len(ks):
         raise InvariantError("exponent tuple length must match the variable tuple")
     space = xs[0].space
-    vals = [1.0] * len(space)
+    vals = np.ones(len(space))
     for x, k in zip(xs, ks):
         if x.space != space:
             raise SpaceMismatchError("random variables live on different spaces")
         k = int(k)
         if k < 0:
             raise InvariantError("moment exponents must be nonnegative")
-        for i, v in enumerate(x.values):
-            vals[i] *= v ** k
-    return LatticeElement(space, tuple(vals))
+        vals = vals * x.array**k
+    return LatticeElement(space, vals)
 
 
 def cond_moment(
@@ -98,33 +100,27 @@ def least_squares_check(
     among block-constant candidates, strictly away from the optimum."""
     validate_rv(x)
     target = _monomial([x], [k])
-    best = cond_exp(target, s)
-    w = x.space.weights
 
-    def block_sq_dist(block: tuple[int, ...], y: float) -> float:
-        return sum(w[i] * (target.values[i] - y) ** 2 for i in block)
+    def block_sq_dist(y: LatticeElement) -> np.ndarray:
+        gap = target - y
+        return block_integrals(gap * gap, s)
 
-    for block in s.blocks:
-        y_star = best.values[block[0]]
-        d_star = block_sq_dist(block, y_star)
-        for y in np.linspace(0.0, 1.0, grid_steps):
-            d = block_sq_dist(block, float(y))
-            if d < d_star - 1e-12:
-                return False
-            # strictness: the gap must follow the variance decomposition
-            wsum = sum(w[i] for i in block)
-            if abs(d - d_star - wsum * (float(y) - y_star) ** 2) > 1e-9:
-                return False
+    mass = block_integrals(LatticeElement.constant(x.space, 1.0), s)
+    y_star = block_integrals(target, s) / mass
+    d_star = block_sq_dist(cond_exp(target, s))
+    for y in np.linspace(0.0, 1.0, grid_steps):
+        d = block_sq_dist(LatticeElement.constant(x.space, y))
+        if np.any(d < d_star - 1e-12):
+            return False
+        # strictness: the gap must follow the variance decomposition
+        if np.any(np.abs(d - d_star - mass * (y - y_star) ** 2) > 1e-9):
+            return False
     return True
 
 
 def is_block_measurable(y: LatticeElement, s: SubStructure, tol: float = TOL) -> bool:
-    sup = s.support
-    for block in s.blocks:
-        ref = y.values[block[0]]
-        if any(abs(y.values[i] - ref) > tol for i in block):
-            return False
-    return all(abs(v) <= tol for i, v in enumerate(y.values) if i not in sup)
+    """True iff y lies within tol of its conditional expectation at every atom."""
+    return lp_norm(y - cond_exp(y, s), math.inf) <= tol
 
 
 def product_formula_check(
@@ -141,10 +137,7 @@ def product_formula_check(
             raise InvariantError("every Y must be measurable for the conditioning blocks")
     xk = _monomial(xs, ks)
     yl = _monomial(ys, ls) if ys else LatticeElement.constant(xs[0].space, 1.0)
-    lhs = expectation(LatticeElement(xk.space, tuple(a * b for a, b in zip(xk.values, yl.values))))
-    ck = cond_exp(xk, s)
-    rhs = expectation(LatticeElement(ck.space, tuple(a * b for a, b in zip(ck.values, yl.values))))
-    return lhs, rhs
+    return integral(xk * yl), integral(cond_exp(xk, s) * yl)
 
 
 def apr_cb(
@@ -158,18 +151,19 @@ def apr_cb(
     for j, e in enumerate(events):
         if e.space != space:
             raise SpaceMismatchError("events live on different spaces")
-        for i, v in enumerate(e.values):
-            if min(abs(v), abs(v - 1.0)) > tol:
-                raise InvariantError(f"event {j}, atom {i}: indicator value {v} is not 0/1")
+        bad = np.flatnonzero(np.minimum(np.abs(e.array), np.abs(e.array - 1.0)) > tol)
+        if len(bad):
+            i = bad[0]
+            raise InvariantError(f"event {j}, atom {i}: indicator value {e.array[i]} is not 0/1")
+    indicators = [LatticeElement(space, np.round(e.array)) for e in events]
+    # each intersection is the meet of its parent subset's with one more event
+    meets: dict[tuple[int, ...], LatticeElement] = {(): LatticeElement.constant(space, 1.0)}
     out: dict[frozenset[int], LatticeElement] = {}
     indices = range(len(events))
     for size in range(1, len(events) + 1):
         for subset in combinations(indices, size):
-            vals = [1.0] * len(space)
-            for j in subset:
-                for i, v in enumerate(events[j].values):
-                    vals[i] = min(vals[i], round(v))
-            out[frozenset(subset)] = cond_exp(LatticeElement(space, tuple(vals)), s)
+            meets[subset] = meet(meets[subset[:-1]], indicators[subset[-1]])
+            out[frozenset(subset)] = cond_exp(meets[subset], s)
     return out
 
 
@@ -200,13 +194,10 @@ def lift_event(x: LatticeElement, s: SubStructure, fiber_cells: int) -> LiftedEv
     if n < 1:
         raise InvariantError("fiber_cells must be positive")
     pair = ExtensionPair(x.space.weights, n)
-    ks = [int(math.floor(v * n + 0.5)) for v in x.values]
-    ks = [min(n, max(0, k)) for k in ks]
-    snapped_vals = [k / n for k in ks]
-    was_rounded = any(abs(sv - v) > 1e-12 for sv, v in zip(snapped_vals, x.values))
-    rows = [[1.0] * k + [0.0] * (n - k) for k in ks]
-    indicator = pair.element(rows)
-    snapped = LatticeElement(x.space, tuple(snapped_vals))
+    ks = np.clip(np.floor(x.array * n + 0.5), 0, n)
+    snapped = LatticeElement(x.space, ks / n)
+    was_rounded = lp_norm(snapped - x, math.inf) > 1e-12
+    indicator = pair.element(np.arange(n) < ks[:, None])
     return LiftedEvent(pair, indicator, snapped, was_rounded)
 
 
@@ -214,9 +205,9 @@ def _block_distribution(
     x: LatticeElement, block: tuple[int, ...], tol: float
 ) -> list[tuple[float, float]]:
     """Sorted (value, probability-within-block) pairs, tolerance-bucketed."""
-    w = x.space.weights
-    wsum = sum(w[i] for i in block)
-    pairs = sorted((x.values[i], w[i] / wsum) for i in block)
+    idx = list(block)
+    w = x.space.weight_array[idx]
+    pairs = sorted(zip(x.array[idx].tolist(), (w / w.sum()).tolist()))
     out: list[tuple[float, float]] = []
     for v, pr in pairs:
         if out and abs(out[-1][0] - v) <= tol:
@@ -248,9 +239,8 @@ def moments_determine_check(
     if x.space != y.space:
         raise SpaceMismatchError("variables live on different spaces")
     max_k = int(max_k)
-    for block in s.blocks:
-        dist_x = _block_distribution(x, block, tol)
-        dist_y = _block_distribution(y, block, tol)
+    dists = [(_block_distribution(x, b, tol), _block_distribution(y, b, tol)) for b in s.blocks]
+    for dist_x, dist_y in dists:
         union_vals = sorted({v for v, _ in dist_x} | {v for v, _ in dist_y})
         merged: list[float] = []
         for v in union_vals:
@@ -265,10 +255,5 @@ def moments_determine_check(
         cond_moment([x], [k], s).approx_equal(cond_moment([y], [k], s), tol)
         for k in range(1, max_k + 1)
     )
-    dists_match = all(
-        _distributions_equal(
-            _block_distribution(x, block, tol), _block_distribution(y, block, tol), tol
-        )
-        for block in s.blocks
-    )
+    dists_match = all(_distributions_equal(dx, dy, tol) for dx, dy in dists)
     return moments_match == dists_match

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -315,3 +316,53 @@ def test_pair_element_shape_errors():
         pair.element([[1.0]])
     with pytest.raises(InvariantError):
         pair.element([[1.0, 2.0]], plus=[1.0, 0.0])
+
+
+# -- the array contract ----------------------------------------------------------------
+
+def test_element_array_is_read_only_float64():
+    f = elem(1, -2.5, 3)
+    assert f.array.dtype == np.float64
+    with pytest.raises(ValueError):
+        f.array[0] = 7.0
+    assert f.values == tuple(f.array.tolist())
+
+
+def test_non_numeric_input_raises_invariant_error():
+    with pytest.raises(InvariantError):
+        LatticeElement(HALVES, ("x", 1.0))
+    with pytest.raises(InvariantError):
+        LatticeElement(MeasureSpace((1.0,)), ("x",))
+    with pytest.raises(InvariantError):
+        ExtensionPair(("x",), 2)
+
+
+def test_pair_builds_its_spaces_once_and_exposes_read_only_fibers(rng):
+    pair = random_pair(rng, orth=True)
+    assert pair.total_space() is pair.total_space()
+    assert pair.base_space() is pair.base_space()
+    f = random_element(rng, pair)
+    fibers = pair.fibers(f)
+    assert fibers.shape == (pair.m, pair.n)
+    assert fibers.tolist() == pair.rows(f)
+    with pytest.raises(ValueError):
+        fibers[0, 0] = 1.0
+    orth = pair.orthogonal_part(f)
+    assert orth.values == tuple(pair.plus_values(f) + pair.minus_values(f))
+
+
+def test_cond_exp_sums_in_atom_order_like_the_reference(rng):
+    # atoms outside the support stay zero; the block means equal the loop's exactly
+    for _ in range(30):
+        space = MeasureSpace(tuple(rng.randint(1, 9) / 7 for _ in range(rng.randint(2, 12))))
+        atoms = list(range(len(space)))
+        rng.shuffle(atoms)
+        inside = atoms[: rng.randint(1, len(atoms) - 1)]
+        blocks, start = [], 0
+        while start < len(inside):
+            size = rng.randint(1, 3)
+            blocks.append(tuple(inside[start : start + size]))
+            start += size
+        s = SubStructure(tuple(blocks))
+        f = LatticeElement(space, tuple(rng.uniform(-5, 5) for _ in atoms))
+        assert cond_exp(f, s).values == tuple(ref_cond_exp(space.weights, f.values, s.blocks))
