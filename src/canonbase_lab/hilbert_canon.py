@@ -8,31 +8,56 @@ expansion identity exercises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvariantError
+from .measure_core import reals
 
 _ORTHO_TOL = 1e-12
 
 
+def _vectors(values, dim: int, name: str) -> np.ndarray:
+    """``values`` as a (k, dim) array of finite reals; an empty list is k = 0."""
+    mat = reals(values, name)
+    if mat.size == 0 and mat.ndim == 1:
+        mat = mat.reshape(0, dim)
+    if mat.ndim != 2 or mat.shape[1] != dim:
+        raise InvariantError(f"{name}: expected a list of {dim}-vectors, got shape {mat.shape}")
+    return mat
+
+
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of R^dim given by an orthonormal basis (possibly empty)."""
+    """A subspace of R^dim given by an orthonormal basis (possibly empty).
+    Both fields are coerced once, here; bad input raises ``InvariantError``
+    naming ``dim`` or ``basis``."""
 
     dim: int
     basis: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        mat = np.asarray(self.basis, dtype=float).reshape(len(self.basis), self.dim)
+        dim = self.dim
+        # integral numbers only: int() would truncate 2.9 and accept "2" or True
+        if (
+            isinstance(dim, bool)
+            or not isinstance(dim, Real)
+            or not math.isfinite(dim)
+            or dim != int(dim)
+            or dim < 0
+        ):
+            raise InvariantError(f"dim: must be a nonnegative integer, got {dim!r}")
+        dim = int(dim)
+        mat = _vectors(self.basis, dim, "basis")
         gram = mat @ mat.T
-        if len(self.basis) and np.abs(gram - np.eye(len(self.basis))).max() > _ORTHO_TOL:
-            raise InvariantError("subspace basis is not orthonormal")
-        object.__setattr__(
-            self, "basis", tuple(tuple(float(v) for v in row) for row in mat)
-        )
+        if len(mat) and np.abs(gram - np.eye(len(mat))).max() > _ORTHO_TOL:
+            raise InvariantError("basis: not orthonormal")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "basis", tuple(map(tuple, mat.tolist())))
 
     @classmethod
     def span(cls, dim: int, vectors: Sequence[Sequence[float]]) -> "Subspace":
@@ -67,8 +92,9 @@ class HilbertBase:
 
 
 def hs_cb(vs: Sequence[Sequence[float]], sub: Subspace) -> HilbertBase:
-    """The tuple of projections together with the full Gram matrix."""
-    mat = np.asarray(vs, dtype=float).reshape(len(vs), sub.dim)
+    """The tuple of projections together with the full Gram matrix; ``vs``
+    must be finite ``sub.dim``-vectors (``InvariantError`` naming ``vectors``)."""
+    mat = _vectors(vs, sub.dim, "vectors")
     projections = tuple(tuple(project(row, sub)) for row in mat)
     gram = mat @ mat.T
     return HilbertBase(projections, tuple(tuple(float(x) for x in row) for row in gram))

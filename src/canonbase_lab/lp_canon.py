@@ -26,6 +26,7 @@ from .measure_core import (
     ExtensionPair,
     LatticeElement,
     MeasureSpace,
+    check_p,
     dotminus,
     integral,
     lp_norm,
@@ -43,20 +44,13 @@ def _require_on_pair(f: LatticeElement, pair: ExtensionPair) -> None:
         raise SpaceMismatchError("element does not live on the total space of this pair")
 
 
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not p >= 1.0:
-        raise InvariantError(f"L_p exponent must satisfy p >= 1, got {p}")
-    return p
-
-
 # ---------------------------------------------------------------------------
 # The shortfall transform and its conjugate
 # ---------------------------------------------------------------------------
 
 def f_zero(f: LatticeElement, pair: ExtensionPair, p: float) -> LatticeElement:
     """Conditional expectation of |f| onto the base, as a base-space element."""
-    _check_p(p)
+    check_p(p)
     _require_on_pair(f, pair)
     return pair.cond_exp_base(abs(f))
 
@@ -96,7 +90,7 @@ class PsiFamily:
 
 def psi(f: LatticeElement, pair: ExtensionPair, p: float) -> PsiFamily:
     """The shortfall family x -> E[(x*f0 - f)^+ | base], exact and PL per atom."""
-    _check_p(p)
+    check_p(p)
     _require_on_pair(f, pair)
     f0 = f_zero(f, pair, p)
     n = pair.n
@@ -175,7 +169,7 @@ class SliceFamily:
 
 def slices(f: LatticeElement, pair: ExtensionPair, p: float) -> SliceFamily:
     """Sort the fibers of f over the base once and take their prefix sums."""
-    _check_p(p)
+    check_p(p)
     _require_on_pair(f, pair)
     rows = np.sort(pair.fibers(f), axis=1)
     prefix = np.pad(np.cumsum(rows, axis=1), ((0, 0), (1, 0)))
@@ -187,7 +181,7 @@ def increasing_realisation(f: LatticeElement, pair: ExtensionPair, p: float) -> 
     """The canonical type-preserving rearrangement: each base fiber sorted
     ascending, and the orthogonal part replaced by the signed constants
     +|f+ restricted to the orthogonal part| and -|f- restricted|."""
-    p = _check_p(p)
+    p = check_p(p)
     rows = slices(f, pair, p).sorted_rows
     orth = pair.orthogonal_part(f)
     if orth is None:
@@ -200,7 +194,7 @@ def slice_norm_bound_check(
     f: LatticeElement, pair: ExtensionPair, p: float, t: float
 ) -> tuple[float, float]:
     """Returns (||f_t||_p over the base, ||f||_p / (t - t^2)^(1/p))."""
-    p = _check_p(p)
+    p = check_p(p)
     t = float(t)
     if not 0.0 < t < 1.0:
         raise InvariantError(f"the slice bound needs t in (0, 1), got {t}")
@@ -256,7 +250,7 @@ def grid_approx(
 def lq_transport(f: LatticeElement, p: float, q: float) -> LatticeElement:
     """The carrier bijection between the p- and q-structures: atomwise signed
     power v -> v^(p/q); transports the norm via ||f||_p^(p/q)."""
-    p, q = _check_p(p), _check_p(q)
+    p, q = check_p(p), check_p(q)
     if p == q:
         return f
     return signed_power(f, p / q)
@@ -265,7 +259,7 @@ def lq_transport(f: LatticeElement, p: float, q: float) -> LatticeElement:
 def duality_pairing(f: LatticeElement, g: LatticeElement, p: float, q: float) -> float:
     """Pairing of the transported elements f^(p/q) and g^(p/q'), computed
     through the kernel (f^(1/q) g^(1/q'))^p inside the integral."""
-    p = _check_p(p)
+    p = check_p(p)
     q = float(q)
     if not q > 1.0:
         raise InvariantError("the duality pairing needs q > 1 (conjugate exponent defined)")
@@ -285,7 +279,7 @@ def cond_exp_pairing_check(
     the right over the base. Requires p > 1 (the identity still holds at
     p = 1 but no longer characterises the conditional expectation there).
     """
-    p = _check_p(p)
+    p = check_p(p)
     if p == 1.0:
         raise InvariantError("the pairing characterisation needs p > 1")
     _require_on_pair(f, pair)
@@ -390,7 +384,7 @@ def canonical_base_1type(
     dense grid (E_0 = 0 and E_1 = the full conditional expectation, both
     exact here).
     """
-    p = _check_p(p)
+    p = check_p(p)
     _require_on_pair(f, pair)
     pts = tuple(float(t) for t in grid)
     if not pts:
@@ -431,7 +425,7 @@ def canonical_base_ntype(
     k_max: int,
     intervals: bool = False,
 ) -> NTypeBase:
-    p = _check_p(p)
+    p = check_p(p)
     if not fs:
         raise InvariantError("the tuple of elements must be nonempty")
     for g in fs:
@@ -475,7 +469,7 @@ def p1_counterexample(
     """The unit-norm family concentrated on the first eps-fraction of every
     fiber, with value -eps^(-1/p); its partial at t = eps has norm
     eps^(1 - 1/p), which stays at 1 when p = 1."""
-    p = _check_p(p)
+    p = check_p(p)
     eps = Fraction(eps).limit_denominator(10**9) if not isinstance(eps, Fraction) else eps
     if not (0 < eps < 1) or eps.numerator != 1:
         raise InvariantError(f"eps must be of the form 1/m, got {eps}")

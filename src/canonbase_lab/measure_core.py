@@ -30,7 +30,7 @@ from .errors import InvariantError, SpaceMismatchError
 TOL = 1e-9
 
 
-def _reals(values, name: str) -> np.ndarray:
+def reals(values, name: str) -> np.ndarray:
     """A fresh float64 array of ``values``; every entry must be a finite real."""
     try:
         arr = np.array(values, dtype=np.float64)
@@ -45,8 +45,8 @@ def _reals(values, name: str) -> np.ndarray:
 
 
 def _weights(values, name: str) -> np.ndarray:
-    """``_reals`` for atom weights: one or more, each strictly positive."""
-    arr = _reals(values, name)
+    """``reals`` for atom weights: one or more, each strictly positive."""
+    arr = reals(values, name)
     if arr.ndim != 1 or len(arr) < 1:
         raise InvariantError(f"{name}: a measure space needs at least one atom")
     bad = np.flatnonzero(arr <= 0.0)
@@ -94,7 +94,7 @@ class LatticeElement:
     __slots__ = ("space", "array", "_values")
 
     def __init__(self, space: MeasureSpace, values):
-        arr = _reals(values, "values")
+        arr = reals(values, "values")
         if arr.shape != (len(space),):
             raise InvariantError(
                 f"values: element has shape {arr.shape} but the space has {len(space)} atoms"
@@ -254,12 +254,18 @@ def signed_power(x, alpha: float):
 # Norms, integrals and distance
 # ---------------------------------------------------------------------------
 
-def lp_norm(f: LatticeElement, p: float) -> float:
-    """Weighted L_p norm (sum_i w_i |v_i|^p)^(1/p); requires p >= 1.
-    At p = inf it is the sup norm max_i |v_i|."""
+def check_p(p: float) -> float:
+    """``p`` as a float, which must be an L_p exponent: p >= 1 (NaN is not)."""
     p = float(p)
     if not p >= 1.0:
         raise InvariantError(f"L_p exponent must satisfy p >= 1, got {p}")
+    return p
+
+
+def lp_norm(f: LatticeElement, p: float) -> float:
+    """Weighted L_p norm (sum_i w_i |v_i|^p)^(1/p); requires p >= 1.
+    At p = inf it is the sup norm max_i |v_i|."""
+    p = check_p(p)
     mag = np.abs(f.array)
     if p == math.inf:
         return float(mag.max())
@@ -439,14 +445,14 @@ class ExtensionPair:
         plus: Sequence[float] | None = None,
         minus: Sequence[float] | None = None,
     ) -> LatticeElement:
-        grid = _reals(rows, "rows")
+        grid = reals(rows, "rows")
         if grid.shape != (self.m, self.n):
             raise InvariantError(
                 f"rows: expected {self.m} fiber rows of {self.n} cells, got shape {grid.shape}"
             )
         parts = [grid.ravel()]
         for name, part in (("plus", plus), ("minus", minus)):
-            cells = np.zeros(self.n) if part is None else _reals(part, name)
+            cells = np.zeros(self.n) if part is None else reals(part, name)
             if not self.has_orthogonal:
                 if np.any(cells != 0.0):
                     raise InvariantError(f"{name}: fiber given but the pair has no orthogonal part")

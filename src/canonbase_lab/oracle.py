@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantError, SpaceMismatchError
-from .measure_core import TOL, ExtensionPair, LatticeElement, lp_norm, neg_part, pos_part
+from .measure_core import TOL, ExtensionPair, LatticeElement, check_p, lp_norm, neg_part, pos_part
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def type_equal_1(
 ) -> bool:
     """Types over the base agree iff every per-atom fiber multiset matches and
     the positive/negative norms of the orthogonal parts match."""
-    p = float(p)
+    p = check_p(p)
     for e in (f, g):
         if e.space != pair.total_space():
             raise SpaceMismatchError("element does not live on the total space of this pair")
@@ -112,6 +112,7 @@ def type_equal_n(
 ) -> bool:
     """Joint types over the base: per-atom multisets of fiber value vectors
     must coincide, and the directional masses of the orthogonal parts too."""
+    p = check_p(p)
     if len(fs) != len(gs):
         raise InvariantError("tuples must have equal length")
     if not fs:
@@ -136,6 +137,7 @@ def absolute_type_equal(
 ) -> bool:
     """Parameter-free joint types, possibly over different spaces: equality of
     the directional mass measures."""
+    p = check_p(p)
     if len(fs) != len(gs):
         raise InvariantError("tuples must have equal length")
     if not fs:

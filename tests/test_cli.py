@@ -1,6 +1,14 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from canonbase_lab import cli
 
@@ -31,10 +39,16 @@ def test_lp_cb_grid_rejects_zero_and_reports_partials(tmp_path, capsys):
 
 SPACE = {"base_weights": [1.0, 2.0], "fiber_cells": 2}
 PROBABILITY = {"weights": [0.5, 0.5], "blocks": [[0, 1]]}
+SUBSPACE = {"dim": 2, "basis": [[1.0, 0.0]]}
+VECTORS = {"vectors": [[1.0, 2.0]]}
+HS_CB = ["hs-cb", "--vectors", "vectors", "--subspace", "subspace"]
+TYPEQ = {"space": {"base_weights": [1.0], "fiber_cells": 2},
+         "a": {"rows": [[0, 1]]}, "b": {"rows": [[1, 0]]}}
+TYPEQ_ARGV = ["typeq", "--space", "space", "--a", "a", "--b", "b", "--p"]
 
 
 @pytest.mark.parametrize(
-    "docs, argv, pointer",
+    "docs, argv, expected",
     [
         ({}, ["krivine", "eval", "--term", "x0", "--arity", "1", "--point", "a"], "--point"),
         (
@@ -57,13 +71,128 @@ PROBABILITY = {"weights": [0.5, 0.5], "blocks": [[0, 1]]}
             ["apr-cb", "--events", "events"],
             "/blocks/0",
         ),
+        ({"subspace": {"dim": 2, "basis": [["x", 0]]}, "vectors": VECTORS}, HS_CB, "/basis"),
+        ({"subspace": {"dim": 2, "basis": 5}, "vectors": VECTORS}, HS_CB, "/basis"),
+        ({"subspace": {"dim": "x", "basis": []}, "vectors": VECTORS}, HS_CB, "/dim"),
+        ({"subspace": SUBSPACE, "vectors": {"vectors": [["a", 0]]}}, HS_CB, "/vectors"),
+        ({"subspace": SUBSPACE, "vectors": {"vectors": 5}}, HS_CB, "/vectors"),
+        ({"subspace": SUBSPACE, "vectors": {"vectors": [[1, 0, 0]]}}, HS_CB, "/vectors"),
+        ({"subspace": {"dim": 2.5, "basis": []}, "vectors": VECTORS}, HS_CB, "/dim"),
+        ({"subspace": {"dim": True, "basis": []}, "vectors": VECTORS}, HS_CB, "/dim"),
+        (
+            {"space": PROBABILITY, "elements": {"elements": [[0.5, 1.0]]}},
+            ["rv-cb", "--space", "space", "--elements", "elements", "--k-max", "-1"],
+            "--k-max: must be >= 0",
+        ),
+        (TYPEQ, TYPEQ_ARGV + ["nan"], "p >= 1, got nan"),
+        (TYPEQ, TYPEQ_ARGV + ["0.5"], "p >= 1, got 0.5"),
     ],
 )
-def test_malformed_input_exits_2_naming_the_pointer(tmp_path, capsys, docs, argv, pointer):
+def test_malformed_input_exits_2_naming_the_pointer(tmp_path, capsys, docs, argv, expected):
     for name, doc in docs.items():
         (tmp_path / name).write_text(json.dumps(doc))
     argv = [str(tmp_path / a) if a in docs else a for a in argv]
     code = cli.dispatch(argv)
     report = json.loads(capsys.readouterr().out)
     assert code == 2 and report["exit_code"] == 2
-    assert pointer in report["error"]
+    assert expected in report["error"]
+
+
+# -- the report encoder ------------------------------------------------------------
+
+_SPECIAL = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1e-5, math.nextafter(1e-5, 0.0), math.nextafter(1e-5, 1.0),
+    1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf),
+    math.nan, math.inf, -math.inf, 0.1, 1.0, -2.5,
+]
+_floats = st.one_of(st.sampled_from(_SPECIAL), st.floats())
+
+
+@st.composite
+def _arrays(draw):
+    # values repeat, as in block-measurable outputs; both zeros are common
+    pool = draw(st.lists(_floats | st.sampled_from([0.0, -0.0]), min_size=1, max_size=4))
+    return np.array(draw(st.lists(st.sampled_from(pool), max_size=12)), dtype=np.float64)
+
+
+_strings = st.one_of(st.text(), st.sampled_from(["é", "\n\t\"\\", "\u2028", "\x00", "💡", "日本"]))
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**40), 10**40), _floats, _strings
+)
+_docs = st.recursive(
+    _scalars | _arrays(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_strings, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def _as_lists(doc):
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {k: _as_lists(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_as_lists(v) for v in doc]
+    return doc
+
+
+@given(_docs, st.dictionaries(_strings, _arrays(), max_size=4))
+@example({}, {"m": np.repeat([0.1, 0.0, -0.0, 1e16], 3), "z": np.array([-0.0, 0.0])})
+@example([np.array([]), [], {}, {"": [[], {}]}], {"": np.array([math.nan, math.inf, -math.inf])})
+def test_encode_is_byte_identical_to_json_dumps(doc, arrays):
+    # shaped like a run report: a map of arrays next to an arbitrary document
+    doc = {"outputs": arrays, "rest": doc}
+    assert "".join(cli._encode(doc)) == json.dumps(_as_lists(doc), sort_keys=True, indent=2)
+
+
+# -- golden reports: the stdout and --out path of a real subprocess ------------
+
+def _canonical(text: str) -> str:
+    return json.dumps(json.loads(text), sort_keys=True, indent=2)
+
+
+def _run_canonlab(tmp_path, *argv):
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.pop("CANONLAB_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "canonbase_lab", *map(str, argv)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, encoding="utf-8", check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_reports_and_out_files_are_the_stdlib_encoding(tmp_path):
+    prob = _write(tmp_path, "prob.json", {"weights": [1, 2, 1, 1, 3, 0.5], "blocks": [[0, 1, 2], [3, 4, 5]]})
+    elems = _write(tmp_path, "elems.json", {"elements": [[0.1, 0.1, 0.7, 0.0, 1.0, 0.3], [1, 0, 0, 0.5, 0.5, 1e-7]]})
+    events = _write(tmp_path, "events.json", {
+        "weights": [1, 1, 2, 1], "blocks": [[0, 1], [2, 3]],
+        "events": [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]],
+    })
+    space = _write(tmp_path, "space.json", {"base_weights": [1, 2], "fiber_cells": 3, "orthogonal_part": True})
+    element = _write(tmp_path, "element.json", {
+        "rows": [[-2, 4, 0.1], [1e-5, -0.0, 3]], "plus": [1, 0, 2], "minus": [0, 0.5, 0],
+    })
+    lp = ["lp-cb", "--space", space, "--element", element, "--p", 2, "--grid", 3]
+    runs = [
+        (["rv-cb", "--space", prob, "--elements", elems, "--k-max", 2, "--out", "rv.json"], "rv.json"),
+        (["apr-cb", "--events", events], None),
+        (lp + ["--out", "partials.json"], "partials.json"),
+        (lp + ["--intervals", "--out", "intervals.json"], "intervals.json"),
+    ]
+    for argv, out in runs:
+        stdout = _run_canonlab(tmp_path, *argv)
+        assert stdout == _canonical(stdout) + "\n"
+        if out is not None:
+            text = (tmp_path / out).read_text(encoding="utf-8")
+            assert text == _canonical(text)
+            assert json.loads(text) == json.loads(stdout)["outputs"]

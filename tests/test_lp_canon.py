@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from canonbase_lab.errors import InvariantError
 from canonbase_lab.legendre import biconjugate
@@ -209,6 +211,53 @@ def test_partial_prefix_matches_conjugation():
                     for a, b, row in zip(got, want, rows):
                         assert abs(a - b) <= 1e-9 * (1 + max(abs(v) for v in row)), (t, row)
     assert kinds_seen == {"zero", "constant", "random"}
+
+
+_CELLS = st.one_of(st.integers(-128, 128).map(lambda k: k / 16), st.floats(-8, 8))
+
+
+@st.composite
+def _fiber_rows(draw, m, n):
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["zero", "constant", "random"]))
+        if kind == "zero":
+            rows.append([0.0] * n)
+        elif kind == "constant":
+            rows.append([draw(_CELLS)] * n)
+        else:
+            rows.append(draw(st.lists(_CELLS, min_size=n, max_size=n)))
+    return rows
+
+
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 12),
+    p=st.sampled_from([1, 2, 3.5]),
+    orth=st.booleans(),
+    data=st.data(),
+)
+def test_partial_prefix_matches_conjugation_under_hypothesis(m, n, p, orth, data):
+    # the seeded cross-check above, with the sizes, p, fibers and t drawn:
+    # t on the grid k/n, one ulp either side of it, or anywhere in [0, 1]
+    weights = data.draw(st.lists(st.integers(1, 8).map(lambda k: k / 4), min_size=m, max_size=m))
+    pair = ExtensionPair(weights, n, orth)
+    rows = data.draw(_fiber_rows(m, n))
+    side = st.lists(_CELLS, min_size=n, max_size=n) if orth else st.none()
+    f = pair.element(rows, data.draw(side), data.draw(side))
+    on_grid = st.integers(0, n).map(lambda k: k / n)
+    t_values = st.one_of(
+        on_grid,
+        on_grid.map(lambda t: math.nextafter(t, 0.0)),
+        on_grid.map(lambda t: math.nextafter(t, 1.0)),
+        st.floats(0.0, 1.0),
+    )
+    fam = psi(f, pair, p)
+    for t in data.draw(st.lists(t_values, min_size=1, max_size=6)):
+        got = partial_cond_exp(f, pair, p, t).values
+        want = _partial_from_family(fam, t).values
+        for a, b, row in zip(got, want, rows):
+            assert abs(a - b) <= 1e-9 * (1 + max(abs(v) for v in row)), (t, row)
 
 
 def test_remark_phi_attainment(rng):
