@@ -213,7 +213,9 @@ def emit_curve(cb: lp_canon.LpCanonicalBase, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_legendre(args) -> tuple[int, dict, dict, dict]:
-    phi = legendre.fn_from_dict(_read_json(args.fn))
+    source = _read_json(args.fn)
+    with _prefixed(f"{args.fn}: "):
+        phi = legendre.fn_from_dict(source)
     conj = legendre.conjugate(phi)
     doc = legendre.fn_to_dict(conj)
     back = legendre.conjugate(conj)
@@ -237,7 +239,10 @@ def _cmd_krivine(args) -> tuple[int, dict, dict, dict]:
             point = [float(_fraction(v)) for v in args.point.split(",")]
         value = krivine.eval_scalar(term, point)
         return 0, {"value": value}, {}, {}
-    fn = krivine.registry_function(args.fn)
+    if args.grid < 1:
+        raise InvariantError(f"--grid: must be >= 1, got {args.grid}")
+    with _prefixed("--fn: "):
+        fn = krivine.registry_function(args.fn)
     term, cert = krivine.approximate_on_sphere(
         fn, args.eps, args.grid, seed=args.seed
     )
@@ -351,6 +356,8 @@ def _cmd_ultra(args) -> tuple[int, dict, dict, dict]:
         dist = ultra_ball.ball_distance(a, b, ctx)
         return 0, {"distance": str(dist)}, {}, {}
     # check-triangles over a seeded rational sample
+    if args.samples < 0:
+        raise InvariantError(f"--samples: must be >= 0, got {args.samples}")
     rng = random.Random(args.seed)
     balls = []
     for _ in range(args.samples):

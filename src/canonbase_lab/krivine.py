@@ -5,11 +5,18 @@ approximation of continuous positively-homogeneous degree-one functions.
 Every term induces a continuous, finitely piecewise-affine scalar function
 that is positively homogeneous of degree one, and the same evaluator applies
 a term to lattice elements atom by atom.
+
+Approximation is Krivine's calculus made computable, by one engine for every
+arity n >= 2: the function is interpolated linearly on the cones of a
+conforming simplicial fan (the orthants, refined by edge bisection), and the
+interpolant becomes a lattice term in max-min form over its own pieces. Its
+error bound comes from deterministic samples and the cones' geometry.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -316,10 +323,6 @@ def _add(u: LatticeTerm, v: LatticeTerm) -> LatticeTerm:
     return Scale(Fraction(2), HalfSum(u, v))
 
 
-def _lincomb2(c0: float, i0: int, c1: float, i1: int) -> LatticeTerm:
-    return _add(Scale(Fraction(c0), Var(i0)), Scale(Fraction(c1), Var(i1)))
-
-
 def interpolating_term(
     x: Sequence[float], y: Sequence[float], a: float, b: float
 ) -> LatticeTerm:
@@ -360,7 +363,7 @@ def interpolating_term(
         raise InvariantError("degenerate point pair for linear interpolation")
     ci = (b * xv[j] - a * yv[j]) / denom
     cj = (a * yv[i] - b * xv[i]) / denom
-    return _lincomb2(ci, i, cj, j)
+    return _add(Scale(Fraction(ci), Var(i)), Scale(Fraction(cj), Var(j)))
 
 
 # ---------------------------------------------------------------------------
@@ -477,18 +480,34 @@ def _spow_np(x: np.ndarray, alpha: float) -> np.ndarray:
     return np.sign(x) * np.abs(x) ** alpha
 
 
+def _power_product(name: str, a: float, b: float) -> HomogeneousFn:
+    """sign(x)|x|^a * sign(y)|y|^b for exponents in (0, 1)."""
+    return HomogeneousFn(
+        name, 2,
+        lambda pts: _spow_np(pts[0], a) * _spow_np(pts[1], b),
+        lambda d, h=min(a, b): 2.0 * d ** h,
+    )
+
+
 def registry_function(spec: str) -> HomogeneousFn:
     """Build a named homogeneous function.
 
-    Accepted forms: ``euclid``, ``euclid(n)``, ``geomean(alpha)``,
-    ``power(p,q)`` with 1/p + 1/q = 1, and ``halfsum_pq(p,q)``.
+    Accepted forms: ``euclid``, ``euclid(n)`` with an integer n >= 1,
+    ``geomean(alpha)`` with 0 < alpha < 1, ``power(p,q)`` with
+    1/p + 1/q = 1, and ``halfsum_pq(p,q)`` with p, q >= 1. Arguments are
+    rational numbers such as ``3/2``.
     """
     m = re.fullmatch(r"\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*", spec)
     if m is None:
         raise InvariantError(f"malformed function spec {spec!r}")
     name, argtext = m.group(1), m.group(2)
-    args = [float(Fraction(p.strip())) for p in argtext.split(",")] if argtext else []
+    try:
+        args = [float(Fraction(p.strip())) for p in argtext.split(",")] if argtext else []
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InvariantError(f"{spec!r}: arguments must be rational numbers ({exc})") from None
     if name == "euclid":
+        if len(args) > 1 or (args and not (args[0] >= 1 and args[0].is_integer())):
+            raise InvariantError(f"{spec!r}: euclid(n) needs one integer n >= 1")
         n = int(args[0]) if args else 2
         return HomogeneousFn(
             f"euclid({n})", n,
@@ -498,23 +517,12 @@ def registry_function(spec: str) -> HomogeneousFn:
     if name == "geomean":
         if len(args) != 1 or not (0.0 < args[0] < 1.0):
             raise InvariantError("geomean needs one exponent in (0, 1)")
-        alpha = args[0]
-        holder = min(alpha, 1.0 - alpha)
-        return HomogeneousFn(
-            f"geomean({alpha})", 2,
-            lambda pts: _spow_np(pts[0], alpha) * _spow_np(pts[1], 1.0 - alpha),
-            lambda d, h=holder: 2.0 * d ** h,
-        )
+        return _power_product(f"geomean({args[0]})", args[0], 1.0 - args[0])
     if name == "power":
-        if len(args) != 2 or abs(1.0 / args[0] + 1.0 / args[1] - 1.0) > 1e-9:
+        if len(args) != 2 or min(args) <= 0.0 or abs(1.0 / args[0] + 1.0 / args[1] - 1.0) > 1e-9:
             raise InvariantError("power(p,q) needs conjugate exponents 1/p + 1/q = 1")
         p, q = args
-        holder = min(1.0 / p, 1.0 / q)
-        return HomogeneousFn(
-            f"power({p},{q})", 2,
-            lambda pts: _spow_np(pts[0], 1.0 / p) * _spow_np(pts[1], 1.0 / q),
-            lambda d, h=holder: 2.0 * d ** h,
-        )
+        return _power_product(f"power({p},{q})", 1.0 / p, 1.0 / q)
     if name == "halfsum_pq":
         if len(args) != 2 or min(args) < 1.0:
             raise InvariantError("halfsum_pq(p,q) needs exponents >= 1")
@@ -529,24 +537,7 @@ def registry_function(spec: str) -> HomogeneousFn:
     raise InvariantError(f"unknown registry function {name!r}")
 
 
-# -- circle engine (arity 2) -------------------------------------------------
-
-def _circle_pieces(thetas: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Per circular cone, the linear map interpolating the two edge values."""
-    xs, ys = np.cos(thetas), np.sin(thetas)
-    xn, yn = np.roll(xs, -1), np.roll(ys, -1)
-    vn = np.roll(vals, -1)
-    det = xs * yn - ys * xn  # sin of the gap; positive while gaps < pi
-    c0 = (vals * yn - vn * ys) / det
-    c1 = (vn * xs - vals * xn) / det
-    return np.stack([c0, c1], axis=1)
-
-
-def _polygon_eval(thetas: np.ndarray, coeffs: np.ndarray, angs: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(thetas, angs, side="right") - 1
-    idx[idx < 0] = len(thetas) - 1
-    return coeffs[idx, 0] * np.cos(angs) + coeffs[idx, 1] * np.sin(angs)
-
+# -- the simplicial cone engine ------------------------------------------------
 
 def _balanced(ctor, items: list[LatticeTerm]) -> LatticeTerm:
     while len(items) > 1:
@@ -557,148 +548,141 @@ def _balanced(ctor, items: list[LatticeTerm]) -> LatticeTerm:
     return items[0]
 
 
-def _circle_ast(thetas: np.ndarray, coeffs: np.ndarray, vals: np.ndarray) -> LatticeTerm:
-    """Max-min assembly of the polygon interpolant from its own pieces.
+def _certify(fn, rays, cones, eps, ladder, moduli, term=None):
+    """Fit each cone's interpolating piece; return per cone the error bound
+    described in ``approximate_on_sphere``, the piece's coefficients c and
+    the longest edge. With ``term`` given, the bound is for the term, with
+    its Lipschitz bound in place of |c|."""
+    k, n = cones.shape
+    R = rays[cones]  # R[c, r] is ray r of cone c
+    vals = fn.fn(R.reshape(-1, n).T).reshape(k, n)
+    sol = np.linalg.solve(R, np.stack([vals, np.ones_like(vals)], axis=2))
+    coeffs, normal = sol[..., 0], sol[..., 1]  # R c = vals, R normal = 1
+    lip = np.linalg.norm(coeffs, axis=1) if term is None else np.full(k, term_lipschitz_bound(term))
+    pairs = list(itertools.combinations(range(n), 2))
+    chords = np.stack([np.linalg.norm(R[:, a] - R[:, b], axis=1) for a, b in pairs], axis=1)
+    longest = chords.argmax(axis=1)
+    # reach / L is the covering radius of the level-L samples (see approximate_on_sphere)
+    reach = (n // 2) * ((n + 1) // 2) / n * chords.max(axis=1) * np.linalg.norm(normal, axis=1)
+    ok = moduli + lip[:, None] * ladder <= eps / 2
+    goal = ladder[np.where(ok.any(axis=1), ok.argmax(axis=1), -1)]
+    levels = np.ceil(reach / goal).clip(1, int(2 ** (16 / (n - 1)))).astype(int)
+    err = np.empty(k)
+    for level in np.unique(levels):
+        # barycentric points k / L of the flat face, k in N^n with sum L
+        bary = np.indices((level + 1,) * (n - 1)).reshape(n - 1, -1)
+        bary = bary[:, bary.sum(axis=0) <= level]
+        bary = np.vstack([bary, level - bary.sum(axis=0)]).T / level
+        same = np.flatnonzero(levels == level)
+        step = max(1, (1 << 17) // len(bary))  # bounds the samples held at once
+        for part in (same[s : s + step] for s in range(0, len(same), step)):
+            pts = bary @ R[part]
+            pts /= np.linalg.norm(pts, axis=2, keepdims=True)
+            flat = pts.reshape(-1, n).T
+            fit = (pts @ coeffs[part][:, :, None]).ravel() if term is None else eval_array(term, flat)
+            err[part] = np.abs(fit - fn.fn(flat)).reshape(len(part), -1).max(axis=1)
+    h = reach / levels
+    cert = err + np.array([fn.modulus(x) for x in h]) + lip * h
+    return cert, coeffs, [(c[pairs[e][0]], c[pairs[e][1]]) for c, e in zip(cones.tolist(), longest)]
 
-    Piece j enters cone i's inner meet exactly when it dominates piece i on
-    that cone, which for linear maps on a planar cone reduces to the two edge
-    rays; the join of the cone meets then reproduces the interpolant.
-    """
-    k = len(thetas)
-    pts = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    edge_vals = coeffs @ pts.T  # [j, i] = piece j at sphere point i
-    slack = 1e-12 * (1.0 + float(np.abs(vals).max()))
-    ok_left = edge_vals >= vals[None, :] - slack
-    ok_right = np.roll(edge_vals, -1, axis=1) >= np.roll(vals, -1)[None, :] - slack
-    dominating = ok_left & ok_right
-    piece_asts = [_lincomb2(coeffs[j, 0], 0, coeffs[j, 1], 1) for j in range(k)]
+
+def _max_min_ast(rays: np.ndarray, cones: np.ndarray, coeffs: np.ndarray) -> LatticeTerm:
+    """Max-min form of the PL interpolant over its own pieces: piece j enters
+    cone i's meet iff it dominates piece i at the cone's n rays, hence on the
+    cone. Over a conforming fan of R^n the join of the meets is the
+    interpolant (S. Ovchinnikov, Beitr. Algebra Geom. 43, 2002)."""
+    at_rays = coeffs @ rays.T  # [j, r] = piece j at ray r
+    own = np.take_along_axis(at_rays, cones, axis=1)
+    slack = 1e-12 * (1.0 + float(np.abs(own).max()))
+    pieces = [_balanced(_add, [Scale(Fraction(float(a)), Var(i)) for i, a in enumerate(c)]) for c in coeffs]
     meets = []
-    for i in range(k):
-        members = [piece_asts[j] for j in np.nonzero(dominating[:, i])[0]]
-        if not members:  # numerically impossible (piece i dominates itself)
-            members = [piece_asts[i]]
-        meets.append(_balanced(Meet, members))
+    for cone, mine in zip(cones, own):
+        members = np.flatnonzero((at_rays[:, cone] >= mine - slack).all(axis=1))
+        meets.append(_balanced(Meet, [pieces[j] for j in members]))
     return _balanced(Join, meets)
 
 
-def _circular_min_dist(thetas: np.ndarray, ang: float) -> float:
-    d = np.abs(thetas - ang)
-    return float(np.minimum(d, 2 * math.pi - d).min())
-
-
-def _fit_circle(fn: HomogeneousFn, eps: float, grid: int, budget: int):
-    k0 = max(16, 4 * math.ceil(grid / 4))
-    thetas = np.sort((2 * math.pi / k0) * np.arange(k0))
-    cert_m = 1 << 16
-    angs = np.linspace(0.0, 2 * math.pi, cert_m, endpoint=False)
-    cert_pts = np.stack([np.cos(angs), np.sin(angs)])
-    target = fn.fn(cert_pts)
-    h_half = math.pi / cert_m
-
-    best = None
-    for _ in range(budget):
-        vals = fn.fn(np.stack([np.cos(thetas), np.sin(thetas)]))
-        coeffs = _circle_pieces(thetas, vals)
-        approx = _polygon_eval(thetas, coeffs, angs)
-        err = np.abs(approx - target)
-        lip = float(np.sqrt((coeffs ** 2).sum(axis=1)).max())
-        cert = float(err.max()) + fn.modulus(h_half) + lip * h_half
-        if best is None or cert < best[0]:
-            best = (cert, thetas.copy(), coeffs.copy(), vals.copy())
-        if cert <= eps:
-            break
-        # refine greedily at the worst sampled errors, keeping additions apart
-        order = np.argsort(err)[::-1]
-        added = []
-        for cand_idx in order[:4096]:
-            ang = float(angs[cand_idx])
-            if _circular_min_dist(thetas, ang) <= 1e-9:
-                continue
-            if any(abs(ang - other) < 8 * math.pi / cert_m for other in added):
-                continue
-            added.append(ang)
-            if len(added) >= 4:
-                break
-        if not added:
-            break
-        thetas = np.sort(np.concatenate([thetas, np.array(added)]))
-
-    cert, thetas, coeffs, vals = best
-    term = _circle_ast(thetas, coeffs, vals)
-    # structural check: the assembled term must agree with the interpolant
-    check_angs = np.linspace(0.0, 2 * math.pi, 512, endpoint=False)
-    check_pts = np.stack([np.cos(check_angs), np.sin(check_angs)])
-    ast_vals = eval_array(term, check_pts)
-    poly_vals = _polygon_eval(thetas, coeffs, check_angs)
-    if np.abs(ast_vals - poly_vals).max() > 1e-9 * (1.0 + np.abs(poly_vals).max()):
-        # fall back to certifying the term itself, in chunks
-        worst = 0.0
-        for start in range(0, cert_m, 4096):
-            chunk = cert_pts[:, start : start + 4096]
-            vals_chunk = eval_array(term, chunk)
-            worst = max(worst, float(np.abs(vals_chunk - target[start : start + 4096]).max()))
-        lip = term_lipschitz_bound(term)
-        cert = worst + fn.modulus(h_half) + lip * h_half
-    return term, float(cert)
-
-
-def _fit_sphere_general(fn: HomogeneousFn, eps: float, grid: int, budget: int, seed: int):
+def _fit_cones(fn: HomogeneousFn, eps: float, grid: int, budget: int):
     n = fn.arity
-    rng = np.random.default_rng(seed)
-    axes = [np.eye(n)[i] * s for i in range(n) for s in (1.0, -1.0)]
-    extra = rng.standard_normal((max(4, min(grid, 24) - len(axes)), n))
-    extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-    samples = np.array(axes + list(extra))
-    cert_m = 4096
-    cert = rng.standard_normal((cert_m, n))
-    cert /= np.linalg.norm(cert, axis=1, keepdims=True)
-    probes = rng.standard_normal((2048, n))
-    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    dots = np.clip(probes @ cert.T, -1.0, 1.0)
-    h_est = float(np.arccos(dots.max(axis=1)).max())
-    target = fn.fn(cert.T)
+    rays = [*np.eye(n), *-np.eye(n)]
+    # a cone is the sorted tuple of its ray indices, so its edges (a, b) have a < b
+    cones = [tuple(sorted(i + s for i, s in enumerate(sg))) for sg in itertools.product((0, n), repeat=n)]
 
-    best = None
+    def split(edge: tuple[int, int]) -> None:
+        # bisect at the normalised midpoint and halve every cone on the edge
+        i, j = edge
+        mid = rays[i] + rays[j]
+        rays.append(mid / np.linalg.norm(mid))
+        k = len(rays) - 1
+        hit = [c for c in cones if i in c and j in c]
+        cones[:] = [c for c in cones if not (i in c and j in c)] + [
+            (*(r for r in c if r != old), k) for c in hit for old in (i, j)
+        ]
+
+    while len(cones) < grid:  # split the longest edges first
+        edges = {e for c in cones for e in itertools.combinations(c, 2)}
+        for edge in sorted(edges, key=lambda e: (-np.linalg.norm(rays[e[0]] - rays[e[1]]), e)):
+            if len(cones) < grid:
+                split(edge)
+    ladder = 2.0 * 0.8 ** np.arange(128)  # from the sphere's diameter down to 1e-12
+    moduli = np.array([fn.modulus(h) for h in ladder])
+
+    fits: dict[tuple[int, ...], tuple] = {}  # cone -> (bound, coefficients, longest edge)
+    best: tuple[float, list] = (math.inf, [])
     for _ in range(budget):
-        values = fn.fn(samples.T)
-        branches = []
-        for u_idx in range(len(samples)):
-            legs = []
-            for v_idx in range(len(samples)):
-                if v_idx == u_idx:
-                    continue
-                legs.append(
-                    interpolating_term(
-                        samples[u_idx], samples[v_idx], values[u_idx], values[v_idx]
-                    )
-                )
-            branches.append(_balanced(Meet, legs))
-        term = _balanced(Join, branches)
-        approx = eval_array(term, cert.T)
-        err = float(np.abs(approx - target).max())
-        bound = err + fn.modulus(h_est) + term_lipschitz_bound(term) * h_est
-        if best is None or bound < best[0]:
-            best = (bound, term)
-        if bound <= eps or len(samples) >= 4 * min(grid, 24):
+        new = [c for c in cones if c not in fits]
+        if new:
+            fits.update(zip(new, zip(*_certify(fn, np.array(rays), np.array(new), eps, ladder, moduli))))
+        certs = np.array([fits[c][0] for c in cones])
+        if certs.max() < best[0]:
+            best = (float(certs.max()), list(cones))
+        if certs.max() <= eps:
             break
-        worst = int(np.abs(approx - target).argmax())
-        samples = np.vstack([samples, cert[worst]])
-    return best[1], float(best[0])
+        worst = np.argsort(-certs, kind="stable")[: 2 * n]
+        for edge in dict.fromkeys(fits[cones[w]][2] for w in worst if certs[w] > eps):
+            split(edge)
+
+    cert, cones = best
+    rays, cone_rays = np.array(rays), np.array(cones)
+    coeffs = np.array([fits[c][1] for c in cones])
+    term = _max_min_ast(rays, cone_rays, coeffs)
+    # structural check at each cone's central ray: the term must be the interpolant
+    centres = rays[cone_rays].sum(axis=1)
+    want = (centres * coeffs).sum(axis=1)
+    if np.abs(eval_array(term, centres.T) - want).max() > 1e-9 * (1.0 + np.abs(want).max()):
+        cert = float(_certify(fn, rays, cone_rays, eps, ladder, moduli, term)[0].max())
+    return term, cert
 
 
 def approximate_on_sphere(
     fn: HomogeneousFn, eps: float, grid: int = 64, *, budget: int = 60, seed: int = 0
 ) -> tuple[LatticeTerm, float]:
-    """Fit a lattice term to ``fn`` on the unit sphere.
+    """Fit a lattice term to ``fn`` on the unit sphere; return the term and
+    a certified bound on its error there.
 
-    Returns the term together with a certified error: the maximum deviation
-    over a dense sample grid plus the declared-modulus and term-Lipschitz
-    corrections for the gaps between grid points. When the budget runs out
-    before the certificate reaches ``eps``, the best error achieved is
-    reported instead.
+    Arity one has a closed form. Otherwise the fan's orthants are split at
+    their longest edges into at least ``grid`` cones, each with the linear
+    piece c that interpolates ``fn`` at its n rays. For up to ``budget``
+    rounds, the longest edges of the 2n cones with the worst bounds are
+    split. The term is the interpolant's max-min form, checked against it
+    at every cone's central ray.
+
+    A cone's bound is its error at the points sum_r (k_r / L) R_r of its
+    flat face (k in N^n, sum k = L), pushed onto the sphere, plus
+    ``fn.modulus(h)`` and |c| h. The covering radius h follows from the
+    cone's geometry in every arity: rounding barycentric coordinates to the
+    lattice by largest remainders moves them by at most m(n - m) / (n L) in
+    each sign, so the face point moves by at most that times the longest
+    edge, and pushing the face (at distance rho from 0) onto the sphere is
+    1/rho-Lipschitz. L makes modulus(h) + |c| h <= eps / 2 where a cap on
+    samples allows. The certificate is the largest bound, with no random
+    sampling in it; if the budget runs out first, the best one reached is
+    returned. ``seed`` feeds only the homogeneity spot check.
     """
     if not eps > 0:
         raise InvariantError("eps must be positive")
+    if fn.arity > 6:  # the fan starts from 2^n cones; a split halves up to 2^(n-2)
+        raise InvariantError(f"{fn.name}: approximation takes arity <= 6, got {fn.arity}")
     fn.spot_check_homogeneous(seed=seed)
     if fn.arity == 1:
         a = fn.evaluate((1.0,))
@@ -713,6 +697,4 @@ def approximate_on_sphere(
             abs(eval_scalar(term, (1.0,)) - a), abs(eval_scalar(term, (-1.0,)) - b)
         )
         return term, err
-    if fn.arity == 2:
-        return _fit_circle(fn, eps, grid, budget)
-    return _fit_sphere_general(fn, eps, grid, budget, seed)
+    return _fit_cones(fn, eps, grid, budget)

@@ -16,6 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import InvariantError
+from .measure_core import reals
 
 _MERGE_TOL = 1e-12
 
@@ -239,18 +240,25 @@ def fn_to_dict(phi: PLConvexFn) -> dict:
 
 
 def fn_from_dict(doc: dict) -> PLConvexFn:
-    try:
-        lo, hi = doc["domain"]
-        breaks = doc["breakpoints"]
-        slopes = doc["slopes"]
-        ax, ay = doc["anchor"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvariantError(f"malformed piecewise-linear function document: {exc}") from exc
+    """Inverse of ``fn_to_dict``. A malformed field raises InvariantError
+    naming its JSON pointer."""
+    fields = {}
+    for key, size in (("domain", 2), ("breakpoints", None), ("slopes", None), ("anchor", 2)):
+        if key not in doc:
+            raise InvariantError(f"/{key}: missing")
+        value = doc[key]
+        if key == "domain" and isinstance(value, list):
+            value = [0.0 if end is None else end for end in value]  # null: unbounded
+        arr = reals(value, f"/{key}")
+        if arr.ndim != 1 or len(arr) != (size or len(arr)):
+            raise InvariantError(f"/{key}: expected a list of {size or 'any number of'} reals")
+        fields[key] = arr.tolist()
+    (lo, hi), (ax, ay) = fields["domain"], fields["anchor"]
     return PLConvexFn(
-        -math.inf if lo is None else float(lo),
-        math.inf if hi is None else float(hi),
-        tuple(float(b) for b in breaks),
-        tuple(float(s) for s in slopes),
-        float(ax),
-        float(ay),
+        -math.inf if doc["domain"][0] is None else lo,
+        math.inf if doc["domain"][1] is None else hi,
+        tuple(fields["breakpoints"]),
+        tuple(fields["slopes"]),
+        ax,
+        ay,
     )

@@ -1,14 +1,17 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Nothing here calls back into the package's algorithmic kernels: conditional
-expectations are plain loops, partials come from sort-and-prefix-sum, and
-conjugate values from a direct sup over candidate points.
+expectations are plain loops, partials come from sort-and-prefix-sum,
+conjugate values from a direct sup over candidate points, and lattice terms
+are evaluated by a walk of their own.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def ref_lp_norm(weights, values, p):
@@ -97,3 +100,36 @@ def spow_deviation_bound(t, s, q):
         return best
 
     return (s - t) * max_dist(1.0 / q) + max_dist(q)
+
+
+def ref_sphere_error(term, fn, points):
+    """The largest |term(x) - fn(x)| over the columns x of ``points``. The
+    term is walked here node by node, by class name; a subterm shared by
+    several parents is evaluated once."""
+    values = {}
+
+    def value(node):
+        if id(node) not in values:
+            kind = type(node).__name__
+            if kind == "Zero":
+                out = np.zeros(points.shape[1])
+            elif kind == "Var":
+                out = points[node.index]
+            elif kind == "Neg":
+                out = -value(node.arg)
+            elif kind == "Abs":
+                out = np.abs(value(node.arg))
+            elif kind == "Scale":
+                out = float(node.factor) * value(node.arg)
+            elif kind == "HalfSum":
+                out = (value(node.left) + value(node.right)) / 2
+            elif kind == "Join":
+                out = np.maximum(value(node.left), value(node.right))
+            elif kind == "Meet":
+                out = np.minimum(value(node.left), value(node.right))
+            else:
+                raise TypeError(f"unknown term node {node!r}")
+            values[id(node)] = out
+        return values[id(node)]
+
+    return float(np.abs(value(term) - fn.fn(points)).max())

@@ -45,6 +45,12 @@ HS_CB = ["hs-cb", "--vectors", "vectors", "--subspace", "subspace"]
 TYPEQ = {"space": {"base_weights": [1.0], "fiber_cells": 2},
          "a": {"rows": [[0, 1]]}, "b": {"rows": [[1, 0]]}}
 TYPEQ_ARGV = ["typeq", "--space", "space", "--a", "a", "--b", "b", "--p"]
+PL_FN = {"domain": [None, None], "breakpoints": [0.0], "slopes": [-1.0, 1.0], "anchor": [0.0, 0.0]}
+LEGENDRE = ["legendre", "--fn", "fn"]
+
+
+def _approx(spec, *extra):
+    return ["krivine", "approx", "--fn", spec, "--eps", "0.1", *extra]
 
 
 @pytest.mark.parametrize(
@@ -86,6 +92,18 @@ TYPEQ_ARGV = ["typeq", "--space", "space", "--a", "a", "--b", "b", "--p"]
         ),
         (TYPEQ, TYPEQ_ARGV + ["nan"], "p >= 1, got nan"),
         (TYPEQ, TYPEQ_ARGV + ["0.5"], "p >= 1, got 0.5"),
+        ({}, _approx("euclid(-1)"), "--fn: "),
+        ({}, _approx("euclid(0)"), "--fn: "),
+        ({}, _approx("euclid(2.5)"), "--fn: "),
+        ({}, _approx("geomean(x)"), "--fn: "),
+        ({}, _approx("geomean(1/0)"), "--fn: "),
+        ({}, _approx("power(0,1)"), "--fn: "),
+        ({}, _approx("euclid", "--grid", "-5"), "--grid: must be >= 1"),
+        ({}, ["ultra", "--prime", "3", "check-triangles", "--samples", "-1"], "--samples: must be >= 0"),
+        ({"fn": {**PL_FN, "slopes": ["a", 1.0]}}, LEGENDRE, "/slopes"),
+        ({"fn": {**PL_FN, "breakpoints": 5}}, LEGENDRE, "/breakpoints"),
+        ({"fn": {**PL_FN, "domain": ["a", 1.0]}}, LEGENDRE, "/domain"),
+        ({"fn": {**PL_FN, "anchor": [1.0]}}, LEGENDRE, "/anchor"),
     ],
 )
 def test_malformed_input_exits_2_naming_the_pointer(tmp_path, capsys, docs, argv, expected):

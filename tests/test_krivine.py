@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canonbase_lab import krivine
 from canonbase_lab.errors import InvariantError, SpaceMismatchError, TermSyntaxError
 from canonbase_lab.krivine import (
     Abs,
@@ -31,6 +32,7 @@ from canonbase_lab.krivine import (
     to_text,
 )
 from canonbase_lab.measure_core import LatticeElement, MeasureSpace
+from reference import ref_sphere_error
 
 
 def terms(max_arity=3):
@@ -277,6 +279,34 @@ def test_certificate_survives_finer_grid():
         pts = np.stack([np.cos(angs), np.sin(angs)])
         measured = float(np.abs(eval_array(term, pts) - fn.fn(pts)).max())
         assert measured <= 2 * cert + 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec, eps, grid",
+    [
+        ("euclid(3)", 0.05, 16),
+        ("euclid(4)", 0.5, 16),
+        ("geomean(1/2)", 0.01, 64),
+        ("power(3,3/2)", 0.05, 64),
+        ("halfsum_pq(1,2)", 0.05, 64),
+    ],
+)
+def test_certificate_reaches_eps_and_bounds_the_error(spec, eps, grid):
+    fn = registry_function(spec)
+    term, cert = approximate_on_sphere(fn, eps, grid)
+    assert cert <= eps
+    pts = np.random.default_rng(17).standard_normal((fn.arity, 20_000))
+    pts /= np.linalg.norm(pts, axis=0)
+    assert ref_sphere_error(term, fn, pts) <= cert
+
+
+def test_certificate_is_for_the_returned_term(monkeypatch):
+    # an assembly that disagrees with the interpolant: the term is certified itself
+    monkeypatch.setattr(krivine, "_max_min_ast", lambda *_: Scale(Fraction(1, 2), Abs(Var(0))))
+    fn = registry_function("euclid")
+    term, cert = approximate_on_sphere(fn, 0.05, 16)
+    angs = np.linspace(0, 2 * math.pi, 4096, endpoint=False)
+    assert cert >= ref_sphere_error(term, fn, np.stack([np.cos(angs), np.sin(angs)])) >= 1.0
 
 
 def test_approximate_rejects_inhomogeneous():
