@@ -6,6 +6,13 @@ Every term induces a continuous, finitely piecewise-affine scalar function
 that is positively homogeneous of degree one, and the same evaluator applies
 a term to lattice elements atom by atom.
 
+Each fold over a term (arity, value, Lipschitz bound, text, interval bounds)
+is a rule table run over one iterative post-order walk, which lists each
+distinct node once, by identity, children first: a subterm shared by many
+parents is computed once. A fold drops each value after its last read, and
+evaluation takes ``_CHUNK`` columns at a time. Only the parser recurses; it
+refuses groups and q* prefixes nested deeper than 200.
+
 Approximation is Krivine's calculus made computable, by one engine for every
 arity n >= 2: the function is interpolated linearly on the cones of a
 conforming simplicial fan (the orthants, refined by edge bisection), and the
@@ -86,54 +93,100 @@ class Scale(LatticeTerm):
         object.__setattr__(self, "factor", Fraction(self.factor))
 
 
+# A node's children, None where it has fewer than two.
+_CHILDREN = {
+    **dict.fromkeys((Zero, Var), lambda t: (None, None)),
+    **dict.fromkeys((Neg, Abs, Scale), lambda t: (t.arg, None)),
+    **dict.fromkeys((HalfSum, Join, Meet), lambda t: (t.left, t.right)),
+}
+
+# steps (node, left, right), and per position the step that reads it last
+_Walk = tuple[list[tuple[LatticeTerm, int, int]], list[int]]
+
+
+def _walk(term: LatticeTerm) -> _Walk:
+    """List each distinct node of ``term`` once, by identity, children before
+    parents, as steps (node, left, right): the positions of its children,
+    -1 for a missing child."""
+    pos = {id(None): -1}
+    steps = []
+    stack: list = [term]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is tuple:  # (node, left, right), the children listed
+            node, left, right = node
+            pos[id(node)] = len(steps)
+            steps.append((node, pos[id(left)], pos[id(right)]))
+        elif id(node) not in pos:
+            left, right = _CHILDREN[node.__class__](node)
+            stack += ((node, left, right), left, right)
+    last = [-1] * (len(steps) + 1)  # the extra slot stands for a missing child
+    for i, (_, a, b) in enumerate(steps):
+        last[a] = last[b] = i
+    return steps, last
+
+
+def _fold(walk: _Walk, rules: dict):
+    """The value of the walk's root, where a node's value is
+    ``rules[type](node, left value, right value)`` (None for a missing
+    child). Each value is dropped as soon as its last reader has run."""
+    steps, last = walk
+    vals: list = [None] * (len(steps) + 1)
+    for i, (node, a, b) in enumerate(steps):
+        vals[i] = rules[node.__class__](node, vals[a], vals[b])
+        if last[a] == i:
+            vals[a] = None
+        if last[b] == i:
+            vals[b] = None
+    return vals[-2]
+
+
+def _arity(walk: _Walk) -> int:
+    return max((node.index + 1 for node, _, _ in walk[0] if node.__class__ is Var), default=0)
+
+
 def term_arity(term: LatticeTerm) -> int:
     """1 + the largest variable index used (0 for variable-free terms)."""
-    if isinstance(term, Var):
-        return term.index + 1
-    if isinstance(term, (Neg, Abs, Scale)):
-        return term_arity(term.arg)
-    if isinstance(term, (HalfSum, Join, Meet)):
-        return max(term_arity(term.left), term_arity(term.right))
-    return 0
+    return _arity(_walk(term))
 
 
-def _eval(term: LatticeTerm, args: Sequence):
-    if isinstance(term, Zero):
-        return 0.0
-    if isinstance(term, Var):
-        return args[term.index]
-    if isinstance(term, Neg):
-        return -_eval(term.arg, args)
-    if isinstance(term, Abs):
-        return np.abs(_eval(term.arg, args))
-    if isinstance(term, HalfSum):
-        return (_eval(term.left, args) + _eval(term.right, args)) * 0.5
-    if isinstance(term, Join):
-        return np.maximum(_eval(term.left, args), _eval(term.right, args))
-    if isinstance(term, Meet):
-        return np.minimum(_eval(term.left, args), _eval(term.right, args))
-    if isinstance(term, Scale):
-        return float(term.factor) * _eval(term.arg, args)
-    raise InvariantError(f"unknown term node {term!r}")
+# Var reads the point, so each evaluation adds its own Var rule.
+_VALUE = {
+    Zero: lambda t, a, b: 0.0,
+    Neg: lambda t, a, b: -a,
+    Abs: lambda t, a, b: np.abs(a),
+    HalfSum: lambda t, a, b: (a + b) * 0.5,
+    Join: lambda t, a, b: np.maximum(a, b),
+    Meet: lambda t, a, b: np.minimum(a, b),
+    Scale: lambda t, a, b: float(t.factor) * a,
+}
+
+_CHUNK = 8192  # columns evaluated at once; bounds the arrays held by a fold
+
+
+def _evaluate(walk: _Walk, points: np.ndarray) -> np.ndarray:
+    """The term at each column of ``points`` (one row per variable)."""
+    if points.shape[0] < _arity(walk):
+        raise InvariantError(
+            f"term uses {_arity(walk)} variables but got {points.shape[0]} arguments"
+        )
+    out = np.empty(points.shape[1])
+    chunk: list = []
+    rules = {**_VALUE, Var: lambda t, a, b: chunk[t.index]}
+    for s in range(0, points.shape[1], _CHUNK):
+        chunk[:] = points[:, s : s + _CHUNK]
+        out[s : s + _CHUNK] = _fold(walk, rules)
+    return out
 
 
 def eval_scalar(term: LatticeTerm, point: Sequence[float]) -> float:
     """Evaluate the induced scalar function at a point of R^n."""
-    if len(point) < term_arity(term):
-        raise InvariantError(
-            f"term uses {term_arity(term)} variables but the point has {len(point)} coordinates"
-        )
-    return float(_eval(term, [float(c) for c in point]))
+    return float(_evaluate(_walk(term), np.array([float(c) for c in point]).reshape(-1, 1))[0])
 
 
 def eval_array(term: LatticeTerm, points: np.ndarray) -> np.ndarray:
     """Vectorized evaluation; ``points`` has one row per variable."""
-    if points.shape[0] < term_arity(term):
-        raise InvariantError("not enough coordinate rows for this term")
-    out = _eval(term, list(points))
-    if np.ndim(out) == 0:
-        return np.full(points.shape[1], float(out))
-    return out
+    return _evaluate(_walk(term), points)
 
 
 def eval_element(term: LatticeTerm, args: Sequence[LatticeElement]) -> LatticeElement:
@@ -144,31 +197,22 @@ def eval_element(term: LatticeTerm, args: Sequence[LatticeElement]) -> LatticeEl
     for g in args[1:]:
         if g.space != space:
             raise SpaceMismatchError("term arguments live on different measure spaces")
-    if len(args) < term_arity(term):
-        raise InvariantError(
-            f"term uses {term_arity(term)} variables but got {len(args)} elements"
-        )
-    out = _eval(term, [g.array for g in args])
-    if np.ndim(out) == 0:
-        out = np.full(len(space), float(out))
-    return LatticeElement(space, out)
+    return LatticeElement(space, _evaluate(_walk(term), np.array([g.array for g in args])))
+
+
+_LIPSCHITZ = {
+    Zero: lambda t, a, b: 0.0,
+    Var: lambda t, a, b: 1.0,
+    **dict.fromkeys((Neg, Abs), lambda t, a, b: a),
+    HalfSum: lambda t, a, b: 0.5 * (a + b),
+    **dict.fromkeys((Join, Meet), lambda t, a, b: max(a, b)),
+    Scale: lambda t, a, b: abs(float(t.factor)) * a,
+}
 
 
 def term_lipschitz_bound(term: LatticeTerm) -> float:
     """An upper bound for the Euclidean Lipschitz constant of the term."""
-    if isinstance(term, Zero):
-        return 0.0
-    if isinstance(term, Var):
-        return 1.0
-    if isinstance(term, (Neg, Abs)):
-        return term_lipschitz_bound(term.arg)
-    if isinstance(term, HalfSum):
-        return 0.5 * (term_lipschitz_bound(term.left) + term_lipschitz_bound(term.right))
-    if isinstance(term, (Join, Meet)):
-        return max(term_lipschitz_bound(term.left), term_lipschitz_bound(term.right))
-    if isinstance(term, Scale):
-        return abs(float(term.factor)) * term_lipschitz_bound(term.arg)
-    raise InvariantError(f"unknown term node {term!r}")
+    return _fold(_walk(term), _LIPSCHITZ)
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +242,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+_MAX_NESTING = 200  # groups and q* prefixes open at once; fitted terms reach about 20
+
+
 class _Parser:
     def __init__(self, text: str, arity: int):
         self.text = text
         self.arity = arity
         self.tokens = _tokenize(text)
         self.pos = 0
+
+    def nested(self, depth: int, tok) -> int:
+        """The depth inside the group or q* prefix that ``tok`` opens."""
+        if depth == _MAX_NESTING:
+            raise TermSyntaxError(f"terms may nest at most {_MAX_NESTING} deep", tok[2])
+        return depth + 1
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -222,33 +275,33 @@ class _Parser:
         return tok
 
     def parse(self) -> LatticeTerm:
-        term = self.lattice()
+        term = self.lattice(0)
         tok = self.peek()
         if tok is not None:
             raise TermSyntaxError(f"trailing input {tok[1]!r}", tok[2])
         return term
 
-    def lattice(self) -> LatticeTerm:
-        term = self.scaled()
+    def lattice(self, depth: int) -> LatticeTerm:
+        term = self.scaled(depth)
         while True:
             tok = self.peek()
             if tok is None or tok[0] not in ("join", "meet"):
                 return term
             self.next()
-            rhs = self.scaled()
+            rhs = self.scaled(depth)
             term = Join(term, rhs) if tok[0] == "join" else Meet(term, rhs)
 
-    def scaled(self) -> LatticeTerm:
+    def scaled(self, depth: int) -> LatticeTerm:
         tok = self.peek()
         if tok is not None and tok[0] == "number":
             after = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
             if after is not None and after[0] == "sym" and after[1] == "*":
                 self.next()
                 self.next()
-                return Scale(Fraction(tok[1]), self.scaled())
-        return self.primary()
+                return Scale(Fraction(tok[1]), self.scaled(self.nested(depth, tok)))
+        return self.primary(depth)
 
-    def primary(self) -> LatticeTerm:
+    def primary(self, depth: int) -> LatticeTerm:
         tok = self.next()
         kind, value, pos = tok
         if kind == "var":
@@ -264,47 +317,49 @@ class _Parser:
             raise TermSyntaxError("a bare number is not a term (write q*term)", pos)
         if kind == "name":
             self.expect("sym", "(")
-            first = self.lattice()
+            depth = self.nested(depth, tok)
+            first = self.lattice(depth)
             if value == "avg":
                 self.expect("sym", ",")
-                second = self.lattice()
+                second = self.lattice(depth)
                 self.expect("sym", ")")
                 return HalfSum(first, second)
             self.expect("sym", ")")
             return Neg(first) if value == "neg" else Abs(first)
         if kind == "sym" and value == "(":
-            inner = self.lattice()
+            inner = self.lattice(self.nested(depth, tok))
             self.expect("sym", ")")
             return inner
         raise TermSyntaxError(f"unexpected token {value!r}", pos)
 
 
 def parse_term(text: str, arity: int) -> LatticeTerm:
-    """Parse the concrete syntax; raises TermSyntaxError with a position."""
+    """Parse the concrete syntax; raises TermSyntaxError with a position.
+
+    Groups and q* prefixes nest at most 200 deep. ``to_text`` writes a group
+    per join, so the text of a flat join chain longer than that does not
+    parse back.
+    """
     if arity < 0:
         raise InvariantError("arity must be nonnegative")
     return _Parser(text, arity).parse()
 
 
+_TEXT = {
+    Zero: lambda t, a, b: "0",
+    Var: lambda t, a, b: f"x{t.index}",
+    Neg: lambda t, a, b: f"neg({a})",
+    Abs: lambda t, a, b: f"abs({a})",
+    HalfSum: lambda t, a, b: f"avg({a}, {b})",
+    Join: lambda t, a, b: f"({a} \\/ {b})",
+    Meet: lambda t, a, b: f"({a} /\\ {b})",
+    Scale: lambda t, a, b: f"{t.factor}*{a}",
+}
+
+
 def to_text(term: LatticeTerm) -> str:
     """Round-trippable rendering: parse(to_text(t), arity) == t."""
-    if isinstance(term, Zero):
-        return "0"
-    if isinstance(term, Var):
-        return f"x{term.index}"
-    if isinstance(term, Neg):
-        return f"neg({to_text(term.arg)})"
-    if isinstance(term, Abs):
-        return f"abs({to_text(term.arg)})"
-    if isinstance(term, HalfSum):
-        return f"avg({to_text(term.left)}, {to_text(term.right)})"
-    if isinstance(term, Join):
-        return f"({to_text(term.left)} \\/ {to_text(term.right)})"
-    if isinstance(term, Meet):
-        return f"({to_text(term.left)} /\\ {to_text(term.right)})"
-    if isinstance(term, Scale):
-        return f"{term.factor}*{to_text(term.arg)}"
-    raise InvariantError(f"unknown term node {term!r}")
+    return _fold(_walk(term), _TEXT)
 
 
 # ---------------------------------------------------------------------------
@@ -370,35 +425,16 @@ def interpolating_term(
 # Supremum over the unit cube
 # ---------------------------------------------------------------------------
 
-def _interval(term: LatticeTerm, box: list[tuple[float, float]]) -> tuple[float, float]:
-    if isinstance(term, Zero):
-        return (0.0, 0.0)
-    if isinstance(term, Var):
-        return box[term.index]
-    if isinstance(term, Neg):
-        lo, hi = _interval(term.arg, box)
-        return (-hi, -lo)
-    if isinstance(term, Abs):
-        lo, hi = _interval(term.arg, box)
-        alo = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-        return (alo, max(abs(lo), abs(hi)))
-    if isinstance(term, HalfSum):
-        a, b = _interval(term.left, box)
-        c, d = _interval(term.right, box)
-        return ((a + c) / 2.0, (b + d) / 2.0)
-    if isinstance(term, Join):
-        a, b = _interval(term.left, box)
-        c, d = _interval(term.right, box)
-        return (max(a, c), max(b, d))
-    if isinstance(term, Meet):
-        a, b = _interval(term.left, box)
-        c, d = _interval(term.right, box)
-        return (min(a, c), min(b, d))
-    if isinstance(term, Scale):
-        q = float(term.factor)
-        lo, hi = _interval(term.arg, box)
-        return (q * lo, q * hi) if q >= 0 else (q * hi, q * lo)
-    raise InvariantError(f"unknown term node {term!r}")
+# Values are intervals (lo, hi); Var reads the box, so each box adds its own Var rule.
+_INTERVAL = {
+    Zero: lambda t, a, b: (0.0, 0.0),
+    Neg: lambda t, a, b: (-a[1], -a[0]),
+    Abs: lambda t, a, b: (0.0 if a[0] <= 0.0 <= a[1] else min(map(abs, a)), max(map(abs, a))),
+    HalfSum: lambda t, a, b: ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0),
+    Join: lambda t, a, b: (max(a[0], b[0]), max(a[1], b[1])),
+    Meet: lambda t, a, b: (min(a[0], b[0]), min(a[1], b[1])),
+    Scale: lambda t, a, b: tuple(sorted(float(t.factor) * v for v in a)),
+}
 
 
 def term_sup_norm(term: LatticeTerm, tol: float = 1e-9, max_boxes: int = 100_000) -> float:
@@ -406,24 +442,25 @@ def term_sup_norm(term: LatticeTerm, tol: float = 1e-9, max_boxes: int = 100_000
 
     Arity one is exact by homogeneity (the endpoints suffice); otherwise a
     branch-and-bound over interval bounds certifies the value to ``tol``.
+    The term is walked once; every box and point reuses that walk.
     """
-    n = term_arity(term)
-    if n == 0:
-        return abs(float(_eval(term, [])))
-    if n == 1:
-        return max(abs(eval_scalar(term, (1.0,))), abs(eval_scalar(term, (-1.0,))))
+    walk = _walk(term)
+    n = _arity(walk)
+
+    def largest_at(points: list[list[float]]) -> float:
+        return float(np.abs(_evaluate(walk, np.array(points).T)).max())
+
+    if n <= 1:
+        return largest_at([[1.0] * n, [-1.0] * n])
 
     def abs_bounds(box):
-        lo, hi = _interval(term, box)
+        lo, hi = _fold(walk, {**_INTERVAL, Var: lambda t, a, b: box[t.index]})
         return max(abs(lo), abs(hi))
 
     start = [(-1.0, 1.0)] * n
-    best_lb = 0.0
     # seed the lower bound with the cube corners and center
-    for corner in range(2 ** min(n, 12)):
-        pt = [(1.0 if (corner >> i) & 1 else -1.0) for i in range(n)]
-        best_lb = max(best_lb, abs(eval_scalar(term, pt)))
-    best_lb = max(best_lb, abs(eval_scalar(term, [0.0] * n)))
+    corners = [[(1.0 if (c >> i) & 1 else -1.0) for i in range(n)] for c in range(2 ** min(n, 12))]
+    best_lb = max(0.0, largest_at(corners + [[0.0] * n]))
     counter = 0
     heap = [(-abs_bounds(start), counter, start)]
     processed = 0
@@ -437,11 +474,10 @@ def term_sup_norm(term: LatticeTerm, tol: float = 1e-9, max_boxes: int = 100_000
         split = widths.index(max(widths))
         lo, hi = box[split]
         mid = (lo + hi) / 2.0
-        for child_range in ((lo, mid), (mid, hi)):
-            child = list(box)
-            child[split] = child_range
-            center = [(clo + chi) / 2.0 for clo, chi in child]
-            best_lb = max(best_lb, abs(eval_scalar(term, center)))
+        children = [box[:split] + [part] + box[split + 1 :] for part in ((lo, mid), (mid, hi))]
+        centres = [[(clo + chi) / 2.0 for clo, chi in child] for child in children]
+        best_lb = max(best_lb, largest_at(centres))
+        for child in children:
             counter += 1
             heapq.heappush(heap, (-abs_bounds(child), counter, child))
     return -heap[0][0] if heap else best_lb

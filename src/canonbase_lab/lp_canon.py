@@ -5,9 +5,10 @@ and the canonical base tuples built from them.
 Everything here works per base atom through one kernel, ``SliceFamily``: the
 sorted fiber values and their prefix sums. The slice at t is an order
 statistic, and E_t, the integral of the sorted fiber profile from 0 to t, is a
-prefix sum plus a fraction of the next cell. E_t is also the conjugate at
+prefix sum plus a fraction of the next cell, and the grid approximations read
+the shortfall function off the same prefix sums. E_t is also the conjugate at
 slope t*f0 of the piecewise-linear shortfall function ``psi``; that exact
-route is how the prefix kernel is checked.
+route is only a cross-check of the prefix kernel now.
 """
 
 from __future__ import annotations
@@ -228,17 +229,19 @@ def grid_approx(
         raise InvariantError(f"grid approximation needs t in (0, 1), got {t}")
     if not (bound > 0 and grid_n >= 1):
         raise InvariantError("need bound > 0 and grid_n >= 1")
-    fam = psi(f, pair, p)
+    fam = slices(f, pair, p)
+    grid = bound * np.arange(-grid_n, grid_n + 1) / grid_n
     g_vals, h_vals = [], []
-    for fn, f0w in zip(fam.fibers, fam.f0.array.tolist()):
-        g = max(
-            t * (bound * k / grid_n) * f0w - fn.evaluate(bound * k / grid_n)
-            for k in range(-grid_n, grid_n + 1)
-        )
-        candidates = [-bound, bound] + [b for b in fn.breakpoints if -bound < b < bound]
-        h = max(t * x * f0w - fn.evaluate(x) for x in candidates)
-        g_vals.append(g)
-        h_vals.append(h)
+    for row, prefix, f0w in zip(fam.sorted_rows, fam.prefix, f_zero(f, pair, p).array):
+        # psi kinks at v_j / f0 (f0 = 0 only when the row is 0, and then psi is 0)
+        kinks = row / f0w if f0w else row[:0]
+        x = np.concatenate((grid, [-bound, bound], kinks[(-bound < kinks) & (kinks < bound)]))
+        y = x * f0w
+        # psi(x) = mean_j (x*f0 - v_j)^+ = (c*x*f0 - prefix[c]) / n with c = #{v_j < x*f0}
+        c = np.searchsorted(row, y)
+        gain = t * y - (c * y - prefix[c]) / pair.n
+        g_vals.append(float(gain[: len(grid)].max()))
+        h_vals.append(float(gain[len(grid) :].max()))
     base = pair.base_space()
     return LatticeElement(base, g_vals), LatticeElement(base, h_vals)
 

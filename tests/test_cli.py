@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -53,6 +54,10 @@ def _approx(spec, *extra):
     return ["krivine", "approx", "--fn", spec, "--eps", "0.1", *extra]
 
 
+def _eval(term):
+    return ["krivine", "eval", "--term", term, "--arity", "1", "--point", "1"]
+
+
 @pytest.mark.parametrize(
     "docs, argv, expected",
     [
@@ -104,6 +109,13 @@ def _approx(spec, *extra):
         ({"fn": {**PL_FN, "breakpoints": 5}}, LEGENDRE, "/breakpoints"),
         ({"fn": {**PL_FN, "domain": ["a", 1.0]}}, LEGENDRE, "/domain"),
         ({"fn": {**PL_FN, "anchor": [1.0]}}, LEGENDRE, "/anchor"),
+        (
+            {},
+            ["krivine", "parse", "--term", "(" * 400 + "x0" + ")" * 400, "--arity", "1"],
+            "at position 200",
+        ),
+        ({}, _eval("neg(" * 600 + "x0" + ")" * 600), "at position 800"),
+        ({}, _eval("2*" * 1000 + "x0"), "at position 400"),
     ],
 )
 def test_malformed_input_exits_2_naming_the_pointer(tmp_path, capsys, docs, argv, expected):
@@ -114,6 +126,33 @@ def test_malformed_input_exits_2_naming_the_pointer(tmp_path, capsys, docs, argv
     report = json.loads(capsys.readouterr().out)
     assert code == 2 and report["exit_code"] == 2
     assert expected in report["error"]
+
+
+def test_long_flat_chain_evaluates(capsys):
+    code = cli.dispatch(_eval(" \\/ ".join(["x0"] * 1200)))
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["outputs"]["value"] == 1.0
+
+
+def test_tracer_still_finds_every_krivine_name(tmp_path, capsys):
+    # the benchmark's tracer patches krivine's public functions by name
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    tracer.install()
+    patched = list(tracer._saved)
+    out = tmp_path / "term.txt"
+    try:
+        code = cli.dispatch(["krivine", "approx", "--fn", "geomean(1/2)", "--eps", "0.05", "--out", str(out)])
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.counts["krivine.eval_array_calls"] >= 1
+    assert tracer.counts["krivine.term_chars"] == len(out.read_text().rstrip("\n"))
+    assert all(owner.__dict__[attr] is fn for owner, attr, fn in patched)
 
 
 # -- the report encoder ------------------------------------------------------------

@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +16,7 @@ from canonbase_lab.krivine import (
     HalfSum,
     HomogeneousFn,
     Join,
+    LatticeTerm,
     Meet,
     Neg,
     Scale,
@@ -159,6 +162,85 @@ def test_domination_bound(term):
     envelope = [max(abs(f.values[i]) for f in fs) for i in range(3)]
     for i in range(3):
         assert abs(out.values[i]) <= sup * envelope[i] + 1e-9
+
+
+# -- shared subterms -------------------------------------------------------------
+
+@st.composite
+def shared_terms(draw):
+    """Terms grown from a pool of earlier nodes, so that subterms are shared;
+    the unshared tree stays under 100 nodes."""
+    scalars = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+    pool = [(Var(0), 1), (Var(1), 1), (Zero(), 1)]  # (node, size as a tree)
+
+    def pick():
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from([Neg, Abs, Scale, HalfSum, Join, Meet]))
+        a, size = pick()
+        if kind is Scale:
+            node = Scale(draw(scalars), a)
+        elif kind in (Neg, Abs):
+            node = kind(a)
+        else:
+            b, b_size = pick()
+            node, size = kind(a, b), size + b_size
+        if size < 100:
+            pool.append((node, size + 1))
+    return pool[-1][0]
+
+
+@given(shared_terms())
+@settings(max_examples=40)
+def test_every_fold_agrees_on_a_dag_and_its_unshared_tree(term):
+    tree = parse_term(to_text(term), 2)
+    points = np.random.default_rng(11).uniform(-2.0, 2.0, (2, 64))
+    assert eval_array(term, points).tobytes() == eval_array(tree, points).tobytes()
+    assert to_text(term) == to_text(tree)
+    assert term_arity(term) == term_arity(tree)
+    assert term_lipschitz_bound(term) == term_lipschitz_bound(tree)
+    assert term_sup_norm(term) == term_sup_norm(tree)
+
+
+def test_every_fold_walks_a_deep_chain_that_shares_one_piece():
+    piece = HalfSum(Var(0), Neg(Var(1)))  # read by each of the 10,000 joins
+    term = Var(0)
+    for _ in range(10_000):
+        term = Join(term, piece)
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 50))
+    want = np.maximum(points[0], (points[0] + -points[1]) * 0.5)
+    assert eval_array(term, points).tobytes() == want.tobytes()
+    assert eval_scalar(term, (0.0, 1.0)) == 0.0
+    space = MeasureSpace((1.0, 1.0))
+    args = [LatticeElement(space, (1.0, -1.0)), LatticeElement(space, (-1.0, -1.0))]
+    assert eval_element(term, args).values == (1.0, 0.0)
+    assert to_text(term) == "(" * 10_000 + "x0" + " \\/ avg(x0, neg(x1)))" * 10_000
+    assert term_arity(term) == 2
+    assert term_lipschitz_bound(term) == 1.0
+    assert term_sup_norm(term) == 1.0
+
+
+def test_eval_array_memory_stays_bounded_on_a_shared_max_min_term():
+    term, _ = approximate_on_sphere(registry_function("geomean(1/2)"), 0.01)
+    # count the distinct readers of each node: the pieces are read by many meets
+    parents, seen, stack = Counter(), set(), [term]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            kids = {id(k): k for k in vars(node).values() if isinstance(k, LatticeTerm)}
+            parents.update(kids.keys())
+            stack += kids.values()
+    assert sum(count > 1 for count in parents.values()) >= 100
+    points = np.random.default_rng(2).standard_normal((2, 1 << 17))
+    tracemalloc.start()
+    try:
+        eval_array(term, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # -- interpolation ------------------------------------------------------------

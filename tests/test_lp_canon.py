@@ -415,6 +415,41 @@ def test_grid_approx_sandwich_and_agreement(rng):
             assert t * e1.values[i] <= f0.values[i] + 1e-9
 
 
+def _grid_approx_by_psi(f, pair, p, t, bound, grid_n):
+    # g and h read off each atom's exact shortfall function
+    fam = psi(f, pair, p)
+    g_vals, h_vals = [], []
+    for fn, f0w in zip(fam.fibers, fam.f0.values):
+        grid = [bound * k / grid_n for k in range(-grid_n, grid_n + 1)]
+        g_vals.append(max(t * x * f0w - fn.evaluate(x) for x in grid))
+        candidates = [-bound, bound] + [b for b in fn.breakpoints if -bound < b < bound]
+        h_vals.append(max(t * x * f0w - fn.evaluate(x) for x in candidates))
+    return g_vals, h_vals
+
+
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 12),
+    p=st.sampled_from([1, 2, 3.5]),
+    orth=st.booleans(),
+    t=st.floats(0.01, 0.99),
+    bound=st.sampled_from([0.25, 1.0, 2.0, 8.0]),
+    grid_n=st.integers(1, 16),
+    data=st.data(),
+)
+def test_grid_approx_matches_psi_route(m, n, p, orth, t, bound, grid_n, data):
+    weights = data.draw(st.lists(st.integers(1, 8).map(lambda k: k / 4), min_size=m, max_size=m))
+    pair = ExtensionPair(weights, n, orth)
+    rows = data.draw(_fiber_rows(m, n))
+    side = st.lists(_CELLS, min_size=n, max_size=n) if orth else st.none()
+    f = pair.element(rows, data.draw(side), data.draw(side))
+    g, h = grid_approx(f, pair, p, t, bound, grid_n)
+    want_g, want_h = _grid_approx_by_psi(f, pair, p, t, bound, grid_n)
+    for got, want in ((g.values, want_g), (h.values, want_h)):
+        for a, b, row in zip(got, want, rows):
+            assert abs(a - b) <= 1e-9 * (1 + max(abs(v) for v in row)), row
+
+
 def test_grid_approx_rejects_bad_params():
     with pytest.raises(InvariantError):
         grid_approx(F24, UNIT2, 1, 0.0, 1.0, 4)
