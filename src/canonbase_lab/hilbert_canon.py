@@ -16,9 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantError
-from .measure_core import reals
-
-_ORTHO_TOL = 1e-12
+from .measure_core import close, reals
 
 
 def _vectors(values, dim: int, name: str) -> np.ndarray:
@@ -54,22 +52,24 @@ class Subspace:
         dim = int(dim)
         mat = _vectors(self.basis, dim, "basis")
         gram = mat @ mat.T
-        if len(mat) and np.abs(gram - np.eye(len(mat))).max() > _ORTHO_TOL:
+        if not close(gram, np.eye(len(mat))):
             raise InvariantError("basis: not orthonormal")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis", tuple(map(tuple, mat.tolist())))
 
     @classmethod
     def span(cls, dim: int, vectors: Sequence[Sequence[float]]) -> "Subspace":
-        """Orthonormalize the given spanning vectors (dropping dependents)."""
+        """Orthonormalize the given spanning vectors, dropping each that is
+        close to its projection onto the span of those before it. The residual's
+        rounding error scales with the vector's own norm, so that norm, not the
+        largest input's, sets the scale."""
         basis: list[np.ndarray] = []
-        for vec in vectors:
-            v = np.asarray(vec, dtype=float)
+        for vec in _vectors(vectors, dim, "vectors"):
+            v = vec
             for b in basis:
                 v = v - (v @ b) * b
-            norm = float(np.linalg.norm(v))
-            if norm > 1e-12:
-                basis.append(v / norm)
+            if not close(vec, vec - v):
+                basis.append(v / np.linalg.norm(v))
         return cls(dim, tuple(tuple(b) for b in basis))
 
 
@@ -105,7 +105,6 @@ def phi_identity_check(
     lambdas: Sequence[float],
     u: Sequence[float],
     sub: Subspace,
-    tol: float = 1e-9,
 ) -> tuple[float, float]:
     """Both sides of
     ||sum l_i v_i + u||^2 =
@@ -118,7 +117,7 @@ def phi_identity_check(
     uv = np.asarray(u, dtype=float)
     if uv.shape != (sub.dim,):
         raise InvariantError(f"u must have dimension {sub.dim}")
-    if np.linalg.norm(uv - project(uv, sub)) > tol * (1.0 + np.linalg.norm(uv)):
+    if not close(uv, project(uv, sub)):
         raise InvariantError("u must belong to the subspace")
     combo = lam @ mat
     proj_combo = lam @ np.array([project(row, sub) for row in mat])

@@ -16,9 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .measure_core import reals
-
-_MERGE_TOL = 1e-12
+from .measure_core import TOL, close, reals
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,7 @@ class PLConvexFn:
             merged_b: list[float] = []
             merged_s: list[float] = [slopes[0]]
             for b, s in zip(breaks, slopes[1:]):
-                if s < merged_s[-1] - _MERGE_TOL:
+                if s < merged_s[-1] and not close(s, merged_s[-1]):
                     raise InvariantError("slopes must be nondecreasing (convexity)")
                 if s <= merged_s[-1]:
                     continue
@@ -117,24 +115,23 @@ class PLConvexFn:
 
     __call__ = evaluate
 
-    def one_sided_derivs(self, x: float, snap: float = 1e-12) -> tuple[float, float]:
-        """Left and right derivatives at x; +/-inf outward at domain endpoints."""
+    def one_sided_derivs(self, x: float) -> tuple[float, float]:
+        """Left and right derivatives at x; +/-inf outward at domain endpoints.
+        An x close to an endpoint or a breakpoint is taken to be at it."""
         x = float(x)
-        if x < self.lo - snap or x > self.hi + snap:
+        at_lo, at_hi = close(x, self.lo), close(x, self.hi)
+        if (x < self.lo and not at_lo) or (x > self.hi and not at_hi):
             raise InvariantError(f"{x} is outside the domain closure [{self.lo}, {self.hi}]")
         if self.is_point():
             return (-math.inf, math.inf)
-        left: float
-        right: float
-        if x <= self.lo + snap and math.isfinite(self.lo):
+        if at_lo:
             return (-math.inf, self.slopes[0])
-        if x >= self.hi - snap and math.isfinite(self.hi):
+        if at_hi:
             return (self.slopes[-1], math.inf)
-        # snap to a breakpoint if within tolerance
         pts = self.breakpoints
         j = bisect_left(pts, x)
         for cand in (j - 1, j):
-            if 0 <= cand < len(pts) and abs(pts[cand] - x) <= snap:
+            if 0 <= cand < len(pts) and close(pts[cand], x):
                 return (self.slopes[cand], self.slopes[cand + 1])
         return (self.slopes[j], self.slopes[j])
 
@@ -206,13 +203,14 @@ def biconjugate(phi: PLConvexFn) -> PLConvexFn:
 
 
 def attainment_check(
-    phi: PLConvexFn, x: float, t: float, tol: float = 1e-9
+    phi: PLConvexFn, x: float, t: float, tol: float = TOL
 ) -> tuple[bool, bool, bool]:
     """Evaluate the three equivalent attainment conditions independently.
 
     Returns (value equality phi(x) + phi*(t) == t*x, derivative bracket of
     phi* at t containing x, derivative bracket of phi at x containing t).
-    The contract is that all three always agree.
+    The contract is that all three always agree. Each test holds up to
+    ``close`` with ``tol``.
     """
     x, t = float(x), float(t)
     star = conjugate(phi)
@@ -220,12 +218,13 @@ def attainment_check(
     ft = star.evaluate(t)
     if not (math.isfinite(fx) and math.isfinite(ft)):
         raise InvariantError("attainment_check needs x in dom(phi) and t in dom(phi*)")
-    eq = abs(fx + ft - t * x) <= tol
-    d_minus_star, d_plus_star = star.one_sided_derivs(t)
-    bracket_star = (d_minus_star <= x + tol) and (x <= d_plus_star + tol)
-    d_minus, d_plus = phi.one_sided_derivs(x)
-    bracket = (d_minus <= t + tol) and (t <= d_plus + tol)
-    return eq, bracket_star, bracket
+
+    def within(bracket: tuple[float, float], v: float) -> bool:
+        lo, hi = bracket
+        return (lo <= v or close(lo, v, tol)) and (v <= hi or close(v, hi, tol))
+
+    eq = close(fx + ft, t * x, tol)
+    return eq, within(star.one_sided_derivs(t), x), within(phi.one_sided_derivs(x), t)
 
 
 def fn_to_dict(phi: PLConvexFn) -> dict:

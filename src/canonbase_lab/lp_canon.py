@@ -28,6 +28,7 @@ from .measure_core import (
     LatticeElement,
     MeasureSpace,
     check_p,
+    close,
     dotminus,
     integral,
     lp_norm,
@@ -337,22 +338,21 @@ class LpCanonicalBase:
     partials: Mapping[float, LatticeElement] | None = None
     intervals: Mapping[tuple[float, float], LatticeElement] | None = None
 
-    def approx_equal(self, other: "LpCanonicalBase", tol: float = 1e-9) -> bool:
-        if self.p != other.p or len(self.grid) != len(other.grid):
+    def approx_equal(self, other: "LpCanonicalBase") -> bool:
+        """Same p and form, close grids with the same keys, and the norms and
+        values close as one vector."""
+        if self.p != other.p or len(self.grid) != len(other.grid) or not close(self.grid, other.grid):
             return False
-        if any(abs(a - b) > tol for a, b in zip(self.grid, other.grid)):
+        tables = [(self.partials, other.partials), (self.intervals, other.intervals)]
+        if any((a is None) != (b is None) or (a or {}).keys() != (b or {}).keys() for a, b in tables):
             return False
-        if abs(self.pos_norm - other.pos_norm) > tol:
+        values = [(a[k], b[k]) for a, b in tables if a is not None for k in a]
+        if any(x.space != y.space for x, y in values):
             return False
-        if abs(self.neg_norm - other.neg_norm) > tol:
-            return False
-        for mine, theirs in ((self.partials, other.partials), (self.intervals, other.intervals)):
-            if (mine is None) != (theirs is None):
-                return False
-            for key, value in (mine or {}).items():
-                if key not in theirs or not value.approx_equal(theirs[key], tol):
-                    return False
-        return True
+        return close(
+            np.concatenate([[self.pos_norm, self.neg_norm]] + [x.array for x, _ in values]),
+            np.concatenate([[other.pos_norm, other.neg_norm]] + [y.array for _, y in values]),
+        )
 
     def reconstruct_sorted_rows(self, fiber_cells: int) -> list[list[float]]:
         """Invert the prefix sums: the k-th sorted fiber value per atom is
@@ -362,8 +362,8 @@ class LpCanonicalBase:
         if self.partials is None and self.intervals is None:
             raise InvariantError("empty canonical base")
         first = 1 if self.partials is not None else 0
-        if n < 1 or len(self.grid) != n + 1 - first or any(
-            abs(a - (first + k) / n) > 1e-12 for k, a in enumerate(self.grid)
+        if n < 1 or len(self.grid) != n + 1 - first or not close(
+            self.grid, np.arange(first, n + 1) / n
         ):
             raise InvariantError(f"reconstruction needs the grid {{k/n : k = {first}..n}}")
         if self.partials is not None:
@@ -480,7 +480,7 @@ def p1_counterexample(
     n = fiber_cells if fiber_cells is not None else m
     if n % m != 0:
         raise InvariantError(f"fiber_cells {n} is not divisible by 1/eps = {m}")
-    if abs(sum(base_weights) - 1.0) > 1e-12:
+    if not close(sum(base_weights), 1.0):
         raise InvariantError("the base must have total mass one")
     pair = ExtensionPair(tuple(base_weights), n)
     depth = -(float(eps) ** (-1.0 / p))

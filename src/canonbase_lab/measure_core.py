@@ -12,6 +12,20 @@ coordination. Input is coerced to finite reals once, at construction; the
 ``InvariantError`` for a bad entry names the argument and the entry as a
 relative pointer (``rows/1/3: ...``). The cell order of a fibered pair is
 defined on ``ExtensionPair.fibers``.
+
+Tolerance policy: every verdict on computed floats in this package uses one
+rule, ``close``. Data a and b agree when |a - b| <= TOL * s at every entry,
+where s is the larger sup norm of a and b. The bound is relative, so scaling
+both sides by c > 0 keeps the verdict, as it must, since types over a base do
+not depend on units; data that are both zero agree. The four functions that
+take a ``tol`` (``LatticeElement.approx_equal``, ``orthogonal``,
+``legendre.attainment_check`` and ``krivine.term_sup_norm``) give it this
+meaning, and ``tol=0.0`` asks for exact equality. Where values are grouped
+before a comparison, they are rounded to multiples of TOL times the joint sup
+norm. A check against the range [0, 1] uses TOL as an absolute margin, since
+the range fixes the scale. The Krivine cone engine's membership slack and
+structural check are guards of its own fit, not verdicts on data, and keep
+their own constants.
 """
 
 from __future__ import annotations
@@ -26,8 +40,19 @@ import numpy as np
 
 from .errors import InvariantError, SpaceMismatchError
 
-#: Absolute tolerance used for floating-point comparisons throughout.
+#: The relative tolerance of ``close``.
 TOL = 1e-9
+
+
+def close(a, b, tol: float = TOL) -> bool:
+    """True iff |a - b| <= tol * s at every entry of the arrays (or scalars)
+    a and b, where s is the larger sup norm of a and b. Data with an infinite
+    or NaN entry are close only when equal."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    s = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+    if not np.isfinite(s):
+        return bool(np.array_equal(a, b))
+    return bool(np.all(np.abs(a - b) <= tol * s))
 
 
 def reals(values, name: str) -> np.ndarray:
@@ -152,9 +177,7 @@ class LatticeElement:
     __rmul__ = __mul__
 
     def approx_equal(self, other: "LatticeElement", tol: float = TOL) -> bool:
-        if self.space != other.space:
-            return False
-        return bool(np.all(np.abs(self.array - other.array) <= tol))
+        return self.space == other.space and close(self.array, other.array, tol)
 
     @classmethod
     def zero(cls, space: MeasureSpace) -> "LatticeElement":
@@ -379,9 +402,9 @@ def band_decompose(f: LatticeElement, s: SubStructure) -> tuple[LatticeElement, 
 
 
 def orthogonal(f: LatticeElement, g: LatticeElement, tol: float = TOL) -> bool:
-    """True iff |f| ^ |g| is the zero element."""
+    """True iff |f| ^ |g| is the zero element, tested as |f + g| = |f - g|."""
     _check_same_space(f, g)
-    return bool(np.all(np.minimum(np.abs(f.array), np.abs(g.array)) <= tol))
+    return close(np.abs(f.array + g.array), np.abs(f.array - g.array), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +527,11 @@ class ExtensionPair:
             raise SpaceMismatchError("element to embed must live on the base space")
         return self.element(np.repeat(g.array[:, None], self.n, axis=1))
 
-    def is_embedded(self, f: LatticeElement, tol: float = TOL) -> bool:
-        fib = self.fibers(f)
-        orth = self.orthogonal_part(f)
-        return bool(np.all(np.abs(fib - fib[:, :1]) <= tol)) and (
-            orth is None or lp_norm(orth, math.inf) <= tol
-        )
+    def is_embedded(self, f: LatticeElement) -> bool:
+        """True iff f is close to the lift of its first fiber cells."""
+        lift = np.zeros_like(f.array)
+        lift[: self.m * self.n] = np.repeat(self.fibers(f)[:, 0], self.n)
+        return close(f.array, lift)
 
     def base_substructure(self) -> SubStructure:
         """The fibers over the base, as blocks of the total space."""

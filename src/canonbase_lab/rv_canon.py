@@ -20,6 +20,7 @@ from .measure_core import (
     SubStructure,
     TOL,
     block_integrals,
+    close,
     cond_exp,
     integral,
     join,
@@ -28,8 +29,8 @@ from .measure_core import (
 )
 
 
-def validate_rv(x: LatticeElement, tol: float = TOL) -> None:
-    bad = np.flatnonzero((x.array < -tol) | (x.array > 1.0 + tol))
+def validate_rv(x: LatticeElement) -> None:
+    bad = np.flatnonzero((x.array < -TOL) | (x.array > 1.0 + TOL))
     if len(bad):
         i = bad[0]
         raise InvariantError(f"atom {i}: random-variable value {x.array[i]} outside [0, 1]")
@@ -43,7 +44,7 @@ class EventAlgebra:
     algebra: SubStructure
 
     def __post_init__(self):
-        if abs(self.space.total_mass - 1.0) > TOL:
+        if not close(self.space.total_mass, 1.0):
             raise InvariantError(
                 f"probability space must have total mass 1, got {self.space.total_mass}"
             )
@@ -110,17 +111,16 @@ def least_squares_check(
     d_star = block_sq_dist(cond_exp(target, s))
     for y in np.linspace(0.0, 1.0, grid_steps):
         d = block_sq_dist(LatticeElement.constant(x.space, y))
-        if np.any(d < d_star - 1e-12):
-            return False
-        # strictness: the gap must follow the variance decomposition
-        if np.any(np.abs(d - d_star - mass * (y - y_star) ** 2) > 1e-9):
+        # the gap to the optimum must follow the variance decomposition, so
+        # it is nonnegative and vanishes only at the conditional moment
+        if not close(d, d_star + mass * (y - y_star) ** 2):
             return False
     return True
 
 
-def is_block_measurable(y: LatticeElement, s: SubStructure, tol: float = TOL) -> bool:
-    """True iff y lies within tol of its conditional expectation at every atom."""
-    return lp_norm(y - cond_exp(y, s), math.inf) <= tol
+def is_block_measurable(y: LatticeElement, s: SubStructure) -> bool:
+    """True iff y is close to its conditional expectation."""
+    return y.approx_equal(cond_exp(y, s))
 
 
 def product_formula_check(
@@ -140,9 +140,7 @@ def product_formula_check(
     return integral(xk * yl), integral(cond_exp(xk, s) * yl)
 
 
-def apr_cb(
-    events: Sequence[LatticeElement], s: SubStructure, tol: float = TOL
-) -> dict[frozenset[int], LatticeElement]:
+def apr_cb(events: Sequence[LatticeElement], s: SubStructure) -> dict[frozenset[int], LatticeElement]:
     """Conditional probabilities of all nonempty intersections of the events,
     indexed by the subset of event indices."""
     if not events:
@@ -151,7 +149,7 @@ def apr_cb(
     for j, e in enumerate(events):
         if e.space != space:
             raise SpaceMismatchError("events live on different spaces")
-        bad = np.flatnonzero(np.minimum(np.abs(e.array), np.abs(e.array - 1.0)) > tol)
+        bad = np.flatnonzero(np.minimum(np.abs(e.array), np.abs(e.array - 1.0)) > TOL)
         if len(bad):
             i = bad[0]
             raise InvariantError(f"event {j}, atom {i}: indicator value {e.array[i]} is not 0/1")
@@ -196,64 +194,50 @@ def lift_event(x: LatticeElement, s: SubStructure, fiber_cells: int) -> LiftedEv
     pair = ExtensionPair(x.space.weights, n)
     ks = np.clip(np.floor(x.array * n + 0.5), 0, n)
     snapped = LatticeElement(x.space, ks / n)
-    was_rounded = lp_norm(snapped - x, math.inf) > 1e-12
+    was_rounded = not snapped.approx_equal(x)
     indicator = pair.element(np.arange(n) < ks[:, None])
     return LiftedEvent(pair, indicator, snapped, was_rounded)
 
 
 def _block_distribution(
-    x: LatticeElement, block: tuple[int, ...], tol: float
-) -> list[tuple[float, float]]:
-    """Sorted (value, probability-within-block) pairs, tolerance-bucketed."""
-    idx = list(block)
+    x: LatticeElement, block: tuple[int, ...], quantum: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The values of x on the block, rounded to multiples of ``quantum``, as
+    (sorted distinct multiples, their probabilities within the block)."""
+    idx = np.asarray(block)
     w = x.space.weight_array[idx]
-    pairs = sorted(zip(x.array[idx].tolist(), (w / w.sum()).tolist()))
-    out: list[tuple[float, float]] = []
-    for v, pr in pairs:
-        if out and abs(out[-1][0] - v) <= tol:
-            out[-1] = (out[-1][0], out[-1][1] + pr)
-        else:
-            out.append((v, pr))
-    return out
-
-
-def _distributions_equal(a, b, tol: float) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(abs(va - vb) <= tol and abs(pa - pb) <= tol for (va, pa), (vb, pb) in zip(a, b))
+    keys, inverse = np.unique(np.round(x.array[idx] / quantum), return_inverse=True)
+    return keys, np.bincount(inverse, w) / w.sum()
 
 
 def moments_determine_check(
-    x: LatticeElement,
-    y: LatticeElement,
-    s: SubStructure,
-    max_k: int,
-    tol: float = TOL,
+    x: LatticeElement, y: LatticeElement, s: SubStructure, max_k: int
 ) -> bool:
     """True iff conditional moments up to max_k agree exactly when the
     per-block distributions agree, checked both ways against the raw
-    distributions. Requires max_k + 1 to cover the union support per block
+    distributions. Values are bucketed on a grid of TOL times the joint sup
+    norm of x and y. Requires max_k + 1 to cover the union support per block
     (the moment map is then invertible); anything smaller raises."""
     validate_rv(x)
     validate_rv(y)
     if x.space != y.space:
         raise SpaceMismatchError("variables live on different spaces")
     max_k = int(max_k)
-    dists = [(_block_distribution(x, b, tol), _block_distribution(y, b, tol)) for b in s.blocks]
-    for dist_x, dist_y in dists:
-        union_vals = sorted({v for v, _ in dist_x} | {v for v, _ in dist_y})
-        merged: list[float] = []
-        for v in union_vals:
-            if not merged or v - merged[-1] > tol:
-                merged.append(v)
-        if len(merged) > max_k + 1:
+    quantum = TOL * max(lp_norm(x, math.inf), lp_norm(y, math.inf)) or 1.0
+    dists = [(_block_distribution(x, b, quantum), _block_distribution(y, b, quantum)) for b in s.blocks]
+    for (vals_x, _), (vals_y, _) in dists:
+        distinct = len(np.union1d(vals_x, vals_y))
+        if distinct > max_k + 1:
             raise InsufficientMomentsError(
-                f"a block carries {len(merged)} distinct values; "
+                f"a block carries {distinct} distinct values; "
                 f"max_k = {max_k} moments cannot determine them"
             )
     moments_match = all(
-        cond_moment([x], [k], s).approx_equal(cond_moment([y], [k], s), tol)
+        cond_moment([x], [k], s).approx_equal(cond_moment([y], [k], s))
         for k in range(1, max_k + 1)
     )
-    dists_match = all(_distributions_equal(dx, dy, tol) for dx, dy in dists)
+    dists_match = all(
+        np.array_equal(vals_x, vals_y) and close(probs_x, probs_y)
+        for (vals_x, probs_x), (vals_y, probs_y) in dists
+    )
     return moments_match == dists_match

@@ -253,3 +253,50 @@ def test_reports_and_out_files_are_the_stdlib_encoding(tmp_path):
             text = (tmp_path / out).read_text(encoding="utf-8")
             assert text == _canonical(text)
             assert json.loads(text) == json.loads(stdout)["outputs"]
+
+
+# -- verdicts do not depend on units; no environment knob -------------------------
+
+def _typeq(tmp_path, capsys, scale, shuffled, *flags):
+    """Exit code of typeq on an element near ``scale`` against its
+    within-fiber shuffle, or else against 1.5 times itself."""
+    rng = np.random.default_rng(3)
+    rows, plus, minus = (rng.uniform(0.5, 1.5, shape) * scale for shape in ((3, 8), 8, 8))
+    if shuffled:
+        other = (rng.permuted(rows, axis=1), rng.permutation(plus), -rng.permutation(minus))
+    else:
+        other = (1.5 * rows, 1.5 * plus, -1.5 * minus)
+    docs = {
+        "space": {"base_weights": [1.0, 2.0, 0.5], "fiber_cells": 8, "orthogonal_part": True},
+        "a": {"rows": rows.tolist(), "plus": plus.tolist(), "minus": (-minus).tolist()},
+        "b": dict(zip(("rows", "plus", "minus"), (x.tolist() for x in other))),
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / a) if a in docs else a for a in TYPEQ_ARGV]
+    code = cli.dispatch(argv + ["2", *flags])
+    assert json.loads(capsys.readouterr().out)["exit_code"] == code
+    return code
+
+
+def test_typeq_accepts_a_shuffle_of_large_values(tmp_path, capsys):
+    for scale in (1e5, 1e10):
+        assert _typeq(tmp_path, capsys, scale, True, "--absolute") == 0
+        assert _typeq(tmp_path, capsys, scale, True) == 0
+
+
+def test_typeq_separates_small_values_from_their_multiple(tmp_path, capsys):
+    assert _typeq(tmp_path, capsys, 1e-10, False) == 3
+    assert _typeq(tmp_path, capsys, 1e-10, False, "--absolute") == 3
+
+
+def test_seed_environment_variable_is_ignored():
+    env = dict(os.environ, CANONLAB_SEED="x")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "canonbase_lab", "demo", "remark"],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["checks"]["witness_separates"] is True

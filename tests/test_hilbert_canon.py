@@ -134,3 +134,10 @@ def test_nonuniform_witness_separates():
     lhs_a, _ = phi_identity_check(first, lam, zero_u, sub)
     lhs_b, _ = phi_identity_check(second, lam, zero_u, sub)
     assert abs(lhs_a - lhs_b) > 1e-6
+
+
+def test_span_keeps_small_vectors_and_drops_near_dependents():
+    # a lone small vector spans a line; each vector is judged against its own norm
+    assert Subspace.span(3, [[1e-13, 0.0, 0.0]]).basis == ((1.0, 0.0, 0.0),)
+    sub = Subspace.span(3, [[1e12, 0.0, 0.0], [2e12, 1e-4, 0.0], [0.0, 0.0, 3.0]])
+    assert len(sub.basis) == 2

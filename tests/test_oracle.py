@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from canonbase_lab.errors import InvariantError
 from canonbase_lab.lp_canon import canonical_base_1type
@@ -11,6 +13,7 @@ from canonbase_lab.oracle import (
     type_equal_1,
     type_equal_n,
 )
+from canonbase_lab.rv_canon import moments_determine_check
 from conftest import random_element, random_pair, rearranged_copy
 
 
@@ -140,3 +143,45 @@ def test_oracle_consistency_with_base(rng):
         cb = lambda e: canonical_base_1type(e, pair, 1, grid)
         assert cb(f).approx_equal(cb(g)) == type_equal_1(f, g, pair, 1)
         assert cb(f).approx_equal(cb(h)) == type_equal_1(f, h, pair, 1)
+
+
+@st.composite
+def _shuffled_pairs(draw):
+    """A pair with an orthogonal part, a nonzero dyadic element f on it, and
+    a measure-preserving rearrangement of f."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(2, 6))
+    weights = draw(st.lists(st.integers(1, 8), min_size=m, max_size=m))
+    pair = ExtensionPair(tuple(w / 4 for w in weights), n, True)
+    cells = st.lists(st.integers(-128, 128), min_size=(m + 2) * n, max_size=(m + 2) * n)
+    values = [v / 16 for v in draw(cells.filter(any))]
+    f = pair.element(
+        [values[i * n : (i + 1) * n] for i in range(m)], values[m * n : (m + 1) * n], values[(m + 1) * n :]
+    )
+    return pair, f, rearranged_copy(draw(st.randoms()), pair, f)
+
+
+@given(_shuffled_pairs(), st.integers(-12, 12), st.sampled_from([1.0, 1.5, 2.0]))
+def test_verdicts_do_not_depend_on_units(data, k, p):
+    pair, f, g = data
+    grid = [j / pair.n for j in range(1, pair.n + 1)]
+
+    def verdicts(c):
+        out = []
+        for a, b in ((f, g), (f, (1 + 1e-6) * f)):
+            a, b = c * a, c * b
+            one = type_equal_1(a, b, pair, p)
+            base = canonical_base_1type(a, pair, p, grid).approx_equal(canonical_base_1type(b, pair, p, grid))
+            assert base == one
+            out.append((one, type_equal_n([a], [b], pair, p), absolute_type_equal([a], [b], p)))
+        return out
+
+    expected = [(True, True, True), (False, False, False)]
+    assert verdicts(1.0) == expected
+    assert verdicts(10.0**k) == expected
+    if k <= 0:
+        # [0, 1]-valued variables on the total space, conditioned on the base fibers
+        top = float(abs(f.array).max())
+        x, y = abs(f) * (10.0**k / top), abs(g) * (10.0**k / top)
+        blocks, max_k = pair.base_substructure(), 2 * pair.n - 1
+        assert moments_determine_check(x, y, blocks, max_k)
+        assert moments_determine_check(x, (1 - 1e-6) * x, blocks, max_k)
