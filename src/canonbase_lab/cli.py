@@ -218,7 +218,12 @@ def _cmd_legendre(args) -> tuple[int, dict, dict, dict]:
     conj = legendre.conjugate(phi)
     doc = legendre.fn_to_dict(conj)
     back = legendre.conjugate(conj)
-    ok = close([back.evaluate(b) for b in phi.breakpoints], [phi.evaluate(b) for b in phi.breakpoints])
+    pts = phi.breakpoints
+    # the values are the anchor value plus slope-times-position terms, whose
+    # size sets the scale, so that a value of 0 is judged on it
+    positions = [abs(v) for v in (phi.lo, phi.hi, phi.anchor_x, *pts) if np.isfinite(v)]
+    scale = max(map(abs, phi.slopes), default=0.0) * max(positions) + abs(phi.anchor_y)
+    ok = close([*map(back.evaluate, pts), scale], [*map(phi.evaluate, pts), scale])
     if args.out:
         _write_json(args.out, doc)
     return 0, {"conjugate": doc}, {"biconjugate_roundtrip": ok}, {args.fn: _digest(args.fn)}

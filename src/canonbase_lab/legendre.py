@@ -61,8 +61,9 @@ class PLConvexFn:
             # canonical form: merge repeated slopes, dropping the breakpoint between
             merged_b: list[float] = []
             merged_s: list[float] = [slopes[0]]
+            scale = max(map(abs, slopes))
             for b, s in zip(breaks, slopes[1:]):
-                if s < merged_s[-1] and not close(s, merged_s[-1]):
+                if s < merged_s[-1] and not close((s, scale), (merged_s[-1], scale)):
                     raise InvariantError("slopes must be nondecreasing (convexity)")
                 if s <= merged_s[-1]:
                     continue
@@ -117,9 +118,16 @@ class PLConvexFn:
 
     def one_sided_derivs(self, x: float) -> tuple[float, float]:
         """Left and right derivatives at x; +/-inf outward at domain endpoints.
-        An x close to an endpoint or a breakpoint is taken to be at it."""
+        An x close to an endpoint or a breakpoint, on the scale of x, the
+        domain and the breakpoints, is taken to be at it."""
         x = float(x)
-        at_lo, at_hi = close(x, self.lo), close(x, self.hi)
+        positions = (x, self.lo, self.hi, *self.breakpoints)
+        scale = max((abs(v) for v in positions if math.isfinite(v)), default=0.0)
+
+        def at(point: float) -> bool:
+            return close((x, scale), (point, scale))
+
+        at_lo, at_hi = at(self.lo), at(self.hi)
         if (x < self.lo and not at_lo) or (x > self.hi and not at_hi):
             raise InvariantError(f"{x} is outside the domain closure [{self.lo}, {self.hi}]")
         if self.is_point():
@@ -131,7 +139,7 @@ class PLConvexFn:
         pts = self.breakpoints
         j = bisect_left(pts, x)
         for cand in (j - 1, j):
-            if 0 <= cand < len(pts) and close(pts[cand], x):
+            if 0 <= cand < len(pts) and at(pts[cand]):
                 return (self.slopes[cand], self.slopes[cand + 1])
         return (self.slopes[j], self.slopes[j])
 
@@ -210,7 +218,8 @@ def attainment_check(
     Returns (value equality phi(x) + phi*(t) == t*x, derivative bracket of
     phi* at t containing x, derivative bracket of phi at x containing t).
     The contract is that all three always agree. Each test holds up to
-    ``close`` with ``tol``.
+    ``close`` with ``tol`` on the scale of its terms: phi(x), phi*(t) and t*x;
+    x and phi's positions; t and phi's slopes.
     """
     x, t = float(x), float(t)
     star = conjugate(phi)
@@ -219,12 +228,14 @@ def attainment_check(
     if not (math.isfinite(fx) and math.isfinite(ft)):
         raise InvariantError("attainment_check needs x in dom(phi) and t in dom(phi*)")
 
-    def within(bracket: tuple[float, float], v: float) -> bool:
+    def within(bracket: tuple[float, float], v: float, scale: float) -> bool:
         lo, hi = bracket
-        return (lo <= v or close(lo, v, tol)) and (v <= hi or close(v, hi, tol))
+        return all(a <= b or close((a, scale), (b, scale), tol) for a, b in ((lo, v), (v, hi)))
 
-    eq = close(fx + ft, t * x, tol)
-    return eq, within(star.one_sided_derivs(t), x), within(phi.one_sided_derivs(x), t)
+    eq = close((fx + ft, fx, ft), (t * x, fx, ft), tol)
+    xs = max(abs(v) for v in (x, phi.lo, phi.hi, *phi.breakpoints) if math.isfinite(v))
+    ts = max([abs(t), *map(abs, phi.slopes)])
+    return eq, within(star.one_sided_derivs(t), x, xs), within(phi.one_sided_derivs(x), t, ts)
 
 
 def fn_to_dict(phi: PLConvexFn) -> dict:

@@ -20,12 +20,17 @@ both sides by c > 0 keeps the verdict, as it must, since types over a base do
 not depend on units; data that are both zero agree. The four functions that
 take a ``tol`` (``LatticeElement.approx_equal``, ``orthogonal``,
 ``legendre.attainment_check`` and ``krivine.term_sup_norm``) give it this
-meaning, and ``tol=0.0`` asks for exact equality. Where values are grouped
-before a comparison, they are rounded to multiples of TOL times the joint sup
-norm. A check against the range [0, 1] uses TOL as an absolute margin, since
-the range fixes the scale. The Krivine cone engine's membership slack and
-structural check are guards of its own fit, not verdicts on data, and keep
-their own constants.
+meaning, and ``tol=0.0`` asks for exact equality. Where the two sides can
+cancel to about 0 while their terms do not (a sum against its expected value,
+a point against a breakpoint), the size of the terms goes to ``close`` as one
+more entry on both sides, so rounding noise is judged on that size. Where
+values are sorted before a comparison, the sort key is the value rounded to
+multiples of TOL times the joint sup norm; where they are grouped, sorted
+neighbours within that distance of each other join one group, so no rounding
+boundary splits equal values. A check against the range [0, 1] uses TOL as an
+absolute margin, since the range fixes the scale. The Krivine cone engine's
+membership slack and structural check are guards of its own fit, not verdicts
+on data, and keep their own constants.
 """
 
 from __future__ import annotations
@@ -529,9 +534,8 @@ class ExtensionPair:
 
     def is_embedded(self, f: LatticeElement) -> bool:
         """True iff f is close to the lift of its first fiber cells."""
-        lift = np.zeros_like(f.array)
-        lift[: self.m * self.n] = np.repeat(self.fibers(f)[:, 0], self.n)
-        return close(f.array, lift)
+        lift = self.element(np.repeat(self.fibers(f)[:, :1], self.n, axis=1))
+        return close(f.array, lift.array)
 
     def base_substructure(self) -> SubStructure:
         """The fibers over the base, as blocks of the total space."""

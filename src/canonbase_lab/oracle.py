@@ -24,8 +24,9 @@ from .measure_core import TOL, ExtensionPair, LatticeElement, check_p, close
 class DirectionalMass:
     """Finite measure on rays: directions normalized to sup-norm one (no sign
     flip, since homogeneity is one-sided) with mass = weight * sup-norm^p.
-    Directions that round to the same multiples of TOL share one entry, in
-    the sorted order of those multiples."""
+    Directions are sorted by their coordinates rounded to multiples of TOL,
+    and sorted neighbours within TOL of each other in every coordinate share
+    one entry, so a rounding boundary does not split a direction."""
 
     entries: tuple[tuple[tuple[float, ...], float], ...]
 
@@ -42,10 +43,11 @@ class DirectionalMass:
         ray = sup != 0.0
         directions = vecs[ray] / sup[ray, None]
         masses = space.weight_array[ray] * sup[ray] ** float(p)
-        keys = np.round(directions / TOL) + 0.0  # + 0.0 turns -0.0 into 0.0
-        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        merged = np.bincount(inverse.ravel(), masses, len(first))
-        return cls(tuple(zip(map(tuple, directions[first].tolist()), merged.tolist())))
+        order = np.lexsort(np.round(directions / TOL).T[::-1])  # lexsort's first key is last
+        starts = np.ones(len(order), bool)
+        starts[1:] = np.any(np.abs(np.diff(directions[order], axis=0)) > TOL, axis=1)
+        merged = np.bincount(np.cumsum(starts) - 1, masses[order])
+        return cls(tuple(zip(map(tuple, directions[order[starts]].tolist()), merged.tolist())))
 
     def approx_equal(self, other: "DirectionalMass") -> bool:
         """Rays of the same dimensions, with close directions and close masses."""

@@ -112,8 +112,10 @@ def least_squares_check(
     for y in np.linspace(0.0, 1.0, grid_steps):
         d = block_sq_dist(LatticeElement.constant(x.space, y))
         # the gap to the optimum must follow the variance decomposition, so
-        # it is nonnegative and vanishes only at the conditional moment
-        if not close(d, d_star + mass * (y - y_star) ** 2):
+        # it is nonnegative and vanishes only at the conditional moment; a
+        # squared gap of [0, 1]-valued variables is at most the block mass,
+        # which sets the scale
+        if not close(np.append(d, mass), np.append(d_star + mass * (y - y_star) ** 2, mass)):
             return False
     return True
 
@@ -199,15 +201,20 @@ def lift_event(x: LatticeElement, s: SubStructure, fiber_cells: int) -> LiftedEv
     return LiftedEvent(pair, indicator, snapped, was_rounded)
 
 
-def _block_distribution(
-    x: LatticeElement, block: tuple[int, ...], quantum: float
+def _block_masses(
+    x: LatticeElement, y: LatticeElement, block: tuple[int, ...], quantum: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The values of x on the block, rounded to multiples of ``quantum``, as
-    (sorted distinct multiples, their probabilities within the block)."""
+    """The values of x and y on the block, sorted together and grouped where
+    neighbours lie within ``quantum`` of each other, as the probability that
+    x and that y give each group within the block."""
     idx = np.asarray(block)
     w = x.space.weight_array[idx]
-    keys, inverse = np.unique(np.round(x.array[idx] / quantum), return_inverse=True)
-    return keys, np.bincount(inverse, w) / w.sum()
+    values = np.concatenate([x.array[idx], y.array[idx]])
+    order = np.argsort(values, kind="stable")
+    group = np.empty(len(values), np.intp)
+    group[order] = np.concatenate([[0], np.cumsum(np.diff(values[order]) > quantum)])
+    parts = (group[: len(idx)], group[len(idx) :])
+    return tuple(np.bincount(g, w, group.max() + 1) / w.sum() for g in parts)
 
 
 def moments_determine_check(
@@ -215,18 +222,19 @@ def moments_determine_check(
 ) -> bool:
     """True iff conditional moments up to max_k agree exactly when the
     per-block distributions agree, checked both ways against the raw
-    distributions. Values are bucketed on a grid of TOL times the joint sup
-    norm of x and y. Requires max_k + 1 to cover the union support per block
-    (the moment map is then invertible); anything smaller raises."""
+    distributions. Sorted neighbours no farther apart than TOL times the
+    joint sup norm of x and y count as one value. Requires max_k + 1 to cover
+    the union support per block (the moment map is then invertible); anything
+    smaller raises."""
     validate_rv(x)
     validate_rv(y)
     if x.space != y.space:
         raise SpaceMismatchError("variables live on different spaces")
     max_k = int(max_k)
-    quantum = TOL * max(lp_norm(x, math.inf), lp_norm(y, math.inf)) or 1.0
-    dists = [(_block_distribution(x, b, quantum), _block_distribution(y, b, quantum)) for b in s.blocks]
-    for (vals_x, _), (vals_y, _) in dists:
-        distinct = len(np.union1d(vals_x, vals_y))
+    quantum = TOL * max(lp_norm(x, math.inf), lp_norm(y, math.inf))
+    dists = [_block_masses(x, y, b, quantum) for b in s.blocks]
+    for probs_x, _ in dists:
+        distinct = len(probs_x)
         if distinct > max_k + 1:
             raise InsufficientMomentsError(
                 f"a block carries {distinct} distinct values; "
@@ -236,8 +244,5 @@ def moments_determine_check(
         cond_moment([x], [k], s).approx_equal(cond_moment([y], [k], s))
         for k in range(1, max_k + 1)
     )
-    dists_match = all(
-        np.array_equal(vals_x, vals_y) and close(probs_x, probs_y)
-        for (vals_x, probs_x), (vals_y, probs_y) in dists
-    )
+    dists_match = all(close(probs_x, probs_y) for probs_x, probs_y in dists)
     return moments_match == dists_match

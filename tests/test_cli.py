@@ -300,3 +300,12 @@ def test_seed_environment_variable_is_ignored():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["checks"]["witness_separates"] is True
+
+
+def test_legendre_roundtrip_holds_where_phi_vanishes(tmp_path, capsys):
+    # phi is 0 at its one breakpoint, and the biconjugate gives 6.9e-18 there:
+    # rounding noise on the scale of the slope-times-position terms
+    fn = _write(tmp_path, "fn.json", {"domain": [None, None], "breakpoints": [0.024],
+                                      "slopes": [-1.7, -0.4], "anchor": [0.024, 0.0]})
+    assert cli.dispatch(["legendre", "--fn", str(fn)]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]["biconjugate_roundtrip"] is True

@@ -52,6 +52,13 @@ def test_merges_tied_slopes():
     assert phi.slopes == (1.0, 2.0)
 
 
+def test_merges_a_slope_tied_up_to_rounding_near_zero():
+    # 0.0 after 1e-17 is a tie on the scale of the slopes, not a decrease
+    phi = PLConvexFn(-1.0, 1.0, (0.0, 0.5), (-1.0, 1e-17, 0.0), 0.0, 0.0)
+    assert phi.breakpoints == (0.0,)
+    assert phi.slopes == (-1.0, 1e-17)
+
+
 def test_rejects_decreasing_slopes():
     with pytest.raises(InvariantError):
         PLConvexFn(-INF, INF, (0.0,), (1.0, 0.5), 0.0, 0.0)
@@ -101,6 +108,15 @@ def test_one_sided_derivs_domain_endpoints():
 
 
 # -- conjugation ----------------------------------------------------------------
+
+def test_one_sided_derivs_snap_near_zero_on_the_domain_scale():
+    phi = PLConvexFn(0.0, 1.0, (0.5,), (1.0, 2.0), 0.0, 0.0)
+    assert phi.one_sided_derivs(-1e-17) == (-INF, 1.0)
+    kink = PLConvexFn(-1.0, 1.0, (0.0,), (-1.0, 1.0), 0.0, 0.0)
+    assert kink.one_sided_derivs(1e-17) == (-1.0, 1.0)
+    # |x| has no scale but 0, so a point next to 0 is not at 0
+    assert ABS.one_sided_derivs(1e-17) == (1.0, 1.0)
+
 
 def test_conjugate_abs_is_indicator():
     star = conjugate(ABS)
@@ -219,4 +235,37 @@ def test_attainment_conditions_agree_random():
         x = rng.choice(xs)
         t = rng.choice(ts)
         eq, bracket_star, bracket = attainment_check(phi, x, t, tol=0.0)
+        assert eq == bracket_star == bracket
+
+
+def test_attainment_conditions_agree_when_the_value_sum_cancels():
+    # |x - 0.1| + 0.2 at x = 0.1, t = 0: phi(x) + phi*(t) is 0.2 plus
+    # -0.20000000000000004, one rounding away from t*x = 0
+    phi = PLConvexFn(-INF, INF, (0.1,), (-1.0, 1.0), 0.1, 0.2)
+    assert attainment_check(phi, 0.1, 0.0) == (True, True, True)
+    assert attainment_check(phi, 0.1, 1.0) == (True, True, True)
+    assert attainment_check(phi, 0.3, 0.0) == (False, False, False)
+
+
+def test_attainment_conditions_agree_at_the_default_tol_off_the_dyadic_grid():
+    # positions over 3, 7, 1e3 or 1e-3 and slopes over 3, 7 or 10 are not
+    # exact floats, so the value equality cancels up to rounding error
+    rng = random.Random(5)
+    for _ in range(1000):
+        phi = dyadic_plfn(rng)
+        d, e = rng.choice([3, 7, 1e3, 1e-3]), rng.choice([3, 7, 10])
+        phi = PLConvexFn(
+            phi.lo / d,
+            phi.hi / d,
+            tuple(b / d for b in phi.breakpoints),
+            tuple(s / e for s in phi.slopes),
+            phi.anchor_x / d,
+            phi.anchor_y / 10,
+        )
+        star = conjugate(phi)
+        xs = [x for x in domain_samples(phi, rng) if math.isfinite(phi.evaluate(x))]
+        ts = [t for t in domain_samples(star, rng) if math.isfinite(star.evaluate(t))]
+        if not xs or not ts:
+            continue
+        eq, bracket_star, bracket = attainment_check(phi, rng.choice(xs), rng.choice(ts))
         assert eq == bracket_star == bracket

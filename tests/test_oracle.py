@@ -133,6 +133,17 @@ def test_directional_mass_merges_proportional_vectors():
     assert len(mass.entries) == 1  # both atoms point along (1/3, 1)
 
 
+def test_directional_mass_keeps_a_direction_whole_across_a_rounding_boundary():
+    # the second coordinates round to neighbouring multiples of TOL yet
+    # differ only in the last bit
+    space = MeasureSpace((1.0, 1.0))
+    f = LatticeElement(space, (1.0, 1.0))
+    g = LatticeElement(space, (0.2500000005, 0.25000000050000004))
+    assert len(DirectionalMass.from_elements([f, g], 1).entries) == 1
+    lone = MeasureSpace((2.0,))
+    assert absolute_type_equal([f, g], [LatticeElement(lone, (1.0,)), LatticeElement(lone, (0.2500000005,))], 1)
+
+
 def test_oracle_consistency_with_base(rng):
     for _ in range(25):
         pair = random_pair(rng, max_m=4, n=8)

@@ -144,6 +144,13 @@ def test_least_squares_block_constant():
     assert least_squares_check(x, 3, TWO_BLOCKS)
 
 
+def test_least_squares_constant_variable():
+    # the optimum sits on the grid, where both squared gaps are rounding noise
+    space = MeasureSpace((0.1, 0.2, 0.3, 0.4))
+    for c in (0.45, 0.9):
+        assert least_squares_check(rv(c, c, c, c, space=space), 1, SubStructure.single_block(range(4)))
+
+
 def test_least_squares_random(rng):
     for _ in range(25):
         space = MeasureSpace((0.125,) * 8)
@@ -291,6 +298,15 @@ def test_moments_insufficient_raises():
     s = SubStructure.single_block(range(4))
     with pytest.raises(InsufficientMomentsError):
         moments_determine_check(x, y, s, max_k=1)
+
+
+def test_moments_values_one_rounding_apart_count_as_one():
+    # the two values round to neighbouring multiples of 1e-9, the grid at
+    # joint sup norm 1, yet differ only in the last bit
+    space = MeasureSpace((0.5, 0.5))
+    x = LatticeElement(space, (1.0, 0.2500000005))
+    y = LatticeElement(space, (1.0, 0.25000000050000004))
+    assert moments_determine_check(x, y, SubStructure.single_block(range(2)), max_k=1)
 
 
 def test_moments_determine_random(rng):
