@@ -1,7 +1,9 @@
 """Command-line front end: JSON input, deterministic run reports on stdout.
 
 Exit codes: 0 success, 1 usage error, 2 input-invariant violation,
-3 negative comparison outcome (unequal types, violated identity).
+3 negative comparison outcome (unequal types, violated identity), 141 stdout
+closed by its reader (128 + SIGPIPE). Each call imports only the modules its
+subcommand runs, and runs BLAS on one thread unless OPENBLAS_NUM_THREADS is set.
 
 Every report on stdout, and every JSON ``--out`` file, is exactly the text
 of ``json.dumps(doc, sort_keys=True, indent=2)`` (a report adds a newline),
@@ -16,10 +18,15 @@ substructure has blocks.
 
 from __future__ import annotations
 
+import os
+
+# Before numpy loads OpenBLAS: starting its thread pool is a large share of a
+# call's start-up, and the package's BLAS work (krivine's batched n-by-n solves
+# and ray products, hilbert's Gram products) is too small to gain from threads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
-import hashlib
 import json
-import random
 import sys
 import time
 from contextlib import contextmanager
@@ -29,7 +36,6 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from . import hilbert_canon, krivine, legendre, lp_canon, oracle, rv_canon, ultra_ball
 from .errors import InvariantError
 from .measure_core import ExtensionPair, LatticeElement, MeasureSpace, SubStructure, close
 
@@ -110,6 +116,7 @@ def load_probability_space(path: str) -> tuple[MeasureSpace, SubStructure]:
 
 
 def _digest(path: str) -> str:
+    import hashlib
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
@@ -119,12 +126,6 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvariantError(f"not a rational number: {text!r}") from exc
-
-
-def _proj_point(text: str) -> ultra_ball.ProjPoint:
-    if text.strip().lower() in ("inf", "infinity", "oo"):
-        return ultra_ball.INFINITY
-    return ultra_ball.ProjPoint.of(_fraction(text))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +213,7 @@ def emit_curve(cb: lp_canon.LpCanonicalBase, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_legendre(args) -> tuple[int, dict, dict, dict]:
+    from . import legendre
     source = _read_json(args.fn)
     with _prefixed(f"{args.fn}: "):
         phi = legendre.fn_from_dict(source)
@@ -230,6 +232,7 @@ def _cmd_legendre(args) -> tuple[int, dict, dict, dict]:
 
 
 def _cmd_krivine(args) -> tuple[int, dict, dict, dict]:
+    from . import krivine
     if args.action == "parse":
         term = krivine.parse_term(args.term, args.arity)
         text = krivine.to_text(term)
@@ -259,6 +262,7 @@ def _cmd_krivine(args) -> tuple[int, dict, dict, dict]:
 
 
 def _cmd_lp_cb(args) -> tuple[int, dict, dict, dict]:
+    from . import lp_canon
     n = args.grid
     if n < 1:
         raise InvariantError(f"--grid: must be >= 1, got {n}")
@@ -291,6 +295,7 @@ def _cmd_lp_cb(args) -> tuple[int, dict, dict, dict]:
 
 
 def _cmd_typeq(args) -> tuple[int, dict, dict, dict]:
+    from . import oracle
     pair = load_space(args.space)
     fa = load_element(args.a, pair)
     fb = load_element(args.b, pair)
@@ -303,6 +308,7 @@ def _cmd_typeq(args) -> tuple[int, dict, dict, dict]:
 
 
 def _cmd_rv_cb(args) -> tuple[int, dict, dict, dict]:
+    from . import rv_canon
     if args.k_max < 0:
         raise InvariantError(f"--k-max: must be >= 0, got {args.k_max}")
     space, blocks = load_probability_space(args.space)
@@ -323,6 +329,7 @@ def _cmd_rv_cb(args) -> tuple[int, dict, dict, dict]:
 
 
 def _cmd_apr_cb(args) -> tuple[int, dict, dict, dict]:
+    from . import rv_canon
     doc = _read_json(args.events, "weights", "blocks", "events")
     space, blocks = _probability_space(doc, args.events)
     cb = rv_canon.apr_cb(_load_elements(doc, "events", space, args.events), blocks)
@@ -336,6 +343,7 @@ def _cmd_apr_cb(args) -> tuple[int, dict, dict, dict]:
 
 
 def _cmd_hs_cb(args) -> tuple[int, dict, dict, dict]:
+    from . import hilbert_canon
     vecs_doc = _read_json(args.vectors, "vectors")
     sub_doc = _read_json(args.subspace, "dim", "basis")
     with _prefixed(f"{args.subspace}: /"):
@@ -351,10 +359,18 @@ def _cmd_hs_cb(args) -> tuple[int, dict, dict, dict]:
 
 
 def _cmd_ultra(args) -> tuple[int, dict, dict, dict]:
+    import random
+    from . import ultra_ball
+
+    def point(text: str) -> ultra_ball.ProjPoint:
+        if text.strip().lower() in ("inf", "infinity", "oo"):
+            return ultra_ball.INFINITY
+        return ultra_ball.ProjPoint.of(_fraction(text))
+
     ctx = ultra_ball.PAdicContext(args.prime)
     if args.action == "ball-dist":
-        a = ultra_ball.Ball(_proj_point(args.a), _fraction(args.r))
-        b = ultra_ball.Ball(_proj_point(args.b), _fraction(args.s))
+        a = ultra_ball.Ball(point(args.a), _fraction(args.r))
+        b = ultra_ball.Ball(point(args.b), _fraction(args.s))
         dist = ultra_ball.ball_distance(a, b, ctx)
         return 0, {"distance": str(dist)}, {}, {}
     # check-triangles over a seeded rational sample
@@ -386,6 +402,7 @@ def _cmd_ultra(args) -> tuple[int, dict, dict, dict]:
 
 
 def _cmd_demo(args) -> tuple[int, dict, dict, dict]:
+    from . import lp_canon
     if args.which == "p1":
         eps = _fraction(args.eps)
         report = lp_canon.p1_counterexample(eps, args.p)
@@ -530,4 +547,10 @@ def dispatch(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader is gone: what is still buffered goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

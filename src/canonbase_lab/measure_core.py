@@ -24,9 +24,9 @@ meaning, and ``tol=0.0`` asks for exact equality. Where the two sides can
 cancel to about 0 while their terms do not (a sum against its expected value,
 a point against a breakpoint), the size of the terms goes to ``close`` as one
 more entry on both sides, so rounding noise is judged on that size. Where
-values are sorted before a comparison, the sort key is the value rounded to
-multiples of TOL times the joint sup norm; where they are grouped, sorted
-neighbours within that distance of each other join one group, so no rounding
+values are sorted or grouped before a comparison, ``sort_order`` and ``group``
+take TOL times the joint sup norm as the rounding quantum of the sort key and
+as the gap within which sorted neighbours join one group, so no rounding
 boundary splits equal values. A check against the range [0, 1] uses TOL as an
 absolute margin, since the range fixes the scale. The Krivine cone engine's
 membership slack and structural check are guards of its own fit, not verdicts
@@ -58,6 +58,26 @@ def close(a, b, tol: float = TOL) -> bool:
     if not np.isfinite(s):
         return bool(np.array_equal(a, b))
     return bool(np.all(np.abs(a - b) <= tol * s))
+
+
+def sort_order(vectors: np.ndarray, quantum: float) -> np.ndarray:
+    """Indices sorting ``vectors`` along the second-to-last axis by the
+    coordinates on the last, lexicographically; each coordinate but the last is
+    rounded to a multiple of ``quantum``, so its noise cannot override the next."""
+    coords = np.moveaxis(vectors, -1, 0)
+    return np.lexsort([coords[-1], *np.round(coords[-2::-1] / quantum)])  # last key first
+
+
+def group(vectors: np.ndarray, quantum: float) -> tuple[np.ndarray, np.ndarray]:
+    """Group labels of the rows of the (r, d) array ``vectors``, numbered in
+    ``sort_order``, where a row within ``quantum`` of the one before it in every
+    coordinate joins its group; and the first row of each group."""
+    order = sort_order(vectors, quantum)
+    starts = np.ones(len(order), bool)
+    starts[1:] = np.any(np.abs(np.diff(vectors[order], axis=0)) > quantum, axis=1)
+    labels = np.empty(len(order), np.intp)
+    labels[order] = np.cumsum(starts) - 1
+    return labels, order[starts]
 
 
 def reals(values, name: str) -> np.ndarray:

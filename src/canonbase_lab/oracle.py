@@ -17,16 +17,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantError, SpaceMismatchError
-from .measure_core import TOL, ExtensionPair, LatticeElement, check_p, close
+from .measure_core import TOL, ExtensionPair, LatticeElement, check_p, close, group, sort_order
 
 
 @dataclass(frozen=True)
 class DirectionalMass:
     """Finite measure on rays: directions normalized to sup-norm one (no sign
     flip, since homogeneity is one-sided) with mass = weight * sup-norm^p.
-    Directions are sorted by their coordinates rounded to multiples of TOL,
-    and sorted neighbours within TOL of each other in every coordinate share
-    one entry, so a rounding boundary does not split a direction."""
+    Directions are grouped by ``measure_core.group`` on the quantum TOL, one
+    entry per group, so a rounding boundary does not split a direction."""
 
     entries: tuple[tuple[tuple[float, ...], float], ...]
 
@@ -43,11 +42,9 @@ class DirectionalMass:
         ray = sup != 0.0
         directions = vecs[ray] / sup[ray, None]
         masses = space.weight_array[ray] * sup[ray] ** float(p)
-        order = np.lexsort(np.round(directions / TOL).T[::-1])  # lexsort's first key is last
-        starts = np.ones(len(order), bool)
-        starts[1:] = np.any(np.abs(np.diff(directions[order], axis=0)) > TOL, axis=1)
-        merged = np.bincount(np.cumsum(starts) - 1, masses[order])
-        return cls(tuple(zip(map(tuple, directions[order[starts]].tolist()), merged.tolist())))
+        labels, firsts = group(directions, TOL)
+        merged = np.bincount(labels, masses)
+        return cls(tuple(zip(map(tuple, directions[firsts].tolist()), merged.tolist())))
 
     def approx_equal(self, other: "DirectionalMass") -> bool:
         """Rays of the same dimensions, with close directions and close masses."""
@@ -70,11 +67,9 @@ def type_equal_1(f: LatticeElement, g: LatticeElement, pair: ExtensionPair, p: f
 
 def _joint_rows(fs: Sequence[LatticeElement], pair: ExtensionPair, quantum: float) -> np.ndarray:
     """Per base atom, the fiber cells as value vectors (one coordinate per
-    element), sorted by their coordinates rounded to multiples of ``quantum``;
-    (m, n, len(fs))."""
+    element), in ``measure_core.sort_order`` on ``quantum``; (m, n, len(fs))."""
     cells = np.stack([pair.fibers(g) for g in fs], axis=-1)
-    keys = np.round(np.moveaxis(cells, -1, 0)[::-1] / quantum)  # lexsort's first key is last
-    return np.take_along_axis(cells, np.lexsort(keys)[..., None], axis=1)
+    return np.take_along_axis(cells, sort_order(cells, quantum)[..., None], axis=1)
 
 
 def type_equal_n(

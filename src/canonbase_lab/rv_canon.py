@@ -22,6 +22,7 @@ from .measure_core import (
     block_integrals,
     close,
     cond_exp,
+    group,
     integral,
     join,
     lp_norm,
@@ -209,12 +210,9 @@ def _block_masses(
     x and that y give each group within the block."""
     idx = np.asarray(block)
     w = x.space.weight_array[idx]
-    values = np.concatenate([x.array[idx], y.array[idx]])
-    order = np.argsort(values, kind="stable")
-    group = np.empty(len(values), np.intp)
-    group[order] = np.concatenate([[0], np.cumsum(np.diff(values[order]) > quantum)])
-    parts = (group[: len(idx)], group[len(idx) :])
-    return tuple(np.bincount(g, w, group.max() + 1) / w.sum() for g in parts)
+    labels, firsts = group(np.concatenate([x.array[idx], y.array[idx]])[:, None], quantum)
+    parts = (labels[: len(idx)], labels[len(idx) :])
+    return tuple(np.bincount(g, w, len(firsts)) / w.sum() for g in parts)
 
 
 def moments_determine_check(

@@ -309,3 +309,36 @@ def test_legendre_roundtrip_holds_where_phi_vanishes(tmp_path, capsys):
                                       "slopes": [-1.7, -0.4], "anchor": [0.024, 0.0]})
     assert cli.dispatch(["legendre", "--fn", str(fn)]) == 0
     assert json.loads(capsys.readouterr().out)["checks"]["biconjugate_roundtrip"] is True
+
+
+def test_closed_stdout_exits_141_without_a_traceback(monkeypatch):
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def writelines(self, chunks):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return sink.fileno()
+
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", Closed())
+        monkeypatch.setattr(sys, "argv", ["canonlab", "demo", "remark"])
+        with pytest.raises(SystemExit) as exit_:
+            cli.main()
+    assert exit_.value.code == 141
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_exit_141():
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "canonbase_lab", "demo", "p1", "--eps", "1/65536"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # long before the child writes its report
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141 and stderr == b""

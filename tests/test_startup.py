@@ -1,0 +1,118 @@
+"""What a fresh interpreter loads: the package's lazy re-exports, the modules
+each subcommand imports, and the BLAS thread default of the CLI. Each check
+that reads ``sys.modules`` or the environment runs in a subprocess."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import canonbase_lab
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+EXPORTS = {
+    "measure_core": ["ExtensionPair", "LatticeElement", "MeasureSpace", "SubStructure",
+                     "band_decompose", "cond_exp", "distance", "lattice_op", "lp_norm",
+                     "orthogonal", "signed_power"],
+    "legendre": ["PLConvexFn", "attainment_check", "biconjugate", "conjugate"],
+    "krivine": ["HomogeneousFn", "approximate_on_sphere", "eval_element", "eval_scalar",
+                "interpolating_term", "parse_term", "term_sup_norm", "to_text"],
+    "lp_canon": ["LpCanonicalBase", "canonical_base_1type", "canonical_base_ntype", "f_zero",
+                 "grid_approx", "increasing_realisation", "interval_cond_exp", "lq_transport",
+                 "p1_counterexample", "partial_cond_exp", "psi", "remark_counterexample",
+                 "slices"],
+    "oracle": ["DirectionalMass", "absolute_type_equal", "type_equal_1", "type_equal_n"],
+}
+NAMES = sorted(name for names in EXPORTS.values() for name in names)
+
+# Prints at exit, as one JSON line on stderr, the loaded package modules,
+# whether numpy is loaded, the OPENBLAS_NUM_THREADS the process ends with and
+# its number of threads (None where /proc does not list them), and the exit
+# code of a CLI call made by ``_cli``.
+_REPORT = """
+import atexit, json, os, sys
+atexit.register(lambda: print(json.dumps({
+    "modules": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("canonbase_lab.")),
+    "numpy": "numpy" in sys.modules,
+    "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
+    "exit": globals().get("EXIT"),
+}), file=sys.stderr))
+"""
+
+
+def _fresh(script: str, env_extra=None, cwd=None) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
+    env.update(env_extra or {})
+    proc = subprocess.run([sys.executable, "-c", _REPORT + script], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+    return json.loads(proc.stderr.strip().splitlines()[-1])
+
+
+def _cli(*argv: str) -> str:
+    """A script that runs ``python -m canonbase_lab argv`` through runpy, as
+    ``-m`` does."""
+    return (
+        "import runpy\n"
+        f"sys.argv = ['canonlab', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('canonbase_lab', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    EXIT = exc.code\n"
+    )
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    loaded = _fresh("import canonbase_lab")
+    assert loaded["modules"] == [] and not loaded["numpy"]
+
+
+def test_krivine_parse_loads_only_what_it_runs():
+    loaded = _fresh(_cli("krivine", "parse", "--term", "(x0 \\/ x1)", "--arity", "2"))
+    assert loaded["exit"] == 0 and "krivine" in loaded["modules"]
+    assert not {"lp_canon", "rv_canon", "hilbert_canon", "ultra_ball"} & set(loaded["modules"])
+
+
+def test_rv_cb_loads_neither_krivine_nor_lp_canon(tmp_path):
+    (tmp_path / "space.json").write_text(json.dumps({"weights": [0.5, 0.5], "blocks": [[0, 1]]}))
+    (tmp_path / "xs.json").write_text(json.dumps({"elements": [[0.25, 1.0]]}))
+    loaded = _fresh(_cli("rv-cb", "--space", "space.json", "--elements", "xs.json",
+                         "--k-max", "2"), cwd=tmp_path)
+    assert loaded["exit"] == 0 and "rv_canon" in loaded["modules"]
+    assert not {"krivine", "lp_canon"} & set(loaded["modules"])
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])
+def test_every_re_export_is_the_submodule_attribute(module, name):
+    submodule = __import__(f"canonbase_lab.{module}", fromlist=[name])
+    assert getattr(canonbase_lab, name) is getattr(submodule, name)
+
+
+def test_dir_and_star_import_list_the_re_exports_and_unknown_names_raise():
+    assert len(NAMES) == 40 and sorted(canonbase_lab.__all__) == NAMES
+    assert set(NAMES) <= set(dir(canonbase_lab))
+    namespace = {}
+    exec("from canonbase_lab import *", namespace)
+    assert set(NAMES) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        canonbase_lab.no_such_name
+
+
+def test_the_cli_runs_blas_on_one_thread_by_default():
+    loaded = _fresh("import canonbase_lab.cli")
+    assert loaded["blas_threads"] == "1"
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas or loaded["threads"] is None:
+        pytest.skip("counts OpenBLAS threads through /proc")
+    assert loaded["threads"] == 1
+
+
+def test_a_callers_blas_thread_count_is_kept():
+    two = {"OPENBLAS_NUM_THREADS": "2"}
+    assert _fresh("import canonbase_lab.cli", two)["blas_threads"] == "2"
+    assert _fresh(_cli("demo", "remark"), two)["blas_threads"] == "2"
