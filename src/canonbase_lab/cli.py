@@ -5,6 +5,8 @@ Exit codes: 0 success, 1 usage error, 2 input-invariant violation,
 closed by its reader (128 + SIGPIPE). Each call imports only the modules its
 subcommand runs, and runs BLAS on one thread unless OPENBLAS_NUM_THREADS is set.
 
+A report is a function of argv and the bytes of the input files alone; it
+holds no clock reading, so two runs of one call print the same bytes.
 Every report on stdout, and every JSON ``--out`` file, is exactly the text
 of ``json.dumps(doc, sort_keys=True, indent=2)`` (a report adds a newline),
 where ``doc`` is the document with each float64 array replaced by its
@@ -28,16 +30,15 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import argparse
 import json
 import sys
-import time
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InvariantError
-from .measure_core import ExtensionPair, LatticeElement, MeasureSpace, SubStructure, close
+from .measure_core import ExtensionPair, LatticeElement, MeasureSpace, SubStructure, close, reals
 
 
 class UsageError(Exception):
@@ -83,10 +84,11 @@ def _prefixed(prefix: str):
 
 def load_space(path: str) -> ExtensionPair:
     doc = _read_json(path, "base_weights", "fiber_cells")
+    orth = doc.get("orthogonal_part", False)
+    if not isinstance(orth, bool):
+        raise InvariantError(f"{path}: /orthogonal_part: must be true or false, got {orth!r}")
     with _prefixed(f"{path}: /"):
-        return ExtensionPair(
-            doc["base_weights"], doc["fiber_cells"], bool(doc.get("orthogonal_part", False))
-        )
+        return ExtensionPair(doc["base_weights"], doc["fiber_cells"], orth)
 
 
 def load_element(path: str, pair: ExtensionPair) -> LatticeElement:
@@ -108,7 +110,9 @@ def _load_elements(doc: dict, key: str, space: MeasureSpace, path: str) -> list[
 
 def _probability_space(doc: dict, path: str) -> tuple[MeasureSpace, SubStructure]:
     with _prefixed(f"{path}: /"):
-        return MeasureSpace(doc["weights"]), SubStructure(doc["blocks"])
+        space, blocks = MeasureSpace(doc["weights"]), SubStructure(doc["blocks"])
+        blocks.validate_for(space)
+    return space, blocks
 
 
 def load_probability_space(path: str) -> tuple[MeasureSpace, SubStructure]:
@@ -191,21 +195,23 @@ def _emit(report: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_encode(doc))
+def _write(flag: str, path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to the file that ``flag`` names; a path that cannot
+    be written is an input error naming the flag and the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise InvariantError(f"{flag}: cannot write {path}: {exc}") from exc
 
 
 def emit_curve(cb: lp_canon.LpCanonicalBase, path: str) -> None:
     """CSV of the partial family: header t,atom_0,...; 12 significant digits."""
-    if cb.partials is None:
+    if cb.interval_form:
         raise InvariantError("curve export needs the partial (non-interval) form")
-    atom_count = len(next(iter(cb.partials.values())).array) if cb.partials else 0
-    lines = ["t," + ",".join(f"atom_{i}" for i in range(atom_count))]
-    for t in cb.grid:
-        lines.append(",".join(f"{x:.12g}" for x in (t, *cb.partials[t].array.tolist())))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["t", *(f"atom_{i}" for i in range(cb.rows.shape[1]))]
+    lines = [header, *([f"{x:.12g}" for x in (t, *row)] for t, row in zip(cb.grid, cb.rows.tolist()))]
+    _write("--curve", path, (",".join(line) + "\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +233,7 @@ def _cmd_legendre(args) -> tuple[int, dict, dict, dict]:
     scale = max(map(abs, phi.slopes), default=0.0) * max(positions) + abs(phi.anchor_y)
     ok = close([*map(back.evaluate, pts), scale], [*map(phi.evaluate, pts), scale])
     if args.out:
-        _write_json(args.out, doc)
+        _write("--out", args.out, _encode(doc))
     return 0, {"conjugate": doc}, {"biconjugate_roundtrip": ok}, {args.fn: _digest(args.fn)}
 
 
@@ -241,21 +247,20 @@ def _cmd_krivine(args) -> tuple[int, dict, dict, dict]:
     if args.action == "eval":
         term = krivine.parse_term(args.term, args.arity)
         with _prefixed("--point: "):
-            point = [float(_fraction(v)) for v in args.point.split(",")]
+            point = reals([_fraction(v) for v in args.point.split(",")], "coordinates")
+            if len(point) != args.arity:
+                raise InvariantError(f"expected {args.arity} coordinates, got {len(point)}")
         value = krivine.eval_scalar(term, point)
         return 0, {"value": value}, {}, {}
     if args.grid < 1:
         raise InvariantError(f"--grid: must be >= 1, got {args.grid}")
     with _prefixed("--fn: "):
         fn = krivine.registry_function(args.fn)
-    term, cert = krivine.approximate_on_sphere(
-        fn, args.eps, args.grid, seed=args.seed
-    )
+    term, cert = krivine.approximate_on_sphere(fn, args.eps, args.grid)
     text = krivine.to_text(term)
     outputs = {"certified_error": cert, "term_chars": len(text), "function": fn.name}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write("--out", args.out, [text, "\n"])
     elif len(text) <= 4096:
         outputs["term"] = text
     return 0, outputs, {"reached_eps": cert <= args.eps}, {}
@@ -279,15 +284,13 @@ def _cmd_lp_cb(args) -> tuple[int, dict, dict, dict]:
         "grid": list(cb.grid),
         "p": cb.p,
     }
-    if cb.partials is not None:
-        outputs["partials"] = {f"{t:.12g}": v.array for t, v in cb.partials.items()}
-    if cb.intervals is not None:
-        outputs["intervals"] = {
-            f"{a:.12g}:{b:.12g}": v.array for (a, b) in sorted(cb.intervals)
-            for v in [cb.intervals[(a, b)]]
-        }
+    entries = list(zip((f"{t:.12g}" for t in cb.grid), cb.rows))
+    if args.intervals:
+        outputs["intervals"] = {f"{a}:{b}": y - x for (a, x), (b, y) in combinations(entries, 2)}
+    else:
+        outputs["partials"] = dict(entries)
     if args.out:
-        _write_json(args.out, outputs)
+        _write("--out", args.out, _encode(outputs))
     if args.curve:
         emit_curve(cb, args.curve)
     inputs = {args.space: _digest(args.space), args.element: _digest(args.element)}
@@ -313,8 +316,9 @@ def _cmd_rv_cb(args) -> tuple[int, dict, dict, dict]:
         raise InvariantError(f"--k-max: must be >= 0, got {args.k_max}")
     space, blocks = load_probability_space(args.space)
     xs = _load_elements(_read_json(args.elements, "elements"), "elements", space, args.elements)
-    for x in xs:
-        rv_canon.validate_rv(x)
+    for j, x in enumerate(xs):
+        with _prefixed(f"{args.elements}: /elements/{j}/"):
+            rv_canon.validate_rv(x)
     moments: dict[str, np.ndarray] = {}
     for ks in product(range(args.k_max + 1), repeat=len(xs)):
         if all(k == 0 for k in ks):
@@ -323,7 +327,7 @@ def _cmd_rv_cb(args) -> tuple[int, dict, dict, dict]:
         moments[",".join(map(str, ks))] = val.array
     outputs = {"moments": moments, "k_max": args.k_max}
     if args.out:
-        _write_json(args.out, outputs)
+        _write("--out", args.out, _encode(outputs))
     inputs = {args.space: _digest(args.space), args.elements: _digest(args.elements)}
     return 0, outputs, {}, inputs
 
@@ -332,7 +336,9 @@ def _cmd_apr_cb(args) -> tuple[int, dict, dict, dict]:
     from . import rv_canon
     doc = _read_json(args.events, "weights", "blocks", "events")
     space, blocks = _probability_space(doc, args.events)
-    cb = rv_canon.apr_cb(_load_elements(doc, "events", space, args.events), blocks)
+    events = _load_elements(doc, "events", space, args.events)
+    with _prefixed(f"{args.events}: /"):
+        cb = rv_canon.apr_cb(events, blocks)
     outputs = {
         "conditional_probabilities": {
             ",".join(map(str, sorted(subset))): val.array
@@ -458,7 +464,6 @@ def _build_parser() -> _Parser:
     ka.add_argument("--fn", required=True, help="registry function, e.g. geomean(1/2)")
     ka.add_argument("--eps", type=float, required=True)
     ka.add_argument("--grid", type=int, default=64)
-    ka.add_argument("--seed", type=int, default=0)
     ka.add_argument("--out")
     p.set_defaults(handler=_cmd_krivine)
 
@@ -523,7 +528,6 @@ def _build_parser() -> _Parser:
 def dispatch(argv: Sequence[str]) -> int:
     """Run one command; print the run report; return the exit code."""
     parser = _build_parser()
-    started = time.perf_counter()
     try:
         args = parser.parse_args(list(argv))
         code, outputs, checks, inputs = args.handler(args)
@@ -540,7 +544,6 @@ def dispatch(argv: Sequence[str]) -> int:
         "outputs": outputs,
         "checks": checks,
         "exit_code": code,
-        "wall_time_s": round(time.perf_counter() - started, 6),
     }
     _emit(report)
     return code

@@ -8,15 +8,13 @@ expansion identity exercises.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvariantError
-from .measure_core import close, reals
+from .measure_core import close, integer, reals
 
 
 def _vectors(values, dim: int, name: str) -> np.ndarray:
@@ -39,17 +37,7 @@ class Subspace:
     basis: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        dim = self.dim
-        # integral numbers only: int() would truncate 2.9 and accept "2" or True
-        if (
-            isinstance(dim, bool)
-            or not isinstance(dim, Real)
-            or not math.isfinite(dim)
-            or dim != int(dim)
-            or dim < 0
-        ):
-            raise InvariantError(f"dim: must be a nonnegative integer, got {dim!r}")
-        dim = int(dim)
+        dim = integer(self.dim, "dim", 0)
         mat = _vectors(self.basis, dim, "basis")
         gram = mat @ mat.T
         if not close(gram, np.eye(len(mat))):

@@ -437,12 +437,12 @@ _INTERVAL = {
 }
 
 
-def term_sup_norm(term: LatticeTerm, tol: float = TOL, max_boxes: int = 100_000) -> float:
+def term_sup_norm(term: LatticeTerm, tol: float = TOL) -> float:
     """Supremum of |t| over the unit cube [-1, 1]^n.
 
     Arity one is exact by homogeneity (the endpoints suffice); otherwise a
     branch-and-bound over interval bounds certifies the value up to
-    ``close`` with ``tol``.
+    ``close`` with ``tol``, or, after 100,000 boxes, returns its upper bound.
     The term is walked once; every box and point reuses that walk.
     """
     walk = _walk(term)
@@ -465,7 +465,7 @@ def term_sup_norm(term: LatticeTerm, tol: float = TOL, max_boxes: int = 100_000)
     counter = 0
     heap = [(-abs_bounds(start), counter, start)]
     processed = 0
-    while heap and processed < max_boxes:
+    while heap and processed < 100_000:
         ub_neg, _, box = heapq.heappop(heap)
         ub = -ub_neg
         if ub <= best_lb or close(ub, best_lb, tol):
@@ -502,8 +502,9 @@ class HomogeneousFn:
         pts = np.asarray(point, dtype=float).reshape(self.arity, 1)
         return float(self.fn(pts)[0])
 
-    def spot_check_homogeneous(self, seed: int = 0) -> None:
-        rng = np.random.default_rng(seed)
+    def spot_check_homogeneous(self) -> None:
+        """Check homogeneity at 32 fixed pseudo-random points and scales."""
+        rng = np.random.default_rng(0)
         pts = rng.standard_normal((self.arity, 32))
         alphas = rng.uniform(0.0, 4.0, 32)
         if not close(self.fn(pts * alphas), alphas * self.fn(pts)):
@@ -636,7 +637,7 @@ def _max_min_ast(rays: np.ndarray, cones: np.ndarray, coeffs: np.ndarray) -> Lat
     return _balanced(Join, meets)
 
 
-def _fit_cones(fn: HomogeneousFn, eps: float, grid: int, budget: int):
+def _fit_cones(fn: HomogeneousFn, eps: float, grid: int):
     n = fn.arity
     rays = [*np.eye(n), *-np.eye(n)]
     # a cone is the sorted tuple of its ray indices, so its edges (a, b) have a < b
@@ -663,7 +664,7 @@ def _fit_cones(fn: HomogeneousFn, eps: float, grid: int, budget: int):
 
     fits: dict[tuple[int, ...], tuple] = {}  # cone -> (bound, coefficients, longest edge)
     best: tuple[float, list] = (math.inf, [])
-    for _ in range(budget):
+    for _ in range(60):
         new = [c for c in cones if c not in fits]
         if new:
             fits.update(zip(new, zip(*_certify(fn, np.array(rays), np.array(new), eps, ladder, moduli))))
@@ -688,18 +689,16 @@ def _fit_cones(fn: HomogeneousFn, eps: float, grid: int, budget: int):
     return term, cert
 
 
-def approximate_on_sphere(
-    fn: HomogeneousFn, eps: float, grid: int = 64, *, budget: int = 60, seed: int = 0
-) -> tuple[LatticeTerm, float]:
+def approximate_on_sphere(fn: HomogeneousFn, eps: float, grid: int = 64) -> tuple[LatticeTerm, float]:
     """Fit a lattice term to ``fn`` on the unit sphere; return the term and
     a certified bound on its error there.
 
     Arity one has a closed form. Otherwise the fan's orthants are split at
     their longest edges into at least ``grid`` cones, each with the linear
-    piece c that interpolates ``fn`` at its n rays. For up to ``budget``
-    rounds, the longest edges of the 2n cones with the worst bounds are
-    split. The term is the interpolant's max-min form, checked against it
-    at every cone's central ray.
+    piece c that interpolates ``fn`` at its n rays. For up to 60 rounds,
+    the longest edges of the 2n cones with the worst bounds are split. The
+    term is the interpolant's max-min form, checked against it at every
+    cone's central ray.
 
     A cone's bound is its error at the points sum_r (k_r / L) R_r of its
     flat face (k in N^n, sum k = L), pushed onto the sphere, plus
@@ -710,14 +709,14 @@ def approximate_on_sphere(
     edge, and pushing the face (at distance rho from 0) onto the sphere is
     1/rho-Lipschitz. L makes modulus(h) + |c| h <= eps / 2 where a cap on
     samples allows. The certificate is the largest bound, with no random
-    sampling in it; if the budget runs out first, the best one reached is
-    returned. ``seed`` feeds only the homogeneity spot check.
+    sampling in it; if the rounds run out first, the best one reached is
+    returned.
     """
     if not eps > 0:
         raise InvariantError("eps must be positive")
     if fn.arity > 6:  # the fan starts from 2^n cones; a split halves up to 2^(n-2)
         raise InvariantError(f"{fn.name}: approximation takes arity <= 6, got {fn.arity}")
-    fn.spot_check_homogeneous(seed=seed)
+    fn.spot_check_homogeneous()
     if fn.arity == 1:
         a = fn.evaluate((1.0,))
         b = fn.evaluate((-1.0,))
@@ -731,4 +730,4 @@ def approximate_on_sphere(
             abs(eval_scalar(term, (1.0,)) - a), abs(eval_scalar(term, (-1.0,)) - b)
         )
         return term, err
-    return _fit_cones(fn, eps, grid, budget)
+    return _fit_cones(fn, eps, grid)

@@ -155,18 +155,26 @@ class SliceFamily:
         k = min(n, max(1, math.ceil(t * n)))
         return LatticeElement(self.pair.base_space(), self.sorted_rows[:, k - 1])
 
-    def partial_at(self, t: float) -> LatticeElement:
-        """E_t: the sum of the k = floor(t*n) smallest cells plus the fraction
-        t*n - k of the next one, divided by n."""
-        t = float(t)
-        if not 0.0 <= t <= 1.0:
-            raise InvariantError(f"t must lie in [0, 1], got {t}")
+    def partials_at(self, ts: Sequence[float]) -> np.ndarray:
+        """E_t for each t of ``ts`` as a read-only (len(ts), m) array: per
+        atom, the sum of the k = floor(t*n) smallest cells plus the fraction
+        t*n - k of the next one (none at k = n), divided by n."""
+        ts = np.array(ts, dtype=np.float64).reshape(-1)
+        ok = (0.0 <= ts) & (ts <= 1.0)
+        if not ok.all():
+            raise InvariantError(f"t must lie in [0, 1], got {ts[~ok][0]}")
         n = self.pair.n
-        k = min(math.floor(t * n), n)
-        total = self.prefix[:, k]
-        if k < n:
-            total = total + (t * n - k) * self.sorted_rows[:, k]
-        return LatticeElement(self.pair.base_space(), total / n)
+        k = np.minimum(np.floor(ts * n), n).astype(np.intp)
+        rows = self.prefix[:, k].T
+        inner = np.flatnonzero(k < n)
+        rows[inner] += (ts[inner] * n - k[inner])[:, None] * self.sorted_rows[:, k[inner]].T
+        rows /= n
+        rows.flags.writeable = False
+        return rows
+
+    def partial_at(self, t: float) -> LatticeElement:
+        """E_t as a base-space element."""
+        return LatticeElement(self.pair.base_space(), self.partials_at([t])[0])
 
 
 def slices(f: LatticeElement, pair: ExtensionPair, p: float) -> SliceFamily:
@@ -184,12 +192,8 @@ def increasing_realisation(f: LatticeElement, pair: ExtensionPair, p: float) -> 
     ascending, and the orthogonal part replaced by the signed constants
     +|f+ restricted to the orthogonal part| and -|f- restricted|."""
     p = check_p(p)
-    rows = slices(f, pair, p).sorted_rows
-    orth = pair.orthogonal_part(f)
-    if orth is None:
-        return pair.element(rows)
-    plus_c, minus_c = lp_norm(pos_part(orth), p), lp_norm(neg_part(orth), p)
-    return pair.element(rows, plus=[plus_c] * pair.n, minus=[-minus_c] * pair.n)
+    plus_c, minus_c = _orthogonal_norms(f, pair, p)
+    return pair.element(slices(f, pair, p).sorted_rows, plus=[plus_c] * pair.n, minus=[-minus_c] * pair.n)
 
 
 def slice_norm_bound_check(
@@ -322,9 +326,12 @@ def transported_interval_convergence(
 # Canonical base tuples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpCanonicalBase:
-    """The tuple (||f+||, ||f-||, partials over a grid) or its interval form.
+    """The tuple (||f+||, ||f-||, partials over a grid) or its interval form,
+    whose entries are E_b - E_a for grid points a < b. Row j of the read-only
+    (len(grid), m) array ``rows`` is E_t at t = grid[j] over the base
+    ``space``; ``orthogonal_norms`` are those of f's orthogonal part.
 
     On the full grid {k/n : k = 1..n} (right endpoint included, standing in
     for the endpoint limit over a dense grid) the partials determine the
@@ -335,43 +342,50 @@ class LpCanonicalBase:
     pos_norm: float
     neg_norm: float
     grid: tuple[float, ...]
-    partials: Mapping[float, LatticeElement] | None = None
-    intervals: Mapping[tuple[float, float], LatticeElement] | None = None
+    space: MeasureSpace
+    rows: np.ndarray
+    interval_form: bool
+    orthogonal_norms: tuple[float, float]
+
+    @property
+    def partials(self) -> dict[float, LatticeElement]:
+        """E_t per grid point, as base-space elements."""
+        return {t: LatticeElement(self.space, row) for t, row in zip(self.grid, self.rows)}
+
+    def _values(self) -> np.ndarray:
+        """The norms followed by the entries of the base."""
+        v = self.rows
+        if self.interval_form:
+            v = (v[None, :, :] - v[:, None, :])[np.triu_indices(len(v), 1)]
+        return np.concatenate([[self.pos_norm, self.neg_norm], v.ravel()])
 
     def approx_equal(self, other: "LpCanonicalBase") -> bool:
-        """Same p and form, close grids with the same keys, and the norms and
-        values close as one vector."""
-        if self.p != other.p or len(self.grid) != len(other.grid) or not close(self.grid, other.grid):
+        """Same p, form, grid and base space; the norms and entries close as
+        one vector, and the orthogonal norms close on their own scale."""
+        same = (self.p, self.interval_form, self.grid, self.space)
+        if same != (other.p, other.interval_form, other.grid, other.space):
             return False
-        tables = [(self.partials, other.partials), (self.intervals, other.intervals)]
-        if any((a is None) != (b is None) or (a or {}).keys() != (b or {}).keys() for a, b in tables):
-            return False
-        values = [(a[k], b[k]) for a, b in tables if a is not None for k in a]
-        if any(x.space != y.space for x, y in values):
-            return False
-        return close(
-            np.concatenate([[self.pos_norm, self.neg_norm]] + [x.array for x, _ in values]),
-            np.concatenate([[other.pos_norm, other.neg_norm]] + [y.array for _, y in values]),
-        )
+        return close(self._values(), other._values()) and close(self.orthogonal_norms, other.orthogonal_norms)
 
     def reconstruct_sorted_rows(self, fiber_cells: int) -> list[list[float]]:
         """Invert the prefix sums: the k-th sorted fiber value per atom is
         n*(E_{k/n} - E_{(k-1)/n}), or n*E_[(k-1)/n, k/n] in the interval form.
         Requires the full grid, {k/n : k = 1..n} or {k/n : k = 0..n}."""
         n = int(fiber_cells)
-        if self.partials is None and self.intervals is None:
-            raise InvariantError("empty canonical base")
-        first = 1 if self.partials is not None else 0
+        first = 0 if self.interval_form else 1
         if n < 1 or len(self.grid) != n + 1 - first or not close(
             self.grid, np.arange(first, n + 1) / n
         ):
             raise InvariantError(f"reconstruction needs the grid {{k/n : k = {first}..n}}")
-        if self.partials is not None:
-            stacked = np.stack([self.partials[t].array for t in self.grid])
-            steps = np.diff(stacked, axis=0, prepend=0.0)
-        else:
-            steps = np.stack([self.intervals[ab].array for ab in zip(self.grid, self.grid[1:])])
+        steps = np.diff(self.rows, axis=0, prepend=np.zeros((first, self.rows.shape[1])))
         return (n * steps).T.tolist()
+
+
+def _orthogonal_norms(f: LatticeElement, pair: ExtensionPair, p: float) -> tuple[float, float]:
+    """The p-norms of the plus and minus parts of f's orthogonal part, (0, 0)
+    when the pair has none."""
+    orth = pair.orthogonal_part(f)
+    return (0.0, 0.0) if orth is None else (lp_norm(pos_part(orth), p), lp_norm(neg_part(orth), p))
 
 
 def canonical_base_1type(
@@ -396,18 +410,11 @@ def canonical_base_1type(
         raise InvariantError("grid points must lie in [0, 1]")
     if any(b <= a for a, b in zip(pts, pts[1:])):
         raise InvariantError("grid points must be strictly increasing")
-    fam = slices(f, pair, p)
-    pos_norm = lp_norm(pos_part(f), p)
-    neg_norm = lp_norm(neg_part(f), p)
-    values = {t: fam.partial_at(t) for t in pts}
-    if intervals:
-        pairs = {
-            (a, b): values[b] - values[a]
-            for i, a in enumerate(pts)
-            for b in pts[i + 1 :]
-        }
-        return LpCanonicalBase(p, pos_norm, neg_norm, pts, None, pairs)
-    return LpCanonicalBase(p, pos_norm, neg_norm, pts, values, None)
+    rows = slices(f, pair, p).partials_at(pts)
+    pos_norm, neg_norm = lp_norm(pos_part(f), p), lp_norm(neg_part(f), p)
+    return LpCanonicalBase(
+        p, pos_norm, neg_norm, pts, pair.base_space(), rows, bool(intervals), _orthogonal_norms(f, pair, p)
+    )
 
 
 @dataclass(frozen=True)
@@ -426,7 +433,6 @@ def canonical_base_ntype(
     p: float,
     grid: Sequence[float],
     k_max: int,
-    intervals: bool = False,
 ) -> NTypeBase:
     p = check_p(p)
     if not fs:
@@ -442,7 +448,7 @@ def canonical_base_ntype(
         for k, g in zip(combo, fs):
             if k:
                 elem = elem + float(k) * g
-        bases[combo] = canonical_base_1type(elem, pair, p, grid, intervals)
+        bases[combo] = canonical_base_1type(elem, pair, p, grid)
     summary = DirectionalMass.from_elements(fs, p)
     return NTypeBase(k_max, bases, summary)
 
@@ -466,12 +472,11 @@ class P1Report:
 def p1_counterexample(
     eps: Fraction | float,
     p: float,
-    base_weights: Sequence[float] = (1.0,),
     fiber_cells: int | None = None,
 ) -> P1Report:
-    """The unit-norm family concentrated on the first eps-fraction of every
-    fiber, with value -eps^(-1/p); its partial at t = eps has norm
-    eps^(1 - 1/p), which stays at 1 when p = 1."""
+    """The unit-norm family on one base atom of mass one, concentrated on the
+    first eps-fraction of the fiber, with value -eps^(-1/p); its partial at
+    t = eps has norm eps^(1 - 1/p), which stays at 1 when p = 1."""
     p = check_p(p)
     eps = Fraction(eps).limit_denominator(10**9) if not isinstance(eps, Fraction) else eps
     if not (0 < eps < 1) or eps.numerator != 1:
@@ -480,13 +485,11 @@ def p1_counterexample(
     n = fiber_cells if fiber_cells is not None else m
     if n % m != 0:
         raise InvariantError(f"fiber_cells {n} is not divisible by 1/eps = {m}")
-    if not close(sum(base_weights), 1.0):
-        raise InvariantError("the base must have total mass one")
-    pair = ExtensionPair(tuple(base_weights), n)
+    pair = ExtensionPair((1.0,), n)
     depth = -(float(eps) ** (-1.0 / p))
     cells = n // m
     row = [depth] * cells + [0.0] * (n - cells)
-    f = pair.element([list(row) for _ in range(pair.m)])
+    f = pair.element([row])
     partial = partial_cond_exp(f, pair, p, float(eps))
     return P1Report(
         eps=eps,
@@ -509,14 +512,15 @@ class RemarkReport:
     witness_with_minus_h: float
 
 
-def remark_counterexample(k_bound: int = 5) -> RemarkReport:
+def remark_counterexample() -> RemarkReport:
     """On atoms of weight one, g = (1,-1,0) and h = (1,1,-2): every integer
-    combination k*g + l*h has the same absolute type as k*g - l*h, yet the
-    joint types of (g, h) and (g, -h) differ; the term (x ^ y)+ integrates to
-    1 against (g, h) and to 0 against (g, -h)."""
+    combination k*g + l*h with |k|, |l| <= 5 has the same absolute type as
+    k*g - l*h, yet the joint types of (g, h) and (g, -h) differ; the term
+    (x ^ y)+ integrates to 1 against (g, h) and to 0 against (g, -h)."""
     from .krivine import Join as TJoin, Meet as TMeet, Var as TVar, Zero as TZero, eval_element
     from .oracle import absolute_type_equal
 
+    k_bound = 5
     space = MeasureSpace((1.0, 1.0, 1.0))
     g = LatticeElement(space, (1.0, -1.0, 0.0))
     h = LatticeElement(space, (1.0, 1.0, -2.0))

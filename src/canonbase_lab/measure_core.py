@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -84,7 +85,7 @@ def reals(values, name: str) -> np.ndarray:
     """A fresh float64 array of ``values``; every entry must be a finite real."""
     try:
         arr = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvariantError(f"{name}: expected real numbers ({exc})") from None
     finite = np.isfinite(arr)
     if not finite.all():
@@ -92,6 +93,14 @@ def reals(values, name: str) -> np.ndarray:
         pos = "".join(f"/{k}" for k in bad)
         raise InvariantError(f"{name}{pos}: must be finite, got {arr[tuple(bad)]!r}")
     return arr
+
+
+def integer(value, name: str, least: int) -> int:
+    """``value`` as an int >= ``least``; unlike int(), refuses bools, strings and fractions."""
+    whole = isinstance(value, Integral) or isinstance(value, Real) and math.isfinite(value)
+    if isinstance(value, bool) or not whole or value != int(value) or value < least:
+        raise InvariantError(f"{name}: must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _weights(values, name: str) -> np.ndarray:
@@ -370,11 +379,10 @@ class SubStructure:
         return frozenset(i for block in self.blocks for i in block)
 
     def validate_for(self, space: MeasureSpace) -> None:
-        top = max((block[-1] for block in self.blocks), default=-1)
-        if top >= len(space):
-            raise InvariantError(
-                f"sub-structure references atom {top} but the space has {len(space)} atoms"
-            )
+        n = len(space)
+        if max((block[-1] for block in self.blocks), default=-1) >= n:
+            k, top = next((k, b[-1]) for k, b in enumerate(self.blocks) if b[-1] >= n)
+            raise InvariantError(f"blocks/{k}: references atom {top} but the space has {n} atoms")
 
     def _labels(self, space: MeasureSpace) -> np.ndarray:
         """Per atom, the index of its block; len(blocks) off the support."""
@@ -452,12 +460,7 @@ class ExtensionPair:
 
     def __post_init__(self):
         base = MeasureSpace(_weights(self.base_weights, "base_weights"))
-        try:
-            n = int(self.fiber_cells)
-        except (TypeError, ValueError) as exc:
-            raise InvariantError(f"fiber_cells: must be a positive integer ({exc})") from None
-        if n < 1:
-            raise InvariantError("fiber_cells: must be a positive integer")
+        n = integer(self.fiber_cells, "fiber_cells", 1)
         has_orth = bool(self.has_orthogonal)
         cells = np.repeat(base.weight_array / n, n)
         if has_orth:

@@ -31,10 +31,12 @@ from .measure_core import (
 
 
 def validate_rv(x: LatticeElement) -> None:
+    """Every value of x lies in [0, 1]; the error begins with the index of
+    the first atom outside, as a relative pointer into x."""
     bad = np.flatnonzero((x.array < -TOL) | (x.array > 1.0 + TOL))
     if len(bad):
         i = bad[0]
-        raise InvariantError(f"atom {i}: random-variable value {x.array[i]} outside [0, 1]")
+        raise InvariantError(f"{i}: random-variable value {x.array[i]} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -95,11 +97,9 @@ def cond_moment(
     return cond_exp(_monomial(xs, ks), s)
 
 
-def least_squares_check(
-    x: LatticeElement, k: int, s: SubStructure, grid_steps: int = 21
-) -> bool:
+def least_squares_check(x: LatticeElement, k: int, s: SubStructure) -> bool:
     """Verify that the conditional moment minimises the L_2 distance to X^k
-    among block-constant candidates, strictly away from the optimum."""
+    among block-constant candidates, at 21 evenly spaced constants in [0, 1]."""
     validate_rv(x)
     target = _monomial([x], [k])
 
@@ -110,7 +110,7 @@ def least_squares_check(
     mass = block_integrals(LatticeElement.constant(x.space, 1.0), s)
     y_star = block_integrals(target, s) / mass
     d_star = block_sq_dist(cond_exp(target, s))
-    for y in np.linspace(0.0, 1.0, grid_steps):
+    for y in np.linspace(0.0, 1.0, 21):
         d = block_sq_dist(LatticeElement.constant(x.space, y))
         # the gap to the optimum must follow the variance decomposition, so
         # it is nonnegative and vanishes only at the conditional moment; a
@@ -145,26 +145,27 @@ def product_formula_check(
 
 def apr_cb(events: Sequence[LatticeElement], s: SubStructure) -> dict[frozenset[int], LatticeElement]:
     """Conditional probabilities of all nonempty intersections of the events,
-    indexed by the subset of event indices."""
+    indexed by the subset of event indices. Errors name the offending entry
+    as a pointer relative to the argument (``events/1/4: ...``)."""
     if not events:
-        raise InvariantError("need at least one event")
+        raise InvariantError("events: need at least one event")
     space = events[0].space
     for j, e in enumerate(events):
         if e.space != space:
-            raise SpaceMismatchError("events live on different spaces")
+            raise SpaceMismatchError(f"events/{j}: lives on another space than events/0")
         bad = np.flatnonzero(np.minimum(np.abs(e.array), np.abs(e.array - 1.0)) > TOL)
         if len(bad):
             i = bad[0]
-            raise InvariantError(f"event {j}, atom {i}: indicator value {e.array[i]} is not 0/1")
-    indicators = [LatticeElement(space, np.round(e.array)) for e in events]
-    # each intersection is the meet of its parent subset's with one more event
-    meets: dict[tuple[int, ...], LatticeElement] = {(): LatticeElement.constant(space, 1.0)}
+            raise InvariantError(f"events/{j}/{i}: indicator value {e.array[i]} is not 0/1")
+    # bit j of an atom's mask says whether the atom lies in event j
+    members = np.round([e.array for e in events]).astype(np.int64)
+    masks = (members << np.arange(len(events))[:, None]).sum(axis=0)
     out: dict[frozenset[int], LatticeElement] = {}
     indices = range(len(events))
     for size in range(1, len(events) + 1):
         for subset in combinations(indices, size):
-            meets[subset] = meet(meets[subset[:-1]], indicators[subset[-1]])
-            out[frozenset(subset)] = cond_exp(meets[subset], s)
+            bits = sum(1 << j for j in subset)
+            out[frozenset(subset)] = cond_exp(LatticeElement(space, (masks & bits) == bits), s)
     return out
 
 

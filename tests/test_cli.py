@@ -48,6 +48,7 @@ TYPEQ = {"space": {"base_weights": [1.0], "fiber_cells": 2},
 TYPEQ_ARGV = ["typeq", "--space", "space", "--a", "a", "--b", "b", "--p"]
 PL_FN = {"domain": [None, None], "breakpoints": [0.0], "slopes": [-1.0, 1.0], "anchor": [0.0, 0.0]}
 LEGENDRE = ["legendre", "--fn", "fn"]
+LP_CB = ["lp-cb", "--space", "space", "--element", "element", "--p", "2", "--grid", "2"]
 
 
 def _approx(spec, *extra):
@@ -116,6 +117,41 @@ def _eval(term):
         ),
         ({}, _eval("neg(" * 600 + "x0" + ")" * 600), "at position 800"),
         ({}, _eval("2*" * 1000 + "x0"), "at position 400"),
+        ({"space": SPACE, "element": {"rows": [[0, 1], [2, 3]]}}, LP_CB + ["--out", "/nonexistent/x.json"],
+         "--out: cannot write /nonexistent/x.json"),
+        ({"space": SPACE, "element": {"rows": [[0, 1], [2, 3]]}}, LP_CB + ["--curve", "/nonexistent/x.csv"],
+         "--curve: cannot write /nonexistent/x.csv"),
+        ({"fn": PL_FN}, LEGENDRE + ["--out", "/nonexistent/o.json"], "--out: cannot write /nonexistent/o.json"),
+        ({}, _approx("euclid", "--out", "/nonexistent/t.txt"), "--out: cannot write /nonexistent/t.txt"),
+        ({"space": {**SPACE, "fiber_cells": 2.5}, "element": {"rows": [[0, 1], [2, 3]]}}, LP_CB, "/fiber_cells"),
+        ({"space": {**SPACE, "fiber_cells": True}, "element": {"rows": [[0], [2]]}}, LP_CB, "/fiber_cells"),
+        ({"space": {**SPACE, "orthogonal_part": "no"}, "element": {"rows": [[0, 1], [2, 3]]}}, LP_CB,
+         "/orthogonal_part"),
+        ({"space": {**SPACE, "base_weights": [10**400, 1]}, "element": {"rows": [[0, 1], [2, 3]]}}, LP_CB,
+         "/base_weights"),
+        ({}, ["krivine", "eval", "--term", "x0", "--arity", "1", "--point", "1e400"], "--point"),
+        ({}, ["krivine", "eval", "--term", "x0", "--arity", "1", "--point", "1,2"], "--point"),
+        ({}, ["krivine", "eval", "--term", "x0", "--arity", "2", "--point", "1"], "--point"),
+        (
+            {"space": PROBABILITY, "elements": {"elements": [[1.5, 0.2]]}},
+            ["rv-cb", "--space", "space", "--elements", "elements", "--k-max", "1"],
+            "elements: /elements/0/0: random-variable value 1.5",
+        ),
+        (
+            {"events": {"weights": [0.5, 0.5], "blocks": [[0, 1]], "events": [[0.5, 0]]}},
+            ["apr-cb", "--events", "events"],
+            "events: /events/0/0: indicator value 0.5",
+        ),
+        (
+            {"events": {"weights": [0.5, 0.5], "blocks": [[0, 5]], "events": [[1, 0]]}},
+            ["apr-cb", "--events", "events"],
+            "events: /blocks/0: references atom 5",
+        ),
+        (
+            {"space": {"weights": [0.5, 0.5], "blocks": [[0], [1, 5]]}, "elements": {"elements": [[0.5, 0.2]]}},
+            ["rv-cb", "--space", "space", "--elements", "elements", "--k-max", "1"],
+            "space: /blocks/1: references atom 5",
+        ),
     ],
 )
 def test_malformed_input_exits_2_naming_the_pointer(tmp_path, capsys, docs, argv, expected):
@@ -342,3 +378,59 @@ def test_a_reader_that_closes_the_pipe_early_gets_exit_141():
     stderr = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait() == 141 and stderr == b""
+
+
+def test_curve_is_a_csv_of_the_partials(tmp_path, capsys):
+    space = _write(tmp_path, "space.json", {"base_weights": [1, 2], "fiber_cells": 3})
+    element = _write(tmp_path, "element.json", {"rows": [[1, 0, 2], [0.1, -1 / 3, 2 / 7]]})
+    lp = ["lp-cb", "--space", str(space), "--element", str(element), "--p", "2", "--grid", "3"]
+    curve = tmp_path / "curve.csv"
+    assert cli.dispatch(lp + ["--curve", str(curve)]) == 0
+    partials = json.loads(capsys.readouterr().out)["outputs"]["partials"]
+    lines = curve.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "t,atom_0,atom_1"
+    assert len(lines) == 4
+    for line, t in zip(lines[1:], (1 / 3, 2 / 3, 1.0)):
+        assert line.split(",") == [f"{x:.12g}" for x in (t, *partials[f"{t:.12g}"])]
+    assert lines[1] == "0.333333333333,0,-0.111111111111"
+    assert cli.dispatch(lp + ["--intervals", "--curve", str(curve)]) == 2
+    capsys.readouterr()
+
+
+def test_every_subcommand_prints_the_same_report_twice(tmp_path, capsys):
+    docs = {
+        "fn": PL_FN, "space": {**SPACE, "orthogonal_part": True},
+        "element": {"rows": [[0, 1], [2, -3]], "plus": [1, 0], "minus": [0, -2]},
+        "other": {"rows": [[1, 0], [-3, 2]], "plus": [0, 1], "minus": [-2, 0]},
+        "prob": {"weights": [0.25, 0.25, 0.5], "blocks": [[0, 1], [2]]},
+        "elements": {"elements": [[0.5, 0.25, 1.0]]},
+        "events": {"weights": [0.25, 0.25, 0.5], "blocks": [[0, 1], [2]], "events": [[1, 0, 1], [1, 1, 0]]},
+        "vectors": VECTORS, "subspace": SUBSPACE,
+    }
+    lp = ["lp-cb", "--space", "space", "--element", "element", "--p", "2", "--grid", "2"]
+    calls = [
+        LEGENDRE,
+        HS_CB,
+        ["typeq", "--space", "space", "--a", "element", "--b", "other", "--p", "2"],
+        ["rv-cb", "--space", "prob", "--elements", "elements", "--k-max", "2"],
+        ["apr-cb", "--events", "events"],
+        ["krivine", "parse", "--term", "x0 /\\ x1", "--arity", "2"],
+        ["krivine", "eval", "--term", "x0 /\\ x1", "--arity", "2", "--point", "1/3,-2"],
+        _approx("euclid", "--grid", "8"),
+        lp,
+        lp + ["--intervals"],
+        ["ultra", "--prime", "3", "check-triangles", "--samples", "8"],
+        ["ultra", "--prime", "3", "ball-dist", "0", "1/3", "1", "1"],
+        ["demo", "remark"],
+        ["demo", "p1"],
+    ]
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    for argv in calls:
+        argv = [str(tmp_path / a) if a in docs else a for a in argv]
+        outs = []
+        for _ in range(2):
+            cli.dispatch(argv)
+            outs.append(capsys.readouterr().out)
+        assert json.loads(outs[0])["exit_code"] in (0, 3), argv
+        assert outs[0] == outs[1], argv

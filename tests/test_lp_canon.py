@@ -631,6 +631,21 @@ def test_base_equality_iff_type_small(rng):
     assert not cb(f).approx_equal(cb(h)) and not type_equal_1(f, h, pair, 1)
 
 
+def test_base_equality_sees_a_small_orthogonal_part():
+    # next to fibers near 1, a plus fiber of 1e-6 enters ||f+||_2 at relative
+    # size 1e-12, below TOL: only the orthogonal norms on their own scale
+    # separate 1e-6 from 1.01e-6, as the oracle does
+    pair = ExtensionPair((1, 2), 4, True)
+    rows = [[1.0, 1.1, 0.9, 1.2], [0.8, 1.0, 1.3, 1.05]]
+    f, g = (pair.element(rows, plus=[c] * 4) for c in (1e-6, 1.01e-6))
+    grid = [k / 4 for k in range(1, 5)]
+    cb = lambda e: canonical_base_1type(e, pair, 2, grid)
+    assert not type_equal_1(f, g, pair, 2)
+    assert not cb(f).approx_equal(cb(g))
+    shuffled = pair.element([row[::-1] for row in rows], plus=[1e-6] * 4)
+    assert type_equal_1(f, shuffled, pair, 2) and cb(f).approx_equal(cb(shuffled))
+
+
 def test_base_detects_top_slice_trade():
     # equal on every slice below the top and equal total norms, but different
     # top-slice distributions across atoms: the endpoint entry must separate
