@@ -28,6 +28,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import errno
 import json
 import sys
 from contextlib import contextmanager
@@ -195,23 +196,38 @@ def _emit(report: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _write(flag: str, path: str, chunks: Iterable[str]) -> None:
-    """Write the chunks to the file that ``flag`` names; a path that cannot
-    be written is an input error naming the flag and the path."""
+def _write(*files: tuple[str, str | None, Iterable[str]]) -> None:
+    """Write the output files of one call, (flag, path, chunks) each, all or
+    none; a flag not given has no path and is skipped. Each file goes to a
+    temporary beside its target, and the temporaries replace their targets
+    once all are written. A path that cannot be written, or names an existing
+    non-regular file, is an input error naming the flag and the path."""
+    files = tuple(file for file in files if file[1])
+    temps: list[str] = []
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        for flag, path, chunks in files:
+            if os.path.exists(path) and not os.path.isfile(path):
+                raise OSError(errno.EINVAL, "not a regular file")
+            temps.append(f"{path}.{os.getpid()}.{len(temps)}.tmp")
+            with open(temps[-1], "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+        for tmp, (flag, path, _) in zip(temps, files):
+            os.replace(tmp, path)
     except OSError as exc:
-        raise InvariantError(f"{flag}: cannot write {path}: {exc}") from exc
+        raise InvariantError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
-def emit_curve(cb: lp_canon.LpCanonicalBase, path: str) -> None:
+def _curve(cb: lp_canon.LpCanonicalBase) -> Iterator[str]:
     """CSV of the partial family: header t,atom_0,...; 12 significant digits."""
     if cb.interval_form:
         raise InvariantError("curve export needs the partial (non-interval) form")
-    header = ["t", *(f"atom_{i}" for i in range(cb.rows.shape[1]))]
-    lines = [header, *([f"{x:.12g}" for x in (t, *row)] for t, row in zip(cb.grid, cb.rows.tolist()))]
-    _write("--curve", path, (",".join(line) + "\n" for line in lines))
+    yield ",".join(["t", *(f"atom_{i}" for i in range(cb.rows.shape[1]))]) + "\n"
+    for t, row in zip(cb.grid, cb.rows.tolist()):
+        yield ",".join(f"{x:.12g}" for x in (t, *row)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +248,7 @@ def _cmd_legendre(args) -> tuple[int, dict, dict, dict]:
     positions = [abs(v) for v in (phi.lo, phi.hi, phi.anchor_x, *pts) if np.isfinite(v)]
     scale = max(map(abs, phi.slopes), default=0.0) * max(positions) + abs(phi.anchor_y)
     ok = close([*map(back.evaluate, pts), scale], [*map(phi.evaluate, pts), scale])
-    if args.out:
-        _write("--out", args.out, _encode(doc))
+    _write(("--out", args.out, _encode(doc)))
     return 0, {"conjugate": doc}, {"biconjugate_roundtrip": ok}, {args.fn: _digest(args.fn)}
 
 
@@ -260,7 +275,7 @@ def _cmd_krivine(args) -> tuple[int, dict, dict, dict]:
     text = krivine.to_text(term)
     outputs = {"certified_error": cert, "term_chars": len(text), "function": fn.name}
     if args.out:
-        _write("--out", args.out, [text, "\n"])
+        _write(("--out", args.out, [text, "\n"]))
     elif len(text) <= 4096:
         outputs["term"] = text
     return 0, outputs, {"reached_eps": cert <= args.eps}, {}
@@ -273,10 +288,7 @@ def _cmd_lp_cb(args) -> tuple[int, dict, dict, dict]:
         raise InvariantError(f"--grid: must be >= 1, got {n}")
     pair = load_space(args.space)
     f = load_element(args.element, pair)
-    if args.intervals:
-        grid = [k / n for k in range(n + 1)]
-    else:
-        grid = [k / n for k in range(1, n + 1)]
+    grid = [k / n for k in range(0 if args.intervals else 1, n + 1)]
     cb = lp_canon.canonical_base_1type(f, pair, args.p, grid, intervals=args.intervals)
     outputs: dict[str, Any] = {
         "pos_norm": cb.pos_norm,
@@ -284,15 +296,10 @@ def _cmd_lp_cb(args) -> tuple[int, dict, dict, dict]:
         "grid": list(cb.grid),
         "p": cb.p,
     }
-    entries = list(zip((f"{t:.12g}" for t in cb.grid), cb.rows))
-    if args.intervals:
-        outputs["intervals"] = {f"{a}:{b}": y - x for (a, x), (b, y) in combinations(entries, 2)}
-    else:
-        outputs["partials"] = dict(entries)
-    if args.out:
-        _write("--out", args.out, _encode(outputs))
-    if args.curve:
-        emit_curve(cb, args.curve)
+    labels = [f"{t:.12g}" for t in cb.grid]
+    keys = [f"{a}:{b}" for a, b in combinations(labels, 2)] if args.intervals else labels
+    outputs["intervals" if args.intervals else "partials"] = dict(zip(keys, cb.entries()))
+    _write(("--out", args.out, _encode(outputs)), ("--curve", args.curve, _curve(cb)))
     inputs = {args.space: _digest(args.space), args.element: _digest(args.element)}
     return 0, outputs, {}, inputs
 
@@ -326,8 +333,7 @@ def _cmd_rv_cb(args) -> tuple[int, dict, dict, dict]:
         val = rv_canon.cond_moment(xs, ks, blocks)
         moments[",".join(map(str, ks))] = val.array
     outputs = {"moments": moments, "k_max": args.k_max}
-    if args.out:
-        _write("--out", args.out, _encode(outputs))
+    _write(("--out", args.out, _encode(outputs)))
     inputs = {args.space: _digest(args.space), args.elements: _digest(args.elements)}
     return 0, outputs, {}, inputs
 
@@ -356,10 +362,7 @@ def _cmd_hs_cb(args) -> tuple[int, dict, dict, dict]:
         sub = hilbert_canon.Subspace(sub_doc["dim"], sub_doc["basis"])
     with _prefixed(f"{args.vectors}: /"):
         base = hilbert_canon.hs_cb(vecs_doc["vectors"], sub)
-    outputs = {
-        "projections": [list(p) for p in base.projections],
-        "gram": [list(r) for r in base.gram],
-    }
+    outputs = {"projections": base.projections, "gram": base.gram}
     inputs = {args.vectors: _digest(args.vectors), args.subspace: _digest(args.subspace)}
     return 0, outputs, {}, inputs
 

@@ -4,6 +4,9 @@ for inner-product spaces.
 The projection of a tuple alone does not pin down squared norms of linear
 combinations; adding the Gram matrix does, which is exactly what the
 expansion identity exercises.
+
+Projection is one product with the basis matrix B, V @ B.T @ B, and every
+entry point reads its vectors through ``_vectors``.
 """
 
 from __future__ import annotations
@@ -61,16 +64,15 @@ class Subspace:
         return cls(dim, tuple(tuple(b) for b in basis))
 
 
+def _project(mat: np.ndarray, sub: Subspace) -> np.ndarray:
+    """The orthogonal projections of the rows of ``mat`` onto the subspace."""
+    basis = np.array(sub.basis).reshape(len(sub.basis), sub.dim)
+    return mat @ basis.T @ basis
+
+
 def project(v: Sequence[float], sub: Subspace) -> np.ndarray:
     """Orthogonal projection onto the subspace; the residual is orthogonal."""
-    vec = np.asarray(v, dtype=float)
-    if vec.shape != (sub.dim,):
-        raise InvariantError(f"expected a vector of dimension {sub.dim}, got shape {vec.shape}")
-    out = np.zeros(sub.dim)
-    for b in sub.basis:
-        bv = np.asarray(b)
-        out += (vec @ bv) * bv
-    return out
+    return _project(_vectors([v], sub.dim, "v"), sub)[0]
 
 
 @dataclass(frozen=True)
@@ -83,9 +85,8 @@ def hs_cb(vs: Sequence[Sequence[float]], sub: Subspace) -> HilbertBase:
     """The tuple of projections together with the full Gram matrix; ``vs``
     must be finite ``sub.dim``-vectors (``InvariantError`` naming ``vectors``)."""
     mat = _vectors(vs, sub.dim, "vectors")
-    projections = tuple(tuple(project(row, sub)) for row in mat)
-    gram = mat @ mat.T
-    return HilbertBase(projections, tuple(tuple(float(x) for x in row) for row in gram))
+    projections, gram = _project(mat, sub).tolist(), (mat @ mat.T).tolist()
+    return HilbertBase(tuple(map(tuple, projections)), tuple(map(tuple, gram)))
 
 
 def phi_identity_check(
@@ -98,23 +99,17 @@ def phi_identity_check(
     ||sum l_i v_i + u||^2 =
     ||sum l_i v_i||^2 - ||sum l_i P v_i||^2 + ||sum l_i P v_i + u||^2
     for u inside the subspace."""
-    mat = np.asarray(vs, dtype=float).reshape(len(vs), sub.dim)
-    lam = np.asarray(lambdas, dtype=float)
+    mat = _vectors(vs, sub.dim, "vectors")
+    lam = reals(lambdas, "lambdas")
     if lam.shape != (len(mat),):
-        raise InvariantError("one coefficient per vector is required")
-    uv = np.asarray(u, dtype=float)
-    if uv.shape != (sub.dim,):
-        raise InvariantError(f"u must have dimension {sub.dim}")
+        raise InvariantError("lambdas: one coefficient per vector is required")
+    uv = _vectors([u], sub.dim, "u")[0]
     if not close(uv, project(uv, sub)):
-        raise InvariantError("u must belong to the subspace")
+        raise InvariantError("u: must belong to the subspace")
     combo = lam @ mat
-    proj_combo = lam @ np.array([project(row, sub) for row in mat])
-    lhs = float(np.dot(combo + uv, combo + uv))
-    rhs = float(
-        np.dot(combo, combo)
-        - np.dot(proj_combo, proj_combo)
-        + np.dot(proj_combo + uv, proj_combo + uv)
-    )
+    proj_combo = lam @ _project(mat, sub)
+    lhs = float((combo + uv) @ (combo + uv))
+    rhs = float(combo @ combo - proj_combo @ proj_combo + (proj_combo + uv) @ (proj_combo + uv))
     return lhs, rhs
 
 

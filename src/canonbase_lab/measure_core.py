@@ -10,8 +10,11 @@ read-only at construction, so every value here is immutable, every operation
 is a pure function, and concurrent use from multiple threads needs no
 coordination. Input is coerced to finite reals once, at construction; the
 ``InvariantError`` for a bad entry names the argument and the entry as a
-relative pointer (``rows/1/3: ...``). The cell order of a fibered pair is
-defined on ``ExtensionPair.fibers``.
+relative pointer (``rows/1/3: ...``). ``integer`` is the one integer rule
+(``fiber_cells``, ``dim``, the atom indices of a ``SubStructure``), ``check_p``
+the one exponent rule (1 <= p < inf, so ``lp_norm`` is never the sup norm),
+and ``ExtensionPair.require`` the one check that an element lives on a pair's
+total space, whose cell order ``ExtensionPair.fibers`` defines.
 
 Tolerance policy: every verdict on computed floats in this package uses one
 rule, ``close``. Data a and b agree when |a - b| <= TOL * s at every entry,
@@ -312,21 +315,17 @@ def signed_power(x, alpha: float):
 # ---------------------------------------------------------------------------
 
 def check_p(p: float) -> float:
-    """``p`` as a float, which must be an L_p exponent: p >= 1 (NaN is not)."""
+    """``p`` as a float, which must be an L_p exponent: 1 <= p < inf."""
     p = float(p)
-    if not p >= 1.0:
-        raise InvariantError(f"L_p exponent must satisfy p >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise InvariantError(f"L_p exponent must be finite and satisfy p >= 1, got {p}")
     return p
 
 
 def lp_norm(f: LatticeElement, p: float) -> float:
-    """Weighted L_p norm (sum_i w_i |v_i|^p)^(1/p); requires p >= 1.
-    At p = inf it is the sup norm max_i |v_i|."""
+    """Weighted L_p norm (sum_i w_i |v_i|^p)^(1/p); requires 1 <= p < inf."""
     p = check_p(p)
-    mag = np.abs(f.array)
-    if p == math.inf:
-        return float(mag.max())
-    return float(np.sum(f.space.weight_array * mag**p)) ** (1.0 / p)
+    return float(np.sum(f.space.weight_array * np.abs(f.array) ** p)) ** (1.0 / p)
 
 
 def integral(f: LatticeElement) -> float:
@@ -354,25 +353,32 @@ class SubStructure:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        canon, k = [], 0
         try:
-            for k, block in enumerate(self.blocks):
-                canon.append(tuple(sorted(int(i) for i in block)))
-        except (TypeError, ValueError) as exc:
-            raise InvariantError(f"blocks/{k}: expected a list of atom indices ({exc})") from None
-        for k, idx in enumerate(canon):
-            if not idx or idx[0] < 0:
-                raise InvariantError(f"blocks/{k}: must be nonempty with nonnegative indices")
-        atoms = np.fromiter(chain.from_iterable(canon), np.intp)
+            blocks = tuple(self.blocks)
+            types = set(map(type, chain.from_iterable(blocks)))
+        except TypeError as exc:
+            raise InvariantError(f"blocks: expected lists of atom indices ({exc})") from None
+        # plain nonnegative ints skip the per-atom call of the integer rule
+        canon = tuple(tuple(sorted(b)) for b in blocks) if types <= {int} else None
+        if canon is None or any(b and b[0] < 0 for b in canon):
+            canon = tuple(
+                tuple(sorted(integer(i, f"blocks/{k}/{j}", 0) for j, i in enumerate(b)))
+                for k, b in enumerate(blocks)
+            )
+        lengths = list(map(len, canon))
+        if 0 in lengths:
+            raise InvariantError(f"blocks/{lengths.index(0)}: must be nonempty")
+        try:
+            atoms = np.fromiter(chain.from_iterable(canon), np.intp)
+        except OverflowError as exc:
+            raise InvariantError(f"blocks: atom index out of range ({exc})") from None
         ordered = np.sort(atoms)
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if len(repeated):
             raise InvariantError(f"blocks: atom {repeated[0]} appears more than once")
-        object.__setattr__(self, "blocks", tuple(canon))
+        object.__setattr__(self, "blocks", canon)
         object.__setattr__(self, "_atoms", _frozen(atoms))
-        object.__setattr__(
-            self, "_block_ids", _frozen(np.repeat(np.arange(len(canon)), [len(b) for b in canon]))
-        )
+        object.__setattr__(self, "_block_ids", _frozen(np.repeat(np.arange(len(canon)), lengths)))
 
     @property
     def support(self) -> frozenset[int]:
@@ -380,9 +386,10 @@ class SubStructure:
 
     def validate_for(self, space: MeasureSpace) -> None:
         n = len(space)
-        if max((block[-1] for block in self.blocks), default=-1) >= n:
-            k, top = next((k, b[-1]) for k, b in enumerate(self.blocks) if b[-1] >= n)
-            raise InvariantError(f"blocks/{k}: references atom {top} but the space has {n} atoms")
+        over = np.flatnonzero(self._atoms >= n)
+        if len(over):
+            k, atom = self._block_ids[over[0]], self._atoms[over[0]]
+            raise InvariantError(f"blocks/{k}: references atom {atom} but the space has {n} atoms")
 
     def _labels(self, space: MeasureSpace) -> np.ndarray:
         """Per atom, the index of its block; len(blocks) off the support."""
@@ -513,7 +520,8 @@ class ExtensionPair:
             parts.append(cells)
         return LatticeElement(self.total_space(), np.concatenate(parts))
 
-    def _require(self, f: LatticeElement) -> None:
+    def require(self, f: LatticeElement) -> None:
+        """Raise ``SpaceMismatchError`` unless f lives on the total space."""
         if f.space != self._total:
             raise SpaceMismatchError("element must live on the total space of the pair")
 
@@ -526,14 +534,14 @@ class ExtensionPair:
         the n cells of the plus fiber and then the n cells of the minus fiber,
         which ``orthogonal_part`` returns.
         """
-        self._require(f)
+        self.require(f)
         return f.array[: self.m * self.n].reshape(self.m, self.n)
 
     def orthogonal_part(self, f: LatticeElement) -> LatticeElement | None:
         """The plus cells then the minus cells of f, as an element of the
         2n-cell space with cell weight 1/n; None when the pair has no
         orthogonal part."""
-        self._require(f)
+        self.require(f)
         if self._orth is None:
             return None
         return LatticeElement(self._orth, f.array[self.m * self.n :])
@@ -569,8 +577,6 @@ class ExtensionPair:
         """Conditional expectation onto the embedded base lattice, returned as
         a base-space element (per base atom, the correctly rounded mean of its
         fiber cells)."""
-        if f.space != self.total_space():
-            raise SpaceMismatchError("element must live on the total space of the pair")
         n = self.n
         return LatticeElement(self._base, [math.fsum(row) / n for row in self.fibers(f).tolist()])
 

@@ -85,8 +85,7 @@ def type_equal_n(
         raise InvariantError("tuples must be nonempty")
     both = [*fs, *gs]
     for e in both:
-        if e.space != pair.total_space():
-            raise SpaceMismatchError("all elements must live on the total space")
+        pair.require(e)
     quantum = TOL * max(float(np.abs(pair.fibers(e)).max()) for e in both) or 1.0
     if not close(_joint_rows(fs, pair, quantum), _joint_rows(gs, pair, quantum)):
         return False

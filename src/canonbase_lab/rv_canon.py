@@ -5,7 +5,6 @@ determinacy checks."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -25,7 +24,6 @@ from .measure_core import (
     group,
     integral,
     join,
-    lp_norm,
     meet,
 )
 
@@ -230,7 +228,7 @@ def moments_determine_check(
     if x.space != y.space:
         raise SpaceMismatchError("variables live on different spaces")
     max_k = int(max_k)
-    quantum = TOL * max(lp_norm(x, math.inf), lp_norm(y, math.inf))
+    quantum = TOL * float(max(np.abs(x.array).max(), np.abs(y.array).max()))
     dists = [_block_masses(x, y, b, quantum) for b in s.blocks]
     for probs_x, _ in dists:
         distinct = len(probs_x)

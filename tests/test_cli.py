@@ -1,14 +1,16 @@
 import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canonbase_lab import cli
@@ -152,6 +154,31 @@ def _eval(term):
             ["rv-cb", "--space", "space", "--elements", "elements", "--k-max", "1"],
             "space: /blocks/1: references atom 5",
         ),
+        *(
+            (
+                {"space": {"weights": [0.5, 0.5], "blocks": [[0, index]]}, "elements": {"elements": [[0.5, 0.2]]}},
+                ["rv-cb", "--space", "space", "--elements", "elements", "--k-max", "1"],
+                "space: /blocks/0/1",
+            )
+            for index in ("1", 1.7, True)
+        ),
+        (
+            {"space": {"weights": [0.5, 0.5], "blocks": [[0, 10**30]]}, "elements": {"elements": [[0.5, 0.2]]}},
+            ["rv-cb", "--space", "space", "--elements", "elements", "--k-max", "1"],
+            "space: /blocks: atom index out of range",
+        ),
+        (
+            {"events": {"weights": [0.5, 0.5], "blocks": [[0, 1.7]], "events": [[1, 0]]}},
+            ["apr-cb", "--events", "events"],
+            "events: /blocks/0/1",
+        ),
+        (
+            {"space": SPACE, "element": {"rows": [[0, 1], [2, 3]]}},
+            ["lp-cb", "--space", "space", "--element", "element", "--p", "inf", "--grid", "2"],
+            "p >= 1, got inf",
+        ),
+        ({}, ["demo", "p1", "--p", "inf"], "p >= 1, got inf"),
+        (TYPEQ, TYPEQ_ARGV + ["inf"], "p >= 1, got inf"),
     ],
 )
 def test_malformed_input_exits_2_naming_the_pointer(tmp_path, capsys, docs, argv, expected):
@@ -397,6 +424,29 @@ def test_curve_is_a_csv_of_the_partials(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_failed_call_leaves_none_of_its_output_files(tmp_path, capsys):
+    space = _write(tmp_path, "space.json", {"base_weights": [1, 2], "fiber_cells": 3})
+    element = _write(tmp_path, "element.json", {"rows": [[1, 0, 2], [0.1, -1 / 3, 2 / 7]]})
+    out, curve = tmp_path / "ok.json", tmp_path / "curve.csv"
+
+    def run(*extra):
+        code = cli.dispatch(["lp-cb", "--space", str(space), "--element", str(element), "--p", "2",
+                             "--grid", "3", "--out", str(out), *extra])
+        return code, json.loads(capsys.readouterr().out)
+
+    code, report = run("--curve", "/nonexistent/x.csv")
+    assert code == 2 and "--curve: cannot write /nonexistent/x.csv" in report["error"]
+    assert not out.exists()
+    out.write_text("kept")
+    assert run("--curve", str(tmp_path))[0] == 2
+    assert run("--intervals", "--curve", str(curve))[0] == 2
+    assert out.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["element.json", "ok.json", "space.json"]
+    code, report = run("--curve", str(curve))
+    assert code == 0 and json.loads(out.read_text()) == report["outputs"]
+    assert curve.read_text().startswith("t,atom_0,atom_1\n")
+
+
 def test_every_subcommand_prints_the_same_report_twice(tmp_path, capsys):
     docs = {
         "fn": PL_FN, "space": {**SPACE, "orthogonal_part": True},
@@ -434,3 +484,56 @@ def test_every_subcommand_prints_the_same_report_twice(tmp_path, capsys):
             outs.append(capsys.readouterr().out)
         assert json.loads(outs[0])["exit_code"] in (0, 3), argv
         assert outs[0] == outs[1], argv
+
+
+# -- malformed documents: every loader answers with exit 2 and a pointer ------------
+
+# Per call: its argv, valid documents, and for a document whose values fix the
+# shape of another read after it, that one too (an error may name either).
+_FUZZ_CALLS = [
+    (LP_CB, {"space": {**SPACE, "orthogonal_part": True},
+             "element": {"rows": [[0, 1], [2, -3]], "plus": [1, 0], "minus": [0, -2]}},
+     {"space": ("element",)}),
+    (["rv-cb", "--space", "prob", "--elements", "elements", "--k-max", "2"],
+     {"prob": PROBABILITY, "elements": {"elements": [[0.5, 0.25]]}}, {"prob": ("elements",)}),
+    (["apr-cb", "--events", "events"], {"events": {**PROBABILITY, "events": [[1, 0], [1, 1]]}}, {}),
+    (LEGENDRE, {"fn": PL_FN}, {}),
+    (HS_CB, {"vectors": VECTORS, "subspace": SUBSPACE}, {"subspace": ("vectors",)}),
+]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3) | st.integers(-1000, 1000)
+    | st.floats(-1000, 1000) | st.sampled_from([math.nan, math.inf, -math.inf]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _malformed(draw):
+    """A call with one key of one document replaced by a drawn JSON value, or
+    dropped; and the documents an error may name."""
+    argv, docs, dependents = draw(st.sampled_from(_FUZZ_CALLS))
+    name = draw(st.sampled_from(sorted(docs)))
+    doc = dict(docs[name])
+    key = draw(st.sampled_from(sorted(doc)))
+    if draw(st.booleans()):
+        doc[key] = draw(_JSON)
+    else:
+        del doc[key]
+    return argv, {**docs, name: doc}, (name, *dependents.get(name, ()))
+
+
+@settings(max_examples=200)
+@given(_malformed())
+def test_malformed_documents_exit_2_naming_the_document(tmp_path_factory, case):
+    argv, docs, blamed = case
+    work = tmp_path_factory.mktemp("docs")
+    for name, doc in docs.items():
+        (work / name).write_text(json.dumps(doc))
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        code = cli.dispatch([str(work / a) if a in docs else a for a in argv])
+    report = json.loads(stdout.getvalue())
+    assert code in (0, 2, 3) and report["exit_code"] == code
+    if code == 2:
+        assert report["error"].startswith(tuple(f"{work / name}: " for name in blamed)), report["error"]

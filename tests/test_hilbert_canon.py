@@ -141,3 +141,19 @@ def test_span_keeps_small_vectors_and_drops_near_dependents():
     assert Subspace.span(3, [[1e-13, 0.0, 0.0]]).basis == ((1.0, 0.0, 0.0),)
     sub = Subspace.span(3, [[1e12, 0.0, 0.0], [2e12, 1e-4, 0.0], [0.0, 0.0, 3.0]])
     assert len(sub.basis) == 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: project(v, E1),
+        lambda v: hs_cb([v], E1),
+        lambda v: phi_identity_check([v], [1.0], (0.0, 0.0, 0.0), E1),
+        lambda v: phi_identity_check([(1.0, 2.0, 3.0)], [1.0], v, E1),
+    ],
+    ids=["project", "hs_cb", "phi_identity_check", "phi_identity_check_u"],
+)
+@pytest.mark.parametrize("v", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (1.0, 0.0)], ids=["nan", "inf", "dim"])
+def test_every_entry_point_rejects_non_finite_and_misshapen_vectors(call, v):
+    with pytest.raises(InvariantError):
+        call(v)

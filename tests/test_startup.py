@@ -87,6 +87,11 @@ def test_rv_cb_loads_neither_krivine_nor_lp_canon(tmp_path):
     assert not {"krivine", "lp_canon"} & set(loaded["modules"])
 
 
+def test_demo_remark_loads_neither_krivine_nor_rv_canon():
+    loaded = _fresh(_cli("demo", "remark"))
+    assert loaded["exit"] == 0 and "lp_canon" in loaded["modules"]
+    assert not {"krivine", "rv_canon"} & set(loaded["modules"])
+
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])
 def test_every_re_export_is_the_submodule_attribute(module, name):
     submodule = __import__(f"canonbase_lab.{module}", fromlist=[name])
