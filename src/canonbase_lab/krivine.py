@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvariantError, SpaceMismatchError, TermSyntaxError
-from .measure_core import TOL, LatticeElement, close
+from .measure_core import LatticeElement, close
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +437,12 @@ _INTERVAL = {
 }
 
 
-def term_sup_norm(term: LatticeTerm, tol: float = TOL) -> float:
+def term_sup_norm(term: LatticeTerm) -> float:
     """Supremum of |t| over the unit cube [-1, 1]^n.
 
     Arity one is exact by homogeneity (the endpoints suffice); otherwise a
     branch-and-bound over interval bounds certifies the value up to
-    ``close`` with ``tol``, or, after 100,000 boxes, returns its upper bound.
+    ``close``, or, after 100,000 boxes, returns its upper bound.
     The term is walked once; every box and point reuses that walk.
     """
     walk = _walk(term)
@@ -468,7 +468,7 @@ def term_sup_norm(term: LatticeTerm, tol: float = TOL) -> float:
     while heap and processed < 100_000:
         ub_neg, _, box = heapq.heappop(heap)
         ub = -ub_neg
-        if ub <= best_lb or close(ub, best_lb, tol):
+        if ub <= best_lb or close(ub, best_lb):
             return ub
         processed += 1
         widths = [hi - lo for lo, hi in box]

@@ -46,9 +46,8 @@ _INF = math.inf
 # The shortfall transform and its conjugate
 # ---------------------------------------------------------------------------
 
-def f_zero(f: LatticeElement, pair: ExtensionPair, p: float) -> LatticeElement:
+def f_zero(f: LatticeElement, pair: ExtensionPair) -> LatticeElement:
     """Conditional expectation of |f| onto the base, as a base-space element."""
-    check_p(p)
     return pair.cond_exp_base(abs(f))
 
 
@@ -85,10 +84,9 @@ class PsiFamily:
         )
 
 
-def psi(f: LatticeElement, pair: ExtensionPair, p: float) -> PsiFamily:
+def psi(f: LatticeElement, pair: ExtensionPair) -> PsiFamily:
     """The shortfall family x -> E[(x*f0 - f)^+ | base], exact and PL per atom."""
-    check_p(p)
-    f0 = f_zero(f, pair, p)
+    f0 = f_zero(f, pair)
     n = pair.n
     fibers = tuple(
         _fiber_psi(row, f0w, n) for row, f0w in zip(pair.rows(f), f0.array.tolist())
@@ -96,12 +94,12 @@ def psi(f: LatticeElement, pair: ExtensionPair, p: float) -> PsiFamily:
     return PsiFamily(pair, fibers, f0)
 
 
-def partial_cond_exp(f: LatticeElement, pair: ExtensionPair, p: float, t: float) -> LatticeElement:
+def partial_cond_exp(f: LatticeElement, pair: ExtensionPair, t: float) -> LatticeElement:
     """E_t: per atom, the integral of the sorted fiber profile from 0 to t,
     read off the prefix sums, so E_0 = 0 and E_1 is the full conditional
     expectation. Checked against the conjugate of the shortfall function at
     slope t*f0 (``_partial_from_family``)."""
-    return slices(f, pair, p).partial_at(t)
+    return slices(f, pair).partial_at(t)
 
 
 def _partial_from_family(fam: PsiFamily, t: float) -> LatticeElement:
@@ -115,14 +113,12 @@ def _partial_from_family(fam: PsiFamily, t: float) -> LatticeElement:
     return LatticeElement(fam.pair.base_space(), tuple(out))
 
 
-def interval_cond_exp(
-    f: LatticeElement, pair: ExtensionPair, p: float, t: float, s: float
-) -> LatticeElement:
+def interval_cond_exp(f: LatticeElement, pair: ExtensionPair, t: float, s: float) -> LatticeElement:
     """E_[t,s] = E_s - E_t; additive over adjacent intervals."""
     t, s = float(t), float(s)
     if not (0.0 <= t < s <= 1.0):
         raise InvariantError(f"need 0 <= t < s <= 1, got t={t}, s={s}")
-    fam = slices(f, pair, p)
+    fam = slices(f, pair)
     return fam.partial_at(s) - fam.partial_at(t)
 
 
@@ -171,9 +167,8 @@ class SliceFamily:
         return LatticeElement(self.pair.base_space(), self.partials_at([t])[0])
 
 
-def slices(f: LatticeElement, pair: ExtensionPair, p: float) -> SliceFamily:
+def slices(f: LatticeElement, pair: ExtensionPair) -> SliceFamily:
     """Sort the fibers of f over the base once and take their prefix sums."""
-    check_p(p)
     rows = np.sort(pair.fibers(f), axis=1)
     prefix = np.pad(np.cumsum(rows, axis=1), ((0, 0), (1, 0)))
     rows.flags.writeable = prefix.flags.writeable = False
@@ -186,7 +181,7 @@ def increasing_realisation(f: LatticeElement, pair: ExtensionPair, p: float) -> 
     +|f+ restricted to the orthogonal part| and -|f- restricted|."""
     p = check_p(p)
     plus_c, minus_c = _orthogonal_norms(f, pair, p)
-    return pair.element(slices(f, pair, p).sorted_rows, plus=[plus_c] * pair.n, minus=[-minus_c] * pair.n)
+    return pair.element(slices(f, pair).sorted_rows, plus=[plus_c] * pair.n, minus=[-minus_c] * pair.n)
 
 
 def slice_norm_bound_check(
@@ -197,7 +192,7 @@ def slice_norm_bound_check(
     t = float(t)
     if not 0.0 < t < 1.0:
         raise InvariantError(f"the slice bound needs t in (0, 1), got {t}")
-    lhs = lp_norm(slices(f, pair, p).slice_at(t), p)
+    lhs = lp_norm(slices(f, pair).slice_at(t), p)
     rhs = lp_norm(f, p) / (t - t * t) ** (1.0 / p)
     return lhs, rhs
 
@@ -209,7 +204,6 @@ def slice_norm_bound_check(
 def grid_approx(
     f: LatticeElement,
     pair: ExtensionPair,
-    p: float,
     t: float,
     bound: float,
     grid_n: int,
@@ -227,10 +221,10 @@ def grid_approx(
         raise InvariantError(f"grid approximation needs t in (0, 1), got {t}")
     if not (bound > 0 and grid_n >= 1):
         raise InvariantError("need bound > 0 and grid_n >= 1")
-    fam = slices(f, pair, p)
+    fam = slices(f, pair)
     grid = bound * np.arange(-grid_n, grid_n + 1) / grid_n
     g_vals, h_vals = [], []
-    for row, prefix, f0w in zip(fam.sorted_rows, fam.prefix, f_zero(f, pair, p).array):
+    for row, prefix, f0w in zip(fam.sorted_rows, fam.prefix, f_zero(f, pair).array):
         # psi kinks at v_j / f0 (f0 = 0 only when the row is 0, and then psi is 0)
         kinks = row / f0w if f0w else row[:0]
         x = np.concatenate((grid, [-bound, bound], kinks[(-bound < kinks) & (kinks < bound)]))
@@ -298,19 +292,20 @@ def transported_interval_convergence(
     s: float,
     q_list: Sequence[float],
 ) -> list[float]:
-    """For each q, the sup-deviation between E_[t,s] computed in the ambient
-    L_1 structure and the same quantity computed in the q-structure and
-    transported back (atomwise q-th signed power of E_[t,s] of f^(1/q))."""
+    """For each q, the sup-deviation between E_[t,s] of f and the q-th signed
+    power of E_[t,s] of f^(1/q). The q-structure enters only through
+    ``lq_transport``, which carries f to f^(1/q); E_[t,s] itself does not
+    depend on the exponent."""
     t, s = float(t), float(s)
     if not (0.0 < t < s < 1.0):
         raise InvariantError(f"need 0 < t < s < 1, got t={t}, s={s}")
-    reference = interval_cond_exp(f, pair, 1.0, t, s)
+    reference = interval_cond_exp(f, pair, t, s)
     deviations = []
     for q in q_list:
         q = float(q)
         if not q > 1.0:
             raise InvariantError(f"transport exponents must exceed 1, got {q}")
-        transported = interval_cond_exp(lq_transport(f, 1.0, q), pair, q, t, s)
+        transported = interval_cond_exp(lq_transport(f, 1.0, q), pair, t, s)
         deviations.append(float(np.abs((signed_power(transported, q) - reference).array).max()))
     return deviations
 
@@ -408,7 +403,7 @@ def canonical_base_1type(
         raise InvariantError("grid points must lie in [0, 1]")
     if any(b <= a for a, b in zip(pts, pts[1:])):
         raise InvariantError("grid points must be strictly increasing")
-    rows = slices(f, pair, p).partials_at(pts)
+    rows = slices(f, pair).partials_at(pts)
     pos_norm, neg_norm = lp_norm(pos_part(f), p), lp_norm(neg_part(f), p)
     return LpCanonicalBase(
         p, pos_norm, neg_norm, pts, pair.base_space(), rows, bool(intervals), _orthogonal_norms(f, pair, p)
@@ -420,7 +415,6 @@ class NTypeBase:
     """Canonical bases of all integer combinations k . f over a box, plus the
     directional-mass summary standing in for the absolute joint type."""
 
-    k_max: int
     bases: Mapping[tuple[int, ...], LpCanonicalBase]
     absolute_summary: DirectionalMass
 
@@ -448,7 +442,7 @@ def canonical_base_ntype(
                 elem = elem + float(k) * g
         bases[combo] = canonical_base_1type(elem, pair, p, grid)
     summary = DirectionalMass.from_elements(fs, p)
-    return NTypeBase(k_max, bases, summary)
+    return NTypeBase(bases, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -461,38 +455,26 @@ class P1Report:
 
     eps: Fraction
     p: float
-    fiber_cells: int
     f_norm: float
     partial: LatticeElement
     partial_norm: float
 
 
-def p1_counterexample(
-    eps: Fraction | float,
-    p: float,
-    fiber_cells: int | None = None,
-) -> P1Report:
+def p1_counterexample(eps: Fraction | float, p: float) -> P1Report:
     """The unit-norm family on one base atom of mass one, concentrated on the
-    first eps-fraction of the fiber, with value -eps^(-1/p); its partial at
-    t = eps has norm eps^(1 - 1/p), which stays at 1 when p = 1."""
+    first cell of a fiber of 1/eps cells, with value -eps^(-1/p); its partial
+    at t = eps has norm eps^(1 - 1/p), which stays at 1 when p = 1."""
     p = check_p(p)
     eps = Fraction(eps).limit_denominator(10**9) if not isinstance(eps, Fraction) else eps
     if not (0 < eps < 1) or eps.numerator != 1:
         raise InvariantError(f"eps must be of the form 1/m, got {eps}")
-    m = eps.denominator
-    n = fiber_cells if fiber_cells is not None else m
-    if n % m != 0:
-        raise InvariantError(f"fiber_cells {n} is not divisible by 1/eps = {m}")
+    n = eps.denominator
     pair = ExtensionPair((1.0,), n)
-    depth = -(float(eps) ** (-1.0 / p))
-    cells = n // m
-    row = [depth] * cells + [0.0] * (n - cells)
-    f = pair.element([row])
-    partial = partial_cond_exp(f, pair, p, float(eps))
+    f = pair.element([[-(float(eps) ** (-1.0 / p))] + [0.0] * (n - 1)])
+    partial = partial_cond_exp(f, pair, float(eps))
     return P1Report(
         eps=eps,
         p=p,
-        fiber_cells=n,
         f_norm=lp_norm(f, p),
         partial=partial,
         partial_norm=lp_norm(partial, p),

@@ -20,27 +20,26 @@ Tolerance policy: every verdict on computed floats in this package uses one
 rule, ``close``. Data a and b agree when |a - b| <= TOL * s at every entry,
 where s is the larger sup norm of a and b. The bound is relative, so scaling
 both sides by c > 0 keeps the verdict, as it must, since types over a base do
-not depend on units; data that are both zero agree. The four functions that
-take a ``tol`` (``LatticeElement.approx_equal``, ``orthogonal``,
-``legendre.attainment_check`` and ``krivine.term_sup_norm``) give it this
-meaning, and ``tol=0.0`` asks for exact equality. Where the two sides can
-cancel to about 0 while their terms do not (a sum against its expected value,
-a point against a breakpoint), the size of the terms goes to ``close`` as one
-more entry on both sides, so rounding noise is judged on that size. Where
-values are sorted or grouped before a comparison, ``sort_order`` and ``group``
-take TOL times the joint sup norm as the rounding quantum of the sort key and
-as the gap within which sorted neighbours join one group, so no rounding
-boundary splits equal values. A check against the range [0, 1] uses TOL as an
-absolute margin, since the range fixes the scale. The Krivine cone engine's
-membership slack and structural check are guards of its own fit, not verdicts
-on data, and keep their own constants.
+not depend on units; data that are both zero agree. The three functions that
+take a ``tol`` (``LatticeElement.approx_equal``, ``orthogonal`` and
+``legendre.attainment_check``) give it this meaning, and ``tol=0.0`` asks for
+exact equality. Where the two sides can cancel to about 0 while their terms do
+not (a sum against its expected value, a point against a breakpoint), the size
+of the terms goes to ``close`` as one more entry on both sides, so rounding
+noise is judged on that size. Where values are sorted or grouped before a
+comparison, ``sort_order`` and ``group`` take TOL times the joint sup norm as
+the rounding quantum of the sort key and as the gap within which sorted
+neighbours join one group, so no rounding boundary splits equal values. A
+check against the range [0, 1] uses TOL as an absolute margin, since the range
+fixes the scale. The Krivine cone engine's membership slack and structural
+check are guards of its own fit, not verdicts on data, and keep their own
+constants.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from numbers import Integral, Real
 from typing import Iterable, Sequence
@@ -94,7 +93,7 @@ def reals(values, name: str) -> np.ndarray:
     if not finite.all():
         bad = np.argwhere(~finite)[0]
         pos = "".join(f"/{k}" for k in bad)
-        raise InvariantError(f"{name}{pos}: must be finite, got {arr[tuple(bad)]!r}")
+        raise InvariantError(f"{name}{pos}: must be finite, got {float(arr[tuple(bad)])}")
     return arr
 
 
@@ -113,7 +112,7 @@ def _weights(values, name: str) -> np.ndarray:
         raise InvariantError(f"{name}: a measure space needs at least one atom")
     bad = np.flatnonzero(arr <= 0.0)
     if len(bad):
-        raise InvariantError(f"{name}/{bad[0]}: must be positive, got {arr[bad[0]]!r}")
+        raise InvariantError(f"{name}/{bad[0]}: must be positive, got {float(arr[bad[0]])}")
     return arr
 
 
@@ -244,11 +243,6 @@ def meet(f: LatticeElement, g: LatticeElement) -> LatticeElement:
     return LatticeElement(f.space, np.minimum(f.array, g.array))
 
 
-def halfsum(f: LatticeElement, g: LatticeElement) -> LatticeElement:
-    _check_same_space(f, g)
-    return LatticeElement(f.space, (f.array + g.array) / 2.0)
-
-
 def dotminus(f: LatticeElement, g: LatticeElement) -> LatticeElement:
     """Truncated subtraction, (a - b) v 0, per atom."""
     _check_same_space(f, g)
@@ -256,8 +250,7 @@ def dotminus(f: LatticeElement, g: LatticeElement) -> LatticeElement:
 
 
 def scale(q, f: LatticeElement) -> LatticeElement:
-    if isinstance(q, Fraction):
-        q = float(q)
+    """q * f for a real q (a float, int or Fraction)."""
     return f * q
 
 
@@ -267,30 +260,6 @@ def pos_part(f: LatticeElement) -> LatticeElement:
 
 def neg_part(f: LatticeElement) -> LatticeElement:
     return LatticeElement(f.space, np.maximum(-f.array, 0.0))
-
-
-_UNARY = {"neg": LatticeElement.__neg__, "abs": LatticeElement.__abs__}
-_BINARY = {"join": join, "meet": meet, "halfsum": halfsum, "dotminus": dotminus}
-
-
-def lattice_op(op: str, f: LatticeElement, g: LatticeElement | None = None, *, scalar=None) -> LatticeElement:
-    """Apply a named lattice operation pointwise.
-
-    ``op`` is one of neg, abs, join, meet, halfsum, dotminus, scale; scale
-    requires the ``scalar`` keyword (a rational or float), the binary ops a
-    second element on the same space.
-    """
-    if op in _UNARY:
-        return _UNARY[op](f)
-    if op in _BINARY:
-        if g is None:
-            raise InvariantError(f"operation {op!r} needs two elements")
-        return _BINARY[op](f, g)
-    if op == "scale":
-        if scalar is None:
-            raise InvariantError("scale needs a scalar factor")
-        return scale(scalar, f)
-    raise InvariantError(f"unknown lattice operation {op!r}")
 
 
 def signed_power(x, alpha: float):

@@ -12,18 +12,32 @@ from fractions import Fraction
 from .errors import InvariantError
 
 
+#: Miller-Rabin on the prime bases up to 41 decides primality exactly below
+#: this bound (J. Sorenson and J. Webster, Math. Comp. 86, 2017).
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= n < PRIME_BOUND."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):  # b is no witness iff b^(d*2^r) = -1 mod n for some r < s
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 2
     return True
 
 
@@ -32,9 +46,12 @@ class PAdicContext:
     prime: int
 
     def __post_init__(self):
-        if not _is_prime(int(self.prime)):
-            raise InvariantError(f"{self.prime} is not prime")
-        object.__setattr__(self, "prime", int(self.prime))
+        p = int(self.prime)
+        if p >= PRIME_BOUND:
+            raise InvariantError(f"must be below {PRIME_BOUND}, the bound of the exact primality test")
+        if not _is_prime(p):
+            raise InvariantError(f"{p} is not prime")
+        object.__setattr__(self, "prime", p)
 
 
 def _vp(n: int, p: int) -> int:

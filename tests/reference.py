@@ -68,6 +68,11 @@ def ref_padic_abs(x: Fraction, p: int) -> Fraction:
     return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
 
 
+def ref_is_prime(n: int) -> bool:
+    """Trial division by every d with d*d <= n."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def ref_block_distribution(weights, values, block, tol=1e-9):
     mass = sum(weights[i] for i in block)
     pairs = sorted((values[i], weights[i] / mass) for i in block)

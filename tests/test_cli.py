@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -179,6 +180,11 @@ def _eval(term):
         ),
         ({}, ["demo", "p1", "--p", "inf"], "p >= 1, got inf"),
         (TYPEQ, TYPEQ_ARGV + ["inf"], "p >= 1, got inf"),
+        ({"space": SPACE, "element": {"rows": [[0, math.inf], [2, 3]]}}, LP_CB,
+         "element: /rows/0/1: must be finite, got inf"),
+        ({}, ["ultra", "--prime", "3317044064679887385961981", "ball-dist", "0", "0", "1", "0"],
+         "--prime: must be below 3317044064679887385961981"),
+        ({}, ["ultra", "--prime", "561", "ball-dist", "0", "0", "1", "0"], "--prime: 561 is not prime"),
     ],
 )
 def test_malformed_input_exits_2_naming_the_pointer(tmp_path, capsys, docs, argv, expected):
@@ -189,6 +195,55 @@ def test_malformed_input_exits_2_naming_the_pointer(tmp_path, capsys, docs, argv
     report = json.loads(capsys.readouterr().out)
     assert code == 2 and report["exit_code"] == 2
     assert expected in report["error"]
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        (b"\xff\xfe{}", "invalid JSON ('utf-8' codec can't decode"),
+        (b"[" * 100_000, "invalid JSON (maximum recursion depth"),
+        (b'{"domain": ', "invalid JSON (Expecting value"),
+        (b"[]", "expected a JSON object"),
+        (None, "No such file"),
+    ],
+)
+def test_unreadable_documents_exit_2_naming_the_file(tmp_path, capsys, content, expected):
+    path = tmp_path / "fn.json"
+    if content is not None:
+        path.write_bytes(content)
+    code = cli.dispatch(["legendre", "--fn", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["exit_code"] == 2
+    assert str(path) in report["error"] and expected in report["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frobnicate"],
+        _approx("euclid", "--seed", "1"),
+        ["ultra", "--prime", "3", "check-triangles", "--seed", "1"],
+    ],
+)
+def test_usage_errors_exit_1_with_the_usage_on_stderr(capsys, argv):
+    assert cli.dispatch(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: ") and "usage: canonlab" in err
+
+
+def test_a_large_prime_is_accepted_at_once(capsys):
+    start = time.perf_counter()
+    code = cli.dispatch(["ultra", "--prime", str(2**61 - 1), "ball-dist", "0", "0", "1", "0"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(capsys.readouterr().out)["outputs"] == {"distance": "1"}
+
+
+def test_a_flat_chain_too_long_to_render_back_parses_without_roundtrip(capsys):
+    # to_text writes one group per join, so 300 operands render 299 groups deep
+    term = " \\/ ".join(f"x{k % 2}" for k in range(300))
+    code = cli.dispatch(["krivine", "parse", "--arity", "2", "--term", term])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["checks"] == {"roundtrip": False}
 
 
 def test_long_flat_chain_evaluates(capsys):
@@ -216,6 +271,23 @@ def test_tracer_still_finds_every_krivine_name(tmp_path, capsys):
     assert tracer.counts["krivine.eval_array_calls"] >= 1
     assert tracer.counts["krivine.term_chars"] == len(out.read_text().rstrip("\n"))
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in patched)
+
+
+@pytest.mark.parametrize("workload", ["canon-base", "moments-events", "krivine-fit"])
+def test_benchmark_outputs_pass_the_benchmark_checks(tmp_path, monkeypatch, workload):
+    # the benchmark's inputs at seed 7, run in order through cli.dispatch and
+    # judged by its own verify; run.py imports checks and gen by plain name
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    for name in ("checks", "gen", "run"):
+        spec = importlib.util.spec_from_file_location(name, perfbench / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)  # dataclasses look the module up
+        spec.loader.exec_module(module)
+    run = sys.modules["run"]
+    calls = run.gen.write_inputs(workload, 7, tmp_path)
+    results = run.inprocess_pass(calls)
+    problems = {c.label: run.verify(c, code, text) for c, (code, text, _) in zip(calls, results)}
+    assert {label: why for label, why in problems.items() if why} == {}
 
 
 # -- the report encoder ------------------------------------------------------------

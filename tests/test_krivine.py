@@ -288,12 +288,15 @@ def test_sup_norm_examples():
     assert term_sup_norm(Var(0)) == 1.0
     assert term_sup_norm(Join(Var(0), Var(1))) == 1.0
     assert term_sup_norm(Scale(Fraction(3), Abs(Var(0)))) == 3.0
+    # (x0 - |x1|)+ is 0 at every corner and at the centre, so the lower bound
+    # starts at 0 and the branch-and-bound splits boxes until it finds 1 at (1, 0)
+    assert term_sup_norm(parse_term("(2*avg(x0, neg(abs(x1))) \\/ 0)", 2)) == 1.0
 
 
 @given(terms(max_arity=2))
 @settings(max_examples=40)
 def test_sup_norm_brackets_dense_grid(term):
-    sup = term_sup_norm(term, tol=1e-9)
+    sup = term_sup_norm(term)
     grid = np.linspace(-1.0, 1.0, 41)
     points = np.stack(np.meshgrid(grid, grid)).reshape(2, -1)
     dense = float(np.abs(eval_array(term, points)).max())

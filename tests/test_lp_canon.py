@@ -53,23 +53,23 @@ def instances(seed, count, **kw):
 def test_f_zero_nonnegative_embedded():
     pair = ExtensionPair((1.0, 2.0), 3)
     g = LatticeElement(pair.base_space(), (1.5, 0.25))
-    assert f_zero(pair.embed(g), pair, 1).values == (1.5, 0.25)
+    assert f_zero(pair.embed(g), pair).values == (1.5, 0.25)
 
 
 def test_f_zero_worked():
-    assert f_zero(F24, UNIT2, 1).values == (3.0,)
+    assert f_zero(F24, UNIT2).values == (3.0,)
 
 
 def test_f_zero_orthogonal_only():
     pair = ExtensionPair((1.0,), 2, True)
     f = pair.element([[0.0, 0.0]], plus=[1.0, 1.0], minus=[-0.5, 0.0])
-    assert f_zero(f, pair, 1).values == (0.0,)
+    assert f_zero(f, pair).values == (0.0,)
 
 
 # -- the shortfall family ----------------------------------------------------------
 
 def test_psi_worked_instance():
-    fam = psi(F24, UNIT2, 1)
+    fam = psi(F24, UNIT2)
     fn = fam.fibers[0]
     for x in (-3.0, -2 / 3, 0.0, 1.0, 4 / 3, 2.0):
         expected = 0.5 * max(3 * x + 2, 0.0) + 0.5 * max(3 * x - 4, 0.0)
@@ -79,20 +79,20 @@ def test_psi_worked_instance():
 def test_psi_constant_fiber():
     pair = ExtensionPair((1.0,), 4)
     f = pair.element([[2.5] * 4])
-    fn = psi(f, pair, 1).fibers[0]
+    fn = psi(f, pair).fibers[0]
     for x in (-1.0, 0.5, 1.0, 1.5, 3.0):
         assert fn.evaluate(x) == pytest.approx(2.5 * max(x - 1.0, 0.0), abs=1e-12)
 
 
 def test_psi_zero_element():
     pair = ExtensionPair((1.0, 1.0), 4)
-    fam = psi(LatticeElement.zero(pair.total_space()), pair, 1)
+    fam = psi(LatticeElement.zero(pair.total_space()), pair)
     assert all(fn.evaluate(x) == 0.0 for fn in fam.fibers for x in (-2.0, 0.0, 2.0))
 
 
 def test_psi_envelope_property(rng):
     for _, pair, f in instances(10, 30):
-        fam = psi(f, pair, 1)
+        fam = psi(f, pair)
         xs = [-4.0, -1.0, 0.0, 0.5, 2.0, 5.0]
         for x, y in zip(xs, xs[1:]):
             vx, vy = fam.value_at(x), fam.value_at(y)
@@ -103,7 +103,7 @@ def test_psi_envelope_property(rng):
 
 def test_psi_biconjugate_exact(rng):
     for _, pair, f in instances(11, 30):
-        for fn in psi(f, pair, 1).fibers:
+        for fn in psi(f, pair).fibers:
             back = biconjugate(fn)
             assert back.breakpoints == fn.breakpoints
             assert back.slopes == fn.slopes
@@ -113,7 +113,7 @@ def test_psi_biconjugate_exact(rng):
 
 def test_psi_cdf_identity(rng):
     for _, pair, f in instances(12, 30):
-        fam = psi(f, pair, 1)
+        fam = psi(f, pair)
         rows = pair.rows(f)
         for fn, f0, row in zip(fam.fibers, fam.f0.values, rows):
             if f0 == 0.0:
@@ -128,8 +128,8 @@ def test_psi_cdf_identity(rng):
 # -- partial conditional expectations ------------------------------------------------
 
 def test_partial_endpoints():
-    assert partial_cond_exp(F24, UNIT2, 1, 0.0).values == (0.0,)
-    assert partial_cond_exp(F24, UNIT2, 1, 1.0).values == (1.0,)
+    assert partial_cond_exp(F24, UNIT2, 0.0).values == (0.0,)
+    assert partial_cond_exp(F24, UNIT2, 1.0).values == (1.0,)
 
 
 def test_partial_linear_on_embedded_nonnegative():
@@ -138,24 +138,24 @@ def test_partial_linear_on_embedded_nonnegative():
     f = pair.embed(g)
     for t in (0.25, 0.5, 0.9):
         expected = tuple(t * v for v in g.values)
-        assert partial_cond_exp(f, pair, 1, t).approx_equal(
+        assert partial_cond_exp(f, pair, t).approx_equal(
             LatticeElement(pair.base_space(), expected), tol=1e-12
         )
 
 
 def test_partial_worked_half():
-    assert partial_cond_exp(F24, UNIT2, 1, 0.5).values == (-1.0,)
+    assert partial_cond_exp(F24, UNIT2, 0.5).values == (-1.0,)
 
 
 def test_partial_rejects_outside_unit_interval():
     with pytest.raises(InvariantError):
-        partial_cond_exp(F24, UNIT2, 1, 1.5)
+        partial_cond_exp(F24, UNIT2, 1.5)
 
 
 def test_partial_matches_prefix_oracle(rng):
     for r, pair, f in instances(13, 40):
         t = r.randint(1, 15) / 16 if r.random() < 0.5 else r.random()
-        got = partial_cond_exp(f, pair, 1, t)
+        got = partial_cond_exp(f, pair, t)
         rows = pair.rows(f)
         for value, row in zip(got.values, rows):
             assert value == pytest.approx(ref_partial_prefix(row, t), abs=1e-9)
@@ -166,7 +166,7 @@ def test_partial_prefix_identity_exact(rng):
         n = pair.n
         rows = [sorted(row) for row in pair.rows(f)]
         for k in (1, n // 2, n):
-            got = partial_cond_exp(f, pair, 1, k / n)
+            got = partial_cond_exp(f, pair, k / n)
             for value, row in zip(got.values, rows):
                 assert value == pytest.approx(sum(row[:k]) / n, abs=1e-12)
 
@@ -174,7 +174,7 @@ def test_partial_prefix_identity_exact(rng):
 def test_partial_convex_in_t(rng):
     ts = [k / 8 for k in range(9)]
     for _, pair, f in instances(15, 20):
-        curves = [partial_cond_exp(f, pair, 1, t).values for t in ts]
+        curves = [partial_cond_exp(f, pair, t).values for t in ts]
         e1 = curves[-1]
         for i in range(pair.m):
             seq = [c[i] for c in curves]
@@ -203,13 +203,12 @@ def test_partial_prefix_matches_conjugation():
             ts = [k / n for k in range(n + 1)]
             ts += [math.nextafter(k / n, 0.0) for k in range(1, n + 1)]
             ts += [r.random() for _ in range(4)]
-            for p in (1, 2):
-                fam = psi(f, pair, p)
-                for t in ts:
-                    got = partial_cond_exp(f, pair, p, t).values
-                    want = _partial_from_family(fam, t).values
-                    for a, b, row in zip(got, want, rows):
-                        assert abs(a - b) <= 1e-9 * (1 + max(abs(v) for v in row)), (t, row)
+            fam = psi(f, pair)
+            for t in ts:
+                got = partial_cond_exp(f, pair, t).values
+                want = _partial_from_family(fam, t).values
+                for a, b, row in zip(got, want, rows):
+                    assert abs(a - b) <= 1e-9 * (1 + max(abs(v) for v in row)), (t, row)
     assert kinds_seen == {"zero", "constant", "random"}
 
 
@@ -233,12 +232,11 @@ def _fiber_rows(draw, m, n):
 @given(
     m=st.integers(1, 6),
     n=st.integers(1, 12),
-    p=st.sampled_from([1, 2, 3.5]),
     orth=st.booleans(),
     data=st.data(),
 )
-def test_partial_prefix_matches_conjugation_under_hypothesis(m, n, p, orth, data):
-    # the seeded cross-check above, with the sizes, p, fibers and t drawn:
+def test_partial_prefix_matches_conjugation_under_hypothesis(m, n, orth, data):
+    # the seeded cross-check above, with the sizes, fibers and t drawn:
     # t on the grid k/n, one ulp either side of it, or anywhere in [0, 1]
     weights = data.draw(st.lists(st.integers(1, 8).map(lambda k: k / 4), min_size=m, max_size=m))
     pair = ExtensionPair(weights, n, orth)
@@ -252,9 +250,9 @@ def test_partial_prefix_matches_conjugation_under_hypothesis(m, n, p, orth, data
         on_grid.map(lambda t: math.nextafter(t, 1.0)),
         st.floats(0.0, 1.0),
     )
-    fam = psi(f, pair, p)
+    fam = psi(f, pair)
     for t in data.draw(st.lists(t_values, min_size=1, max_size=6)):
-        got = partial_cond_exp(f, pair, p, t).values
+        got = partial_cond_exp(f, pair, t).values
         want = _partial_from_family(fam, t).values
         for a, b, row in zip(got, want, rows):
             assert abs(a - b) <= 1e-9 * (1 + max(abs(v) for v in row)), (t, row)
@@ -264,46 +262,46 @@ def test_remark_phi_attainment(rng):
     # the slice at t attains the conjugate: t*g - E[(g - f)^+ | base] = E_t for g = f_t
     for r, pair, f in instances(16, 30):
         t = r.choice([0.2, 0.5, 0.8, r.random() or 0.3])
-        g = slices(f, pair, 1).slice_at(t)
+        g = slices(f, pair).slice_at(t)
         lhs = t * g - cond_exp_dotminus(g, f, pair)
-        rhs = partial_cond_exp(f, pair, 1, t)
+        rhs = partial_cond_exp(f, pair, t)
         assert lhs.approx_equal(rhs, tol=1e-9)
 
 
 # -- intervals ---------------------------------------------------------------------
 
 def test_interval_full_range_is_cond_exp():
-    assert interval_cond_exp(F24, UNIT2, 1, 0.0, 1.0).values == (1.0,)
+    assert interval_cond_exp(F24, UNIT2, 0.0, 1.0).values == (1.0,)
 
 
 def test_interval_worked():
-    assert interval_cond_exp(F24, UNIT2, 1, 0.5, 1.0).values == (2.0,)
+    assert interval_cond_exp(F24, UNIT2, 0.5, 1.0).values == (2.0,)
 
 
 def test_interval_embedded_scaling():
     pair = ExtensionPair((1.0,), 4)
     f = pair.embed(LatticeElement(pair.base_space(), (2.0,)))
-    out = interval_cond_exp(f, pair, 1, 0.25, 0.75)
+    out = interval_cond_exp(f, pair, 0.25, 0.75)
     assert out.values == pytest.approx((1.0,), abs=1e-12)
 
 
 def test_interval_rejects_bad_order():
     with pytest.raises(InvariantError):
-        interval_cond_exp(F24, UNIT2, 1, 0.5, 0.5)
+        interval_cond_exp(F24, UNIT2, 0.5, 0.5)
 
 
 def test_interval_additivity(rng):
     for _, pair, f in instances(17, 20):
-        a = interval_cond_exp(f, pair, 1, 0.1, 0.4)
-        b = interval_cond_exp(f, pair, 1, 0.4, 0.9)
-        c = interval_cond_exp(f, pair, 1, 0.1, 0.9)
+        a = interval_cond_exp(f, pair, 0.1, 0.4)
+        b = interval_cond_exp(f, pair, 0.4, 0.9)
+        c = interval_cond_exp(f, pair, 0.1, 0.9)
         assert (a + b).approx_equal(c, tol=1e-9)
 
 
 # -- slices and the increasing realisation -----------------------------------------
 
 def test_slices_order_statistics():
-    fam = slices(F24, UNIT2, 1)
+    fam = slices(F24, UNIT2)
     assert fam.slice_at(0.25).values == (-2.0,)
     assert fam.slice_at(0.75).values == (4.0,)
 
@@ -311,14 +309,14 @@ def test_slices_order_statistics():
 def test_slices_embedded_fixed():
     pair = ExtensionPair((1.0, 1.0), 4)
     g = LatticeElement(pair.base_space(), (1.0, -2.0))
-    fam = slices(pair.embed(g), pair, 1)
+    fam = slices(pair.embed(g), pair)
     for t in (0.1, 0.5, 0.999, 1.0):
         assert fam.slice_at(t).values == g.values
 
 
 def test_slices_nondecreasing(rng):
     for _, pair, f in instances(18, 20):
-        fam = slices(f, pair, 1)
+        fam = slices(f, pair)
         prev = fam.slice_at(1 / 64)
         for t in (0.25, 0.5, 0.75, 1.0):
             cur = fam.slice_at(t)
@@ -328,7 +326,7 @@ def test_slices_nondecreasing(rng):
 
 def test_slices_match_reference(rng):
     for r, pair, f in instances(19, 30):
-        fam = slices(f, pair, 1)
+        fam = slices(f, pair)
         rows = pair.rows(f)
         t = r.random() or 0.5
         got = fam.slice_at(t)
@@ -390,7 +388,7 @@ def test_slice_norm_bound_random():
 # -- grid approximation -------------------------------------------------------------
 
 def test_grid_approx_worked():
-    g, h = grid_approx(F24, UNIT2, 1, 0.5, 4.0, 8)
+    g, h = grid_approx(F24, UNIT2, 0.5, 4.0, 8)
     assert h.values == pytest.approx((-1.0,), abs=1e-12)
 
 
@@ -399,11 +397,11 @@ def test_grid_approx_sandwich_and_agreement(rng):
         t = r.choice([0.25, 0.5, 0.75])
         bound = r.choice([1.0, 2.0, 4.0, 8.0])
         grid_n = r.choice([4, 8, 16])
-        g, h = grid_approx(f, pair, 1, t, bound, grid_n)
-        f0 = f_zero(f, pair, 1)
-        et = partial_cond_exp(f, pair, 1, t)
-        ft = slices(f, pair, 1).slice_at(t)
-        e1 = partial_cond_exp(f, pair, 1, 1.0)
+        g, h = grid_approx(f, pair, t, bound, grid_n)
+        f0 = f_zero(f, pair)
+        et = partial_cond_exp(f, pair, t)
+        ft = slices(f, pair).slice_at(t)
+        e1 = partial_cond_exp(f, pair, 1.0)
         for i in range(pair.m):
             gap = h.values[i] - g.values[i]
             assert -1e-9 <= gap <= 2 * bound * f0.values[i] / grid_n + 1e-9
@@ -415,9 +413,9 @@ def test_grid_approx_sandwich_and_agreement(rng):
             assert t * e1.values[i] <= f0.values[i] + 1e-9
 
 
-def _grid_approx_by_psi(f, pair, p, t, bound, grid_n):
+def _grid_approx_by_psi(f, pair, t, bound, grid_n):
     # g and h read off each atom's exact shortfall function
-    fam = psi(f, pair, p)
+    fam = psi(f, pair)
     g_vals, h_vals = [], []
     for fn, f0w in zip(fam.fibers, fam.f0.values):
         grid = [bound * k / grid_n for k in range(-grid_n, grid_n + 1)]
@@ -430,21 +428,20 @@ def _grid_approx_by_psi(f, pair, p, t, bound, grid_n):
 @given(
     m=st.integers(1, 6),
     n=st.integers(1, 12),
-    p=st.sampled_from([1, 2, 3.5]),
     orth=st.booleans(),
     t=st.floats(0.01, 0.99),
     bound=st.sampled_from([0.25, 1.0, 2.0, 8.0]),
     grid_n=st.integers(1, 16),
     data=st.data(),
 )
-def test_grid_approx_matches_psi_route(m, n, p, orth, t, bound, grid_n, data):
+def test_grid_approx_matches_psi_route(m, n, orth, t, bound, grid_n, data):
     weights = data.draw(st.lists(st.integers(1, 8).map(lambda k: k / 4), min_size=m, max_size=m))
     pair = ExtensionPair(weights, n, orth)
     rows = data.draw(_fiber_rows(m, n))
     side = st.lists(_CELLS, min_size=n, max_size=n) if orth else st.none()
     f = pair.element(rows, data.draw(side), data.draw(side))
-    g, h = grid_approx(f, pair, p, t, bound, grid_n)
-    want_g, want_h = _grid_approx_by_psi(f, pair, p, t, bound, grid_n)
+    g, h = grid_approx(f, pair, t, bound, grid_n)
+    want_g, want_h = _grid_approx_by_psi(f, pair, t, bound, grid_n)
     for got, want in ((g.values, want_g), (h.values, want_h)):
         for a, b, row in zip(got, want, rows):
             assert abs(a - b) <= 1e-9 * (1 + max(abs(v) for v in row)), row
@@ -452,9 +449,9 @@ def test_grid_approx_matches_psi_route(m, n, p, orth, t, bound, grid_n, data):
 
 def test_grid_approx_rejects_bad_params():
     with pytest.raises(InvariantError):
-        grid_approx(F24, UNIT2, 1, 0.0, 1.0, 4)
+        grid_approx(F24, UNIT2, 0.0, 1.0, 4)
     with pytest.raises(InvariantError):
-        grid_approx(F24, UNIT2, 1, 0.5, -1.0, 4)
+        grid_approx(F24, UNIT2, 0.5, -1.0, 4)
 
 
 # -- transport -----------------------------------------------------------------------
@@ -561,7 +558,7 @@ def test_transported_interval_bound(rng):
     for r, pair, f in instances(26, 20, orth=False):
         # positive profiles: the deviation bound is taken per normalized fiber
         f = abs(f)
-        f0 = f_zero(f, pair, 1)
+        f0 = f_zero(f, pair)
         for q in (2.0, 1.5, 1.1):
             dev = transported_interval_convergence(f, pair, t, s, [q])[0]
             envelope = max(f0.values)
@@ -714,8 +711,6 @@ def test_p2_family_decays():
 def test_p1_rejects_bad_eps():
     with pytest.raises(InvariantError):
         p1_counterexample(Fraction(2, 5), 1.0)
-    with pytest.raises(InvariantError):
-        p1_counterexample(Fraction(1, 3), 1.0, fiber_cells=4)
 
 
 def test_remark_report():

@@ -14,8 +14,8 @@ from canonbase_lab.measure_core import (
     band_decompose,
     cond_exp,
     distance,
+    dotminus,
     join,
-    lattice_op,
     lp_norm,
     meet,
     orthogonal,
@@ -104,16 +104,16 @@ def test_lp_norm_matches_reference(values, p):
 # -- lattice operations --------------------------------------------------------
 
 def test_abs_pointwise():
-    assert lattice_op("abs", elem(-3.0, 2.0)).values == (3.0, 2.0)
+    assert abs(elem(-3.0, 2.0)).values == (3.0, 2.0)
 
 
 def test_dotminus():
-    assert lattice_op("dotminus", elem(1.0, 5.0), elem(3.0, 2.0)).values == (0.0, 3.0)
+    assert dotminus(elem(1.0, 5.0), elem(3.0, 2.0)).values == (0.0, 3.0)
 
 
 def test_join_idempotent():
     f = elem(1.0, -2.0, 0.5)
-    assert lattice_op("join", f, f).values == f.values
+    assert join(f, f).values == f.values
 
 
 def test_binary_requires_same_space():
@@ -121,15 +121,10 @@ def test_binary_requires_same_space():
         join(elem(1.0), LatticeElement(HALVES, (1.0, 2.0)))
 
 
-def test_unknown_op():
-    with pytest.raises(InvariantError):
-        lattice_op("frobnicate", elem(1.0))
-
-
 def test_scale_accepts_fraction():
     from fractions import Fraction
 
-    assert lattice_op("scale", elem(2.0), scalar=Fraction(3, 2)).values == (3.0,)
+    assert scale(Fraction(3, 2), elem(2.0)).values == (3.0,)
 
 
 @given(

@@ -1,5 +1,5 @@
-"""What a fresh interpreter loads: the package's lazy re-exports, the modules
-each subcommand imports, and the BLAS thread default of the CLI. Each check
+"""What a fresh interpreter loads: the bare package, the modules each
+subcommand imports, and the BLAS thread default of the CLI. Each check
 that reads ``sys.modules`` or the environment runs in a subprocess."""
 
 import json
@@ -11,23 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import canonbase_lab
-
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-EXPORTS = {
-    "measure_core": ["ExtensionPair", "LatticeElement", "MeasureSpace", "SubStructure",
-                     "band_decompose", "cond_exp", "distance", "lattice_op", "lp_norm",
-                     "orthogonal", "signed_power"],
-    "legendre": ["PLConvexFn", "attainment_check", "biconjugate", "conjugate"],
-    "krivine": ["HomogeneousFn", "approximate_on_sphere", "eval_element", "eval_scalar",
-                "interpolating_term", "parse_term", "term_sup_norm", "to_text"],
-    "lp_canon": ["LpCanonicalBase", "canonical_base_1type", "canonical_base_ntype", "f_zero",
-                 "grid_approx", "increasing_realisation", "interval_cond_exp", "lq_transport",
-                 "p1_counterexample", "partial_cond_exp", "psi", "remark_counterexample",
-                 "slices"],
-    "oracle": ["DirectionalMass", "absolute_type_equal", "type_equal_1", "type_equal_n"],
-}
-NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
 # Prints at exit, as one JSON line on stderr, the loaded package modules,
 # whether numpy is loaded, the OPENBLAS_NUM_THREADS the process ends with and
@@ -91,21 +75,6 @@ def test_demo_remark_loads_neither_krivine_nor_rv_canon():
     loaded = _fresh(_cli("demo", "remark"))
     assert loaded["exit"] == 0 and "lp_canon" in loaded["modules"]
     assert not {"krivine", "rv_canon"} & set(loaded["modules"])
-
-@pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])
-def test_every_re_export_is_the_submodule_attribute(module, name):
-    submodule = __import__(f"canonbase_lab.{module}", fromlist=[name])
-    assert getattr(canonbase_lab, name) is getattr(submodule, name)
-
-
-def test_dir_and_star_import_list_the_re_exports_and_unknown_names_raise():
-    assert len(NAMES) == 40 and sorted(canonbase_lab.__all__) == NAMES
-    assert set(NAMES) <= set(dir(canonbase_lab))
-    namespace = {}
-    exec("from canonbase_lab import *", namespace)
-    assert set(NAMES) <= set(namespace)
-    with pytest.raises(AttributeError, match="no_such_name"):
-        canonbase_lab.no_such_name
 
 
 def test_the_cli_runs_blas_on_one_thread_by_default():

@@ -18,10 +18,11 @@ from canonbase_lab.ultra_ball import (
     padic_abs,
     phi_ball,
     proj_distance,
+    _is_prime,
     sup_formula_check,
 )
 
-from reference import ref_padic_abs
+from reference import ref_is_prime, ref_padic_abs
 
 P2 = PAdicContext(2)
 P3 = PAdicContext(3)
@@ -48,8 +49,14 @@ def test_padic_abs_worked():
 
 
 def test_padic_context_rejects_composite():
-    with pytest.raises(InvariantError):
-        PAdicContext(6)
+    # 561 is a Carmichael number; 3215031751 a strong pseudoprime to bases 2, 3, 5 and 7
+    for n in (6, 561, 3_215_031_751):
+        with pytest.raises(InvariantError, match="not prime"):
+            PAdicContext(n)
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20_000) if _is_prime(n)] == [n for n in range(20_000) if ref_is_prime(n)]
 
 
 @given(rationals)
