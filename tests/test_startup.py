@@ -1,6 +1,7 @@
 """What a fresh interpreter loads: the bare package, the modules each
 subcommand imports, and the BLAS thread default of the CLI. Each check
-that reads ``sys.modules`` or the environment runs in a subprocess."""
+that reads ``sys.modules`` or the environment runs in a subprocess. Also
+that each public name lives in its module, the one place to import it from."""
 
 import json
 import os
@@ -8,10 +9,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import importlib
+
 import numpy as np
 import pytest
 
+import canonbase_lab
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+EXPORTS = {
+    "measure_core": ["ExtensionPair", "LatticeElement", "MeasureSpace", "SubStructure",
+                     "band_decompose", "cond_exp", "distance", "lp_norm", "orthogonal",
+                     "signed_power"],
+    "legendre": ["PLConvexFn", "attainment_check", "biconjugate", "conjugate"],
+    "krivine": ["HomogeneousFn", "approximate_on_sphere", "eval_element", "eval_scalar",
+                "interpolating_term", "parse_term", "term_sup_norm", "to_text"],
+    "lp_canon": ["LpCanonicalBase", "canonical_base_1type", "canonical_base_ntype", "f_zero",
+                 "grid_approx", "increasing_realisation", "interval_cond_exp", "lq_transport",
+                 "p1_counterexample", "partial_cond_exp", "psi", "remark_counterexample",
+                 "slices"],
+    "oracle": ["DirectionalMass", "absolute_type_equal", "type_equal_1", "type_equal_n"],
+}
 
 # Prints at exit, as one JSON line on stderr, the loaded package modules,
 # whether numpy is loaded, the OPENBLAS_NUM_THREADS the process ends with and
@@ -75,6 +93,15 @@ def test_demo_remark_loads_neither_krivine_nor_rv_canon():
     loaded = _fresh(_cli("demo", "remark"))
     assert loaded["exit"] == 0 and "lp_canon" in loaded["modules"]
     assert not {"krivine", "rv_canon"} & set(loaded["modules"])
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])
+def test_every_re_export_is_the_submodule_attribute(module, name):
+    """The names the package once re-exported are defined in their module and
+    are not attributes of the bare package."""
+    obj = getattr(importlib.import_module(f"canonbase_lab.{module}"), name)
+    assert obj.__module__ == f"canonbase_lab.{module}"
+    assert not hasattr(canonbase_lab, name)
 
 
 def test_the_cli_runs_blas_on_one_thread_by_default():
