@@ -10,12 +10,22 @@ holds no clock reading, so two runs of one call print the same bytes.
 Every report on stdout, and every JSON ``--out`` file, is exactly the text
 of ``json.dumps(doc, sort_keys=True, indent=2)`` (a report adds a newline),
 where ``doc`` is the document with each float64 array replaced by its
-``.tolist()``. The handlers put the read-only arrays of lattice elements into
-their outputs unconverted, and ``_encode`` streams the text. It formats each
-distinct float of an array once: the values that canonical bases compute
-over a substructure (conditional moments, meet probabilities) are constant
-on its blocks, so a 100k-atom array holds as many distinct floats as the
-substructure has blocks.
+``.tolist()`` and each ``BlockTable`` by the object that maps each of its
+keys to its element's values. The handlers put the read-only arrays of
+lattice elements into their outputs unconverted, and ``_encode`` streams the
+text. The canonical bases computed over a substructure (conditional moments,
+meet probabilities) are constant on its blocks, so ``rv-cb`` and ``apr-cb``
+hand over one ``BlockTable``, one value per block and row, and ``_encode``
+formats each distinct value of the whole table once and gathers the text of
+every atom by its block.
+
+Sizes are capped before anything is allocated: a result may hold at most
+2**24 entries, rows times atoms (``measure_core.MAX_ENTRIES``). So
+``rv-cb`` needs ((k_max + 1)^elements - 1) * atoms <= 2**24 (else the error
+names ``--k-max``), ``apr-cb`` needs (2^events - 1) * atoms <= 2**24 (names
+``/events``), a pair needs (base atoms + 2 if orthogonal) * fiber_cells <=
+2**24 (names ``/fiber_cells``), and a subspace needs dim <= 2**24 (names
+``/dim``); each rejection exits 2.
 """
 
 from __future__ import annotations
@@ -39,7 +49,16 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InvariantError
-from .measure_core import ExtensionPair, LatticeElement, MeasureSpace, SubStructure, close, reals
+from .measure_core import (
+    BlockTable,
+    ExtensionPair,
+    LatticeElement,
+    MeasureSpace,
+    SubStructure,
+    check_entries,
+    close,
+    reals,
+)
 
 
 class UsageError(Exception):
@@ -140,41 +159,42 @@ def _fraction(text: str) -> Fraction:
 def _encode(obj: Any, level: int = 0) -> Iterator[str]:
     """Yield, in chunks, exactly the text of
     ``json.dumps(obj, sort_keys=True, indent=2)`` for ``obj`` nested ``level``
-    deep, where each 1-D float64 array in ``obj`` stands for its ``.tolist()``.
-    Dict keys must be strings.
+    deep, where each 1-D float64 array in ``obj`` stands for its ``.tolist()``
+    and each ``BlockTable`` for the dict of its elements' value lists. Dict and
+    block-table keys must be strings.
 
     The leaves go through json's C encoder, which ``indent`` would otherwise
-    switch off. An array is formatted one distinct value at a time: ``np.unique``
-    over the int64 view of its bits (so -0.0 stays apart from 0.0), one
-    ``json.dumps`` of the distinct values (so repr, NaN and Infinity are
-    json's own), then a gather by the inverse index. Block-measurable outputs
-    repeat values; on all-distinct values this costs about 1.3 C-encoder
-    calls, still less than json's ``indent`` path. Lists and dicts are walked
-    item by item; the lists left in reports are short."""
+    switch off. Floats are formatted one distinct value at a time: ``_texts``
+    takes ``np.unique`` over the int64 view of their bits (so -0.0 stays apart
+    from 0.0), one ``json.dumps`` of the distinct values (so repr, NaN and
+    Infinity are json's own), then a gather by the inverse index. A block
+    table is formatted once for all its rows, which hold one value per block,
+    and each key's list is its row's text gathered by the atoms' block labels.
+    On all-distinct values an array costs about 1.3 C-encoder calls, still
+    less than json's ``indent`` path. Lists and dicts are walked item by item;
+    the lists left in reports are short."""
     inner = "\n" + "  " * (level + 1)
     close = "\n" + "  " * level
-    if isinstance(obj, dict):
+    if isinstance(obj, (dict, BlockTable)):
         if not obj:
             yield "{}"
             return
+        rows = dict(zip(obj, _texts(obj.table))) if isinstance(obj, BlockTable) else None
         sep = "{" + inner
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             yield sep + json.dumps(key) + ": "
-            yield from _encode(obj[key], level + 1)
+            if rows is None:
+                yield from _encode(obj[key], level + 1)
+            else:
+                yield _list(rows[key][obj.labels], level + 1)
             sep = "," + inner
         yield close + "}"
     elif isinstance(obj, np.ndarray):
         if obj.dtype != np.float64 or obj.ndim != 1:
             raise TypeError(f"only 1-D float64 arrays are encoded, got {obj.dtype} {obj.shape}")
-        if not len(obj):
-            yield "[]"
-            return
-        bits, inverse = np.unique(obj.view(np.int64), return_inverse=True)
-        texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-        gathered = np.array(texts, dtype=object)[inverse].tolist()
-        yield "[" + inner + ("," + inner).join(gathered) + close + "]"
+        yield _list(_texts(obj), level) if len(obj) else "[]"
     elif isinstance(obj, (list, tuple)):
         if not obj:
             yield "[]"
@@ -187,6 +207,21 @@ def _encode(obj: Any, level: int = 0) -> Iterator[str]:
         yield close + "]"
     else:
         yield json.dumps(obj)
+
+
+def _texts(values: np.ndarray) -> np.ndarray:
+    """The JSON text of each float of the C-ordered float64 array ``values``,
+    as an object array of the same shape; each distinct value is formatted
+    once."""
+    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    return np.array(texts, dtype=object)[inverse.reshape(values.shape)]
+
+
+def _list(texts: np.ndarray, level: int) -> str:
+    """The indented JSON list of the nonempty 1-D object array ``texts``."""
+    inner = "\n" + "  " * (level + 1)
+    return "[" + inner + ("," + inner).join(texts.tolist()) + "\n" + "  " * level + "]"
 
 
 def _emit(report: dict) -> None:
@@ -329,12 +364,13 @@ def _cmd_rv_cb(args) -> tuple[int, dict, dict, dict]:
     for j, x in enumerate(xs):
         with _prefixed(f"{args.elements}: /elements/{j}/"):
             rv_canon.validate_rv(x)
-    moments: dict[str, np.ndarray] = {}
-    for ks in product(range(args.k_max + 1), repeat=len(xs)):
-        if all(k == 0 for k in ks):
-            continue
-        val = rv_canon.cond_moment(xs, ks, blocks)
-        moments[",".join(map(str, ks))] = val.array
+    check_entries((args.k_max + 1) ** len(xs) - 1, len(space), "--k-max")
+    exps = [ks for ks in product(range(args.k_max + 1), repeat=len(xs)) if any(ks)]
+    moments: Any = {}
+    if exps:
+        table = rv_canon.cond_moments(xs, exps, blocks)
+        names = [",".join(map(str, ks)) for ks in exps]
+        moments = BlockTable(space, names, table.table, table.labels)
     outputs = {"moments": moments, "k_max": args.k_max}
     _write(("--out", args.out, _encode(outputs)))
     inputs = {args.space: _digest(args.space), args.elements: _digest(args.elements)}
@@ -348,12 +384,8 @@ def _cmd_apr_cb(args) -> tuple[int, dict, dict, dict]:
     events = _load_elements(doc, "events", space, args.events)
     with _prefixed(f"{args.events}: /"):
         cb = rv_canon.apr_cb(events, blocks)
-    outputs = {
-        "conditional_probabilities": {
-            ",".join(map(str, sorted(subset))): val.array
-            for subset, val in cb.items()
-        }
-    }
+    names = [",".join(map(str, sorted(subset))) for subset in cb]
+    outputs = {"conditional_probabilities": BlockTable(space, names, cb.table, cb.labels)}
     return 0, outputs, {}, {args.events: _digest(args.events)}
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantError
-from .measure_core import close, integer, reals
+from .measure_core import check_entries, close, integer, reals
 
 
 def _vectors(values, dim: int, name: str) -> np.ndarray:
@@ -41,6 +41,7 @@ class Subspace:
 
     def __post_init__(self):
         dim = integer(self.dim, "dim", 0)
+        check_entries(1, dim, "dim")  # one vector of R^dim
         mat = _vectors(self.basis, dim, "basis")
         gram = mat @ mat.T
         if not close(gram, np.eye(len(mat))):

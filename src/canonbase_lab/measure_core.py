@@ -13,8 +13,15 @@ coordination. Input is coerced to finite reals once, at construction; the
 relative pointer (``rows/1/3: ...``). ``integer`` is the one integer rule
 (``fiber_cells``, ``dim``, the atom indices of a ``SubStructure``), ``check_p``
 the one exponent rule (1 <= p < inf, so ``lp_norm`` is never the sup norm),
-and ``ExtensionPair.require`` the one check that an element lives on a pair's
+``check_entries`` the one size rule (a result holds at most ``MAX_ENTRIES``
+entries, rows times atoms, checked before anything is allocated), and
+``ExtensionPair.require`` the one check that an element lives on a pair's
 total space, whose cell order ``ExtensionPair.fibers`` defines.
+
+Values that are constant on the blocks of a substructure (conditional
+expectations and moments, conditional probabilities of events) are computed
+by one kernel, ``block_means``, as one number per block, and are carried as a
+``BlockTable``: per row the block values, and per atom its block.
 
 Tolerance policy: every verdict on computed floats in this package uses one
 rule, ``close``. Data a and b agree when |a - b| <= TOL * s at every entry,
@@ -42,7 +49,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Integral, Real
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -103,6 +110,20 @@ def integer(value, name: str, least: int) -> int:
     if isinstance(value, bool) or not whole or value != int(value) or value < least:
         raise InvariantError(f"{name}: must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+#: The most entries, rows times atoms, that one result may hold: 2**24, which
+#: admits the 4,095 event meets of 12 events on 4,096 atoms.
+MAX_ENTRIES = 2**24
+
+
+def check_entries(rows: int, atoms: int, name: str) -> None:
+    """Raise ``InvariantError`` naming ``name`` and the cap unless ``rows``
+    rows of ``atoms`` atoms hold at most ``MAX_ENTRIES`` entries."""
+    count = rows * atoms
+    if count > MAX_ENTRIES:
+        size = count if count.bit_length() <= 60 else f"more than 2**{count.bit_length() - 1}"
+        raise InvariantError(f"{name}: {size} entries exceed the cap of {MAX_ENTRIES} (2**24)")
 
 
 def _weights(values, name: str) -> np.ndarray:
@@ -367,6 +388,12 @@ class SubStructure:
         labels[self._atoms] = self._block_ids
         return labels
 
+    def partition(self, space: MeasureSpace) -> tuple[np.ndarray, np.ndarray]:
+        """Per atom, the index of its block (len(blocks) off the support); and
+        per block, its mass, summed in atom-index order."""
+        labels = self._labels(space)
+        return labels, _block_sums(space.weight_array, labels, len(self.blocks))
+
     @classmethod
     def single_block(cls, indices: Iterable[int]) -> "SubStructure":
         return cls((tuple(indices),))
@@ -387,18 +414,56 @@ def block_integrals(f: LatticeElement, s: SubStructure) -> np.ndarray:
     return _block_sums(f.space.weight_array * f.array, labels, len(s.blocks))
 
 
+def block_means(rows: np.ndarray, s: SubStructure, space: MeasureSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The block kernel: for the (r, atoms) array ``rows`` of values on
+    ``space``, the (r, blocks + 1) table whose row holds the weighted mean of
+    its values over each block of s, then 0.0 for the atoms off the support;
+    and the atoms' block labels, which index its columns. Both sums of a mean
+    run in atom-index order."""
+    labels, masses = s.partition(space)
+    w = space.weight_array
+    table = np.zeros((len(rows), len(masses) + 1))
+    for out, x in zip(table, rows):
+        out[:-1] = _block_sums(w * x, labels, len(masses)) / masses
+    return table, labels
+
+
+class BlockTable(Mapping):
+    """Block-constant elements of one space, one per key, each built only
+    when it is read.
+
+    ``table`` is the read-only, C-ordered float64 (len(keys), blocks + 1)
+    array of their values, one row per key in key order and one column per
+    block, the last for the atoms off the support; ``labels`` gives each atom
+    its column, so the element under the r-th key takes the value
+    ``table[r, labels[i]]`` at atom i. Keys iterate in row order.
+    """
+
+    __slots__ = ("space", "table", "labels", "_rows")
+
+    def __init__(self, space: MeasureSpace, keys: Iterable, table: np.ndarray, labels: np.ndarray):
+        self.space, self.table, self.labels = space, _frozen(table), labels
+        self._rows = {key: r for r, key in enumerate(keys)}
+
+    def __getitem__(self, key) -> LatticeElement:
+        return LatticeElement(self.space, self.table[self._rows[key]][self.labels])
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
 def cond_exp(f: LatticeElement, s: SubStructure) -> LatticeElement:
     """Block-averaging conditional expectation; zero off the support.
 
     On each block the result is the weighted mean of f, so the integral of
-    the result over any block equals the integral of f there. Both sums run
-    in atom-index order.
+    the result over any block equals the integral of f there. This is the
+    one-row case of ``block_means``.
     """
-    labels = s._labels(f.space)
-    w = f.space.weight_array
-    nb = len(s.blocks)
-    means = _block_sums(w * f.array, labels, nb) / _block_sums(w, labels, nb)
-    return LatticeElement(f.space, np.append(means, 0.0)[labels])
+    table, labels = block_means(f.array[None], s, f.space)
+    return LatticeElement(f.space, table[0][labels])
 
 
 def band_decompose(f: LatticeElement, s: SubStructure) -> tuple[LatticeElement, LatticeElement]:
@@ -438,6 +503,7 @@ class ExtensionPair:
         base = MeasureSpace(_weights(self.base_weights, "base_weights"))
         n = integer(self.fiber_cells, "fiber_cells", 1)
         has_orth = bool(self.has_orthogonal)
+        check_entries(len(base) + 2 * has_orth, n, "fiber_cells")
         cells = np.repeat(base.weight_array / n, n)
         if has_orth:
             cells = np.append(cells, np.full(2 * n, 1.0 / n))

@@ -1,24 +1,36 @@
 """[0,1]-valued random variables on finite probability spaces: conditional
 moments, the least-squares characterisation of conditional expectation, event
 canonical bases, the event lifting onto a product space, and moment
-determinacy checks."""
+determinacy checks.
+
+Both canonical bases are block-constant, so they are computed per block and
+returned as a ``BlockTable``. ``cond_moments`` feeds one monomial per row to
+the block kernel ``block_means``. ``apr_cb`` sums the weights per (block,
+event mask), an atom's mask holding the events that contain it, and gets the
+mass of every meet by the zeta transform over the subset lattice (Bjorklund,
+Husfeldt, Kaski and Koivisto, "Fourier meets Mobius", STOC 2007). For k events
+on B blocks that costs O(atoms + B * k * 2^k), against O(atoms * 2^k) for one
+conditional expectation per meet.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InsufficientMomentsError, InvariantError, SpaceMismatchError
 from .measure_core import (
+    BlockTable,
     ExtensionPair,
     LatticeElement,
     MeasureSpace,
     SubStructure,
     TOL,
     block_integrals,
+    block_means,
+    check_entries,
     close,
     cond_exp,
     group,
@@ -71,28 +83,49 @@ def rv_op(op: str, x: LatticeElement, y: LatticeElement | None = None) -> Lattic
     raise InvariantError(f"unknown random-variable operation {op!r}")
 
 
-def _monomial(xs: Sequence[LatticeElement], ks: Sequence[int]) -> LatticeElement:
-    if len(xs) != len(ks):
-        raise InvariantError("exponent tuple length must match the variable tuple")
+def _monomials(xs: Sequence[LatticeElement], kss: Sequence[Sequence[int]]) -> np.ndarray:
+    """The (len(kss), atoms) array of the products prod_i X_i^{k_i}, one row
+    per exponent tuple, multiplied in variable order; each power X_i^k is
+    taken once."""
     space = xs[0].space
-    vals = np.ones(len(space))
-    for x, k in zip(xs, ks):
-        if x.space != space:
-            raise SpaceMismatchError("random variables live on different spaces")
-        k = int(k)
-        if k < 0:
-            raise InvariantError("moment exponents must be nonnegative")
-        vals = vals * x.array**k
-    return LatticeElement(space, vals)
+    if any(x.space != space for x in xs):
+        raise SpaceMismatchError("random variables live on different spaces")
+    powers: dict[tuple[int, int], np.ndarray] = {}
+    rows = np.ones((len(kss), len(space)))
+    for row, ks in zip(rows, kss):
+        if len(xs) != len(ks):
+            raise InvariantError("exponent tuple length must match the variable tuple")
+        for i, (x, k) in enumerate(zip(xs, ks)):
+            k = int(k)
+            if k < 0:
+                raise InvariantError("moment exponents must be nonnegative")
+            if (i, k) not in powers:
+                powers[i, k] = x.array**k
+            row *= powers[i, k]
+    return rows
+
+
+def _monomial(xs: Sequence[LatticeElement], ks: Sequence[int]) -> LatticeElement:
+    return LatticeElement(xs[0].space, _monomials(xs, [ks])[0])
+
+
+def cond_moments(
+    xs: Sequence[LatticeElement], kss: Sequence[Sequence[int]], s: SubStructure
+) -> BlockTable:
+    """E[prod X_i^{k_i} | blocks] for each exponent tuple of kss, keyed by
+    the tuple; values stay within [0, 1]."""
+    for x in xs:
+        validate_rv(x)
+    kss = [tuple(ks) for ks in kss]
+    table, labels = block_means(_monomials(xs, kss), s, xs[0].space)
+    return BlockTable(xs[0].space, kss, table, labels)
 
 
 def cond_moment(
     xs: Sequence[LatticeElement], ks: Sequence[int], s: SubStructure
 ) -> LatticeElement:
     """E[prod X_i^{k_i} | blocks]; values stay within [0, 1]."""
-    for x in xs:
-        validate_rv(x)
-    return cond_exp(_monomial(xs, ks), s)
+    return cond_moments(xs, [ks], s)[tuple(ks)]
 
 
 def least_squares_check(x: LatticeElement, k: int, s: SubStructure) -> bool:
@@ -141,10 +174,12 @@ def product_formula_check(
     return integral(xk * yl), integral(cond_exp(xk, s) * yl)
 
 
-def apr_cb(events: Sequence[LatticeElement], s: SubStructure) -> dict[frozenset[int], LatticeElement]:
+def apr_cb(events: Sequence[LatticeElement], s: SubStructure) -> BlockTable:
     """Conditional probabilities of all nonempty intersections of the events,
     indexed by the subset of event indices. Errors name the offending entry
-    as a pointer relative to the argument (``events/1/4: ...``)."""
+    as a pointer relative to the argument (``events/1/4: ...``); more than
+    ``MAX_ENTRIES`` entries (2^k - 1 meets times the atoms) is an error
+    naming ``events``."""
     if not events:
         raise InvariantError("events: need at least one event")
     space = events[0].space
@@ -155,16 +190,24 @@ def apr_cb(events: Sequence[LatticeElement], s: SubStructure) -> dict[frozenset[
         if len(bad):
             i = bad[0]
             raise InvariantError(f"events/{j}/{i}: indicator value {e.array[i]} is not 0/1")
+    k = len(events)
+    check_entries(2**k - 1, len(space), "events")
+    labels, masses = s.partition(space)
     # bit j of an atom's mask says whether the atom lies in event j
     members = np.round([e.array for e in events]).astype(np.int64)
-    masks = (members << np.arange(len(events))[:, None]).sum(axis=0)
-    out: dict[frozenset[int], LatticeElement] = {}
-    indices = range(len(events))
-    for size in range(1, len(events) + 1):
-        for subset in combinations(indices, size):
-            bits = sum(1 << j for j in subset)
-            out[frozenset(subset)] = cond_exp(LatticeElement(space, (masks & bits) == bits), s)
-    return out
+    masks = (members << np.arange(k)[:, None]).sum(axis=0)
+    # the weight per (block, mask), summed in atom-index order
+    rows = len(masses) + 1
+    table = np.bincount(labels * 2**k + masks, space.weight_array, rows * 2**k).reshape(rows, 2**k)
+    for j in range(k):  # superset sums: slot 1 of bit j holds the masks with event j
+        view = table.reshape(rows, 2 ** (k - 1 - j), 2, 2**j)
+        view[:, :, 0] += view[:, :, 1]
+    means = np.zeros((2**k - 1, rows))
+    means[:, :-1] = table[:-1, 1:].T / masses
+    subsets = [()]  # in mask order
+    for j in range(k):
+        subsets += [subset + (j,) for subset in subsets]
+    return BlockTable(space, map(frozenset, subsets[1:]), means, labels)
 
 
 @dataclass(frozen=True)

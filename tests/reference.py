@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -25,6 +26,18 @@ def ref_cond_exp(weights, values, blocks):
         mean = sum(weights[i] * values[i] for i in block) / mass
         for i in block:
             out[i] = mean
+    return out
+
+
+def ref_apr_cb(weights, events, blocks):
+    """Per nonempty subset of event indices, as a frozenset, the conditional
+    probability of the meet of those events: their pointwise minimum,
+    averaged per block by a loop over its atoms, zero off the blocks."""
+    out = {}
+    for size in range(1, len(events) + 1):
+        for subset in combinations(range(len(events)), size):
+            meet = [min(events[j][i] for j in subset) for i in range(len(weights))]
+            out[frozenset(subset)] = ref_cond_exp(weights, meet, blocks)
     return out
 
 

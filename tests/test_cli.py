@@ -15,6 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canonbase_lab import cli
+from canonbase_lab.measure_core import BlockTable, LatticeElement, MeasureSpace, SubStructure, cond_exp
+from canonbase_lab.rv_canon import cond_moment
 
 
 def test_lp_cb_grid_rejects_zero_and_reports_partials(tmp_path, capsys):
@@ -185,6 +187,23 @@ def _eval(term):
         ({}, ["ultra", "--prime", "3317044064679887385961981", "ball-dist", "0", "0", "1", "0"],
          "--prime: must be below 3317044064679887385961981"),
         ({}, ["ultra", "--prime", "561", "ball-dist", "0", "0", "1", "0"], "--prime: 561 is not prime"),
+        # sizes past the cap of 2**24 entries are refused before anything is allocated
+        (
+            {"events": {"weights": [0.5, 0.5], "blocks": [[0, 1]], "events": [[1, 0]] * 30}},
+            ["apr-cb", "--events", "events"],
+            "events: /events: 2147483646 entries exceed the cap of 16777216",
+        ),
+        (
+            {"space": PROBABILITY, "elements": {"elements": [[0.5, 0.2], [0.1, 0.3]]}},
+            ["rv-cb", "--space", "space", "--elements", "elements", "--k-max", "100000"],
+            "--k-max: 20000400000 entries exceed the cap of 16777216",
+        ),
+        ({"space": {**SPACE, "fiber_cells": 1e300}, "element": {"rows": [[0, 1], [2, 3]]}}, LP_CB,
+         "space: /fiber_cells: more than 2**997 entries exceed the cap"),
+        ({"space": {**SPACE, "fiber_cells": 10**12}, "element": {"rows": [[0, 1], [2, 3]]}}, LP_CB,
+         "space: /fiber_cells: 2000000000000 entries exceed the cap"),
+        ({"subspace": {"dim": 1e30, "basis": []}, "vectors": VECTORS}, HS_CB,
+         "subspace: /dim: more than 2**99 entries exceed the cap"),
     ],
 )
 def test_malformed_input_exits_2_naming_the_pointer(tmp_path, capsys, docs, argv, expected):
@@ -273,6 +292,36 @@ def test_tracer_still_finds_every_krivine_name(tmp_path, capsys):
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in patched)
 
 
+def test_tracer_still_finds_every_rv_canon_name(tmp_path, capsys):
+    # the tracer patches rv_canon.apr_cb, cond_moment and cond_exp by name and
+    # counts the subsets of each apr_cb result
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    events = tmp_path / "events.json"
+    events.write_text(json.dumps({"weights": [0.25] * 4, "blocks": [[0, 1], [2]],
+                                  "events": [[1, 0, 1, 1], [1, 1, 0, 1], [0, 1, 1, 1]]}))
+    (tmp_path / "space.json").write_text(json.dumps(PROBABILITY))
+    (tmp_path / "xs.json").write_text(json.dumps({"elements": [[0.25, 1.0]]}))
+    tracer = module.Tracer()
+    tracer.install()
+    patched = list(tracer._saved)
+    try:
+        codes = [
+            cli.dispatch(["apr-cb", "--events", str(events)]),
+            cli.dispatch(["rv-cb", "--space", str(tmp_path / "space.json"),
+                          "--elements", str(tmp_path / "xs.json"), "--k-max", "2"]),
+        ]
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert codes == [0, 0]
+    assert tracer.counts["rv_canon.apr_cb_calls"] == 1
+    assert tracer.counts["rv_canon.subsets"] == 7
+    assert all(owner.__dict__[attr] is fn for owner, attr, fn in patched)
+
+
 @pytest.mark.parametrize("workload", ["canon-base", "moments-events", "krivine-fit"])
 def test_benchmark_outputs_pass_the_benchmark_checks(tmp_path, monkeypatch, workload):
     # the benchmark's inputs at seed 7, run in order through cli.dispatch and
@@ -336,6 +385,54 @@ def test_encode_is_byte_identical_to_json_dumps(doc, arrays):
     # shaped like a run report: a map of arrays next to an arbitrary document
     doc = {"outputs": arrays, "rest": doc}
     assert "".join(cli._encode(doc)) == json.dumps(_as_lists(doc), sort_keys=True, indent=2)
+
+
+@st.composite
+def _block_tables(draw):
+    # string keys, rows of values per block plus the off-support column, and atom labels
+    keys = draw(st.lists(_strings, unique=True, max_size=4))
+    blocks = draw(st.integers(0, 3))
+    pool = draw(st.lists(_floats, min_size=1, max_size=4))
+    table = np.array(draw(st.lists(st.sampled_from(pool), min_size=len(keys) * (blocks + 1),
+                                   max_size=len(keys) * (blocks + 1))), dtype=np.float64)
+    labels = np.array(draw(st.lists(st.integers(0, blocks), min_size=1, max_size=6)), dtype=np.intp)
+    space = MeasureSpace((1.0,) * len(labels))
+    return BlockTable(space, keys, table.reshape(len(keys), blocks + 1), labels)
+
+
+@given(_block_tables())
+@example(BlockTable(MeasureSpace((1.0, 1.0, 1.0)), ["b", "a"],
+                    np.array([[0.5, -0.0, 0.0], [math.nan, 1e16, 0.0]]), np.array([2, 0, 1])))
+def test_encode_writes_a_block_table_as_the_map_of_its_elements(table):
+    doc = {"table": table, "after": 1}
+    rows = {key: row[table.labels].tolist() for key, row in zip(table, table.table)}
+    as_lists = {"table": rows, "after": 1}
+    assert "".join(cli._encode(doc)) == json.dumps(as_lists, sort_keys=True, indent=2)
+
+
+def test_rv_cb_rows_equal_cond_moment_bit_for_bit(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    weights = rng.uniform(0.5, 2.0, 40)
+    weights /= weights.sum()
+    labels = rng.integers(-1, 6, 40)  # -1 is off the support
+    blocks = [np.flatnonzero(labels == b).tolist() for b in range(6) if (labels == b).any()]
+    xs = rng.uniform(0.0, 1.0, (2, 40))
+    (tmp_path / "space.json").write_text(json.dumps({"weights": weights.tolist(), "blocks": blocks}))
+    (tmp_path / "xs.json").write_text(json.dumps({"elements": xs.tolist()}))
+    code = cli.dispatch(["rv-cb", "--space", str(tmp_path / "space.json"),
+                         "--elements", str(tmp_path / "xs.json"), "--k-max", "3"])
+    moments = json.loads(capsys.readouterr().out)["outputs"]["moments"]
+    assert code == 0 and len(moments) == 15
+    space = MeasureSpace(weights)
+    elements = [LatticeElement(space, x) for x in xs]
+    s = SubStructure(blocks)
+    for key, values in moments.items():
+        ks = tuple(map(int, key.split(",")))
+        monomial = np.ones(40)
+        for x, k in zip(elements, ks):
+            monomial = monomial * x.array**k
+        assert values == cond_moment(elements, ks, s).array.tolist()
+        assert values == cond_exp(LatticeElement(space, monomial), s).array.tolist()
 
 
 # -- golden reports: the stdout and --out path of a real subprocess ------------

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from canonbase_lab.errors import InvariantError, SpaceMismatchError
 from canonbase_lab.measure_core import (
+    MAX_ENTRIES,
     ExtensionPair,
     LatticeElement,
     MeasureSpace,
     SubStructure,
     band_decompose,
+    check_entries,
     cond_exp,
     distance,
     dotminus,
@@ -361,3 +363,14 @@ def test_cond_exp_sums_in_atom_order_like_the_reference(rng):
         s = SubStructure(tuple(blocks))
         f = LatticeElement(space, tuple(rng.uniform(-5, 5) for _ in atoms))
         assert cond_exp(f, s).values == tuple(ref_cond_exp(space.weights, f.values, s.blocks))
+
+
+def test_entry_cap_admits_2_to_the_24_entries_and_no_more():
+    check_entries(2**12 - 1, 4096, "events")  # 12 events on 4,096 atoms
+    check_entries(1, MAX_ENTRIES, "dim")
+    with pytest.raises(InvariantError, match=r"^events: 16781310 entries exceed the cap of 16777216"):
+        check_entries(2**12 - 1, 4098, "events")
+    with pytest.raises(InvariantError, match=r"^dim: 16777217 entries"):
+        check_entries(1, MAX_ENTRIES + 1, "dim")
+    with pytest.raises(InvariantError, match=r"^fiber_cells: more than 2\*\*99 entries"):
+        ExtensionPair((1.0,), 10**30)

@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from canonbase_lab.errors import InsufficientMomentsError, InvariantError
 from canonbase_lab.measure_core import (
     LatticeElement,
     MeasureSpace,
     SubStructure,
+    close,
     cond_exp,
 )
 from canonbase_lab.rv_canon import (
@@ -22,7 +25,7 @@ from canonbase_lab.rv_canon import (
     validate_rv,
 )
 
-from reference import ref_block_distribution
+from reference import ref_apr_cb, ref_block_distribution
 
 UNIFORM4 = MeasureSpace((0.25, 0.25, 0.25, 0.25))
 TWO_BLOCKS = SubStructure(((0, 1), (2, 3)))
@@ -230,6 +233,30 @@ def test_apr_inclusion_exclusion_bound(rng):
             for j in subset:
                 single = out[frozenset({j})]
                 assert all(a <= b + 1e-12 for a, b in zip(val.values, single.values))
+
+
+@st.composite
+def _event_bases(draw):
+    # random weights, a partition that may leave atoms off the support, k <= 6 events
+    n = draw(st.integers(1, 10))
+    weights = draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))  # -1 is off the support
+    blocks = [tuple(i for i in range(n) if labels[i] == b) for b in range(4) if b in labels]
+    k = draw(st.integers(1, 6))
+    events = draw(st.lists(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n),
+                           min_size=k, max_size=k))
+    return MeasureSpace(tuple(weights)), SubStructure(tuple(blocks)), events
+
+
+@given(_event_bases())
+def test_apr_block_path_matches_the_brute_force_meets(base):
+    space, s, events = base
+    out = apr_cb([LatticeElement(space, e) for e in events], s)
+    want = ref_apr_cb(space.weights, events, s.blocks)
+    assert len(out) == len(want) == 2 ** len(events) - 1
+    assert all(close(out[subset].array, values) for subset, values in want.items())
+    if len(events) == 1:  # one event: the block path is cond_exp, bit for bit
+        assert out[frozenset({0})] == cond_exp(LatticeElement(space, events[0]), s)
 
 
 def test_apr_rejects_non_indicator():
