@@ -19,13 +19,18 @@ hand over one ``BlockTable``, one value per block and row, and ``_encode``
 formats each distinct value of the whole table once and gathers the text of
 every atom by its block.
 
-Sizes are capped before anything is allocated: a result may hold at most
-2**24 entries, rows times atoms (``measure_core.MAX_ENTRIES``). So
-``rv-cb`` needs ((k_max + 1)^elements - 1) * atoms <= 2**24 (else the error
-names ``--k-max``), ``apr-cb`` needs (2^events - 1) * atoms <= 2**24 (names
-``/events``), a pair needs (base atoms + 2 if orthogonal) * fiber_cells <=
-2**24 (names ``/fiber_cells``), and a subspace needs dim <= 2**24 (names
-``/dim``); each rejection exits 2.
+Sizes are capped before anything is allocated, and a rejection exits 2
+naming the flag or pointer and the cap. A result holds at most
+``measure_core.MAX_ENTRIES`` = 2**24 entries, rows times atoms: the keys
+times the atoms of an ``rv-cb``, ``apr-cb`` or ``lp-cb`` report (names
+``--k-max``, ``/events`` or ``--grid``), a pair's (base atoms + 2 if
+orthogonal) * fiber_cells (``/fiber_cells``), a subspace's dim (``/dim``)
+and ``hs-cb``'s Gram matrix (``/vectors``). Work that grows faster has caps
+of its own, each about a second of work: ``measure_core.MAX_KEYS`` = 2**14
+keys in one of those three reports, ``MAX_CONES`` = 2**8 for ``krivine
+approx --grid`` (the cones a fit starts from; its refinement grows with the
+arity and 1/eps instead) and ``MAX_SAMPLES`` = 2**6 for ``ultra
+check-triangles --samples`` (3 * C(samples, 3) exact comparisons).
 """
 
 from __future__ import annotations
@@ -50,15 +55,21 @@ import numpy as np
 
 from .errors import InvariantError
 from .measure_core import (
+    MAX_KEYS,
     BlockTable,
     ExtensionPair,
     LatticeElement,
     MeasureSpace,
     SubStructure,
+    check_count,
     check_entries,
     close,
+    integer,
     reals,
 )
+
+MAX_CONES = 2**8
+MAX_SAMPLES = 2**6
 
 
 class UsageError(Exception):
@@ -305,8 +316,7 @@ def _cmd_krivine(args) -> tuple[int, dict, dict, dict]:
                 raise InvariantError(f"expected {args.arity} coordinates, got {len(point)}")
         value = krivine.eval_scalar(term, point)
         return 0, {"value": value}, {}, {}
-    if args.grid < 1:
-        raise InvariantError(f"--grid: must be >= 1, got {args.grid}")
+    check_count(integer(args.grid, "--grid", 1), MAX_CONES, "--grid", "cones")
     with _prefixed("--fn: "):
         fn = krivine.registry_function(args.fn)
     term, cert = krivine.approximate_on_sphere(fn, args.eps, args.grid)
@@ -321,10 +331,11 @@ def _cmd_krivine(args) -> tuple[int, dict, dict, dict]:
 
 def _cmd_lp_cb(args) -> tuple[int, dict, dict, dict]:
     from . import lp_canon
-    n = args.grid
-    if n < 1:
-        raise InvariantError(f"--grid: must be >= 1, got {n}")
+    n = integer(args.grid, "--grid", 1)
+    keys = n * (n + 1) // 2 if args.intervals else n
+    check_count(keys, MAX_KEYS, "--grid", "keys")
     pair = load_space(args.space)
+    check_entries(keys, pair.m, "--grid")
     f = load_element(args.element, pair)
     grid = [k / n for k in range(0 if args.intervals else 1, n + 1)]
     cb = lp_canon.canonical_base_1type(f, pair, args.p, grid, intervals=args.intervals)
@@ -357,14 +368,15 @@ def _cmd_typeq(args) -> tuple[int, dict, dict, dict]:
 
 def _cmd_rv_cb(args) -> tuple[int, dict, dict, dict]:
     from . import rv_canon
-    if args.k_max < 0:
-        raise InvariantError(f"--k-max: must be >= 0, got {args.k_max}")
+    integer(args.k_max, "--k-max", 0)
     space, blocks = load_probability_space(args.space)
     xs = _load_elements(_read_json(args.elements, "elements"), "elements", space, args.elements)
     for j, x in enumerate(xs):
         with _prefixed(f"{args.elements}: /elements/{j}/"):
             rv_canon.validate_rv(x)
-    check_entries((args.k_max + 1) ** len(xs) - 1, len(space), "--k-max")
+    keys = (args.k_max + 1) ** len(xs) - 1
+    check_entries(keys, len(space), "--k-max")
+    check_count(keys, MAX_KEYS, "--k-max", "keys")
     exps = [ks for ks in product(range(args.k_max + 1), repeat=len(xs)) if any(ks)]
     moments: Any = {}
     if exps:
@@ -419,8 +431,7 @@ def _cmd_ultra(args) -> tuple[int, dict, dict, dict]:
         dist = ultra_ball.ball_distance(a, b, ctx)
         return 0, {"distance": str(dist)}, {}, {}
     # check-triangles over a fixed pseudo-random rational sample
-    if args.samples < 0:
-        raise InvariantError(f"--samples: must be >= 0, got {args.samples}")
+    check_count(integer(args.samples, "--samples", 0), MAX_SAMPLES, "--samples", "samples")
     rng = random.Random(0)
     balls = []
     for _ in range(args.samples):

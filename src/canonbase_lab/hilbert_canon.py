@@ -84,8 +84,10 @@ class HilbertBase:
 
 def hs_cb(vs: Sequence[Sequence[float]], sub: Subspace) -> HilbertBase:
     """The tuple of projections together with the full Gram matrix; ``vs``
-    must be finite ``sub.dim``-vectors (``InvariantError`` naming ``vectors``)."""
+    must be finite ``sub.dim``-vectors, and the Gram matrix within the size
+    rule (``InvariantError`` naming ``vectors``)."""
     mat = _vectors(vs, sub.dim, "vectors")
+    check_entries(len(mat), len(mat), "vectors")
     projections, gram = _project(mat, sub).tolist(), (mat @ mat.T).tolist()
     return HilbertBase(tuple(map(tuple, projections)), tuple(map(tuple, gram)))
 

@@ -32,8 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvariantError, SpaceMismatchError, TermSyntaxError
-from .measure_core import LatticeElement, close
+from .errors import InvariantError, TermSyntaxError
+from .measure_core import LatticeElement, close, integer, same_space
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +191,7 @@ def eval_array(term: LatticeTerm, points: np.ndarray) -> np.ndarray:
 
 def eval_element(term: LatticeTerm, args: Sequence[LatticeElement]) -> LatticeElement:
     """Apply the term atom by atom to lattice elements on a common space."""
-    if not args:
-        raise InvariantError("eval_element needs at least one element")
-    space = args[0].space
-    for g in args[1:]:
-        if g.space != space:
-            raise SpaceMismatchError("term arguments live on different measure spaces")
+    space = same_space(args, "args")
     return LatticeElement(space, _evaluate(_walk(term), np.array([g.array for g in args])))
 
 
@@ -340,9 +335,7 @@ def parse_term(text: str, arity: int) -> LatticeTerm:
     per join, so the text of a flat join chain longer than that does not
     parse back.
     """
-    if arity < 0:
-        raise InvariantError("arity must be nonnegative")
-    return _Parser(text, arity).parse()
+    return _Parser(text, integer(arity, "arity", 0)).parse()
 
 
 _TEXT = {
@@ -541,9 +534,9 @@ def registry_function(spec: str) -> HomogeneousFn:
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InvariantError(f"{spec!r}: arguments must be rational numbers ({exc})") from None
     if name == "euclid":
-        if len(args) > 1 or (args and not (args[0] >= 1 and args[0].is_integer())):
-            raise InvariantError(f"{spec!r}: euclid(n) needs one integer n >= 1")
-        n = int(args[0]) if args else 2
+        if len(args) > 1:
+            raise InvariantError(f"{spec!r}: euclid(n) takes one integer n >= 1")
+        n = integer(args[0], f"{spec!r}: n", 1) if args else 2
         return HomogeneousFn(
             f"euclid({n})", n,
             lambda pts: np.sqrt((pts ** 2).sum(axis=0)),
@@ -714,6 +707,7 @@ def approximate_on_sphere(fn: HomogeneousFn, eps: float, grid: int = 64) -> tupl
     """
     if not eps > 0:
         raise InvariantError("eps must be positive")
+    grid = integer(grid, "grid", 1)
     if fn.arity > 6:  # the fan starts from 2^n cones; a split halves up to 2^(n-2)
         raise InvariantError(f"{fn.name}: approximation takes arity <= 6, got {fn.arity}")
     fn.spot_check_homogeneous()

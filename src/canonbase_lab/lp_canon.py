@@ -30,11 +30,13 @@ from .measure_core import (
     check_p,
     close,
     dotminus,
+    integer,
     integral,
     lp_norm,
     meet,
     neg_part,
     pos_part,
+    same_space,
     signed_power,
 )
 from .oracle import DirectionalMass
@@ -216,11 +218,11 @@ def grid_approx(
     """
     t = float(t)
     bound = float(bound)
-    grid_n = int(grid_n)
+    grid_n = integer(grid_n, "grid_n", 1)
     if not 0.0 < t < 1.0:
         raise InvariantError(f"grid approximation needs t in (0, 1), got {t}")
-    if not (bound > 0 and grid_n >= 1):
-        raise InvariantError("need bound > 0 and grid_n >= 1")
+    if not bound > 0:
+        raise InvariantError(f"need bound > 0, got {bound}")
     fam = slices(f, pair)
     grid = bound * np.arange(-grid_n, grid_n + 1) / grid_n
     g_vals, h_vals = [], []
@@ -258,8 +260,6 @@ def duality_pairing(f: LatticeElement, g: LatticeElement, p: float, q: float) ->
     q = float(q)
     if not q > 1.0:
         raise InvariantError("the duality pairing needs q > 1 (conjugate exponent defined)")
-    if f.space != g.space:
-        raise SpaceMismatchError("pairing needs elements on one space")
     qc = q / (q - 1.0)
     kernel = signed_power(f, 1.0 / q) * signed_power(g, 1.0 / qc)
     return integral(signed_power(kernel, p))
@@ -364,9 +364,9 @@ class LpCanonicalBase:
         """Invert the prefix sums: the k-th sorted fiber value per atom is
         n*(E_{k/n} - E_{(k-1)/n}), or n*E_[(k-1)/n, k/n] in the interval form.
         Requires the full grid, {k/n : k = 1..n} or {k/n : k = 0..n}."""
-        n = int(fiber_cells)
+        n = integer(fiber_cells, "fiber_cells", 1)
         first = 0 if self.interval_form else 1
-        if n < 1 or len(self.grid) != n + 1 - first or not close(
+        if len(self.grid) != n + 1 - first or not close(
             self.grid, np.arange(first, n + 1) / n
         ):
             raise InvariantError(f"reconstruction needs the grid {{k/n : k = {first}..n}}")
@@ -390,17 +390,15 @@ def canonical_base_1type(
 ) -> LpCanonicalBase:
     """Assemble the canonical base tuple of f over the given grid.
 
-    Grid points lie in [0, 1]; the endpoints stand in for the limits over a
-    dense grid (E_0 = 0 and E_1 = the full conditional expectation, both
-    exact here).
+    Grid points lie in [0, 1] (``SliceFamily.partials_at`` refuses any
+    other); the endpoints stand in for the limits over a dense grid (E_0 = 0
+    and E_1 = the full conditional expectation, both exact here).
     """
     p = check_p(p)
     pair.require(f)
     pts = tuple(float(t) for t in grid)
     if not pts:
         raise InvariantError("the grid must be nonempty")
-    if any(not 0.0 <= t <= 1.0 for t in pts):
-        raise InvariantError("grid points must lie in [0, 1]")
     if any(b <= a for a, b in zip(pts, pts[1:])):
         raise InvariantError("grid points must be strictly increasing")
     rows = slices(f, pair).partials_at(pts)
@@ -427,13 +425,10 @@ def canonical_base_ntype(
     k_max: int,
 ) -> NTypeBase:
     p = check_p(p)
-    if not fs:
-        raise InvariantError("the tuple of elements must be nonempty")
-    for g in fs:
-        pair.require(g)
-    k_max = int(k_max)
-    if k_max < 1:
-        raise InvariantError("the integer box must contain a spanning set (k_max >= 1)")
+    same_space(fs, "elements")
+    pair.require(fs[0])
+    # the integer box must contain a spanning set
+    k_max = integer(k_max, "k_max", 1)
     bases = {}
     for combo in product(range(-k_max, k_max + 1), repeat=len(fs)):
         elem = LatticeElement.zero(pair.total_space())

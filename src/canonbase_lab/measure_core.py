@@ -10,13 +10,14 @@ read-only at construction, so every value here is immutable, every operation
 is a pure function, and concurrent use from multiple threads needs no
 coordination. Input is coerced to finite reals once, at construction; the
 ``InvariantError`` for a bad entry names the argument and the entry as a
-relative pointer (``rows/1/3: ...``). ``integer`` is the one integer rule
-(``fiber_cells``, ``dim``, the atom indices of a ``SubStructure``), ``check_p``
-the one exponent rule (1 <= p < inf, so ``lp_norm`` is never the sup norm),
-``check_entries`` the one size rule (a result holds at most ``MAX_ENTRIES``
-entries, rows times atoms, checked before anything is allocated), and
-``ExtensionPair.require`` the one check that an element lives on a pair's
-total space, whose cell order ``ExtensionPair.fibers`` defines.
+relative pointer (``rows/1/3: ...``). Each kind of check has one rule:
+``integer`` (cell counts, moment orders, atom indices, a prime, an arity),
+``check_p`` (1 <= p < inf, so ``lp_norm`` is never the sup norm),
+``check_entries`` (at most ``MAX_ENTRIES`` entries, rows times atoms, checked
+before anything is allocated; ``check_count`` applies another cap such as
+``MAX_KEYS``), ``same_space`` (elements combined live on one space) and
+``ExtensionPair.require`` (an element of a pair's total space, whose cell
+order ``ExtensionPair.fibers`` defines).
 
 Values that are constant on the blocks of a substructure (conditional
 expectations and moments, conditional probabilities of events) are computed
@@ -105,25 +106,37 @@ def reals(values, name: str) -> np.ndarray:
 
 
 def integer(value, name: str, least: int) -> int:
-    """``value`` as an int >= ``least``; unlike int(), refuses bools, strings and fractions."""
+    """``value`` as an int >= ``least``. Unlike int(), it refuses bools,
+    strings and fractions, with ``{name}: must be an integer, got {value!r}``;
+    an integer below ``least`` gets ``{name}: must be >= {least}, got {value!r}``."""
     whole = isinstance(value, Integral) or isinstance(value, Real) and math.isfinite(value)
-    if isinstance(value, bool) or not whole or value != int(value) or value < least:
-        raise InvariantError(f"{name}: must be an integer >= {least}, got {value!r}")
+    if isinstance(value, bool) or not whole or value != int(value):
+        raise InvariantError(f"{name}: must be an integer, got {value!r}")
+    if value < least:
+        raise InvariantError(f"{name}: must be >= {least}, got {value!r}")
     return int(value)
 
 
 #: The most entries, rows times atoms, that one result may hold: 2**24, which
 #: admits the 4,095 event meets of 12 events on 4,096 atoms.
 MAX_ENTRIES = 2**24
+#: The most keys one result may map, each to a row: 2**14, since each key of a
+#: report takes about 45 us to build and encode.
+MAX_KEYS = 2**14
 
 
 def check_entries(rows: int, atoms: int, name: str) -> None:
     """Raise ``InvariantError`` naming ``name`` and the cap unless ``rows``
     rows of ``atoms`` atoms hold at most ``MAX_ENTRIES`` entries."""
-    count = rows * atoms
-    if count > MAX_ENTRIES:
+    check_count(rows * atoms, MAX_ENTRIES, name, "entries")
+
+
+def check_count(count: int, cap: int, name: str, unit: str) -> None:
+    """Raise ``InvariantError`` naming ``name`` and the power-of-two ``cap``
+    unless ``count`` (of ``unit``) is at most ``cap``."""
+    if count > cap:
         size = count if count.bit_length() <= 60 else f"more than 2**{count.bit_length() - 1}"
-        raise InvariantError(f"{name}: {size} entries exceed the cap of {MAX_ENTRIES} (2**24)")
+        raise InvariantError(f"{name}: {size} {unit} exceed the cap of {cap} (2**{cap.bit_length() - 1})")
 
 
 def _weights(values, name: str) -> np.ndarray:
@@ -211,11 +224,11 @@ class LatticeElement:
     # -- convenience arithmetic (pointwise, same space) -------------------
 
     def __add__(self, other: "LatticeElement") -> "LatticeElement":
-        _check_same_space(self, other)
+        same_space((self, other), "operands")
         return LatticeElement(self.space, self.array + other.array)
 
     def __sub__(self, other: "LatticeElement") -> "LatticeElement":
-        _check_same_space(self, other)
+        same_space((self, other), "operands")
         return LatticeElement(self.space, self.array - other.array)
 
     def __neg__(self) -> "LatticeElement":
@@ -227,7 +240,7 @@ class LatticeElement:
     def __mul__(self, c) -> "LatticeElement":
         """A scalar multiple, or the pointwise product with another element."""
         if isinstance(c, LatticeElement):
-            _check_same_space(self, c)
+            same_space((self, c), "operands")
             return LatticeElement(self.space, self.array * c.array)
         return LatticeElement(self.space, float(c) * self.array)
 
@@ -245,9 +258,17 @@ class LatticeElement:
         return cls(space, np.full(len(space), float(c)))
 
 
-def _check_same_space(f: LatticeElement, g: LatticeElement) -> None:
-    if f.space != g.space:
-        raise SpaceMismatchError("elements live on different measure spaces")
+def same_space(elements: Sequence[LatticeElement], name: str) -> MeasureSpace:
+    """The one space of ``elements``: ``InvariantError`` if there are none,
+    else ``SpaceMismatchError`` naming ``{name}/{j}`` for the first element j
+    on another space than ``{name}/0``."""
+    if not elements:
+        raise InvariantError(f"{name}: need at least one element")
+    space = elements[0].space
+    for j, e in enumerate(elements):
+        if e.space != space:
+            raise SpaceMismatchError(f"{name}/{j}: lives on another space than {name}/0")
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +276,18 @@ def _check_same_space(f: LatticeElement, g: LatticeElement) -> None:
 # ---------------------------------------------------------------------------
 
 def join(f: LatticeElement, g: LatticeElement) -> LatticeElement:
-    _check_same_space(f, g)
+    same_space((f, g), "operands")
     return LatticeElement(f.space, np.maximum(f.array, g.array))
 
 
 def meet(f: LatticeElement, g: LatticeElement) -> LatticeElement:
-    _check_same_space(f, g)
+    same_space((f, g), "operands")
     return LatticeElement(f.space, np.minimum(f.array, g.array))
 
 
 def dotminus(f: LatticeElement, g: LatticeElement) -> LatticeElement:
     """Truncated subtraction, (a - b) v 0, per atom."""
-    _check_same_space(f, g)
+    same_space((f, g), "operands")
     return LatticeElement(f.space, np.maximum(f.array - g.array, 0.0))
 
 
@@ -408,12 +429,6 @@ def _block_sums(x: np.ndarray, labels: np.ndarray, blocks: int) -> np.ndarray:
     return np.bincount(labels, x, blocks + 1)[:blocks]
 
 
-def block_integrals(f: LatticeElement, s: SubStructure) -> np.ndarray:
-    """Per block of s, in block order, the integral of f over the block."""
-    labels = s._labels(f.space)
-    return _block_sums(f.space.weight_array * f.array, labels, len(s.blocks))
-
-
 def block_means(rows: np.ndarray, s: SubStructure, space: MeasureSpace) -> tuple[np.ndarray, np.ndarray]:
     """The block kernel: for the (r, atoms) array ``rows`` of values on
     ``space``, the (r, blocks + 1) table whose row holds the weighted mean of
@@ -477,7 +492,7 @@ def band_decompose(f: LatticeElement, s: SubStructure) -> tuple[LatticeElement, 
 
 def orthogonal(f: LatticeElement, g: LatticeElement, tol: float = TOL) -> bool:
     """True iff |f| ^ |g| is the zero element, tested as |f + g| = |f - g|."""
-    _check_same_space(f, g)
+    same_space((f, g), "operands")
     return close(np.abs(f.array + g.array), np.abs(f.array - g.array), tol)
 
 

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvariantError, SpaceMismatchError
-from .measure_core import TOL, ExtensionPair, LatticeElement, check_p, close, group, sort_order
+from .errors import InvariantError
+from .measure_core import TOL, ExtensionPair, LatticeElement, check_p, close, group, same_space, sort_order
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,7 @@ class DirectionalMass:
 
     @classmethod
     def from_elements(cls, fs: Sequence[LatticeElement], p: float) -> "DirectionalMass":
-        if not fs:
-            raise InvariantError("directional mass needs at least one element")
-        space = fs[0].space
-        for g in fs[1:]:
-            if g.space != space:
-                raise SpaceMismatchError("elements must share one measure space")
+        space = same_space(fs, "elements")
         vecs = np.stack([g.array for g in fs], axis=1)
         sup = np.abs(vecs).max(axis=1)
         ray = sup != 0.0
@@ -91,9 +86,8 @@ def type_equal_n(
         return False
     if not pair.has_orthogonal:
         return True
-    mf = DirectionalMass.from_elements([pair.orthogonal_part(g) for g in fs], p)
-    mg = DirectionalMass.from_elements([pair.orthogonal_part(g) for g in gs], p)
-    return mf.approx_equal(mg)
+    orth = ([pair.orthogonal_part(g) for g in tup] for tup in (fs, gs))
+    return absolute_type_equal(*orth, p)
 
 
 def absolute_type_equal(fs: Sequence[LatticeElement], gs: Sequence[LatticeElement], p: float) -> bool:
@@ -102,8 +96,6 @@ def absolute_type_equal(fs: Sequence[LatticeElement], gs: Sequence[LatticeElemen
     p = check_p(p)
     if len(fs) != len(gs):
         raise InvariantError("tuples must have equal length")
-    if not fs:
-        raise InvariantError("tuples must be nonempty")
     mf = DirectionalMass.from_elements(fs, p)
     mg = DirectionalMass.from_elements(gs, p)
     return mf.approx_equal(mg)

@@ -20,23 +20,26 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientMomentsError, InvariantError, SpaceMismatchError
+from .errors import InsufficientMomentsError, InvariantError
 from .measure_core import (
+    MAX_KEYS,
     BlockTable,
     ExtensionPair,
     LatticeElement,
     MeasureSpace,
     SubStructure,
     TOL,
-    block_integrals,
     block_means,
+    check_count,
     check_entries,
     close,
     cond_exp,
     group,
+    integer,
     integral,
     join,
     meet,
+    same_space,
 )
 
 
@@ -86,19 +89,15 @@ def rv_op(op: str, x: LatticeElement, y: LatticeElement | None = None) -> Lattic
 def _monomials(xs: Sequence[LatticeElement], kss: Sequence[Sequence[int]]) -> np.ndarray:
     """The (len(kss), atoms) array of the products prod_i X_i^{k_i}, one row
     per exponent tuple, multiplied in variable order; each power X_i^k is
-    taken once."""
-    space = xs[0].space
-    if any(x.space != space for x in xs):
-        raise SpaceMismatchError("random variables live on different spaces")
+    taken once. Exponent i of tuple r is named ``exponents/r/i``."""
+    space = same_space(xs, "variables")
     powers: dict[tuple[int, int], np.ndarray] = {}
     rows = np.ones((len(kss), len(space)))
-    for row, ks in zip(rows, kss):
+    for r, (row, ks) in enumerate(zip(rows, kss)):
         if len(xs) != len(ks):
             raise InvariantError("exponent tuple length must match the variable tuple")
         for i, (x, k) in enumerate(zip(xs, ks)):
-            k = int(k)
-            if k < 0:
-                raise InvariantError("moment exponents must be nonnegative")
+            k = integer(k, f"exponents/{r}/{i}", 0)
             if (i, k) not in powers:
                 powers[i, k] = x.array**k
             row *= powers[i, k]
@@ -131,25 +130,16 @@ def cond_moment(
 def least_squares_check(x: LatticeElement, k: int, s: SubStructure) -> bool:
     """Verify that the conditional moment minimises the L_2 distance to X^k
     among block-constant candidates, at 21 evenly spaced constants in [0, 1]."""
-    validate_rv(x)
-    target = _monomial([x], [k])
-
-    def block_sq_dist(y: LatticeElement) -> np.ndarray:
-        gap = target - y
-        return block_integrals(gap * gap, s)
-
-    mass = block_integrals(LatticeElement.constant(x.space, 1.0), s)
-    y_star = block_integrals(target, s) / mass
-    d_star = block_sq_dist(cond_exp(target, s))
-    for y in np.linspace(0.0, 1.0, 21):
-        d = block_sq_dist(LatticeElement.constant(x.space, y))
-        # the gap to the optimum must follow the variance decomposition, so
-        # it is nonnegative and vanishes only at the conditional moment; a
-        # squared gap of [0, 1]-valued variables is at most the block mass,
-        # which sets the scale
-        if not close(np.append(d, mass), np.append(d_star + mass * (y - y_star) ** 2, mass)):
-            return False
-    return True
+    target = _monomials([x], [[k]])[0]
+    y_star = cond_moment([x], [k], s).array
+    ys = np.linspace(0.0, 1.0, 21)
+    rows = np.vstack([target, (target - y_star) ** 2, (target - ys[:, None]) ** 2])
+    means = block_means(rows, s, x.space)[0][:, :-1]
+    mean, d_star, d = means[0], means[1], means[2:]
+    # per block, the mean squared gap to y must follow the variance
+    # decomposition, so it is least at the conditional moment; means of
+    # squared gaps of [0, 1]-valued variables are at most 1, which sets the scale
+    return close(np.append(d, 1.0), np.append(d_star + (ys[:, None] - mean) ** 2, 1.0))
 
 
 def is_block_measurable(y: LatticeElement, s: SubStructure) -> bool:
@@ -178,20 +168,17 @@ def apr_cb(events: Sequence[LatticeElement], s: SubStructure) -> BlockTable:
     """Conditional probabilities of all nonempty intersections of the events,
     indexed by the subset of event indices. Errors name the offending entry
     as a pointer relative to the argument (``events/1/4: ...``); more than
-    ``MAX_ENTRIES`` entries (2^k - 1 meets times the atoms) is an error
-    naming ``events``."""
-    if not events:
-        raise InvariantError("events: need at least one event")
-    space = events[0].space
+    ``MAX_ENTRIES`` entries (2^k - 1 meets times the atoms), or more than
+    ``MAX_KEYS`` meets, is an error naming ``events``."""
+    space = same_space(events, "events")
     for j, e in enumerate(events):
-        if e.space != space:
-            raise SpaceMismatchError(f"events/{j}: lives on another space than events/0")
         bad = np.flatnonzero(np.minimum(np.abs(e.array), np.abs(e.array - 1.0)) > TOL)
         if len(bad):
             i = bad[0]
             raise InvariantError(f"events/{j}/{i}: indicator value {e.array[i]} is not 0/1")
     k = len(events)
     check_entries(2**k - 1, len(space), "events")
+    check_count(2**k - 1, MAX_KEYS, "events", "keys")
     labels, masses = s.partition(space)
     # bit j of an atom's mask says whether the atom lies in event j
     members = np.round([e.array for e in events]).astype(np.int64)
@@ -233,10 +220,8 @@ def lift_event(x: LatticeElement, s: SubStructure, fiber_cells: int) -> LiftedEv
     validate_rv(x)
     if not is_block_measurable(x, s):
         raise InvariantError("x must be measurable for the conditioning blocks")
-    n = int(fiber_cells)
-    if n < 1:
-        raise InvariantError("fiber_cells must be positive")
-    pair = ExtensionPair(x.space.weights, n)
+    pair = ExtensionPair(x.space.weights, fiber_cells)
+    n = pair.n
     ks = np.clip(np.floor(x.array * n + 0.5), 0, n)
     snapped = LatticeElement(x.space, ks / n)
     was_rounded = not snapped.approx_equal(x)
@@ -268,9 +253,8 @@ def moments_determine_check(
     smaller raises."""
     validate_rv(x)
     validate_rv(y)
-    if x.space != y.space:
-        raise SpaceMismatchError("variables live on different spaces")
-    max_k = int(max_k)
+    same_space((x, y), "variables")
+    max_k = integer(max_k, "max_k", 0)
     quantum = TOL * float(max(np.abs(x.array).max(), np.abs(y.array).max()))
     dists = [_block_masses(x, y, b, quantum) for b in s.blocks]
     for probs_x, _ in dists:
@@ -280,9 +264,8 @@ def moments_determine_check(
                 f"a block carries {distinct} distinct values; "
                 f"max_k = {max_k} moments cannot determine them"
             )
-    moments_match = all(
-        cond_moment([x], [k], s).approx_equal(cond_moment([y], [k], s))
-        for k in range(1, max_k + 1)
-    )
+    kss = [(k,) for k in range(1, max_k + 1)]
+    moments_x, moments_y = (cond_moments([v], kss, s).table for v in (x, y))
+    moments_match = all(map(close, moments_x, moments_y))
     dists_match = all(close(probs_x, probs_y) for probs_x, probs_y in dists)
     return moments_match == dists_match

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError
+from .measure_core import integer
 
 
 #: Miller-Rabin on the prime bases up to 41 decides primality exactly below
@@ -46,7 +47,7 @@ class PAdicContext:
     prime: int
 
     def __post_init__(self):
-        p = int(self.prime)
+        p = integer(self.prime, "prime", 2)
         if p >= PRIME_BOUND:
             raise InvariantError(f"must be below {PRIME_BOUND}, the bound of the exact primality test")
         if not _is_prime(p):

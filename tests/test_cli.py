@@ -54,6 +54,15 @@ TYPEQ_ARGV = ["typeq", "--space", "space", "--a", "a", "--b", "b", "--p"]
 PL_FN = {"domain": [None, None], "breakpoints": [0.0], "slopes": [-1.0, 1.0], "anchor": [0.0, 0.0]}
 LEGENDRE = ["legendre", "--fn", "fn"]
 LP_CB = ["lp-cb", "--space", "space", "--element", "element", "--p", "2", "--grid", "2"]
+# the size flags, each at the end of its argv
+_LP_GRID = ["lp-cb", "--space", "space", "--element", "element", "--p", "2", "--grid"]
+_LP_INTERVALS = ["lp-cb", "--space", "space", "--element", "element", "--p", "2", "--intervals", "--grid"]
+_FIT_GRID = ["krivine", "approx", "--fn", "geomean(1/2)", "--eps", "0.1", "--grid"]
+_K_MAX = ["rv-cb", "--space", "prob", "--elements", "elements", "--k-max"]
+_SAMPLES = ["ultra", "--prime", "3", "check-triangles", "--samples"]
+_SIZE_DOCS = {
+    "space": SPACE, "element": {"rows": [[0, 1], [2, 3]]}, "prob": PROBABILITY, "elements": {"elements": [[0.5, 0.25]]},
+}
 
 
 def _approx(spec, *extra):
@@ -204,6 +213,22 @@ def _eval(term):
          "space: /fiber_cells: 2000000000000 entries exceed the cap"),
         ({"subspace": {"dim": 1e30, "basis": []}, "vectors": VECTORS}, HS_CB,
          "subspace: /dim: more than 2**99 entries exceed the cap"),
+        ({"subspace": {"dim": 1, "basis": []}, "vectors": {"vectors": [[1.0]] * 4097}}, HS_CB,
+         "vectors: /vectors: 16785409 entries exceed the cap of 16777216 (2**24)"),
+        # size flags past their caps, refused before anything is allocated
+        (_SIZE_DOCS, _LP_INTERVALS + ["20000"], "--grid: 200010000 keys exceed the cap of 16384 (2**14)"),
+        (_SIZE_DOCS, _LP_INTERVALS + ["181"], "--grid: 16471 keys exceed the cap of 16384 (2**14)"),
+        (_SIZE_DOCS, _LP_GRID + ["100000000"], "--grid: 100000000 keys exceed the cap of 16384 (2**14)"),
+        (_SIZE_DOCS, _LP_GRID + ["16385"], "--grid: 16385 keys exceed the cap of 16384 (2**14)"),
+        ({"space": {"base_weights": [1.0] * 2**11, "fiber_cells": 1}, "element": {"rows": [[0.5]] * 2**11}},
+         _LP_GRID + ["8193"], "--grid: 16779264 entries exceed the cap of 16777216 (2**24)"),
+        ({}, _FIT_GRID + ["100000000"], "--grid: 100000000 cones exceed the cap of 256 (2**8)"),
+        ({}, _FIT_GRID + ["257"], "--grid: 257 cones exceed the cap of 256 (2**8)"),
+        (_SIZE_DOCS, _K_MAX + ["16385"], "--k-max: 16385 keys exceed the cap of 16384 (2**14)"),
+        ({"events": {"weights": [1.0], "blocks": [[0]], "events": [[1]] * 15}}, ["apr-cb", "--events", "events"],
+         "events: /events: 32767 keys exceed the cap of 16384 (2**14)"),
+        ({}, _SAMPLES + ["200"], "--samples: 200 samples exceed the cap of 64 (2**6)"),
+        ({}, _SAMPLES + ["65"], "--samples: 65 samples exceed the cap of 64 (2**6)"),
     ],
 )
 def test_malformed_input_exits_2_naming_the_pointer(tmp_path, capsys, docs, argv, expected):
@@ -670,7 +695,7 @@ _FUZZ_CALLS = [
     (HS_CB, {"vectors": VECTORS, "subspace": SUBSPACE}, {"subspace": ("vectors",)}),
 ]
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.text(max_size=3) | st.integers(-1000, 1000)
+    st.none() | st.booleans() | st.text(max_size=3) | st.integers(-(10**30), 10**30)
     | st.floats(-1000, 1000) | st.sampled_from([math.nan, math.inf, -math.inf]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=8,
@@ -706,3 +731,32 @@ def test_malformed_documents_exit_2_naming_the_document(tmp_path_factory, case):
     assert code in (0, 2, 3) and report["exit_code"] == code
     if code == 2:
         assert report["error"].startswith(tuple(f"{work / name}: " for name in blamed)), report["error"]
+
+
+# -- size flags: every value ends within the time limit -------------------------------
+
+@pytest.fixture(scope="module")
+def size_docs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("sizes")
+    for name, doc in _SIZE_DOCS.items():
+        (work / name).write_text(json.dumps(doc))
+    return work
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([_LP_GRID, _LP_INTERVALS, _FIT_GRID, _K_MAX, _SAMPLES]), st.integers(-(10**30), 10**30))
+@example(_LP_GRID, 2**14)
+@example(_LP_INTERVALS, 180)
+@example(_FIT_GRID, 2**8)
+@example(_K_MAX, 2**14)
+@example(_SAMPLES, 2**6)
+def test_size_flags_exit_0_2_or_3_within_two_seconds(size_docs, argv, value):
+    stdout = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(stdout):
+        code = cli.dispatch([str(size_docs / a) if a in _SIZE_DOCS else a for a in [*argv, str(value)]])
+    seconds = time.perf_counter() - start
+    report = json.loads(stdout.getvalue())
+    assert code in (0, 2, 3) and report["exit_code"] == code
+    assert code != 2 or report["error"].startswith(argv[-1] + ": "), report["error"]
+    assert seconds < 2.0, (argv, value, seconds)

@@ -416,3 +416,22 @@ def test_registry_halfsum_pq_is_homogeneous():
     same = registry_function("halfsum_pq(2,2)")
     pts = np.array([[1.0, -2.0], [3.0, 0.5]])
     assert np.allclose(same.fn(pts), 0.5 * (pts[0] + pts[1]))
+
+
+# -- integer arguments go through the integer rule ---------------------------------------
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: parse_term("x0", 1.5), "arity: must be an integer, got 1.5"),
+        (lambda: parse_term("x0", -1), "arity: must be >= 0, got -1"),
+        (lambda: approximate_on_sphere(registry_function("euclid"), 0.1, 2.5), "grid: must be an integer, got 2.5"),
+        (lambda: approximate_on_sphere(registry_function("euclid"), 0.1, 0), "grid: must be >= 1, got 0"),
+        (lambda: registry_function("euclid(2.5)"), "'euclid(2.5)': n: must be an integer, got 2.5"),
+        (lambda: eval_element(Var(0), []), "args: need at least one element"),
+    ],
+)
+def test_integer_arguments_are_refused_not_truncated(call, message):
+    with pytest.raises(InvariantError) as err:
+        call()
+    assert str(err.value) == message

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from canonbase_lab.errors import InvariantError
+from canonbase_lab.errors import InvariantError, SpaceMismatchError
 from canonbase_lab.legendre import biconjugate
 from canonbase_lab.lp_canon import (
     _partial_from_family,
@@ -726,3 +726,34 @@ def test_remark_report():
 def test_signed_power_consistency_with_transport():
     out = lq_transport(F24, 1, 2)
     assert out.values[0] == signed_power(-2.0, 0.5)
+
+
+# -- integer arguments go through the integer rule ---------------------------------------
+
+def test_integer_arguments_are_refused_not_truncated():
+    pair = ExtensionPair((1.0,), 4)
+    f = pair.element([[3.0, -1.0, 0.5, 2.0]])
+    cb = canonical_base_1type(f, pair, 2, [0.25, 0.5, 0.75, 1.0])
+    assert cb.reconstruct_sorted_rows(4) == [[-1.0, 0.5, 2.0, 3.0]]
+    cases = [
+        (lambda: grid_approx(f, pair, 0.5, 1.0, 2.7), "grid_n: must be an integer, got 2.7"),
+        (lambda: cb.reconstruct_sorted_rows(4.0001), "fiber_cells: must be an integer, got 4.0001"),
+        (lambda: canonical_base_ntype([f], pair, 2, [0.5, 1.0], k_max=1.9), "k_max: must be an integer, got 1.9"),
+        (lambda: canonical_base_ntype([f], pair, 2, [0.5, 1.0], k_max=0), "k_max: must be >= 1, got 0"),
+    ]
+    for call, message in cases:
+        with pytest.raises(InvariantError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_grid_points_outside_the_unit_interval_are_refused_once():
+    for t in (-0.5, 1.5, math.nan):
+        with pytest.raises(InvariantError, match=r"^t must lie in \[0, 1\]"):
+            canonical_base_1type(F24, UNIT2, 2, [0.5, t] if t > 1 else [t, 0.5])
+
+
+def test_duality_pairing_needs_one_space():
+    other = ExtensionPair((1.0, 1.0), 2).element([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(SpaceMismatchError):
+        duality_pairing(F24, other, 2, 2)

@@ -13,14 +13,17 @@ from canonbase_lab.measure_core import (
     MeasureSpace,
     SubStructure,
     band_decompose,
+    check_count,
     check_entries,
     cond_exp,
     distance,
     dotminus,
+    integer,
     join,
     lp_norm,
     meet,
     orthogonal,
+    same_space,
     scale,
     signed_power,
 )
@@ -374,3 +377,46 @@ def test_entry_cap_admits_2_to_the_24_entries_and_no_more():
         check_entries(1, MAX_ENTRIES + 1, "dim")
     with pytest.raises(InvariantError, match=r"^fiber_cells: more than 2\*\*99 entries"):
         ExtensionPair((1.0,), 10**30)
+
+
+def test_count_cap_names_the_count_and_the_cap():
+    check_count(2**14, 2**14, "--grid", "keys")
+    with pytest.raises(InvariantError, match=r"^--grid: 16385 keys exceed the cap of 16384 \(2\*\*14\)$"):
+        check_count(2**14 + 1, 2**14, "--grid", "keys")
+    with pytest.raises(InvariantError, match=r"^--k-max: more than 2\*\*99 keys exceed the cap of 16384"):
+        check_count(10**30, 2**14, "--k-max", "keys")
+
+
+@pytest.mark.parametrize(
+    "value, least, message",
+    [
+        (2.5, 1, "n: must be an integer, got 2.5"),
+        (True, 0, "n: must be an integer, got True"),
+        ("2", 0, "n: must be an integer, got '2'"),
+        (math.inf, 0, "n: must be an integer, got inf"),
+        (None, 0, "n: must be an integer, got None"),
+        (0, 1, "n: must be >= 1, got 0"),
+        (-3.0, 0, "n: must be >= 0, got -3.0"),
+    ],
+)
+def test_integer_rule_reports_its_two_failures_apart(value, least, message):
+    with pytest.raises(InvariantError) as err:
+        integer(value, "n", least)
+    assert str(err.value) == message
+
+
+def test_integer_rule_accepts_integral_values():
+    assert integer(3, "n", 1) == 3 and integer(4.0, "n", 0) == 4 and integer(np.int64(7), "n", 7) == 7
+    assert type(integer(4.0, "n", 0)) is int
+
+
+def test_same_space_names_the_first_element_on_another_space():
+    f, g = elem(1.0), LatticeElement(HALVES, (1.0, 2.0))
+    assert same_space([f], "args") == f.space
+    assert same_space((f, f, f), "args") == f.space
+    with pytest.raises(InvariantError, match=r"^args: need at least one element$"):
+        same_space([], "args")
+    with pytest.raises(SpaceMismatchError, match=r"^args/2: lives on another space than args/0$"):
+        same_space([f, f, g, g], "args")
+    with pytest.raises(SpaceMismatchError, match=r"^operands/1: lives on another space than operands/0$"):
+        f + g

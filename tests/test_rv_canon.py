@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from canonbase_lab.errors import InsufficientMomentsError, InvariantError
+from canonbase_lab.errors import InsufficientMomentsError, InvariantError, SpaceMismatchError
 from canonbase_lab.measure_core import (
     LatticeElement,
     MeasureSpace,
@@ -361,3 +361,37 @@ def test_block_distribution_reference_consistency(rng):
     dist = ref_block_distribution(space.weights, x.values, (0, 1, 2, 3))
     assert dist[0] == (0.25, pytest.approx(0.4))
     assert dist[1] == (0.5, pytest.approx(0.5))
+
+
+# -- integer arguments go through the integer rule ---------------------------------------
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda x: cond_moment([x], [1.5], TWO_BLOCKS), "exponents/0/0: must be an integer, got 1.5"),
+        (lambda x: cond_moment([x], [True], TWO_BLOCKS), "exponents/0/0: must be an integer, got True"),
+        (lambda x: cond_moment([x], ["2"], TWO_BLOCKS), "exponents/0/0: must be an integer, got '2'"),
+        (lambda x: cond_moment([x, x], [1, -1], TWO_BLOCKS), "exponents/0/1: must be >= 0, got -1"),
+        (lambda x: lift_event(x, TWO_BLOCKS, 2.5), "fiber_cells: must be an integer, got 2.5"),
+        (lambda x: lift_event(x, TWO_BLOCKS, 0), "fiber_cells: must be >= 1, got 0"),
+        (lambda x: moments_determine_check(x, x, TWO_BLOCKS, 3.5), "max_k: must be an integer, got 3.5"),
+        (lambda x: least_squares_check(x, 0.5, TWO_BLOCKS), "exponents/0/0: must be an integer, got 0.5"),
+    ],
+)
+def test_integer_arguments_are_refused_not_truncated(call, message):
+    x = rv(0.5, 0.5, 0.25, 0.25)
+    with pytest.raises(InvariantError) as err:
+        call(x)
+    assert str(err.value) == message
+
+
+def test_variables_on_two_spaces_are_named_by_position():
+    x, other = rv(0.5, 0.5, 0.25, 0.25), rv(0.5, 0.5)
+    with pytest.raises(SpaceMismatchError, match=r"^variables/1: lives on another space than variables/0$"):
+        cond_moment([x, other], [1, 1], TWO_BLOCKS)
+    with pytest.raises(SpaceMismatchError, match=r"^variables/1: "):
+        moments_determine_check(x, other, TWO_BLOCKS, 1)
+    with pytest.raises(SpaceMismatchError, match=r"^events/1: lives on another space than events/0$"):
+        apr_cb([x, other], TWO_BLOCKS)
+    with pytest.raises(InvariantError, match=r"^events: need at least one element$"):
+        apr_cb([], TWO_BLOCKS)

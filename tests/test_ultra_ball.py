@@ -244,3 +244,12 @@ def test_ball_equal_iff_zero_distance(rng):
         assert equal == (
             a.radius == b.radius and proj_distance(a.center, b.center, P2) <= a.radius
         )
+
+
+@pytest.mark.parametrize("prime, message", [(7.9, "prime: must be an integer, got 7.9"),
+                                            ("7", "prime: must be an integer, got '7'"),
+                                            (1, "prime: must be >= 2, got 1")])
+def test_padic_context_refuses_a_prime_that_is_not_an_integer(prime, message):
+    with pytest.raises(InvariantError) as err:
+        PAdicContext(prime)
+    assert str(err.value) == message
