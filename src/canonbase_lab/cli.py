@@ -28,9 +28,12 @@ orthogonal) * fiber_cells (``/fiber_cells``), a subspace's dim (``/dim``)
 and ``hs-cb``'s Gram matrix (``/vectors``). Work that grows faster has caps
 of its own, each about a second of work: ``measure_core.MAX_KEYS`` = 2**14
 keys in one of those three reports, ``MAX_CONES`` = 2**8 for ``krivine
-approx --grid`` (the cones a fit starts from; its refinement grows with the
-arity and 1/eps instead) and ``MAX_SAMPLES`` = 2**6 for ``ultra
-check-triangles --samples`` (3 * C(samples, 3) exact comparisons).
+approx --grid`` (the cones a fit starts from) and ``MAX_SAMPLES`` = 2**6 for
+``ultra check-triangles --samples`` (3 * C(samples, 3) exact comparisons).
+A fit's refinement stops at ``krivine.MAX_FAN`` = 2**13 cones or about
+``krivine.MAX_DRAWN`` = 2**27 sample points, seconds of work (about 15 s for
+``euclid(5)``), and reports the best bound it reached, with ``reached_eps``
+false.
 """
 
 from __future__ import annotations

@@ -15,9 +15,11 @@ refuses groups and q* prefixes nested deeper than 200.
 
 Approximation is Krivine's calculus made computable, by one engine for every
 arity n >= 2: the function is interpolated linearly on the cones of a
-conforming simplicial fan (the orthants, refined by edge bisection), and the
-interpolant becomes a lattice term in max-min form over its own pieces. Its
-error bound comes from deterministic samples and the cones' geometry.
+conforming simplicial fan (the orthants, refined by edge bisection in rounds
+that double, up to ``MAX_FAN`` cones), and the interpolant becomes a lattice
+term in max-min form over its own pieces, each meet cut down to pieces that
+cover every cone. Its error bound comes from deterministic samples and the
+cones' geometry.
 """
 
 from __future__ import annotations
@@ -41,98 +43,138 @@ from .measure_core import LatticeElement, close, integer, same_space
 # ---------------------------------------------------------------------------
 
 class LatticeTerm:
-    """Base class for term nodes; all nodes are immutable."""
+    """Base class for term nodes. A node is immutable: one constructor, shared
+    by every class, sets the fields its class names in ``_fields``, in order,
+    and nothing changes them after. Equality and hash go by the class and the
+    field values, and the repr names the fields, as a frozen dataclass's
+    would; ``vars(node)`` maps the field names to their values."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes fields {self._fields}, got {len(values)} values")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable term")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable term")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or tuple(self.__dict__.values()) == tuple(other.__dict__.values())
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
 class Zero(LatticeTerm):
     pass
 
 
-@dataclass(frozen=True)
 class Var(LatticeTerm):
+    _fields = ("index",)
     index: int
 
 
-@dataclass(frozen=True)
 class Neg(LatticeTerm):
+    _fields = ("arg",)
     arg: LatticeTerm
 
 
-@dataclass(frozen=True)
 class Abs(LatticeTerm):
+    _fields = ("arg",)
     arg: LatticeTerm
 
 
-@dataclass(frozen=True)
 class HalfSum(LatticeTerm):
+    _fields = ("left", "right")
     left: LatticeTerm
     right: LatticeTerm
 
 
-@dataclass(frozen=True)
 class Join(LatticeTerm):
+    _fields = ("left", "right")
     left: LatticeTerm
     right: LatticeTerm
 
 
-@dataclass(frozen=True)
 class Meet(LatticeTerm):
+    _fields = ("left", "right")
     left: LatticeTerm
     right: LatticeTerm
 
 
-@dataclass(frozen=True)
 class Scale(LatticeTerm):
+    _fields = ("factor", "arg")
     factor: Fraction
     arg: LatticeTerm
 
-    def __post_init__(self):
-        object.__setattr__(self, "factor", Fraction(self.factor))
 
+_UNARY = frozenset((Neg, Abs, Scale))  # the classes with one child, ``arg``; Zero and Var have none
+_LISTED = object()  # on the walk's stack, above a node whose children are listed
 
-# A node's children, None where it has fewer than two.
-_CHILDREN = {
-    **dict.fromkeys((Zero, Var), lambda t: (None, None)),
-    **dict.fromkeys((Neg, Abs, Scale), lambda t: (t.arg, None)),
-    **dict.fromkeys((HalfSum, Join, Meet), lambda t: (t.left, t.right)),
-}
-
-# steps (node, left, right), and per position the step that reads it last
-_Walk = tuple[list[tuple[LatticeTerm, int, int]], list[int]]
+# per position the node, its children's positions (-1 for a missing child),
+# and the position of the step that reads it last
+_Walk = tuple[list[LatticeTerm], list[int], list[int], list[int]]
 
 
 def _walk(term: LatticeTerm) -> _Walk:
     """List each distinct node of ``term`` once, by identity, children before
-    parents, as steps (node, left, right): the positions of its children,
-    -1 for a missing child."""
-    pos = {id(None): -1}
-    steps = []
+    parents. The lists hold nodes and ints only: no tuple per step for the
+    cyclic garbage collector to count and trace."""
+    pos: dict[int, int] = {}
+    nodes: list[LatticeTerm] = []
+    lefts: list[int] = []
+    rights: list[int] = []
+    last: list[int] = []
     stack: list = [term]
     while stack:
         node = stack.pop()
-        if node.__class__ is tuple:  # (node, left, right), the children listed
-            node, left, right = node
-            pos[id(node)] = len(steps)
-            steps.append((node, pos[id(left)], pos[id(right)]))
-        elif id(node) not in pos:
-            left, right = _CHILDREN[node.__class__](node)
-            stack += ((node, left, right), left, right)
-    last = [-1] * (len(steps) + 1)  # the extra slot stands for a missing child
-    for i, (_, a, b) in enumerate(steps):
-        last[a] = last[b] = i
-    return steps, last
+        if node is _LISTED:
+            node = stack.pop()
+            i = pos[id(node)] = len(nodes)
+            if node.__class__ in _UNARY:
+                a, b = pos[id(node.arg)], -1
+            else:
+                a, b = pos[id(node.left)], pos[id(node.right)]
+                last[b] = i
+            last[a] = i
+        elif id(node) in pos:
+            continue
+        elif node.__class__ in _UNARY:
+            stack += (node, _LISTED, node.arg)
+            continue
+        elif node.__class__ is Var or node.__class__ is Zero:
+            pos[id(node)] = len(nodes)
+            a = b = -1
+        else:
+            stack += (node, _LISTED, node.right, node.left)
+            continue
+        nodes.append(node)
+        lefts.append(a)
+        rights.append(b)
+        last.append(-1)
+    last.append(-1)  # the slot of a missing child, never read
+    return nodes, lefts, rights, last
 
 
 def _fold(walk: _Walk, rules: dict):
     """The value of the walk's root, where a node's value is
     ``rules[type](node, left value, right value)`` (None for a missing
     child). Each value is dropped as soon as its last reader has run."""
-    steps, last = walk
-    vals: list = [None] * (len(steps) + 1)
-    for i, (node, a, b) in enumerate(steps):
+    nodes, lefts, rights, last = walk
+    vals: list = [None] * (len(nodes) + 1)
+    for i, (node, a, b) in enumerate(zip(nodes, lefts, rights)):
         vals[i] = rules[node.__class__](node, vals[a], vals[b])
         if last[a] == i:
             vals[a] = None
@@ -142,7 +184,7 @@ def _fold(walk: _Walk, rules: dict):
 
 
 def _arity(walk: _Walk) -> int:
-    return max((node.index + 1 for node, _, _ in walk[0] if node.__class__ is Var), default=0)
+    return max((node.index + 1 for node in walk[0] if node.__class__ is Var), default=0)
 
 
 def term_arity(term: LatticeTerm) -> int:
@@ -576,17 +618,25 @@ def _balanced(ctor, items: list[LatticeTerm]) -> LatticeTerm:
     return items[0]
 
 
-def _certify(fn, rays, cones, eps, ladder, moduli, term=None):
+MAX_FAN = 2**13  # cones a fit may refine its fan to; euclid(5) at eps 0.1 reaches it in about 15 s
+MAX_DRAWN = 2**27  # sample points a fit may draw; geomean(1/10) at eps 0.1 draws them in about 8 s
+_SAMPLES = 2**14  # sample points _certify holds at once
+_TABLE = 2**16  # piece values at cone rays _meet_members holds at once
+
+
+def _certify(fn, rays, cones, eps, ladder, moduli, value=None, lip=None):
     """Fit each cone's interpolating piece; return per cone the error bound
-    described in ``approximate_on_sphere``, the piece's coefficients c and
-    the longest edge. With ``term`` given, the bound is for the term, with
-    its Lipschitz bound in place of |c|."""
+    described in ``approximate_on_sphere``, the piece's coefficients c, the
+    longest edge and the number of sample points drawn. With ``value`` given, the bound is for the positively
+    homogeneous function whose values at the face points ``pts[q]`` of the
+    cones ``part`` are ``value(part, pts)``, with its Lipschitz bound ``lip``
+    (per cone, or one for all) in place of |c|."""
     k, n = cones.shape
     R = rays[cones]  # R[c, r] is ray r of cone c
     vals = fn.fn(R.reshape(-1, n).T).reshape(k, n)
     sol = np.linalg.solve(R, np.stack([vals, np.ones_like(vals)], axis=2))
     coeffs, normal = sol[..., 0], sol[..., 1]  # R c = vals, R normal = 1
-    lip = np.linalg.norm(coeffs, axis=1) if term is None else np.full(k, term_lipschitz_bound(term))
+    lip = np.linalg.norm(coeffs, axis=1) if value is None else lip * np.ones(k)
     pairs = list(itertools.combinations(range(n), 2))
     chords = np.stack([np.linalg.norm(R[:, a] - R[:, b], axis=1) for a, b in pairs], axis=1)
     longest = chords.argmax(axis=1)
@@ -595,90 +645,188 @@ def _certify(fn, rays, cones, eps, ladder, moduli, term=None):
     ok = moduli + lip[:, None] * ladder <= eps / 2
     goal = ladder[np.where(ok.any(axis=1), ok.argmax(axis=1), -1)]
     levels = np.ceil(reach / goal).clip(1, int(2 ** (16 / (n - 1)))).astype(int)
-    err = np.empty(k)
+    err = np.zeros(k)
     for level in np.unique(levels):
         # barycentric points k / L of the flat face, k in N^n with sum L
         bary = np.indices((level + 1,) * (n - 1)).reshape(n - 1, -1)
         bary = bary[:, bary.sum(axis=0) <= level]
         bary = np.vstack([bary, level - bary.sum(axis=0)]).T / level
         same = np.flatnonzero(levels == level)
-        step = max(1, (1 << 17) // len(bary))  # bounds the samples held at once
+        step = max(1, _SAMPLES // len(bary))
         for part in (same[s : s + step] for s in range(0, len(same), step)):
-            pts = bary @ R[part]
-            pts /= np.linalg.norm(pts, axis=2, keepdims=True)
-            flat = pts.reshape(-1, n).T
-            fit = (pts @ coeffs[part][:, :, None]).ravel() if term is None else eval_array(term, flat)
-            err[part] = np.abs(fit - fn.fn(flat)).reshape(len(part), -1).max(axis=1)
+            for b in range(0, len(bary), _SAMPLES):
+                pts = bary[b : b + _SAMPLES] @ R[part]  # face points, one row of them per cone
+                flat = pts.reshape(-1, n).T
+                fit = (pts @ coeffs[part][:, :, None]).ravel() if value is None else value(part, pts)
+                # both sides are positively homogeneous: the error at p / |p| is |fit(p) - f(p)| / |p|
+                gap = np.abs(fit - fn.fn(flat)) / np.sqrt(np.einsum("ij,ij->j", flat, flat))
+                err[part] = np.maximum(err[part], gap.reshape(len(part), -1).max(axis=1))
     h = reach / levels
     cert = err + np.array([fn.modulus(x) for x in h]) + lip * h
-    return cert, coeffs, [(c[pairs[e][0]], c[pairs[e][1]]) for c, e in zip(cones.tolist(), longest)]
+    edges = [(c[pairs[e][0]], c[pairs[e][1]]) for c, e in zip(cones.tolist(), longest)]
+    return cert, coeffs, edges, [math.comb(level + n - 1, n - 1) for level in levels.tolist()]
+
+
+def _meet_members(
+    rays: np.ndarray, cones: np.ndarray, coeffs: np.ndarray
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Per cone i, in increasing order, the pieces l_j = c_j . x of the
+    interpolant f whose meet ``_max_min_ast`` takes for cone i; and per cone
+    c, the cones whose meets do not cover it.
+
+    Piece j dominates cone i if l_j >= l_i at the cone's n rays (hence on the
+    cone), and covers cone c if l_j <= l_c at the rays of c (hence on c), each
+    up to 1e-12 of the largest value. Cone i's meet takes piece i, then, of
+    the pieces that dominate cone i, the one that covers the most cones still
+    uncovered, until every cone is covered. On cone i that meet is l_i, and on
+    each cone c it is at most l_c = f, so the join of the meets is f. If no
+    dominating piece covers any cone left, the meet takes every piece that
+    dominates cone i, as in Ovchinnikov's max-min form (Beitr. Algebra Geom.
+    43, 2002). That form is f when each cone's dominating pieces are those
+    that dominate each point of it, but not on every fan (seen at arity 5),
+    so ``_fit_cones`` certifies the term itself on each cone some meet does
+    not cover. The tables are built a block of cones at a time, ``_TABLE``
+    piece values at once."""
+    k, n = cones.shape
+    R = rays[cones].transpose(1, 2, 0)  # R[r, :, c] is ray r of cone c
+    own = np.einsum("rdc,cd->rc", R, coeffs)[:, None, :]  # [r, 0, c] = piece c at ray r of cone c
+    slack = 1e-12 * (1.0 + float(np.abs(own).max()))
+    dominates: list[np.ndarray] = []  # per cone, the pieces that dominate it
+    covers = np.empty((k, k), dtype=bool)  # [j, c]: piece j covers cone c
+    step = max(1, _TABLE // (k * n))
+    for s in range(0, k, step):
+        gap = coeffs @ R[:, :, s : s + step] - own[:, :, s : s + step]  # [r, j, c]: l_j - l_c at ray r of c
+        covers[:, s : s + step] = gap.max(axis=0) <= slack
+        dominates += map(np.flatnonzero, (gap.min(axis=0) >= -slack).T)
+    members: list[list[int]] = []
+    uncovered: list[list[int]] = [[] for _ in range(k)]
+    for i, candidates in enumerate(dominates):
+        chosen = {i}
+        left = np.flatnonzero(~covers[i])  # the cones piece i does not cover
+        table = covers[np.ix_(candidates, left)]
+        while len(left):
+            hits = table.sum(axis=1)
+            best = int(hits.argmax())
+            if hits[best] == 0:
+                chosen.update(candidates.tolist())
+                for c in left.tolist():
+                    uncovered[c].append(i)
+                break
+            chosen.add(int(candidates[best]))
+            keep = ~table[best]
+            table, left = table[:, keep], left[keep]
+        members.append(sorted(chosen))
+    return members, uncovered
 
 
 def _max_min_ast(rays: np.ndarray, cones: np.ndarray, coeffs: np.ndarray) -> LatticeTerm:
-    """Max-min form of the PL interpolant over its own pieces: piece j enters
-    cone i's meet iff it dominates piece i at the cone's n rays, hence on the
-    cone. Over a conforming fan of R^n the join of the meets is the
-    interpolant (S. Ovchinnikov, Beitr. Algebra Geom. 43, 2002)."""
-    at_rays = coeffs @ rays.T  # [j, r] = piece j at ray r
-    own = np.take_along_axis(at_rays, cones, axis=1)
-    slack = 1e-12 * (1.0 + float(np.abs(own).max()))
-    pieces = [_balanced(_add, [Scale(Fraction(float(a)), Var(i)) for i, a in enumerate(c)]) for c in coeffs]
-    meets = []
-    for cone, mine in zip(cones, own):
-        members = np.flatnonzero((at_rays[:, cone] >= mine - slack).all(axis=1))
-        meets.append(_balanced(Meet, [pieces[j] for j in members]))
-    return _balanced(Join, meets)
+    """Max-min form of the PL interpolant over its own pieces: the join over
+    the cones of the meet of the pieces ``_meet_members`` picks for each."""
+    pieces = [_balanced(_add, [Scale(Fraction(a), Var(i)) for i, a in enumerate(c)]) for c in coeffs.tolist()]
+    members, _ = _meet_members(rays, cones, coeffs)
+    return _balanced(Join, [_balanced(Meet, [pieces[j] for j in m]) for m in members])
 
 
 def _fit_cones(fn: HomogeneousFn, eps: float, grid: int):
     n = fn.arity
     rays = [*np.eye(n), *-np.eye(n)]
-    # a cone is the sorted tuple of its ray indices, so its edges (a, b) have a < b
-    cones = [tuple(sorted(i + s for i, s in enumerate(sg))) for sg in itertools.product((0, n), repeat=n)]
+    # a cone is the sorted tuple of its ray indices, so its edges (a, b) have a < b;
+    # the fan keeps its cones in the order they were made, and so does each edge
+    fan: dict[tuple[int, ...], None] = {}
+    on_edge: dict[tuple[int, int], dict[tuple[int, ...], None]] = {}
+
+    def add(cone: tuple[int, ...]) -> None:
+        fan[cone] = None
+        for edge in itertools.combinations(cone, 2):
+            on_edge.setdefault(edge, {})[cone] = None
 
     def split(edge: tuple[int, int]) -> None:
-        # bisect at the normalised midpoint and halve every cone on the edge
+        # bisect at the normalised midpoint and halve each cone on the edge
         i, j = edge
         mid = rays[i] + rays[j]
         rays.append(mid / np.linalg.norm(mid))
         k = len(rays) - 1
-        hit = [c for c in cones if i in c and j in c]
-        cones[:] = [c for c in cones if not (i in c and j in c)] + [
-            (*(r for r in c if r != old), k) for c in hit for old in (i, j)
-        ]
+        hit = on_edge.pop(edge)
+        for c in hit:
+            del fan[c]
+            for e in itertools.combinations(c, 2):
+                if e != edge:
+                    del on_edge[e][c]
+        for c in hit:
+            for old in (i, j):
+                add((*(r for r in c if r != old), k))
 
-    while len(cones) < grid:  # split the longest edges first
-        edges = {e for c in cones for e in itertools.combinations(c, 2)}
-        for edge in sorted(edges, key=lambda e: (-np.linalg.norm(rays[e[0]] - rays[e[1]]), e)):
-            if len(cones) < grid:
+    for signs in itertools.product((0, n), repeat=n):
+        add(tuple(sorted(i + s for i, s in enumerate(signs))))
+    while len(fan) < grid:  # split the longest edges first
+        for edge in sorted(on_edge, key=lambda e: (-np.linalg.norm(rays[e[0]] - rays[e[1]]), e)):
+            if len(fan) < grid:
                 split(edge)
     ladder = 2.0 * 0.8 ** np.arange(128)  # from the sphere's diameter down to 1e-12
     moduli = np.array([fn.modulus(h) for h in ladder])
 
-    fits: dict[tuple[int, ...], tuple] = {}  # cone -> (bound, coefficients, longest edge)
+    fits: dict[tuple[int, ...], tuple] = {}  # cone -> (bound, coefficients, longest edge, samples)
     best: tuple[float, list] = (math.inf, [])
-    for _ in range(60):
+    full = False
+    drawn = 0
+    for r in itertools.count():
+        cones = list(fan)
         new = [c for c in cones if c not in fits]
         if new:
             fits.update(zip(new, zip(*_certify(fn, np.array(rays), np.array(new), eps, ladder, moduli))))
+            drawn += sum(fits[c][3] for c in new)
         certs = np.array([fits[c][0] for c in cones])
         if certs.max() < best[0]:
-            best = (float(certs.max()), list(cones))
-        if certs.max() <= eps:
+            best = (float(certs.max()), cones)
+        if certs.max() <= eps or full:
             break
-        worst = np.argsort(-certs, kind="stable")[: 2 * n]
-        for edge in dict.fromkeys(fits[cones[w]][2] for w in worst if certs[w] > eps):
-            split(edge)
+        # only cones near the worst lower the certificate: halving the others spends the
+        # samples a singular fn needs where it is worst (geomean(1/10) at eps 0.1: 0.60, not 0.40)
+        bar = max(eps, 0.9 * certs.max())
+        planned = 0
+        for w in np.argsort(-certs, kind="stable")[: 2 * n << r]:
+            if certs[w] <= bar or cones[w] not in fan:
+                continue  # a cone halved earlier in this round waits for its halves' bounds
+            hit = on_edge[fits[cones[w]][2]]
+            # a half draws about as many samples as its cone; halves made this round are counted already
+            planned += 2 * sum(fits[c][3] for c in hit if c in fits)
+            if len(fan) + len(hit) > MAX_FAN or drawn + planned > MAX_DRAWN:
+                full = True
+                break
+            split(fits[cones[w]][2])
 
     cert, cones = best
     rays, cone_rays = np.array(rays), np.array(cones)
     coeffs = np.array([fits[c][1] for c in cones])
     term = _max_min_ast(rays, cone_rays, coeffs)
-    # structural check at each cone's central ray: the term must be the interpolant
+    members, uncovered = _meet_members(rays, cone_rays, coeffs)
+    risky = np.flatnonzero([bool(u) for u in uncovered])
+
+    def value(part, pts):
+        # on cone c the max-min form is l_c joined with the meets that do not cover c
+        out = np.einsum("cpd,cd->cp", pts, coeffs[risky[part]])
+        for q, c in enumerate(risky[part].tolist()):
+            for i in uncovered[c]:
+                out[q] = np.maximum(out[q], (pts[q] @ coeffs[members[i]].T).min(axis=1))
+        return out.ravel()
+
+    # structural check at each cone's central ray: the term must be the max-min
+    # form, which is the interpolant on each cone that every meet covers
     centres = rays[cone_rays].sum(axis=1)
     want = (centres * coeffs).sum(axis=1)
+    want[risky] = value(np.arange(len(risky)), centres[risky, None])
     if np.abs(eval_array(term, centres.T) - want).max() > 1e-9 * (1.0 + np.abs(want).max()):
-        cert = float(_certify(fn, rays, cone_rays, eps, ladder, moduli, term)[0].max())
+        walk = _walk(term)  # some other term: certify it itself
+        at = lambda part, pts: _evaluate(walk, pts.reshape(-1, n).T)
+        cert = float(_certify(fn, rays, cone_rays, eps, ladder, moduli, at, _fold(walk, _LIPSCHITZ))[0].max())
+        return term, cert
+    if len(risky):
+        norms = np.linalg.norm(coeffs, axis=1)
+        # on cone c the form's gradient is that of l_c or of a member of a meet that does not cover c
+        lip = [max(norms[c], *(norms[members[i]].max() for i in uncovered[c])) for c in risky]
+        certs = np.array([fits[c][0] for c in cones])
+        certs[risky] = _certify(fn, rays, cone_rays[risky], eps, ladder, moduli, value, np.array(lip))[0]
+        cert = float(certs.max())
     return term, cert
 
 
@@ -688,22 +836,39 @@ def approximate_on_sphere(fn: HomogeneousFn, eps: float, grid: int = 64) -> tupl
 
     Arity one has a closed form. Otherwise the fan's orthants are split at
     their longest edges into at least ``grid`` cones, each with the linear
-    piece c that interpolates ``fn`` at its n rays. For up to 60 rounds,
-    the longest edges of the 2n cones with the worst bounds are split. The
-    term is the interpolant's max-min form, checked against it at every
-    cone's central ray.
+    piece c that interpolates ``fn`` at its n rays. Then round r = 0, 1, ...
+    takes the 2n * 2^r cones with the worst bounds, worst first, and splits
+    the longest edge of each whose bound fails eps and is within a tenth of
+    the worst, unless the cone was halved earlier in the round; a split
+    halves only the cones on its edge. The fan stops before it would pass
+    ``MAX_FAN`` cones, or before its certificates would draw about
+    ``MAX_DRAWN`` sample points (a half is taken to draw as many as its
+    cone), and the fit then returns the best bound any round reached.
+
+    The term is the interpolant's max-min form. Each cone's meet takes its
+    own piece and, of the pieces that dominate the cone, enough to cover
+    every cone: a piece covers cone c if it lies below c's piece at c's
+    rays. So on its cone the meet is the cone's piece, and on every cone c
+    each meet is at most c's piece, which is ``fn``'s interpolant there: the
+    join is the interpolant, with no new tolerance. Where no dominating piece
+    covers a cone, a meet falls back to all of them and may lie above the
+    interpolant on that cone (see ``_meet_members``); such a cone's bound is
+    then the max-min form's own, from the same samples with the largest |c|
+    as its Lipschitz bound. The term is checked against the max-min form at
+    every cone's central ray, and any other term is certified itself.
 
     A cone's bound is its error at the points sum_r (k_r / L) R_r of its
     flat face (k in N^n, sum k = L), pushed onto the sphere, plus
-    ``fn.modulus(h)`` and |c| h. The covering radius h follows from the
-    cone's geometry in every arity: rounding barycentric coordinates to the
-    lattice by largest remainders moves them by at most m(n - m) / (n L) in
-    each sign, so the face point moves by at most that times the longest
-    edge, and pushing the face (at distance rho from 0) onto the sphere is
-    1/rho-Lipschitz. L makes modulus(h) + |c| h <= eps / 2 where a cap on
-    samples allows. The certificate is the largest bound, with no random
-    sampling in it; if the rounds run out first, the best one reached is
-    returned.
+    ``fn.modulus(h)`` and |c| h. By positive homogeneity the error at
+    p / |p| is |c . p - fn(p)| / |p|, so the face points are not pushed
+    themselves, and at most ``_SAMPLES`` of them are held at once. The
+    covering radius h follows from the cone's geometry in every arity:
+    rounding barycentric coordinates to the lattice by largest remainders
+    moves them by at most m(n - m) / (n L) in each sign, so the face point
+    moves by at most that times the longest edge, and pushing the face (at
+    distance rho from 0) onto the sphere is 1/rho-Lipschitz. L makes
+    modulus(h) + |c| h <= eps / 2 where a cap on samples allows. The
+    certificate is the largest bound, with no random sampling in it.
     """
     if not eps > 0:
         raise InvariantError("eps must be positive")

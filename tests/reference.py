@@ -151,3 +151,40 @@ def ref_sphere_error(term, fn, points):
         return values[id(node)]
 
     return float(np.abs(value(term) - fn.fn(points)).max())
+
+
+def _pieces_at_cone_rays(rays, cones, coeffs):
+    """[j][c][r]: piece j (the linear form x -> coeffs[j] . x) at ray r of cone
+    c, and the slack of the max-min construction: 1e-12 of the largest value
+    of a cone's own piece, plus 1e-12."""
+    at = [[[float(np.dot(cj, rays[r])) for r in cone] for cone in cones] for cj in coeffs]
+    slack = 1e-12 * (1.0 + max(abs(v) for c in range(len(cones)) for v in at[c][c]))
+    return at, slack
+
+
+def ref_dominating(rays, cones, coeffs):
+    """Per cone i, the pieces j that dominate it: piece j >= piece i at every
+    ray of cone i, up to the slack."""
+    at, slack = _pieces_at_cone_rays(rays, cones, coeffs)
+    return [
+        [j for j in range(len(coeffs)) if all(a >= b - slack for a, b in zip(at[j][i], at[i][i]))]
+        for i in range(len(cones))
+    ]
+
+
+def ref_covers(rays, cones, coeffs):
+    """[j][c]: piece j covers cone c, that is piece j <= piece c at every ray
+    of cone c, up to the slack."""
+    at, slack = _pieces_at_cone_rays(rays, cones, coeffs)
+    return [
+        [all(a <= b + slack for a, b in zip(at[j][c], at[c][c])) for c in range(len(cones))]
+        for j in range(len(coeffs))
+    ]
+
+
+def ref_max_min(rays, cones, coeffs, points):
+    """The max-min form with every dominating piece in each cone's meet, at
+    the columns of ``points``: max over cones i of min over the pieces j
+    that dominate cone i of coeffs[j] . x."""
+    values = np.asarray(coeffs) @ points
+    return np.max([values[members].min(axis=0) for members in ref_dominating(rays, cones, coeffs)], axis=0)

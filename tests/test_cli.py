@@ -58,6 +58,13 @@ LP_CB = ["lp-cb", "--space", "space", "--element", "element", "--p", "2", "--gri
 _LP_GRID = ["lp-cb", "--space", "space", "--element", "element", "--p", "2", "--grid"]
 _LP_INTERVALS = ["lp-cb", "--space", "space", "--element", "element", "--p", "2", "--intervals", "--grid"]
 _FIT_GRID = ["krivine", "approx", "--fn", "geomean(1/2)", "--eps", "0.1", "--grid"]
+# every registry form of arity <= 3, at eps in [0.05, 0.5]
+_FITS = st.builds(
+    lambda fn, eps: ["krivine", "approx", "--fn", fn, "--eps", repr(eps), "--grid"],
+    st.sampled_from(["euclid", "euclid(1)", "euclid(3)", "geomean(1/3)", "geomean(1/2)",
+                     "power(2,2)", "power(3,3/2)", "halfsum_pq(1,2)", "halfsum_pq(3,1)"]),
+    st.floats(0.05, 0.5),
+)
 _K_MAX = ["rv-cb", "--space", "prob", "--elements", "elements", "--k-max"]
 _SAMPLES = ["ultra", "--prime", "3", "check-triangles", "--samples"]
 _SIZE_DOCS = {
@@ -294,6 +301,19 @@ def test_long_flat_chain_evaluates(capsys):
     code = cli.dispatch(_eval(" \\/ ".join(["x0"] * 1200)))
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["outputs"]["value"] == 1.0
+
+
+def test_a_fit_that_misses_eps_stops_at_the_fan_cap(monkeypatch, capsys):
+    from canonbase_lab import krivine
+
+    fans = []
+    assemble = krivine._max_min_ast
+    monkeypatch.setattr(krivine, "_max_min_ast", lambda *args: fans.append(len(args[1])) or assemble(*args))
+    code = cli.dispatch(["krivine", "approx", "--fn", "euclid(6)", "--eps", "0.01"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["checks"] == {"reached_eps": False}
+    assert report["outputs"]["certified_error"] > 0.01
+    assert len(fans) == 1 and fans[0] <= krivine.MAX_FAN
 
 
 def test_tracer_still_finds_every_krivine_name(tmp_path, capsys):
@@ -744,7 +764,7 @@ def size_docs(tmp_path_factory):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([_LP_GRID, _LP_INTERVALS, _FIT_GRID, _K_MAX, _SAMPLES]), st.integers(-(10**30), 10**30))
+@given(st.sampled_from([_LP_GRID, _LP_INTERVALS, _K_MAX, _SAMPLES]) | _FITS, st.integers(-(10**30), 10**30))
 @example(_LP_GRID, 2**14)
 @example(_LP_INTERVALS, 180)
 @example(_FIT_GRID, 2**8)

@@ -35,7 +35,7 @@ from canonbase_lab.krivine import (
     to_text,
 )
 from canonbase_lab.measure_core import LatticeElement, MeasureSpace
-from reference import ref_sphere_error
+from reference import ref_covers, ref_dominating, ref_max_min, ref_sphere_error
 
 
 def terms(max_arity=3):
@@ -370,9 +370,11 @@ def test_certificate_survives_finer_grid():
     "spec, eps, grid",
     [
         ("euclid(3)", 0.05, 16),
+        ("euclid(3)", 0.01, 64),
         ("euclid(4)", 0.5, 16),
         ("geomean(1/2)", 0.01, 64),
         ("power(3,3/2)", 0.05, 64),
+        ("power(3,3/2)", 0.01, 64),
         ("halfsum_pq(1,2)", 0.05, 64),
     ],
 )
@@ -383,6 +385,64 @@ def test_certificate_reaches_eps_and_bounds_the_error(spec, eps, grid):
     pts = np.random.default_rng(17).standard_normal((fn.arity, 20_000))
     pts /= np.linalg.norm(pts, axis=0)
     assert ref_sphere_error(term, fn, pts) <= cert
+
+
+@pytest.mark.parametrize(
+    "spec, eps, grid",
+    [
+        ("euclid", 0.05, 16),
+        ("euclid(3)", 0.2, 16),
+        ("geomean(1/2)", 0.05, 16),
+        ("geomean(1/3)", 0.1, 8),
+        ("power(3,3/2)", 0.1, 16),
+        ("halfsum_pq(1,2)", 0.1, 16),
+        ("halfsum_pq(3,2)", 0.1, 8),
+    ],
+)
+def test_cover_meets_give_the_full_max_min_form(monkeypatch, spec, eps, grid):
+    # each meet is a covering subset of the dominating pieces, and the term
+    # agrees with the max-min form that takes every dominating piece
+    seen = []
+    assemble = krivine._max_min_ast
+    monkeypatch.setattr(krivine, "_max_min_ast", lambda *args: seen.append(args) or assemble(*args))
+    fn = registry_function(spec)
+    term, _ = approximate_on_sphere(fn, eps, grid)
+    rays, cones, coeffs = seen[0]
+    dominating, covers = ref_dominating(rays, cones, coeffs), ref_covers(rays, cones, coeffs)
+    members, uncovered = krivine._meet_members(rays, cones, coeffs)
+    assert uncovered == [[] for _ in cones]
+    for i, chosen in enumerate(members):
+        assert i in chosen and set(chosen) <= set(dominating[i])
+        assert all(any(covers[j][c] for j in chosen) for c in range(len(cones)))
+    sphere = np.random.default_rng(23).standard_normal((fn.arity, 20_000))
+    sphere /= np.linalg.norm(sphere, axis=0)
+    for points in (rays.T, rays[cones].sum(axis=1).T, sphere):
+        want = ref_max_min(rays, cones, coeffs, points)
+        assert np.abs(eval_array(term, points) - want).max() <= 1e-9 * (1.0 + np.abs(want).max())
+
+
+def test_where_a_meet_leaves_a_cone_uncovered_the_term_is_certified_there(monkeypatch):
+    # on this fan some meets fall back to every dominating piece, and one of
+    # them lies above the interpolant at a cone centre
+    calls = []
+    members = krivine._meet_members
+    monkeypatch.setattr(krivine, "_meet_members", lambda *args: calls.append(args) or members(*args))
+    fn = registry_function("euclid(4)")
+    term, cert = approximate_on_sphere(fn, 0.12, 16)
+    assert len(calls) == 2  # the assembly's, then the certificate's
+    rays, cones, coeffs = calls[0]
+    assert any(members(rays, cones, coeffs)[1])
+    centres = rays[cones].sum(axis=1)
+    assert (eval_array(term, centres.T) - (centres * coeffs).sum(axis=1)).max() > 1e-4
+    pts = np.random.default_rng(29).standard_normal((4, 4_000))
+    pts /= np.linalg.norm(pts, axis=0)
+    assert ref_sphere_error(term, fn, pts) <= cert <= 0.12
+
+
+def test_the_geomean_term_stays_compact():
+    term, cert = approximate_on_sphere(registry_function("geomean(1/2)"), 0.01, 64)
+    assert cert <= 0.01
+    assert len(to_text(term)) <= 100_000
 
 
 def test_certificate_is_for_the_returned_term(monkeypatch):
