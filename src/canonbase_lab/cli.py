@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 input-invariant violation,
 3 negative comparison outcome (unequal types, violated identity), 141 stdout
 closed by its reader (128 + SIGPIPE). Each call imports only the modules its
 subcommand runs, and runs BLAS on one thread unless OPENBLAS_NUM_THREADS is set.
+It loads no numpy submodule that it does not use (``numpy.random``,
+``numpy.ma``), and ``fractions`` only where it parses a rational.
 
 A report is a function of argv and the bytes of the input files alone; it
 holds no clock reading, so two runs of one call print the same bytes.
@@ -50,9 +52,8 @@ import errno
 import json
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from itertools import combinations, product
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,6 +71,11 @@ from .measure_core import (
     integer,
     reals,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from . import lp_canon
 
 MAX_CONES = 2**8
 MAX_SAMPLES = 2**6
@@ -160,6 +166,7 @@ def _digest(path: str) -> str:
 
 
 def _fraction(text: str) -> Fraction:
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -173,9 +180,9 @@ def _fraction(text: str) -> Fraction:
 def _encode(obj: Any, level: int = 0) -> Iterator[str]:
     """Yield, in chunks, exactly the text of
     ``json.dumps(obj, sort_keys=True, indent=2)`` for ``obj`` nested ``level``
-    deep, where each 1-D float64 array in ``obj`` stands for its ``.tolist()``
-    and each ``BlockTable`` for the dict of its elements' value lists. Dict and
-    block-table keys must be strings.
+    deep, where each 1-D or 2-D float64 array in ``obj`` stands for its
+    ``.tolist()`` and each ``BlockTable`` for the dict of its elements' value
+    lists. Dict and block-table keys must be strings.
 
     The leaves go through json's C encoder, which ``indent`` would otherwise
     switch off. Floats are formatted one distinct value at a time: ``_texts``
@@ -184,9 +191,10 @@ def _encode(obj: Any, level: int = 0) -> Iterator[str]:
     Infinity are json's own), then a gather by the inverse index. A block
     table is formatted once for all its rows, which hold one value per block,
     and each key's list is its row's text gathered by the atoms' block labels.
-    On all-distinct values an array costs about 1.3 C-encoder calls, still
-    less than json's ``indent`` path. Lists and dicts are walked item by item;
-    the lists left in reports are short."""
+    A matrix is formatted once too, then listed row by row. On all-distinct
+    values an array costs about 1.3 C-encoder calls, still less than json's
+    ``indent`` path. Lists and dicts are walked item by item; the lists left in
+    reports are short."""
     inner = "\n" + "  " * (level + 1)
     close = "\n" + "  " * level
     if isinstance(obj, (dict, BlockTable)):
@@ -206,9 +214,12 @@ def _encode(obj: Any, level: int = 0) -> Iterator[str]:
             sep = "," + inner
         yield close + "}"
     elif isinstance(obj, np.ndarray):
-        if obj.dtype != np.float64 or obj.ndim != 1:
-            raise TypeError(f"only 1-D float64 arrays are encoded, got {obj.dtype} {obj.shape}")
-        yield _list(_texts(obj), level) if len(obj) else "[]"
+        if obj.dtype != np.float64 or obj.ndim not in (1, 2):
+            raise TypeError(f"only 1-D and 2-D float64 arrays are encoded, got {obj.dtype} {obj.shape}")
+        texts = _texts(obj)
+        if obj.ndim == 2:
+            texts = np.array([_list(row, level + 1) for row in texts], dtype=object)
+        yield _list(texts, level)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             yield "[]"
@@ -233,7 +244,9 @@ def _texts(values: np.ndarray) -> np.ndarray:
 
 
 def _list(texts: np.ndarray, level: int) -> str:
-    """The indented JSON list of the nonempty 1-D object array ``texts``."""
+    """The indented JSON list of the 1-D object array ``texts``."""
+    if not len(texts):
+        return "[]"
     inner = "\n" + "  " * (level + 1)
     return "[" + inner + ("," + inner).join(texts.tolist()) + "\n" + "  " * level + "]"
 
@@ -419,6 +432,7 @@ def _cmd_hs_cb(args) -> tuple[int, dict, dict, dict]:
 
 def _cmd_ultra(args) -> tuple[int, dict, dict, dict]:
     import random
+    from fractions import Fraction
     from . import ultra_ball
 
     def point(text: str) -> ultra_ball.ProjPoint:

@@ -76,10 +76,13 @@ def project(v: Sequence[float], sub: Subspace) -> np.ndarray:
     return _project(_vectors([v], sub.dim, "v"), sub)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HilbertBase:
-    projections: tuple[tuple[float, ...], ...]
-    gram: tuple[tuple[float, ...], ...]
+    """The projections, one row per vector, and the Gram matrix, as read-only
+    float64 arrays."""
+
+    projections: np.ndarray
+    gram: np.ndarray
 
 
 def hs_cb(vs: Sequence[Sequence[float]], sub: Subspace) -> HilbertBase:
@@ -88,8 +91,9 @@ def hs_cb(vs: Sequence[Sequence[float]], sub: Subspace) -> HilbertBase:
     rule (``InvariantError`` naming ``vectors``)."""
     mat = _vectors(vs, sub.dim, "vectors")
     check_entries(len(mat), len(mat), "vectors")
-    projections, gram = _project(mat, sub).tolist(), (mat @ mat.T).tolist()
-    return HilbertBase(tuple(map(tuple, projections)), tuple(map(tuple, gram)))
+    projections, gram = _project(mat, sub), mat @ mat.T
+    projections.flags.writeable = gram.flags.writeable = False
+    return HilbertBase(projections, gram)
 
 
 def phi_identity_check(

@@ -538,10 +538,13 @@ class HomogeneousFn:
         return float(self.fn(pts)[0])
 
     def spot_check_homogeneous(self) -> None:
-        """Check homogeneity at 32 fixed pseudo-random points and scales."""
-        rng = np.random.default_rng(0)
-        pts = rng.standard_normal((self.arity, 32))
-        alphas = rng.uniform(0.0, 4.0, 32)
+        """Check fn(a x) = a fn(x) at 32 fixed points x and scales a, read off
+        the golden-ratio Weyl sequence u_k = frac(k (sqrt 5 - 1) / 2), k >= 1:
+        the first 32 n terms give the coordinates 2 u - 1, in (-1, 1) with
+        both signs, and the next 32 the scales 4 u, in (0, 4)."""
+        u = (np.arange(1, 32 * (self.arity + 1) + 1) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0
+        pts = 2.0 * u[: 32 * self.arity].reshape(self.arity, 32) - 1.0
+        alphas = 4.0 * u[32 * self.arity :]
         if not close(self.fn(pts * alphas), alphas * self.fn(pts)):
             raise InvariantError(f"{self.name} is not positively homogeneous of degree one")
 
@@ -646,7 +649,7 @@ def _certify(fn, rays, cones, eps, ladder, moduli, value=None, lip=None):
     goal = ladder[np.where(ok.any(axis=1), ok.argmax(axis=1), -1)]
     levels = np.ceil(reach / goal).clip(1, int(2 ** (16 / (n - 1)))).astype(int)
     err = np.zeros(k)
-    for level in np.unique(levels):
+    for level in np.flatnonzero(np.bincount(levels)):  # the distinct levels, without np.unique's numpy.ma
         # barycentric points k / L of the flat face, k in N^n with sum L
         bary = np.indices((level + 1,) * (n - 1)).reshape(n - 1, -1)
         bary = bary[:, bary.sum(axis=0) <= level]
@@ -719,11 +722,13 @@ def _meet_members(
     return members, uncovered
 
 
-def _max_min_ast(rays: np.ndarray, cones: np.ndarray, coeffs: np.ndarray) -> LatticeTerm:
+def _max_min_ast(
+    rays: np.ndarray, cones: np.ndarray, coeffs: np.ndarray, members: list[list[int]]
+) -> LatticeTerm:
     """Max-min form of the PL interpolant over its own pieces: the join over
-    the cones of the meet of the pieces ``_meet_members`` picks for each."""
+    the cones of the meet of the pieces ``members`` (from ``_meet_members``)
+    names for each."""
     pieces = [_balanced(_add, [Scale(Fraction(a), Var(i)) for i, a in enumerate(c)]) for c in coeffs.tolist()]
-    members, _ = _meet_members(rays, cones, coeffs)
     return _balanced(Join, [_balanced(Meet, [pieces[j] for j in m]) for m in members])
 
 
@@ -798,8 +803,8 @@ def _fit_cones(fn: HomogeneousFn, eps: float, grid: int):
     cert, cones = best
     rays, cone_rays = np.array(rays), np.array(cones)
     coeffs = np.array([fits[c][1] for c in cones])
-    term = _max_min_ast(rays, cone_rays, coeffs)
     members, uncovered = _meet_members(rays, cone_rays, coeffs)
+    term = _max_min_ast(rays, cone_rays, coeffs, members)
     risky = np.flatnonzero([bool(u) for u in uncovered])
 
     def value(part, pts):

@@ -8,21 +8,21 @@ statistic, and E_t, the integral of the sorted fiber profile from 0 to t, is a
 prefix sum plus a fraction of the next cell, and the grid approximations read
 the shortfall function off the same prefix sums. E_t is also the conjugate at
 slope t*f0 of the piecewise-linear shortfall function ``psi``; that exact
-route is only a cross-check of the prefix kernel now.
+route is only a cross-check of the prefix kernel now, so ``legendre`` loads
+only when it runs. Likewise ``oracle`` loads only for ``canonical_base_ntype``
+and the remark, and ``fractions`` only for ``p1_counterexample``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvariantError, SpaceMismatchError
-from .legendre import PLConvexFn, conjugate
 from .measure_core import (
     ExtensionPair,
     LatticeElement,
@@ -39,7 +39,12 @@ from .measure_core import (
     same_space,
     signed_power,
 )
-from .oracle import DirectionalMass
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .legendre import PLConvexFn
+    from .oracle import DirectionalMass
 
 _INF = math.inf
 
@@ -53,8 +58,17 @@ def f_zero(f: LatticeElement, pair: ExtensionPair) -> LatticeElement:
     return pair.cond_exp_base(abs(f))
 
 
+def conjugate(fn: PLConvexFn) -> PLConvexFn:
+    """``legendre.conjugate``, imported at the call: only the psi
+    cross-check conjugates, so loading ``lp_canon`` does not load ``legendre``."""
+    from .legendre import conjugate
+    return conjugate(fn)
+
+
 def _fiber_psi(values: Sequence[float], f0: float, n: int) -> PLConvexFn:
     """The convex function x -> mean_j (x*f0 - v_j)^+ for one fiber."""
+    from .legendre import PLConvexFn
+
     if f0 == 0.0:
         return PLConvexFn(-_INF, _INF, (), (0.0,), 0.0, 0.0)
     breaks: list[float] = []
@@ -424,6 +438,8 @@ def canonical_base_ntype(
     grid: Sequence[float],
     k_max: int,
 ) -> NTypeBase:
+    from .oracle import DirectionalMass
+
     p = check_p(p)
     same_space(fs, "elements")
     pair.require(fs[0])
@@ -459,6 +475,8 @@ def p1_counterexample(eps: Fraction | float, p: float) -> P1Report:
     """The unit-norm family on one base atom of mass one, concentrated on the
     first cell of a fiber of 1/eps cells, with value -eps^(-1/p); its partial
     at t = eps has norm eps^(1 - 1/p), which stays at 1 when p = 1."""
+    from fractions import Fraction
+
     p = check_p(p)
     eps = Fraction(eps).limit_denominator(10**9) if not isinstance(eps, Fraction) else eps
     if not (0 < eps < 1) or eps.numerator != 1:

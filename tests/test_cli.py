@@ -433,6 +433,33 @@ def test_encode_is_byte_identical_to_json_dumps(doc, arrays):
 
 
 @st.composite
+def _matrices(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    pool = draw(st.lists(_floats | st.sampled_from([0.0, -0.0]), min_size=1, max_size=4))
+    values = draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols))
+    return np.array(values, dtype=np.float64).reshape(rows, cols)
+
+
+@given(st.lists(_matrices(), max_size=3))
+@example([np.zeros((0, 3)), np.zeros((2, 0)), np.array([[-0.0, 0.0], [math.nan, 1e16]])])
+def test_encode_writes_a_matrix_as_the_list_of_its_rows(matrices):
+    doc = {"matrices": matrices, "after": 1}
+    assert "".join(cli._encode(doc)) == json.dumps(_as_lists(doc), sort_keys=True, indent=2)
+
+
+def test_hs_cb_reports_1024_vectors_within_two_seconds(tmp_path, capsys):
+    vs = np.random.default_rng(11).uniform(-1.0, 1.0, (1024, 1))
+    (tmp_path / "vectors").write_text(json.dumps({"vectors": vs.tolist()}))
+    (tmp_path / "subspace").write_text(json.dumps({"dim": 1, "basis": [[1.0]]}))
+    start = time.perf_counter()
+    code = cli.dispatch([str(tmp_path / a) if a in ("vectors", "subspace") else a for a in HS_CB])
+    seconds = time.perf_counter() - start
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert code == 0 and seconds < 2.0, seconds
+    assert outputs == {"projections": vs.tolist(), "gram": (vs @ vs.T).tolist()}
+
+
+@st.composite
 def _block_tables(draw):
     # string keys, rows of values per block plus the off-support column, and atom labels
     keys = draw(st.lists(_strings, unique=True, max_size=4))

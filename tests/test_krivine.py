@@ -407,7 +407,7 @@ def test_cover_meets_give_the_full_max_min_form(monkeypatch, spec, eps, grid):
     monkeypatch.setattr(krivine, "_max_min_ast", lambda *args: seen.append(args) or assemble(*args))
     fn = registry_function(spec)
     term, _ = approximate_on_sphere(fn, eps, grid)
-    rays, cones, coeffs = seen[0]
+    rays, cones, coeffs = seen[0][:3]
     dominating, covers = ref_dominating(rays, cones, coeffs), ref_covers(rays, cones, coeffs)
     members, uncovered = krivine._meet_members(rays, cones, coeffs)
     assert uncovered == [[] for _ in cones]
@@ -429,7 +429,7 @@ def test_where_a_meet_leaves_a_cone_uncovered_the_term_is_certified_there(monkey
     monkeypatch.setattr(krivine, "_meet_members", lambda *args: calls.append(args) or members(*args))
     fn = registry_function("euclid(4)")
     term, cert = approximate_on_sphere(fn, 0.12, 16)
-    assert len(calls) == 2  # the assembly's, then the certificate's
+    assert len(calls) == 1  # one table for the assembly and the certificate
     rays, cones, coeffs = calls[0]
     assert any(members(rays, cones, coeffs)[1])
     centres = rays[cones].sum(axis=1)
@@ -458,6 +458,30 @@ def test_approximate_rejects_inhomogeneous():
     bad = HomogeneousFn("affine", 1, lambda pts: pts[0] + 1.0, lambda d: d)
     with pytest.raises(InvariantError):
         approximate_on_sphere(bad, 0.1)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["euclid", *(f"euclid({n})" for n in range(1, 7)), "geomean(1/2)", "geomean(1/3)",
+     "geomean(1/100)", "geomean(99/100)", "power(2,2)", "power(3,3/2)", "power(3/2,3)",
+     "halfsum_pq(1,1)", "halfsum_pq(1,2)", "halfsum_pq(3,2)", "halfsum_pq(2,2)", "halfsum_pq(7,1)"],
+)
+def test_every_registry_form_passes_the_homogeneity_check(spec):
+    registry_function(spec).spot_check_homogeneous()
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        HomogeneousFn("affine", 2, lambda pts: pts[0] - 2.0 * pts[1] + 0.25, lambda d: 3.0 * d),
+        HomogeneousFn("degree two", 2, lambda pts: pts[0] * pts[1], lambda d: 2.0 * d),
+        HomogeneousFn("offset", 3, lambda pts: np.sqrt((pts**2).sum(axis=0)) + 1e-3, lambda d: d),
+    ],
+    ids=lambda fn: fn.name,
+)
+def test_the_homogeneity_check_rejects_inhomogeneous_functions(fn):
+    with pytest.raises(InvariantError, match=f"^{fn.name} is not positively homogeneous of degree one$"):
+        fn.spot_check_homogeneous()
 
 
 def test_registry_rejects_bad_specs():

@@ -32,18 +32,21 @@ EXPORTS = {
 }
 
 # Prints at exit, as one JSON line on stderr, the loaded package modules,
-# whether numpy is loaded, the OPENBLAS_NUM_THREADS the process ends with and
-# its number of threads (None where /proc does not list them), and the exit
-# code of a CLI call made by ``_cli``.
-_REPORT = """
+# whether numpy is loaded, which of the modules in OPTIONAL are loaded, the
+# OPENBLAS_NUM_THREADS the process ends with and its number of threads (None
+# where /proc does not list them), and the exit code of a CLI call made by
+# ``_cli``.
+OPTIONAL = ("numpy.random", "numpy.ma", "fractions", "_hashlib")
+_REPORT = f"""
 import atexit, json, os, sys
-atexit.register(lambda: print(json.dumps({
+atexit.register(lambda: print(json.dumps({{
     "modules": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("canonbase_lab.")),
     "numpy": "numpy" in sys.modules,
+    "optional": [m for m in {OPTIONAL!r} if m in sys.modules],
     "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
     "exit": globals().get("EXIT"),
-}), file=sys.stderr))
+}}), file=sys.stderr))
 """
 
 
@@ -93,6 +96,42 @@ def test_demo_remark_loads_neither_krivine_nor_rv_canon():
     loaded = _fresh(_cli("demo", "remark"))
     assert loaded["exit"] == 0 and "lp_canon" in loaded["modules"]
     assert not {"krivine", "rv_canon"} & set(loaded["modules"])
+
+
+def test_demo_remark_does_not_load_legendre():
+    # lp_canon imports legendre only for the exact conjugation cross-check
+    loaded = _fresh(_cli("demo", "remark"))
+    assert loaded["exit"] == 0 and "legendre" not in loaded["modules"]
+
+
+def test_krivine_approx_loads_no_numpy_random_numpy_ma_or_hashlib():
+    # krivine itself imports fractions, for the rational factors of its terms
+    loaded = _fresh(_cli("krivine", "approx", "--fn", "euclid", "--eps", "0.1", "--grid", "8"))
+    assert loaded["exit"] == 0 and "krivine" in loaded["modules"]
+    assert loaded["optional"] == ["fractions"]
+
+
+def _pair_documents(path: Path) -> None:
+    (path / "space.json").write_text(json.dumps({"base_weights": [0.5, 0.5], "fiber_cells": 2}))
+    (path / "f.json").write_text(json.dumps({"rows": [[1.0, 2.0], [0.0, -1.0]]}))
+    (path / "g.json").write_text(json.dumps({"rows": [[2.0, 1.0], [-1.0, 0.0]]}))
+
+
+def test_lp_cb_loads_neither_legendre_nor_oracle_nor_fractions(tmp_path):
+    _pair_documents(tmp_path)
+    loaded = _fresh(_cli("lp-cb", "--space", "space.json", "--element", "f.json", "--p", "2",
+                         "--grid", "4"), cwd=tmp_path)
+    assert loaded["exit"] == 0 and "lp_canon" in loaded["modules"]
+    assert not {"legendre", "oracle"} & set(loaded["modules"])
+    assert "fractions" not in loaded["optional"]
+
+
+def test_typeq_does_not_load_lp_canon(tmp_path):
+    _pair_documents(tmp_path)
+    loaded = _fresh(_cli("typeq", "--space", "space.json", "--a", "f.json", "--b", "g.json",
+                         "--p", "2"), cwd=tmp_path)
+    assert loaded["exit"] == 0 and "oracle" in loaded["modules"]
+    assert "lp_canon" not in loaded["modules"]
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])
