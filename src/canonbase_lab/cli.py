@@ -5,7 +5,12 @@ Exit codes: 0 success, 1 usage error, 2 input-invariant violation,
 closed by its reader (128 + SIGPIPE). Each call imports only the modules its
 subcommand runs, and runs BLAS on one thread unless OPENBLAS_NUM_THREADS is set.
 It loads no numpy submodule that it does not use (``numpy.random``,
-``numpy.ma``), and ``fractions`` only where it parses a rational.
+``numpy.ma``), and ``fractions`` only where it parses a rational. Numpy itself
+loads only with the array work: ``krivine parse`` and ``eval`` (``terms``),
+``legendre`` and ``ultra`` (``rules`` and their own modules) start without it,
+and ``krivine approx`` loads it through ``krivine`` but skips ``measure_core``.
+So ``_encode`` looks the ndarray and ``BlockTable`` types up in ``sys.modules``
+instead of importing them: a report can hold one only once its module is loaded.
 
 A report is a function of argv and the bytes of the input files alone; it
 holds no clock reading, so two runs of one call print the same bytes.
@@ -23,19 +28,18 @@ every atom by its block.
 
 Sizes are capped before anything is allocated, and a rejection exits 2
 naming the flag or pointer and the cap. A result holds at most
-``measure_core.MAX_ENTRIES`` = 2**24 entries, rows times atoms: the keys
-times the atoms of an ``rv-cb``, ``apr-cb`` or ``lp-cb`` report (names
-``--k-max``, ``/events`` or ``--grid``), a pair's (base atoms + 2 if
-orthogonal) * fiber_cells (``/fiber_cells``), a subspace's dim (``/dim``)
-and ``hs-cb``'s Gram matrix (``/vectors``). Work that grows faster has caps
-of its own, each about a second of work: ``measure_core.MAX_KEYS`` = 2**14
-keys in one of those three reports, ``MAX_CONES`` = 2**8 for ``krivine
-approx --grid`` (the cones a fit starts from) and ``MAX_SAMPLES`` = 2**6 for
-``ultra check-triangles --samples`` (3 * C(samples, 3) exact comparisons).
-A fit's refinement stops at ``krivine.MAX_FAN`` = 2**13 cones or about
-``krivine.MAX_DRAWN`` = 2**27 sample points, seconds of work (about 15 s for
-``euclid(5)``), and reports the best bound it reached, with ``reached_eps``
-false.
+``rules.MAX_ENTRIES`` = 2**24 entries, rows times atoms: the keys times the
+atoms of an ``rv-cb``, ``apr-cb`` or ``lp-cb`` report (names ``--k-max``,
+``/events`` or ``--grid``), a pair's (base atoms + 2 if orthogonal) *
+fiber_cells (``/fiber_cells``), a subspace's dim (``/dim``) and ``hs-cb``'s
+Gram matrix (``/vectors``). Work that grows faster has caps of its own, each
+about a second of work: ``rules.MAX_KEYS`` = 2**14 keys in one of those three
+reports, ``MAX_CONES`` = 2**8 for ``krivine approx --grid`` (the cones a fit
+starts from) and ``MAX_SAMPLES`` = 2**6 for ``ultra check-triangles
+--samples`` (3 * C(samples, 3) exact comparisons). A fit's refinement stops
+at ``krivine.MAX_FAN`` = 2**13 cones or about ``krivine.MAX_DRAWN`` = 2**27
+sample points, seconds of work (about 15 s for ``euclid(5)``), and reports
+the best bound it reached, with ``reached_eps`` false.
 """
 
 from __future__ import annotations
@@ -50,32 +54,22 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import argparse
 import errno
 import json
+import math
 import sys
 from contextlib import contextmanager
 from itertools import combinations, product
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import InvariantError
-from .measure_core import (
-    MAX_KEYS,
-    BlockTable,
-    ExtensionPair,
-    LatticeElement,
-    MeasureSpace,
-    SubStructure,
-    check_count,
-    check_entries,
-    close,
-    integer,
-    reals,
-)
+from .rules import MAX_KEYS, check_count, check_entries, close, integer, reals
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
+    import numpy as np
+
     from . import lp_canon
+    from .measure_core import ExtensionPair, LatticeElement, MeasureSpace, SubStructure
 
 MAX_CONES = 2**8
 MAX_SAMPLES = 2**6
@@ -123,6 +117,7 @@ def _prefixed(prefix: str):
 
 
 def load_space(path: str) -> ExtensionPair:
+    from .measure_core import ExtensionPair
     doc = _read_json(path, "base_weights", "fiber_cells")
     orth = doc.get("orthogonal_part", False)
     if not isinstance(orth, bool):
@@ -138,6 +133,7 @@ def load_element(path: str, pair: ExtensionPair) -> LatticeElement:
 
 
 def _load_elements(doc: dict, key: str, space: MeasureSpace, path: str) -> list[LatticeElement]:
+    from .measure_core import LatticeElement
     rows = doc[key]
     if not isinstance(rows, list):
         raise InvariantError(f"{path}: /{key}: expected a list of elements")
@@ -149,6 +145,7 @@ def _load_elements(doc: dict, key: str, space: MeasureSpace, path: str) -> list[
 
 
 def _probability_space(doc: dict, path: str) -> tuple[MeasureSpace, SubStructure]:
+    from .measure_core import MeasureSpace, SubStructure
     with _prefixed(f"{path}: /"):
         space, blocks = MeasureSpace(doc["weights"]), SubStructure(doc["blocks"])
         blocks.validate_for(space)
@@ -195,13 +192,15 @@ def _encode(obj: Any, level: int = 0) -> Iterator[str]:
     values an array costs about 1.3 C-encoder calls, still less than json's
     ``indent`` path. Lists and dicts are walked item by item; the lists left in
     reports are short."""
+    ndarray = getattr(sys.modules.get("numpy"), "ndarray", ())
+    table = getattr(sys.modules.get(f"{__package__}.measure_core"), "BlockTable", ())
     inner = "\n" + "  " * (level + 1)
     close = "\n" + "  " * level
-    if isinstance(obj, (dict, BlockTable)):
+    if isinstance(obj, (dict, table)):
         if not obj:
             yield "{}"
             return
-        rows = dict(zip(obj, _texts(obj.table))) if isinstance(obj, BlockTable) else None
+        rows = None if isinstance(obj, dict) else dict(zip(obj, _texts(obj.table)))
         sep = "{" + inner
         for key in sorted(obj):
             if not isinstance(key, str):
@@ -213,7 +212,8 @@ def _encode(obj: Any, level: int = 0) -> Iterator[str]:
                 yield _list(rows[key][obj.labels], level + 1)
             sep = "," + inner
         yield close + "}"
-    elif isinstance(obj, np.ndarray):
+    elif isinstance(obj, ndarray):
+        import numpy as np
         if obj.dtype != np.float64 or obj.ndim not in (1, 2):
             raise TypeError(f"only 1-D and 2-D float64 arrays are encoded, got {obj.dtype} {obj.shape}")
         texts = _texts(obj)
@@ -238,6 +238,7 @@ def _texts(values: np.ndarray) -> np.ndarray:
     """The JSON text of each float of the C-ordered float64 array ``values``,
     as an object array of the same shape; each distinct value is formatted
     once."""
+    import numpy as np
     bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
     texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
     return np.array(texts, dtype=object)[inverse.reshape(values.shape)]
@@ -307,7 +308,7 @@ def _cmd_legendre(args) -> tuple[int, dict, dict, dict]:
     pts = phi.breakpoints
     # the values are the anchor value plus slope-times-position terms, whose
     # size sets the scale, so that a value of 0 is judged on it
-    positions = [abs(v) for v in (phi.lo, phi.hi, phi.anchor_x, *pts) if np.isfinite(v)]
+    positions = [abs(v) for v in (phi.lo, phi.hi, phi.anchor_x, *pts) if math.isfinite(v)]
     scale = max(map(abs, phi.slopes), default=0.0) * max(positions) + abs(phi.anchor_y)
     ok = close([*map(back.evaluate, pts), scale], [*map(phi.evaluate, pts), scale])
     _write(("--out", args.out, _encode(doc)))
@@ -315,23 +316,24 @@ def _cmd_legendre(args) -> tuple[int, dict, dict, dict]:
 
 
 def _cmd_krivine(args) -> tuple[int, dict, dict, dict]:
-    from . import krivine
+    from . import terms
     if args.action == "parse":
-        term = krivine.parse_term(args.term, args.arity)
-        text = krivine.to_text(term)
+        term = terms.parse_term(args.term, args.arity)
+        text = terms.to_text(term)
         try:  # to_text writes a group per operation, so a long chain may nest too deep
-            ok = krivine.parse_term(text, args.arity) == term
+            ok = terms.parse_term(text, args.arity) == term
         except InvariantError:
             ok = False
         return 0, {"term": text}, {"roundtrip": ok}, {}
     if args.action == "eval":
-        term = krivine.parse_term(args.term, args.arity)
+        term = terms.parse_term(args.term, args.arity)
         with _prefixed("--point: "):
             point = reals([_fraction(v) for v in args.point.split(",")], "coordinates")
             if len(point) != args.arity:
                 raise InvariantError(f"expected {args.arity} coordinates, got {len(point)}")
-        value = krivine.eval_scalar(term, point)
+        value = terms.eval_scalar(term, point)
         return 0, {"value": value}, {}, {}
+    from . import krivine
     check_count(integer(args.grid, "--grid", 1), MAX_CONES, "--grid", "cones")
     with _prefixed("--fn: "):
         fn = krivine.registry_function(args.fn)
@@ -384,6 +386,7 @@ def _cmd_typeq(args) -> tuple[int, dict, dict, dict]:
 
 def _cmd_rv_cb(args) -> tuple[int, dict, dict, dict]:
     from . import rv_canon
+    from .measure_core import BlockTable
     integer(args.k_max, "--k-max", 0)
     space, blocks = load_probability_space(args.space)
     xs = _load_elements(_read_json(args.elements, "elements"), "elements", space, args.elements)
@@ -407,6 +410,7 @@ def _cmd_rv_cb(args) -> tuple[int, dict, dict, dict]:
 
 def _cmd_apr_cb(args) -> tuple[int, dict, dict, dict]:
     from . import rv_canon
+    from .measure_core import BlockTable
     doc = _read_json(args.events, "weights", "blocks", "events")
     space, blocks = _probability_space(doc, args.events)
     events = _load_elements(doc, "events", space, args.events)

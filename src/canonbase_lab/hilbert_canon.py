@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantError
-from .measure_core import check_entries, close, integer, reals
+from .measure_core import reals
+from .rules import check_entries, close, integer
 
 
 def _vectors(values, dim: int, name: str) -> np.ndarray:

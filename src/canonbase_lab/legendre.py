@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .measure_core import TOL, close, reals
+from .rules import TOL, close, reals
 
 
 @dataclass(frozen=True)
@@ -259,10 +259,7 @@ def fn_from_dict(doc: dict) -> PLConvexFn:
         value = doc[key]
         if key == "domain" and isinstance(value, list):
             value = [0.0 if end is None else end for end in value]  # null: unbounded
-        arr = reals(value, f"/{key}")
-        if arr.ndim != 1 or len(arr) != (size or len(arr)):
-            raise InvariantError(f"/{key}: expected a list of {size or 'any number of'} reals")
-        fields[key] = arr.tolist()
+        fields[key] = reals(value, f"/{key}", size)
     (lo, hi), (ax, ay) = fields["domain"], fields["anchor"]
     return PLConvexFn(
         -math.inf if doc["domain"][0] is None else lo,

@@ -28,9 +28,7 @@ from .measure_core import (
     LatticeElement,
     MeasureSpace,
     check_p,
-    close,
     dotminus,
-    integer,
     integral,
     lp_norm,
     meet,
@@ -39,6 +37,7 @@ from .measure_core import (
     same_space,
     signed_power,
 )
+from .rules import close, integer
 
 if TYPE_CHECKING:
     from fractions import Fraction

@@ -11,13 +11,14 @@ is a pure function, and concurrent use from multiple threads needs no
 coordination. Input is coerced to finite reals once, at construction; the
 ``InvariantError`` for a bad entry names the argument and the entry as a
 relative pointer (``rows/1/3: ...``). Each kind of check has one rule:
-``integer`` (cell counts, moment orders, atom indices, a prime, an arity),
-``check_p`` (1 <= p < inf, so ``lp_norm`` is never the sup norm),
-``check_entries`` (at most ``MAX_ENTRIES`` entries, rows times atoms, checked
-before anything is allocated; ``check_count`` applies another cap such as
-``MAX_KEYS``), ``same_space`` (elements combined live on one space) and
-``ExtensionPair.require`` (an element of a pair's total space, whose cell
-order ``ExtensionPair.fibers`` defines).
+``rules.integer`` (cell counts, moment orders, atom indices, a prime, an
+arity), ``check_p`` (1 <= p < inf, so ``lp_norm`` is never the sup norm),
+``rules.check_entries`` (at most ``MAX_ENTRIES`` entries, rows times atoms,
+checked before anything is allocated; ``check_count`` applies another cap
+such as ``MAX_KEYS``), ``same_space`` (elements combined live on one space)
+and ``ExtensionPair.require`` (an element of a pair's total space, whose cell
+order ``ExtensionPair.fibers`` defines). The scalar rules live in ``rules``,
+which loads no numpy; this module holds their array work.
 
 Values that are constant on the blocks of a substructure (conditional
 expectations and moments, conditional probabilities of events) are computed
@@ -25,11 +26,12 @@ by one kernel, ``block_means``, as one number per block, and are carried as a
 ``BlockTable``: per row the block values, and per atom its block.
 
 Tolerance policy: every verdict on computed floats in this package uses one
-rule, ``close``. Data a and b agree when |a - b| <= TOL * s at every entry,
-where s is the larger sup norm of a and b. The bound is relative, so scaling
-both sides by c > 0 keeps the verdict, as it must, since types over a base do
-not depend on units; data that are both zero agree. The three functions that
-take a ``tol`` (``LatticeElement.approx_equal``, ``orthogonal`` and
+rule, ``rules.close``, on floats, sequences and arrays alike. Data a and b
+agree when |a - b| <= TOL * s at every entry, where s is the larger sup norm
+of a and b. The bound is relative, so scaling both sides by c > 0 keeps the
+verdict, as it must, since types over a base do not depend on units; data
+that are both zero agree. The three functions that take a ``tol``
+(``LatticeElement.approx_equal``, ``orthogonal`` and
 ``legendre.attainment_check``) give it this meaning, and ``tol=0.0`` asks for
 exact equality. Where the two sides can cancel to about 0 while their terms do
 not (a sum against its expected value, a point against a breakpoint), the size
@@ -49,26 +51,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Integral, Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvariantError, SpaceMismatchError
-
-#: The relative tolerance of ``close``.
-TOL = 1e-9
-
-
-def close(a, b, tol: float = TOL) -> bool:
-    """True iff |a - b| <= tol * s at every entry of the arrays (or scalars)
-    a and b, where s is the larger sup norm of a and b. Data with an infinite
-    or NaN entry are close only when equal."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    s = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
-    if not np.isfinite(s):
-        return bool(np.array_equal(a, b))
-    return bool(np.all(np.abs(a - b) <= tol * s))
+from .rules import TOL, check_entries, close, integer
 
 
 def sort_order(vectors: np.ndarray, quantum: float) -> np.ndarray:
@@ -103,40 +91,6 @@ def reals(values, name: str) -> np.ndarray:
         pos = "".join(f"/{k}" for k in bad)
         raise InvariantError(f"{name}{pos}: must be finite, got {float(arr[tuple(bad)])}")
     return arr
-
-
-def integer(value, name: str, least: int) -> int:
-    """``value`` as an int >= ``least``. Unlike int(), it refuses bools,
-    strings and fractions, with ``{name}: must be an integer, got {value!r}``;
-    an integer below ``least`` gets ``{name}: must be >= {least}, got {value!r}``."""
-    whole = isinstance(value, Integral) or isinstance(value, Real) and math.isfinite(value)
-    if isinstance(value, bool) or not whole or value != int(value):
-        raise InvariantError(f"{name}: must be an integer, got {value!r}")
-    if value < least:
-        raise InvariantError(f"{name}: must be >= {least}, got {value!r}")
-    return int(value)
-
-
-#: The most entries, rows times atoms, that one result may hold: 2**24, which
-#: admits the 4,095 event meets of 12 events on 4,096 atoms.
-MAX_ENTRIES = 2**24
-#: The most keys one result may map, each to a row: 2**14, since each key of a
-#: report takes about 45 us to build and encode.
-MAX_KEYS = 2**14
-
-
-def check_entries(rows: int, atoms: int, name: str) -> None:
-    """Raise ``InvariantError`` naming ``name`` and the cap unless ``rows``
-    rows of ``atoms`` atoms hold at most ``MAX_ENTRIES`` entries."""
-    check_count(rows * atoms, MAX_ENTRIES, name, "entries")
-
-
-def check_count(count: int, cap: int, name: str, unit: str) -> None:
-    """Raise ``InvariantError`` naming ``name`` and the power-of-two ``cap``
-    unless ``count`` (of ``unit``) is at most ``cap``."""
-    if count > cap:
-        size = count if count.bit_length() <= 60 else f"more than 2**{count.bit_length() - 1}"
-        raise InvariantError(f"{name}: {size} {unit} exceed the cap of {cap} (2**{cap.bit_length() - 1})")
 
 
 def _weights(values, name: str) -> np.ndarray:

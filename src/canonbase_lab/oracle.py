@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantError
-from .measure_core import TOL, ExtensionPair, LatticeElement, check_p, close, group, same_space, sort_order
+from .measure_core import ExtensionPair, LatticeElement, check_p, group, same_space, sort_order
+from .rules import TOL, close
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,8 @@ class DirectionalMass:
         """Rays of the same dimensions, with close directions and close masses."""
         if [len(d) for d, _ in self.entries] != [len(d) for d, _ in other.entries]:
             return False
-        dirs_a, dirs_b = ([x for d, _ in m.entries for x in d] for m in (self, other))
-        mass_a, mass_b = ([w for _, w in m.entries] for m in (self, other))
+        dirs_a, dirs_b = (np.array([x for d, _ in m.entries for x in d]) for m in (self, other))
+        mass_a, mass_b = (np.array([w for _, w in m.entries]) for m in (self, other))
         return close(dirs_a, dirs_b) and close(mass_a, mass_b)
 
 

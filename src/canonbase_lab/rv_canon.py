@@ -22,25 +22,20 @@ import numpy as np
 
 from .errors import InsufficientMomentsError, InvariantError
 from .measure_core import (
-    MAX_KEYS,
     BlockTable,
     ExtensionPair,
     LatticeElement,
     MeasureSpace,
     SubStructure,
-    TOL,
     block_means,
-    check_count,
-    check_entries,
-    close,
     cond_exp,
     group,
-    integer,
     integral,
     join,
     meet,
     same_space,
 )
+from .rules import MAX_KEYS, TOL, check_count, check_entries, close, integer
 
 
 def validate_rv(x: LatticeElement) -> None:

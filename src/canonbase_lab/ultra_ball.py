@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError
-from .measure_core import integer
+from .rules import integer
 
 
 #: Miller-Rabin on the prime bases up to 41 decides primality exactly below

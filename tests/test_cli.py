@@ -248,6 +248,28 @@ def test_malformed_input_exits_2_naming_the_pointer(tmp_path, capsys, docs, argv
     assert expected in report["error"]
 
 
+_EVAL_XY = ["krivine", "eval", "--term", "(x0 \\/ x1)", "--arity", "2"]
+
+
+@pytest.mark.parametrize("docs, argv, expected", [
+    ({"fn": {**PL_FN, "slopes": [-1.0, math.inf]}}, LEGENDRE, "{fn}: /slopes/1: must be finite, got inf"),
+    ({"fn": {**PL_FN, "anchor": [0.0]}}, LEGENDRE, "{fn}: /anchor: expected a list of 2 reals"),
+    ({"fn": {**PL_FN, "slopes": [[-1.0], [1.0]]}}, LEGENDRE, "{fn}: /slopes: expected a list of any number of reals"),
+    ({}, _EVAL_XY + ["--point=1"], "--point: expected 2 coordinates, got 1"),
+    ({}, _EVAL_XY + ["--point=a,1"], "--point: not a rational number: 'a'"),
+    ({}, _EVAL_XY + ["--point=1e400,1"],
+     "--point: coordinates: expected real numbers (integer division result too large for a float)"),
+])
+def test_the_short_list_rule_keeps_its_error_messages(tmp_path, capsys, docs, argv, expected):
+    # the whole message, as the array rule wrote it before short lists were read without numpy
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / a) if a in docs else a for a in argv]
+    assert cli.dispatch(argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["exit_code"] == 2 and report["error"] == expected.format(fn=tmp_path / "fn")
+
+
 @pytest.mark.parametrize(
     "content, expected",
     [

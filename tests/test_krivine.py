@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -12,9 +13,17 @@ from hypothesis import strategies as st
 from canonbase_lab import krivine
 from canonbase_lab.errors import InvariantError, SpaceMismatchError, TermSyntaxError
 from canonbase_lab.krivine import (
+    HomogeneousFn,
+    approximate_on_sphere,
+    eval_array,
+    eval_element,
+    interpolating_term,
+    registry_function,
+    term_sup_norm,
+)
+from canonbase_lab.terms import (
     Abs,
     HalfSum,
-    HomogeneousFn,
     Join,
     LatticeTerm,
     Meet,
@@ -22,16 +31,10 @@ from canonbase_lab.krivine import (
     Scale,
     Var,
     Zero,
-    approximate_on_sphere,
-    eval_array,
-    eval_element,
     eval_scalar,
-    interpolating_term,
     parse_term,
-    registry_function,
     term_arity,
     term_lipschitz_bound,
-    term_sup_norm,
     to_text,
 )
 from canonbase_lab.measure_core import LatticeElement, MeasureSpace
@@ -140,6 +143,43 @@ def test_eval_element_space_mismatch():
 def test_eval_arity_mismatch():
     with pytest.raises(InvariantError):
         eval_scalar(Var(2), (1.0, 2.0))
+
+
+def _bits(x: float) -> bytes:
+    """The bytes of a double, with every NaN as one value."""
+    return b"nan" if math.isnan(x) else struct.pack("d", x)
+
+
+_COORDS = st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@given(terms(), st.lists(st.lists(_COORDS, min_size=3, max_size=3), min_size=1, max_size=24))
+def test_eval_scalar_equals_eval_array_bit_for_bit(term, points):
+    # many columns at once, so numpy's vector loops of maximum and minimum run
+    with np.errstate(all="ignore"):  # inf - inf and overflow are part of the test
+        values = eval_array(term, np.array(points).T).tolist()
+    assert [_bits(eval_scalar(term, p)) for p in points] == list(map(_bits, values))
+
+
+@pytest.mark.parametrize("term", [
+    Join(Var(0), Var(1)),
+    Meet(Var(0), Var(1)),
+    Scale(Fraction(1, 3), Join(Neg(Var(0)), HalfSum(Var(1), Var(0)))),
+    Scale(Fraction(-2, 7), Meet(Abs(Var(1)), Var(0))),
+])
+@pytest.mark.parametrize("point", [(-0.0, 0.0), (0.0, -0.0), (1 / 3, -2.0), (math.nan, 1.0), (1.0, math.nan),
+                                   (math.inf, -math.inf)])
+def test_eval_scalar_takes_numpys_rule_for_signed_zeros_and_nan(term, point):
+    with np.errstate(all="ignore"):
+        column = eval_array(term, np.array(point).reshape(2, 1))
+    assert _bits(eval_scalar(term, point)) == _bits(float(column[0]))
+
+
+def test_join_and_meet_of_signed_zeros_give_the_second_operand():
+    # np.maximum(-0.0, 0.0) is 0.0, where Python's max(-0.0, 0.0) is -0.0
+    for op in (Join, Meet):
+        assert _bits(eval_scalar(op(Var(0), Var(1)), (-0.0, 0.0))) == _bits(0.0)
+        assert _bits(eval_scalar(op(Var(0), Var(1)), (0.0, -0.0))) == _bits(-0.0)
 
 
 @given(terms(), st.lists(st.floats(-8, 8), min_size=3, max_size=3), st.floats(0, 4))

@@ -7,18 +7,14 @@ from hypothesis import strategies as st
 
 from canonbase_lab.errors import InvariantError, SpaceMismatchError
 from canonbase_lab.measure_core import (
-    MAX_ENTRIES,
     ExtensionPair,
     LatticeElement,
     MeasureSpace,
     SubStructure,
     band_decompose,
-    check_count,
-    check_entries,
     cond_exp,
     distance,
     dotminus,
-    integer,
     join,
     lp_norm,
     meet,
@@ -27,6 +23,7 @@ from canonbase_lab.measure_core import (
     scale,
     signed_power,
 )
+from canonbase_lab.rules import MAX_ENTRIES, check_count, check_entries, integer
 from conftest import random_element, random_pair
 
 from reference import ref_cond_exp, ref_lp_norm

@@ -9,9 +9,9 @@ from canonbase_lab.measure_core import (
     LatticeElement,
     MeasureSpace,
     SubStructure,
-    close,
     cond_exp,
 )
+from canonbase_lab.rules import close
 from canonbase_lab.rv_canon import (
     EventAlgebra,
     apr_cb,

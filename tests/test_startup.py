@@ -1,8 +1,10 @@
 """What a fresh interpreter loads: the bare package, the modules each
 subcommand imports, and the BLAS thread default of the CLI. Each check
 that reads ``sys.modules`` or the environment runs in a subprocess. Also
-that each public name lives in its module, the one place to import it from."""
+that each public name lives in its module, the one place to import it from,
+and that the modules the calls without array work load import no numpy."""
 
+import ast
 import json
 import os
 import subprocess
@@ -22,8 +24,9 @@ EXPORTS = {
                      "band_decompose", "cond_exp", "distance", "lp_norm", "orthogonal",
                      "signed_power"],
     "legendre": ["PLConvexFn", "attainment_check", "biconjugate", "conjugate"],
-    "krivine": ["HomogeneousFn", "approximate_on_sphere", "eval_element", "eval_scalar",
-                "interpolating_term", "parse_term", "term_sup_norm", "to_text"],
+    "krivine": ["HomogeneousFn", "approximate_on_sphere", "eval_element", "interpolating_term",
+                "term_sup_norm"],
+    "terms": ["eval_scalar", "parse_term", "to_text"],
     "lp_canon": ["LpCanonicalBase", "canonical_base_1type", "canonical_base_ntype", "f_zero",
                  "grid_approx", "increasing_realisation", "interval_cond_exp", "lq_transport",
                  "p1_counterexample", "partial_cond_exp", "psi", "remark_counterexample",
@@ -79,8 +82,77 @@ def test_importing_the_package_loads_no_submodule_and_no_numpy():
 
 def test_krivine_parse_loads_only_what_it_runs():
     loaded = _fresh(_cli("krivine", "parse", "--term", "(x0 \\/ x1)", "--arity", "2"))
-    assert loaded["exit"] == 0 and "krivine" in loaded["modules"]
+    assert loaded["exit"] == 0 and "terms" in loaded["modules"] and not loaded["numpy"]
     assert not {"lp_canon", "rv_canon", "hilbert_canon", "ultra_ball"} & set(loaded["modules"])
+
+
+def test_importing_the_cli_loads_no_numpy_and_sets_one_blas_thread():
+    loaded = _fresh("import canonbase_lab.cli")
+    assert not loaded["numpy"] and loaded["modules"] == ["cli", "errors", "rules"]
+    assert loaded["blas_threads"] == "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["krivine", "parse", "--term", "(x0 \\/ 1/3*x1)", "--arity", "2"],
+    ["krivine", "eval", "--term", "(x0 \\/ 1/3*x1)", "--arity", "2", "--point", "1,-2/7"],
+    ["legendre", "--fn", "fn.json"],
+    ["ultra", "--prime", "3", "ball-dist", "0", "1/3", "inf", "0"],
+])
+def test_calls_without_array_work_load_neither_numpy_nor_measure_core(tmp_path, argv):
+    (tmp_path / "fn.json").write_text(json.dumps(
+        {"domain": [None, None], "breakpoints": [0.0], "slopes": [-1.0, 1.0], "anchor": [0.0, 0.0]}))
+    loaded = _fresh(_cli(*argv), cwd=tmp_path)
+    assert loaded["exit"] == 0
+    assert not loaded["numpy"] and "measure_core" not in loaded["modules"]
+
+
+def test_krivine_approx_does_not_load_measure_core():
+    loaded = _fresh(_cli("krivine", "approx", "--fn", "euclid", "--eps", "0.1", "--grid", "8"))
+    assert loaded["exit"] == 0 and loaded["numpy"]
+    assert "krivine" in loaded["modules"] and "measure_core" not in loaded["modules"]
+
+
+#: The modules that the calls without array work load, which therefore import
+#: neither numpy nor another module of the package outside this set, except
+#: inside a function or under ``if TYPE_CHECKING:``.
+NUMPY_FREE = ("__init__", "__main__", "cli", "errors", "legendre", "rules", "terms", "ultra_ball")
+
+
+def _module_level_imports(tree: ast.Module):
+    """The import statements that run when the module is imported."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            stack += node.orelse
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack += ast.iter_child_nodes(node)
+
+
+def _imported_modules(node) -> list[str]:
+    """The modules an import statement loads, by absolute name."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    module = ("canonbase_lab." if node.level else "") + (node.module or "")
+    if module.rstrip(".") == "canonbase_lab":  # from . import x: each x is a module
+        return [f"canonbase_lab.{alias.name}" for alias in node.names]
+    return [module]
+
+
+def test_the_numpy_free_modules_import_no_numpy_at_module_level():
+    package = Path(canonbase_lab.__file__).parent
+    offending = []
+    for name in NUMPY_FREE:
+        path = package / f"{name}.py"
+        for node in _module_level_imports(ast.parse(path.read_text(), str(path))):
+            for top, *sub in (target.split(".") for target in _imported_modules(node)):
+                if top == "numpy" or top == "canonbase_lab" and sub and sub[0] not in NUMPY_FREE:
+                    offending.append(f"{name}.py:{node.lineno}: {ast.unparse(node)}")
+    assert offending == []
 
 
 def test_rv_cb_loads_neither_krivine_nor_lp_canon(tmp_path):
@@ -144,8 +216,9 @@ def test_every_re_export_is_the_submodule_attribute(module, name):
 
 
 def test_the_cli_runs_blas_on_one_thread_by_default():
-    loaded = _fresh("import canonbase_lab.cli")
-    assert loaded["blas_threads"] == "1"
+    # demo remark loads numpy, through lp_canon, after the CLI has set the default
+    loaded = _fresh(_cli("demo", "remark"))
+    assert loaded["numpy"] and loaded["blas_threads"] == "1"
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     if "openblas" not in blas or loaded["threads"] is None:
         pytest.skip("counts OpenBLAS threads through /proc")
