@@ -5,12 +5,14 @@ This module decides how they are stored, how input becomes real numbers and
 how the cells of a fibered pair are laid out, and it holds every per-atom
 loop, each written as an array expression.
 
-An element's values and a space's weights live in float64 arrays marked
-read-only at construction, so every value here is immutable, every operation
-is a pure function, and concurrent use from multiple threads needs no
-coordination. Input is coerced to finite reals once, at construction; the
-``InvariantError`` for a bad entry names the argument and the entry as a
-relative pointer (``rows/1/3: ...``). Each kind of check has one rule:
+Per-atom data is stored only in arrays marked read-only at construction: an
+element's values and a space's weights in float64, a substructure's atoms in
+intp. The tuples that ``values``, ``weights`` and ``blocks`` return are built
+on first use. So every value here is immutable, every operation is a pure
+function, and concurrent use from multiple threads needs no coordination.
+Input is coerced to finite reals once, at construction; the ``InvariantError``
+for a bad entry names the argument and the entry as a relative pointer
+(``rows/1/3: ...``). Each kind of check has one rule:
 ``rules.integer`` (cell counts, moment orders, atom indices, a prime, an
 arity), ``check_p`` (1 <= p < inf, so ``lp_norm`` is never the sup norm),
 ``rules.check_entries`` (at most ``MAX_ENTRIES`` entries, rows times atoms,
@@ -49,7 +51,7 @@ constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import suppress
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
@@ -109,30 +111,74 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class MeasureSpace:
+class _Frozen:
+    """Immutable once ``_init`` has set its slots. Equal to an object of its
+    class with equal ``_key()`` items (arrays by ``np.array_equal``), hashed
+    over the arrays' bytes, pickled and shown as ``type(self)(*self._key())``."""
+
+    __slots__ = ()
+
+    def _init(self, **slots):
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
+
+    def _memo(self, slot: str, build):
+        """The value of ``slot``, built by ``build()`` on first use."""
+        if getattr(self, slot) is None:
+            object.__setattr__(self, slot, build())
+        return getattr(self, slot)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = zip(self._key(), other._key())
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+    def __hash__(self):
+        # + 0.0 turns -0.0, which equals 0.0, into 0.0
+        return hash(tuple((a + 0.0).tobytes() if isinstance(a, np.ndarray) else a for a in self._key()))
+
+    def __reduce__(self):
+        return (type(self), self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
+
+
+class MeasureSpace(_Frozen):
     """Atoms indexed 0..len-1, each carrying a strictly positive finite weight.
 
-    ``weights`` is a tuple of floats; ``weight_array`` holds the same weights
-    as a read-only float64 array.
+    ``weight_array``, the read-only float64 array of the weights, is the
+    storage; ``weights`` is the same data as a tuple of floats, built on
+    first use.
     """
 
-    weights: tuple[float, ...]
+    __slots__ = ("weight_array", "_weights")
 
-    def __post_init__(self):
-        arr = _weights(self.weights, "weights")
-        object.__setattr__(self, "weights", tuple(arr.tolist()))
-        object.__setattr__(self, "weight_array", _frozen(arr))
+    def __init__(self, weights):
+        self._init(weight_array=_frozen(_weights(weights, "weights")), _weights=None)
+
+    def _key(self) -> tuple:
+        return (self.weight_array,)
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        return self._memo("_weights", lambda: tuple(self.weight_array.tolist()))
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.weight_array)
 
     @property
     def total_mass(self) -> float:
         return float(self.weight_array.sum())
 
 
-class LatticeElement:
+class LatticeElement(_Frozen):
     """One real value per atom of its measure space.
 
     ``array`` is the read-only float64 array of the values; ``values`` is the
@@ -148,32 +194,14 @@ class LatticeElement:
             raise InvariantError(
                 f"values: element has shape {arr.shape} but the space has {len(space)} atoms"
             )
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "array", _frozen(arr))
-        object.__setattr__(self, "_values", None)
+        self._init(space=space, array=_frozen(arr), _values=None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"LatticeElement is immutable; cannot set {name!r}")
-
-    def __reduce__(self):
-        return (LatticeElement, (self.space, self.array))
+    def _key(self) -> tuple:
+        return (self.space, self.array)
 
     @property
     def values(self) -> tuple[float, ...]:
-        if self._values is None:
-            object.__setattr__(self, "_values", tuple(self.array.tolist()))
-        return self._values
-
-    def __eq__(self, other):
-        if not isinstance(other, LatticeElement):
-            return NotImplemented
-        return self.space == other.space and bool(np.array_equal(self.array, other.array))
-
-    def __hash__(self):
-        return hash((self.space, self.values))
-
-    def __repr__(self):
-        return f"LatticeElement(space={self.space!r}, values={self.values!r})"
+        return self._memo("_values", lambda: tuple(self.array.tolist()))
 
     # -- convenience arithmetic (pointwise, same space) -------------------
 
@@ -307,67 +335,95 @@ def distance(f: LatticeElement, g: LatticeElement, p: float) -> float:
 # Sub-structures, conditional expectation, band decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubStructure:
+class SubStructure(_Frozen):
     """A partition of a subset of atom indices into nonempty blocks.
 
     The blocks generate the conditioning algebra; atoms outside the support
-    are invisible to it. Blocks are stored sorted.
+    are invisible to it. The storage is two read-only intp arrays: ``_atoms``
+    holds the atoms block after block, sorted within each block, and block k
+    is ``_atoms[_offsets[k]:_offsets[k + 1]]``. ``blocks`` is the same data as
+    sorted tuples, built on first use; ``len`` is the number of blocks.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("_atoms", "_offsets", "_blocks")
 
-    def __post_init__(self):
+    def __init__(self, blocks: Iterable[Iterable[int]]):
         try:
-            blocks = tuple(self.blocks)
+            blocks = tuple(blocks)
             types = set(map(type, chain.from_iterable(blocks)))
+            lengths = np.fromiter(map(len, blocks), np.intp, len(blocks))
         except TypeError as exc:
             raise InvariantError(f"blocks: expected lists of atom indices ({exc})") from None
-        # plain nonnegative ints skip the per-atom call of the integer rule
-        canon = tuple(tuple(sorted(b)) for b in blocks) if types <= {int} else None
-        if canon is None or any(b and b[0] < 0 for b in canon):
-            canon = tuple(
-                tuple(sorted(integer(i, f"blocks/{k}/{j}", 0) for j, i in enumerate(b)))
-                for k, b in enumerate(blocks)
-            )
-        lengths = list(map(len, canon))
-        if 0 in lengths:
-            raise InvariantError(f"blocks/{lengths.index(0)}: must be nonempty")
+        atoms = None
+        if types <= {int}:  # plain nonnegative ints skip the per-atom call of the integer rule
+            with suppress(OverflowError):
+                atoms = np.fromiter(chain.from_iterable(blocks), np.intp)
+        if atoms is None or (atoms < 0).any():
+            blocks = [[integer(i, f"blocks/{k}/{j}", 0) for j, i in enumerate(b)]
+                      for k, b in enumerate(blocks)]
+            atoms = None
+        if not lengths.all():
+            raise InvariantError(f"blocks/{lengths.argmin()}: must be nonempty")
         try:
-            atoms = np.fromiter(chain.from_iterable(canon), np.intp)
+            atoms = np.fromiter(chain.from_iterable(blocks), np.intp) if atoms is None else atoms
         except OverflowError as exc:
             raise InvariantError(f"blocks: atom index out of range ({exc})") from None
         ordered = np.sort(atoms)
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if len(repeated):
             raise InvariantError(f"blocks: atom {repeated[0]} appears more than once")
-        object.__setattr__(self, "blocks", canon)
-        object.__setattr__(self, "_atoms", _frozen(atoms))
-        object.__setattr__(self, "_block_ids", _frozen(np.repeat(np.arange(len(canon)), lengths)))
+        ids = np.repeat(np.arange(len(lengths)), lengths)
+        if (np.diff(atoms)[np.diff(ids) == 0] < 0).any():  # a block out of order
+            ranks = np.empty_like(atoms)  # the atoms are distinct, so (block, rank) sorts them
+            ranks[np.argsort(atoms)] = np.arange(len(atoms))
+            atoms = atoms[np.argsort(ids * len(atoms) + ranks)]
+        self._init(_atoms=_frozen(atoms), _offsets=_frozen(np.append(0, np.cumsum(lengths))), _blocks=None)
+
+    @classmethod
+    def _of(cls, atoms: np.ndarray, offsets: np.ndarray) -> "SubStructure":
+        """Blocks ``atoms[offsets[k]:offsets[k + 1]]`` of two intp arrays, taken as nonempty,
+        disjoint and sorted."""
+        s = object.__new__(cls)
+        s._init(_atoms=_frozen(atoms), _offsets=_frozen(offsets), _blocks=None)
+        return s
+
+    def _key(self) -> tuple:
+        return (self._atoms, self._offsets)
+
+    def __reduce__(self):
+        return (SubStructure._of, self._key())
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        return self._memo("_blocks", lambda: tuple(
+            tuple(b.tolist()) for b in np.split(self._atoms, self._offsets[1:])[:-1]))
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(i for block in self.blocks for i in block)
+        return frozenset(self._atoms.tolist())
 
     def validate_for(self, space: MeasureSpace) -> None:
         n = len(space)
         over = np.flatnonzero(self._atoms >= n)
         if len(over):
-            k, atom = self._block_ids[over[0]], self._atoms[over[0]]
+            k, atom = np.searchsorted(self._offsets, over[0], "right") - 1, self._atoms[over[0]]
             raise InvariantError(f"blocks/{k}: references atom {atom} but the space has {n} atoms")
 
     def _labels(self, space: MeasureSpace) -> np.ndarray:
-        """Per atom, the index of its block; len(blocks) off the support."""
+        """Per atom, the index of its block; len(self) off the support."""
         self.validate_for(space)
-        labels = np.full(len(space), len(self.blocks), np.intp)
-        labels[self._atoms] = self._block_ids
+        labels = np.full(len(space), len(self), np.intp)
+        labels[self._atoms] = np.repeat(np.arange(len(self)), np.diff(self._offsets))
         return labels
 
     def partition(self, space: MeasureSpace) -> tuple[np.ndarray, np.ndarray]:
-        """Per atom, the index of its block (len(blocks) off the support); and
+        """Per atom, the index of its block (len(self) off the support); and
         per block, its mass, summed in atom-index order."""
         labels = self._labels(space)
-        return labels, _block_sums(space.weight_array, labels, len(self.blocks))
+        return labels, _block_sums(space.weight_array, labels, len(self))
 
     @classmethod
     def single_block(cls, indices: Iterable[int]) -> "SubStructure":
@@ -375,7 +431,8 @@ class SubStructure:
 
     @classmethod
     def discrete(cls, n: int) -> "SubStructure":
-        return cls(tuple((i,) for i in range(n)))
+        atoms = np.arange(len(range(n)))  # no atoms for n <= 0, as range(n)
+        return cls._of(atoms, np.append(atoms, len(atoms)))
 
 
 def _block_sums(x: np.ndarray, labels: np.ndarray, blocks: int) -> np.ndarray:
@@ -437,7 +494,7 @@ def cond_exp(f: LatticeElement, s: SubStructure) -> LatticeElement:
 
 def band_decompose(f: LatticeElement, s: SubStructure) -> tuple[LatticeElement, LatticeElement]:
     """Split f into its part over the support and the orthogonal remainder."""
-    inside = s._labels(f.space) < len(s.blocks)
+    inside = s._labels(f.space) < len(s)
     return (
         LatticeElement(f.space, np.where(inside, f.array, 0.0)),
         LatticeElement(f.space, np.where(inside, 0.0, f.array)),
@@ -454,40 +511,41 @@ def orthogonal(f: LatticeElement, g: LatticeElement, tol: float = TOL) -> bool:
 # The discretized fibered extension E <= E'
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtensionPair:
+class ExtensionPair(_Frozen):
     """The base space with each atom split into equal fiber cells, plus an
     optional orthogonal part made of two extra unit-mass fibers ("plus" and
     "minus"). The cell order of the total space is defined on ``fibers``.
     The embedded copy of the base lattice consists of exactly the elements
     that are constant along each base fiber and zero on the plus/minus part.
-    The base and total spaces are built once, with the pair.
+    The base and total spaces are built once, with the pair, and are its
+    storage; ``base_weights`` reads the base space's weights.
     """
 
-    base_weights: tuple[float, ...]
-    fiber_cells: int
-    has_orthogonal: bool = False
+    __slots__ = ("fiber_cells", "has_orthogonal", "_base", "_total", "_orth")
 
-    def __post_init__(self):
-        base = MeasureSpace(_weights(self.base_weights, "base_weights"))
-        n = integer(self.fiber_cells, "fiber_cells", 1)
-        has_orth = bool(self.has_orthogonal)
+    def __init__(self, base_weights, fiber_cells: int, has_orthogonal: bool = False):
+        base = MeasureSpace(_weights(base_weights, "base_weights"))
+        n = integer(fiber_cells, "fiber_cells", 1)
+        has_orth = bool(has_orthogonal)
         check_entries(len(base) + 2 * has_orth, n, "fiber_cells")
         cells = np.repeat(base.weight_array / n, n)
         if has_orth:
             cells = np.append(cells, np.full(2 * n, 1.0 / n))
-        object.__setattr__(self, "base_weights", base.weights)
-        object.__setattr__(self, "fiber_cells", n)
-        object.__setattr__(self, "has_orthogonal", has_orth)
-        object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_total", MeasureSpace(cells))
-        object.__setattr__(self, "_orth", MeasureSpace(np.full(2 * n, 1.0 / n)) if has_orth else None)
+        orth = MeasureSpace(np.full(2 * n, 1.0 / n)) if has_orth else None
+        self._init(fiber_cells=n, has_orthogonal=has_orth, _base=base, _total=MeasureSpace(cells), _orth=orth)
+
+    def _key(self) -> tuple:
+        return (self._base.weight_array, self.fiber_cells, self.has_orthogonal)
+
+    @property
+    def base_weights(self) -> tuple[float, ...]:
+        return self._base.weights
 
     # -- geometry ----------------------------------------------------------
 
     @property
     def m(self) -> int:
-        return len(self.base_weights)
+        return len(self._base)
 
     @property
     def n(self) -> int:
@@ -574,8 +632,7 @@ class ExtensionPair:
 
     def base_substructure(self) -> SubStructure:
         """The fibers over the base, as blocks of the total space."""
-        n = self.n
-        return SubStructure(tuple(tuple(range(i * n, (i + 1) * n)) for i in range(self.m)))
+        return SubStructure._of(np.arange(self.m * self.n), np.arange(self.m + 1) * self.n)
 
     def cond_exp_base(self, f: LatticeElement) -> LatticeElement:
         """Conditional expectation onto the embedded base lattice, returned as

@@ -215,7 +215,7 @@ def lift_event(x: LatticeElement, s: SubStructure, fiber_cells: int) -> LiftedEv
     validate_rv(x)
     if not is_block_measurable(x, s):
         raise InvariantError("x must be measurable for the conditioning blocks")
-    pair = ExtensionPair(x.space.weights, fiber_cells)
+    pair = ExtensionPair(x.space.weight_array, fiber_cells)
     n = pair.n
     ks = np.clip(np.floor(x.array * n + 0.5), 0, n)
     snapped = LatticeElement(x.space, ks / n)

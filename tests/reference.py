@@ -188,3 +188,13 @@ def ref_max_min(rays, cones, coeffs, points):
     that dominate cone i of coeffs[j] . x."""
     values = np.asarray(coeffs) @ points
     return np.max([values[members].min(axis=0) for members in ref_dominating(rays, cones, coeffs)], axis=0)
+
+
+def ref_space(weights):
+    """A measure space as the tuple of its weights, as floats."""
+    return tuple(map(float, weights))
+
+
+def ref_substructure(blocks):
+    """A substructure as the tuple of its blocks, each sorted, in block order."""
+    return tuple(tuple(sorted(map(int, block))) for block in blocks)

@@ -270,6 +270,66 @@ def test_the_short_list_rule_keeps_its_error_messages(tmp_path, capsys, docs, ar
     assert report["exit_code"] == 2 and report["error"] == expected.format(fn=tmp_path / "fn")
 
 
+_TOO_BIG = "atom index out of range (Python int too large to convert to C long)"
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("blocks", [[0, -1]], "/blocks/0/1: must be >= 0, got -1"),
+    ("blocks", [[0, True]], "/blocks/0/1: must be an integer, got True"),
+    ("blocks", [[1.0, 0], [1]], "/blocks: atom 1 appears more than once"),
+    ("blocks", [[0, 1e300]], f"/blocks: {_TOO_BIG}"),
+    ("blocks", [[0.5]], "/blocks/0/0: must be an integer, got 0.5"),
+    ("blocks", [0, 1], "/blocks: expected lists of atom indices ('int' object is not iterable)"),
+    ("blocks", [None], "/blocks: expected lists of atom indices ('NoneType' object is not iterable)"),
+    ("blocks", 5, "/blocks: expected lists of atom indices ('int' object is not iterable)"),
+    ("blocks", "ab", "/blocks/0/0: must be an integer, got 'a'"),
+    ("blocks", [[0, [1]]], "/blocks/0/1: must be an integer, got [1]"),
+    ("blocks", [[0, 1], [1]], "/blocks: atom 1 appears more than once"),
+    ("blocks", [[1, 0, 1]], "/blocks: atom 1 appears more than once"),
+    ("blocks", [[0], [7, 2], [1, 0]], "/blocks: atom 0 appears more than once"),
+    ("blocks", [[0, 1], []], "/blocks/1: must be nonempty"),
+    ("blocks", [[0, 2]], "/blocks/0: references atom 2 but the space has 2 atoms"),
+    ("blocks", [[0, 10**30]], f"/blocks: {_TOO_BIG}"),
+    ("blocks", [[0, -10**30]], "/blocks/0/1: must be >= 0, got -1000000000000000000000000000000"),
+    # with two faults, the first of: a non-integer or negative entry, an
+    # empty block, an index past the int range, a repeated atom, then an atom past the space
+    ("blocks", [[0, 10**30], [-1]], "/blocks/1/0: must be >= 0, got -1"),
+    ("blocks", [[], [0, "x"]], "/blocks/1/1: must be an integer, got 'x'"),
+    ("blocks", [[], [0, 10**30]], "/blocks/0: must be nonempty"),
+    ("blocks", [[1, 0], [0, 5]], "/blocks: atom 0 appears more than once"),
+    ("weights", [], "/weights: a measure space needs at least one atom"),
+    ("weights", [0.5, 0], "/weights/1: must be positive, got 0.0"),
+    ("weights", [0.5, -1], "/weights/1: must be positive, got -1.0"),
+    ("weights", ["a", 1], "/weights: expected real numbers (could not convert string to float: 'a')"),
+    ("weights", [10**400, 1], "/weights: expected real numbers (int too large to convert to float)"),
+    ("weights", [[0.5, 0.5]], "/weights: a measure space needs at least one atom"),
+    ("weights", 5, "/weights: a measure space needs at least one atom"),
+    ("weights", [None, 1], "/weights/0: must be finite, got nan"),
+    ("weights", [0.5], "/blocks/0: references atom 1 but the space has 1 atoms"),
+])
+def test_the_blocks_and_weights_rules_keep_their_error_messages(tmp_path, capsys, key, value, expected):
+    space, elements = tmp_path / "space", tmp_path / "elements"
+    space.write_text(json.dumps({"weights": [0.5, 0.5], "blocks": [[0, 1]], key: value}))
+    elements.write_text(json.dumps({"elements": [[0.5, 0.25]]}))
+    assert cli.dispatch(["rv-cb", "--space", str(space), "--elements", str(elements), "--k-max", "1"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == f"{space}: {expected}"
+
+
+@pytest.mark.parametrize("doc, expected", [
+    ({"base_weights": []}, "/base_weights: a measure space needs at least one atom"),
+    ({"base_weights": [1, 0]}, "/base_weights/1: must be positive, got 0.0"),
+    ({"base_weights": [[1, 2]]}, "/base_weights: a measure space needs at least one atom"),
+    ({"base_weights": None}, "/base_weights: must be finite, got nan"),
+    ({"fiber_cells": 0}, "/fiber_cells: must be >= 1, got 0"),
+])
+def test_the_pair_rules_keep_their_error_messages(tmp_path, capsys, doc, expected):
+    space, element = tmp_path / "space", tmp_path / "element"
+    space.write_text(json.dumps({**SPACE, **doc}))
+    element.write_text(json.dumps({"rows": [[0, 1], [2, 3]]}))
+    assert cli.dispatch([str(space) if a == "space" else str(element) if a == "element" else a for a in LP_CB]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == f"{space}: {expected}"
+
+
 @pytest.mark.parametrize(
     "content, expected",
     [

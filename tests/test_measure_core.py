@@ -1,4 +1,7 @@
 import math
+import pickle
+import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from canonbase_lab.measure_core import (
 from canonbase_lab.rules import MAX_ENTRIES, check_count, check_entries, integer
 from conftest import random_element, random_pair
 
-from reference import ref_cond_exp, ref_lp_norm
+from reference import ref_cond_exp, ref_lp_norm, ref_space, ref_substructure
 
 HALVES = MeasureSpace((0.5, 0.5))
 
@@ -417,3 +420,98 @@ def test_same_space_names_the_first_element_on_another_space():
         same_space([f, f, g, g], "args")
     with pytest.raises(SpaceMismatchError, match=r"^operands/1: lives on another space than operands/0$"):
         f + g
+
+
+# -- the array-backed classes against their tuple reference ---------------------
+
+_WEIGHTS = st.lists(st.sampled_from([0.25, 0.5, 1, 2.0, 1e-300, 1e300]), min_size=1, max_size=4)
+
+
+@st.composite
+def _blocks(draw):
+    """Disjoint blocks of atoms 0..5, in a drawn block order, each listed in a drawn order."""
+    labels = draw(st.lists(st.integers(-1, 2), max_size=6))
+    order = draw(st.permutations(range(len(labels))))
+    blocks = ([i for i in order if labels[i] == k] for k in draw(st.permutations(range(3))))
+    return [block for block in blocks if block]
+
+
+def _compare_as_references(a, b, ref_a, ref_b):
+    """a and b are equal exactly when their references are, hash alike when
+    equal, and come back equal, with the same hash, from a pickle round trip."""
+    assert (a == b) == (ref_a == ref_b) and (a != b) == (ref_a != ref_b)
+    if a == b:
+        assert hash(a) == hash(b)
+    for x in (a, b):
+        clone = pickle.loads(pickle.dumps(x))
+        assert clone == x and hash(clone) == hash(x)
+
+
+@given(_WEIGHTS, _WEIGHTS)
+def test_space_behaves_as_its_tuple_reference(w1, w2):
+    a, b = MeasureSpace(w1), MeasureSpace(w2)
+    assert a.weights == ref_space(w1) and len(a) == len(w1)
+    assert a.total_mass == pytest.approx(math.fsum(ref_space(w1)), rel=1e-15)
+    assert pickle.loads(pickle.dumps(a)).weights == ref_space(w1)
+    _compare_as_references(a, b, ref_space(w1), ref_space(w2))
+    with pytest.raises(AttributeError, match="^MeasureSpace is immutable"):
+        a.weight_array = b.weight_array
+    with pytest.raises(ValueError):
+        a.weight_array[0] = 1.0
+
+
+@given(_blocks(), _blocks())
+def test_substructure_behaves_as_its_tuple_reference(b1, b2):
+    s, t = SubStructure(b1), SubStructure(b2)
+    ref = ref_substructure(b1)
+    assert s.blocks == ref and len(s) == len(ref)
+    assert all(type(i) is int for i in chain.from_iterable(s.blocks))
+    assert s.support == frozenset(chain.from_iterable(ref))
+    assert pickle.loads(pickle.dumps(s)).blocks == ref
+    _compare_as_references(s, t, ref, ref_substructure(b2))
+    with pytest.raises(AttributeError, match="^SubStructure is immutable"):
+        s.blocks = ()
+
+
+@given(_WEIGHTS, _WEIGHTS, st.integers(1, 3), st.integers(1, 3), st.booleans(), st.booleans())
+def test_pair_behaves_as_its_tuple_reference(w1, w2, n1, n2, o1, o2):
+    p, q = ExtensionPair(w1, n1, o1), ExtensionPair(w2, n2, o2)
+    assert p.base_weights == ref_space(w1) and (p.m, p.n, p.has_orthogonal) == (len(w1), n1, o1)
+    _compare_as_references(p, q, (ref_space(w1), n1, o1), (ref_space(w2), n2, o2))
+    assert pickle.loads(pickle.dumps(p)).total_space() == p.total_space()
+
+
+@given(*[st.lists(st.sampled_from([-0.0, 0.0, 1.0]), min_size=2, max_size=2)] * 2)
+def test_element_equality_and_hash_follow_the_values(v1, v2):
+    f, g = LatticeElement(HALVES, v1), LatticeElement(MeasureSpace((0.5, 0.5)), v2)
+    _compare_as_references(f, g, (HALVES.weights, tuple(v1)), (HALVES.weights, tuple(v2)))
+
+
+@given(st.integers(-2, 6), st.integers(1, 4), st.integers(1, 3), st.booleans())
+def test_derived_substructures_match_their_tuple_reference(k, m, n, orth):
+    discrete = ref_substructure([i] for i in range(k))
+    assert SubStructure.discrete(k).blocks == discrete
+    assert SubStructure.discrete(k) == SubStructure(discrete)
+    fibers = ref_substructure(range(i * n, (i + 1) * n) for i in range(m))
+    base = ExtensionPair((1.0,) * m, n, orth).base_substructure()
+    assert base.blocks == fibers and base == SubStructure(fibers) and hash(base) == hash(SubStructure(fibers))
+    assert SubStructure.single_block(range(m * n - 1, -1, -1)) == SubStructure([range(m * n)])
+
+
+def test_space_and_substructure_keep_only_their_arrays():
+    # The inputs are built before tracing starts, so what stays traced is
+    # what the two objects hold. As arrays, their per-atom data takes 16
+    # bytes an atom, a weight and an index; a tuple of the weights alone
+    # adds 32 more, a float object and a pointer each.
+    n = 10**5
+    weights = [1.0 + i / n for i in range(n)]
+    blocks = [list(range(k, n, 1000)) for k in range(1000)]
+    tracemalloc.start()
+    try:
+        space, s = MeasureSpace(weights), SubStructure(blocks)
+        del weights, blocks
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 2 * 16 * n
+    assert len(space) == n and len(s) == 1000
