@@ -15,7 +15,3 @@ class TermSyntaxError(InvariantError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class InsufficientMomentsError(InvariantError):
-    """The moment box is too small for the per-block support encountered."""

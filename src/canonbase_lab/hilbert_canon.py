@@ -1,9 +1,8 @@
-"""Orthogonal projections, Gram data, and the quadratic expansion identity
-for inner-product spaces.
+"""Orthogonal projections and Gram data for inner-product spaces.
 
 The projection of a tuple alone does not pin down squared norms of linear
-combinations; adding the Gram matrix does, which is exactly what the
-expansion identity exercises.
+combinations; adding the Gram matrix does, which is what the quadratic
+expansion identity in the tests exercises.
 
 Projection is one product with the basis matrix B, V @ B.T @ B, and every
 entry point reads its vectors through ``_vectors``.
@@ -72,11 +71,6 @@ def _project(mat: np.ndarray, sub: Subspace) -> np.ndarray:
     return mat @ basis.T @ basis
 
 
-def project(v: Sequence[float], sub: Subspace) -> np.ndarray:
-    """Orthogonal projection onto the subspace; the residual is orthogonal."""
-    return _project(_vectors([v], sub.dim, "v"), sub)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class HilbertBase:
     """The projections, one row per vector, and the Gram matrix, as read-only
@@ -95,36 +89,3 @@ def hs_cb(vs: Sequence[Sequence[float]], sub: Subspace) -> HilbertBase:
     projections, gram = _project(mat, sub), mat @ mat.T
     projections.flags.writeable = gram.flags.writeable = False
     return HilbertBase(projections, gram)
-
-
-def phi_identity_check(
-    vs: Sequence[Sequence[float]],
-    lambdas: Sequence[float],
-    u: Sequence[float],
-    sub: Subspace,
-) -> tuple[float, float]:
-    """Both sides of
-    ||sum l_i v_i + u||^2 =
-    ||sum l_i v_i||^2 - ||sum l_i P v_i||^2 + ||sum l_i P v_i + u||^2
-    for u inside the subspace."""
-    mat = _vectors(vs, sub.dim, "vectors")
-    lam = reals(lambdas, "lambdas")
-    if lam.shape != (len(mat),):
-        raise InvariantError("lambdas: one coefficient per vector is required")
-    uv = _vectors([u], sub.dim, "u")[0]
-    if not close(uv, project(uv, sub)):
-        raise InvariantError("u: must belong to the subspace")
-    combo = lam @ mat
-    proj_combo = lam @ _project(mat, sub)
-    lhs = float((combo + uv) @ (combo + uv))
-    rhs = float(combo @ combo - proj_combo @ proj_combo + (proj_combo + uv) @ (proj_combo + uv))
-    return lhs, rhs
-
-
-def nonuniform_witness() -> tuple[list[list[float]], list[list[float]], Subspace, list[float]]:
-    """Two single-vector tuples with equal projections but different Gram
-    matrices, hence different squared norms at lambda = 1 and u = 0."""
-    sub = Subspace(3, ((1.0, 0.0, 0.0),))
-    first = [[0.0, 1.0, 0.0]]
-    second = [[0.0, 0.0, 2.0]]
-    return first, second, sub, [1.0]

@@ -13,7 +13,6 @@ cones' geometry.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import re
@@ -26,8 +25,8 @@ import numpy as np
 from .errors import InvariantError
 from .rules import close, integer
 # parse_term and to_text stay attributes of this module: perfbench's tracer patches them here
-from .terms import (_VALUE, Abs, HalfSum, Join, LatticeTerm, Meet, Neg, Scale, Var, Zero, _arity, _check_arity,
-                    _Walk, _fold, _walk, eval_scalar, parse_term, term_lipschitz_bound, to_text)
+from .terms import (_VALUE, HalfSum, Join, LatticeTerm, Meet, Neg, Scale, Var, Zero, _check_arity, _Walk, _fold,
+                    _walk, eval_scalar, parse_term, term_lipschitz_bound, to_text)
 
 if TYPE_CHECKING:
     from .measure_core import LatticeElement
@@ -79,6 +78,7 @@ def _add(u: LatticeTerm, v: LatticeTerm) -> LatticeTerm:
     return Scale(Fraction(2), HalfSum(u, v))
 
 
+# no CLI call runs this; it stays because perfbench's tracer patches it here
 def interpolating_term(
     x: Sequence[float], y: Sequence[float], a: float, b: float
 ) -> LatticeTerm:
@@ -120,69 +120,6 @@ def interpolating_term(
     ci = (b * xv[j] - a * yv[j]) / denom
     cj = (a * yv[i] - b * xv[i]) / denom
     return _add(Scale(Fraction(ci), Var(i)), Scale(Fraction(cj), Var(j)))
-
-
-# ---------------------------------------------------------------------------
-# Supremum over the unit cube
-# ---------------------------------------------------------------------------
-
-# Values are intervals (lo, hi); Var reads the box, so each box adds its own Var rule.
-_INTERVAL = {
-    Zero: lambda t, a, b: (0.0, 0.0),
-    Neg: lambda t, a, b: (-a[1], -a[0]),
-    Abs: lambda t, a, b: (0.0 if a[0] <= 0.0 <= a[1] else min(map(abs, a)), max(map(abs, a))),
-    HalfSum: lambda t, a, b: ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0),
-    Join: lambda t, a, b: (max(a[0], b[0]), max(a[1], b[1])),
-    Meet: lambda t, a, b: (min(a[0], b[0]), min(a[1], b[1])),
-    Scale: lambda t, a, b: tuple(sorted(float(t.factor) * v for v in a)),
-}
-
-
-def term_sup_norm(term: LatticeTerm) -> float:
-    """Supremum of |t| over the unit cube [-1, 1]^n.
-
-    Arity one is exact by homogeneity (the endpoints suffice); otherwise a
-    branch-and-bound over interval bounds certifies the value up to
-    ``close``, or, after 100,000 boxes, returns its upper bound.
-    The term is walked once; every box and point reuses that walk.
-    """
-    walk = _walk(term)
-    n = _arity(walk)
-
-    def largest_at(points: list[list[float]]) -> float:
-        return float(np.abs(_evaluate(walk, np.array(points).T)).max())
-
-    if n <= 1:
-        return largest_at([[1.0] * n, [-1.0] * n])
-
-    def abs_bounds(box):
-        lo, hi = _fold(walk, {**_INTERVAL, Var: lambda t, a, b: box[t.index]})
-        return max(abs(lo), abs(hi))
-
-    start = [(-1.0, 1.0)] * n
-    # seed the lower bound with the cube corners and center
-    corners = [[(1.0 if (c >> i) & 1 else -1.0) for i in range(n)] for c in range(2 ** min(n, 12))]
-    best_lb = max(0.0, largest_at(corners + [[0.0] * n]))
-    counter = 0
-    heap = [(-abs_bounds(start), counter, start)]
-    processed = 0
-    while heap and processed < 100_000:
-        ub_neg, _, box = heapq.heappop(heap)
-        ub = -ub_neg
-        if ub <= best_lb or close(ub, best_lb):
-            return ub
-        processed += 1
-        widths = [hi - lo for lo, hi in box]
-        split = widths.index(max(widths))
-        lo, hi = box[split]
-        mid = (lo + hi) / 2.0
-        children = [box[:split] + [part] + box[split + 1 :] for part in ((lo, mid), (mid, hi))]
-        centres = [[(clo + chi) / 2.0 for clo, chi in child] for child in children]
-        best_lb = max(best_lb, largest_at(centres))
-        for child in children:
-            counter += 1
-            heapq.heappush(heap, (-abs_bounds(child), counter, child))
-    return -heap[0][0] if heap else best_lb
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .rules import TOL, close, reals
+from .rules import close, reals
 
 
 @dataclass(frozen=True)
@@ -202,40 +202,6 @@ def conjugate(phi: PLConvexFn) -> PLConvexFn:
         t0 = new_lo if math.isfinite(new_lo) else new_hi
     v0 = max(t0 * x - phi.evaluate(x) for x in candidates)
     return PLConvexFn(new_lo, new_hi, tuple(new_breaks), tuple(new_slopes), t0, v0)
-
-
-def biconjugate(phi: PLConvexFn) -> PLConvexFn:
-    """Conjugate twice; equals phi for convex functions continuous on their
-    closed domain (everything this type can represent)."""
-    return conjugate(conjugate(phi))
-
-
-def attainment_check(
-    phi: PLConvexFn, x: float, t: float, tol: float = TOL
-) -> tuple[bool, bool, bool]:
-    """Evaluate the three equivalent attainment conditions independently.
-
-    Returns (value equality phi(x) + phi*(t) == t*x, derivative bracket of
-    phi* at t containing x, derivative bracket of phi at x containing t).
-    The contract is that all three always agree. Each test holds up to
-    ``close`` with ``tol`` on the scale of its terms: phi(x), phi*(t) and t*x;
-    x and phi's positions; t and phi's slopes.
-    """
-    x, t = float(x), float(t)
-    star = conjugate(phi)
-    fx = phi.evaluate(x)
-    ft = star.evaluate(t)
-    if not (math.isfinite(fx) and math.isfinite(ft)):
-        raise InvariantError("attainment_check needs x in dom(phi) and t in dom(phi*)")
-
-    def within(bracket: tuple[float, float], v: float, scale: float) -> bool:
-        lo, hi = bracket
-        return all(a <= b or close((a, scale), (b, scale), tol) for a, b in ((lo, v), (v, hi)))
-
-    eq = close((fx + ft, fx, ft), (t * x, fx, ft), tol)
-    xs = max(abs(v) for v in (x, phi.lo, phi.hi, *phi.breakpoints) if math.isfinite(v))
-    ts = max([abs(t), *map(abs, phi.slopes)])
-    return eq, within(star.one_sided_derivs(t), x, xs), within(phi.one_sided_derivs(x), t, ts)
 
 
 def fn_to_dict(phi: PLConvexFn) -> dict:

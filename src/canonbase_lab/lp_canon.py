@@ -1,14 +1,13 @@
 """Partial conditional expectations over a fibered extension, together with
-slices, increasing realisations, grid approximations, L_p <-> L_q transport,
-and the canonical base tuples built from them.
+slices, increasing realisations, L_p <-> L_q transport, and the canonical
+base tuples built from them.
 
 Everything here works per base atom through one kernel, ``SliceFamily``: the
 sorted fiber values and their prefix sums. The slice at t is an order
 statistic, and E_t, the integral of the sorted fiber profile from 0 to t, is a
-prefix sum plus a fraction of the next cell, and the grid approximations read
-the shortfall function off the same prefix sums. E_t is also the conjugate at
-slope t*f0 of the piecewise-linear shortfall function ``psi``; that exact
-route is only a cross-check of the prefix kernel now, so ``legendre`` loads
+prefix sum plus a fraction of the next cell. E_t is also the conjugate at
+slope t*f0 of the piecewise-linear shortfall function ``psi``; the tests use
+that exact route as a cross-check of the prefix kernel, so ``legendre`` loads
 only when it runs. Likewise ``oracle`` loads only for ``canonical_base_ntype``
 and the remark, and ``fractions`` only for ``p1_counterexample``.
 """
@@ -22,13 +21,12 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvariantError, SpaceMismatchError
+from .errors import InvariantError
 from .measure_core import (
     ExtensionPair,
     LatticeElement,
     MeasureSpace,
     check_p,
-    dotminus,
     integral,
     lp_norm,
     meet,
@@ -57,13 +55,15 @@ def f_zero(f: LatticeElement, pair: ExtensionPair) -> LatticeElement:
     return pair.cond_exp_base(abs(f))
 
 
+# no CLI call runs this; it stays because perfbench's tracer patches it here
 def conjugate(fn: PLConvexFn) -> PLConvexFn:
-    """``legendre.conjugate``, imported at the call: only the psi
-    cross-check conjugates, so loading ``lp_canon`` does not load ``legendre``."""
+    """``legendre.conjugate``, imported at the call, so loading ``lp_canon``
+    does not load ``legendre``."""
     from .legendre import conjugate
     return conjugate(fn)
 
 
+# stays for psi, which perfbench's tracer patches
 def _fiber_psi(values: Sequence[float], f0: float, n: int) -> PLConvexFn:
     """The convex function x -> mean_j (x*f0 - v_j)^+ for one fiber."""
     from .legendre import PLConvexFn
@@ -84,6 +84,7 @@ def _fiber_psi(values: Sequence[float], f0: float, n: int) -> PLConvexFn:
     return PLConvexFn(-_INF, _INF, tuple(breaks), tuple(slopes), breaks[0], 0.0)
 
 
+# stays for psi, which perfbench's tracer patches
 @dataclass(frozen=True)
 class PsiFamily:
     """Per base atom, the piecewise-linear shortfall function, plus the
@@ -99,6 +100,7 @@ class PsiFamily:
         )
 
 
+# no CLI call runs this; it stays because perfbench's tracer patches it here
 def psi(f: LatticeElement, pair: ExtensionPair) -> PsiFamily:
     """The shortfall family x -> E[(x*f0 - f)^+ | base], exact and PL per atom."""
     f0 = f_zero(f, pair)
@@ -113,19 +115,8 @@ def partial_cond_exp(f: LatticeElement, pair: ExtensionPair, t: float) -> Lattic
     """E_t: per atom, the integral of the sorted fiber profile from 0 to t,
     read off the prefix sums, so E_0 = 0 and E_1 is the full conditional
     expectation. Checked against the conjugate of the shortfall function at
-    slope t*f0 (``_partial_from_family``)."""
+    slope t*f0 (``_partial_from_family`` in ``tests/reference.py``)."""
     return slices(f, pair).partial_at(t)
-
-
-def _partial_from_family(fam: PsiFamily, t: float) -> LatticeElement:
-    """E_t by exact conjugation of each atom's shortfall function."""
-    out = []
-    for fn, f0w in zip(fam.fibers, fam.f0.array.tolist()):
-        if f0w == 0.0:
-            out.append(0.0)
-        else:
-            out.append(conjugate(fn).evaluate(t * f0w))
-    return LatticeElement(fam.pair.base_space(), tuple(out))
 
 
 def interval_cond_exp(f: LatticeElement, pair: ExtensionPair, t: float, s: float) -> LatticeElement:
@@ -199,62 +190,8 @@ def increasing_realisation(f: LatticeElement, pair: ExtensionPair, p: float) -> 
     return pair.element(slices(f, pair).sorted_rows, plus=[plus_c] * pair.n, minus=[-minus_c] * pair.n)
 
 
-def slice_norm_bound_check(
-    f: LatticeElement, pair: ExtensionPair, p: float, t: float
-) -> tuple[float, float]:
-    """Returns (||f_t||_p over the base, ||f||_p / (t - t^2)^(1/p))."""
-    p = check_p(p)
-    t = float(t)
-    if not 0.0 < t < 1.0:
-        raise InvariantError(f"the slice bound needs t in (0, 1), got {t}")
-    lhs = lp_norm(slices(f, pair).slice_at(t), p)
-    rhs = lp_norm(f, p) / (t - t * t) ** (1.0 / p)
-    return lhs, rhs
-
-
 # ---------------------------------------------------------------------------
-# Grid approximation of E_t from finitely many shortfall values
-# ---------------------------------------------------------------------------
-
-def grid_approx(
-    f: LatticeElement,
-    pair: ExtensionPair,
-    t: float,
-    bound: float,
-    grid_n: int,
-) -> tuple[LatticeElement, LatticeElement]:
-    """The finite join g over the slope grid {bound*k/grid_n : |k| <= grid_n}
-    and the exact windowed sup h over [-bound, bound], per atom.
-
-    Atomwise, 0 <= h - g <= 2*bound*f0/grid_n, and h equals E_t wherever the
-    slice at t has absolute value at most ``bound``.
-    """
-    t = float(t)
-    bound = float(bound)
-    grid_n = integer(grid_n, "grid_n", 1)
-    if not 0.0 < t < 1.0:
-        raise InvariantError(f"grid approximation needs t in (0, 1), got {t}")
-    if not bound > 0:
-        raise InvariantError(f"need bound > 0, got {bound}")
-    fam = slices(f, pair)
-    grid = bound * np.arange(-grid_n, grid_n + 1) / grid_n
-    g_vals, h_vals = [], []
-    for row, prefix, f0w in zip(fam.sorted_rows, fam.prefix, f_zero(f, pair).array):
-        # psi kinks at v_j / f0 (f0 = 0 only when the row is 0, and then psi is 0)
-        kinks = row / f0w if f0w else row[:0]
-        x = np.concatenate((grid, [-bound, bound], kinks[(-bound < kinks) & (kinks < bound)]))
-        y = x * f0w
-        # psi(x) = mean_j (x*f0 - v_j)^+ = (c*x*f0 - prefix[c]) / n with c = #{v_j < x*f0}
-        c = np.searchsorted(row, y)
-        gain = t * y - (c * y - prefix[c]) / pair.n
-        g_vals.append(float(gain[: len(grid)].max()))
-        h_vals.append(float(gain[len(grid) :].max()))
-    base = pair.base_space()
-    return LatticeElement(base, g_vals), LatticeElement(base, h_vals)
-
-
-# ---------------------------------------------------------------------------
-# Transport between L_p structures and the duality pairing
+# Transport between L_p structures
 # ---------------------------------------------------------------------------
 
 def lq_transport(f: LatticeElement, p: float, q: float) -> LatticeElement:
@@ -264,63 +201,6 @@ def lq_transport(f: LatticeElement, p: float, q: float) -> LatticeElement:
     if p == q:
         return f
     return signed_power(f, p / q)
-
-
-def duality_pairing(f: LatticeElement, g: LatticeElement, p: float, q: float) -> float:
-    """Pairing of the transported elements f^(p/q) and g^(p/q'), computed
-    through the kernel (f^(1/q) g^(1/q'))^p inside the integral."""
-    p = check_p(p)
-    q = float(q)
-    if not q > 1.0:
-        raise InvariantError("the duality pairing needs q > 1 (conjugate exponent defined)")
-    qc = q / (q - 1.0)
-    kernel = signed_power(f, 1.0 / q) * signed_power(g, 1.0 / qc)
-    return integral(signed_power(kernel, p))
-
-
-def cond_exp_pairing_check(
-    f: LatticeElement, pair: ExtensionPair, p: float, h: LatticeElement
-) -> tuple[float, float]:
-    """Both sides of the pairing identity int f h^(p-1) = int E[f|base] h^(p-1).
-
-    The left integral runs over the total space with h lifted fiber-constant;
-    the right over the base. Requires p > 1 (the identity still holds at
-    p = 1 but no longer characterises the conditional expectation there).
-    """
-    p = check_p(p)
-    if p == 1.0:
-        raise InvariantError("the pairing characterisation needs p > 1")
-    pair.require(f)
-    if h.space != pair.base_space():
-        raise SpaceMismatchError("h must live on the base space")
-    lhs = integral(f * signed_power(pair.embed(h), p - 1.0))
-    rhs = integral(pair.cond_exp_base(f) * signed_power(h, p - 1.0))
-    return lhs, rhs
-
-
-def transported_interval_convergence(
-    f: LatticeElement,
-    pair: ExtensionPair,
-    t: float,
-    s: float,
-    q_list: Sequence[float],
-) -> list[float]:
-    """For each q, the sup-deviation between E_[t,s] of f and the q-th signed
-    power of E_[t,s] of f^(1/q). The q-structure enters only through
-    ``lq_transport``, which carries f to f^(1/q); E_[t,s] itself does not
-    depend on the exponent."""
-    t, s = float(t), float(s)
-    if not (0.0 < t < s < 1.0):
-        raise InvariantError(f"need 0 < t < s < 1, got t={t}, s={s}")
-    reference = interval_cond_exp(f, pair, t, s)
-    deviations = []
-    for q in q_list:
-        q = float(q)
-        if not q > 1.0:
-            raise InvariantError(f"transport exponents must exceed 1, got {q}")
-        transported = interval_cond_exp(lq_transport(f, 1.0, q), pair, t, s)
-        deviations.append(float(np.abs((signed_power(transported, q) - reference).array).max()))
-    return deviations
 
 
 # ---------------------------------------------------------------------------
@@ -531,15 +411,3 @@ def remark_counterexample() -> RemarkReport:
         witness_with_h=integral(pos_part(meet(g, h))),
         witness_with_minus_h=integral(pos_part(meet(g, -h))),
     )
-
-
-# ---------------------------------------------------------------------------
-# Helper used by attainment-style identities
-# ---------------------------------------------------------------------------
-
-def cond_exp_dotminus(g: LatticeElement, f: LatticeElement, pair: ExtensionPair) -> LatticeElement:
-    """E[(g - f)^+ | base] for a base element g, as a base-space element."""
-    if g.space != pair.base_space():
-        raise SpaceMismatchError("g must live on the base space")
-    pair.require(f)
-    return pair.cond_exp_base(dotminus(pair.embed(g), f))

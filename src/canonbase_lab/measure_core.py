@@ -32,18 +32,17 @@ rule, ``rules.close``, on floats, sequences and arrays alike. Data a and b
 agree when |a - b| <= TOL * s at every entry, where s is the larger sup norm
 of a and b. The bound is relative, so scaling both sides by c > 0 keeps the
 verdict, as it must, since types over a base do not depend on units; data
-that are both zero agree. The three functions that take a ``tol``
-(``LatticeElement.approx_equal``, ``orthogonal`` and
-``legendre.attainment_check``) give it this meaning, and ``tol=0.0`` asks for
-exact equality. Where the two sides can cancel to about 0 while their terms do
-not (a sum against its expected value, a point against a breakpoint), the size
-of the terms goes to ``close`` as one more entry on both sides, so rounding
-noise is judged on that size. Where values are sorted or grouped before a
-comparison, ``sort_order`` and ``group`` take TOL times the joint sup norm as
-the rounding quantum of the sort key and as the gap within which sorted
-neighbours join one group, so no rounding boundary splits equal values. A
-check against the range [0, 1] uses TOL as an absolute margin, since the range
-fixes the scale. The Krivine cone engine's membership slack and structural
+that are both zero agree. The two functions that take a ``tol``
+(``LatticeElement.approx_equal`` and ``orthogonal``) give it this meaning, and
+``tol=0.0`` asks for exact equality. Where the two sides can cancel to about 0
+while their terms do not (a value against its expected value, a point against
+a breakpoint), the size of the terms goes to ``close`` as one more entry on
+both sides, so rounding noise is judged on that size. Where values are sorted
+or grouped before a comparison, ``sort_order`` and ``group`` take TOL times the
+joint sup norm as the rounding quantum of the sort key and as the gap within
+which sorted neighbours join one group, so no rounding boundary splits equal
+values. A check against the range [0, 1] uses TOL as an absolute margin, since
+the range fixes the scale. The Krivine cone engine's membership slack and structural
 check are guards of its own fit, not verdicts on data, and keep their own
 constants.
 """
@@ -273,11 +272,6 @@ def dotminus(f: LatticeElement, g: LatticeElement) -> LatticeElement:
     return LatticeElement(f.space, np.maximum(f.array - g.array, 0.0))
 
 
-def scale(q, f: LatticeElement) -> LatticeElement:
-    """q * f for a real q (a float, int or Fraction)."""
-    return f * q
-
-
 def pos_part(f: LatticeElement) -> LatticeElement:
     return LatticeElement(f.space, np.maximum(f.array, 0.0))
 
@@ -328,7 +322,7 @@ def integral(f: LatticeElement) -> float:
 
 def distance(f: LatticeElement, g: LatticeElement, p: float) -> float:
     """The lattice-structure metric d(f, g) = || (f - g)/2 ||_p."""
-    return lp_norm(scale(0.5, f - g), p)
+    return lp_norm((f - g) * 0.5, p)
 
 
 # ---------------------------------------------------------------------------

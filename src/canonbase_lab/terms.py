@@ -165,11 +165,6 @@ def _arity(walk: _Walk) -> int:
     return max((node.index + 1 for node in walk[0] if node.__class__ is Var), default=0)
 
 
-def term_arity(term: LatticeTerm) -> int:
-    """1 + the largest variable index used (0 for variable-free terms)."""
-    return _arity(_walk(term))
-
-
 # Var reads the point, so each evaluation adds its own Var rule. Join and meet
 # follow np.maximum and np.minimum, which ``krivine`` puts in their place: a NaN
 # operand wins, and of equal operands the second: -0.0 join 0.0 is 0.0, not -0.0.

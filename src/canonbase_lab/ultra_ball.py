@@ -143,39 +143,3 @@ def ball_distance(a: Ball, b: Ball, ctx: PAdicContext) -> Fraction:
     rs = abs(a.radius - b.radius)
     centers = proj_distance(a.center, b.center, ctx)
     return max(rs, _dotminus(centers, min(a.radius, b.radius)))
-
-
-def phi_ball(x: ProjPoint, a: Ball, ctx: PAdicContext) -> Fraction:
-    """Distance from a point to the closed ball: (d(x, center) - radius)+."""
-    return _dotminus(proj_distance(x, a.center, ctx), a.radius)
-
-
-def ball_equal(a: Ball, b: Ball, ctx: PAdicContext) -> bool:
-    """Zero distance; equivalently equal radii with d(centers) <= radius."""
-    return ball_distance(a, b, ctx) == 0
-
-
-def sup_formula_check(
-    a: Ball, b: Ball, witnesses: list[ProjPoint], ctx: PAdicContext
-) -> tuple[Fraction, Fraction]:
-    """The supremum over the witnesses of |phi(x, a) - phi(x, b)| together
-    with the ball distance. Each witness gives a lower bound; including both
-    centers plus a point far from both attains the distance exactly."""
-    if not witnesses:
-        raise InvariantError("the witness list must be nonempty")
-    sup = max(abs(phi_ball(x, a, ctx) - phi_ball(x, b, ctx)) for x in witnesses)
-    return sup, ball_distance(a, b, ctx)
-
-
-def far_witness(a: Ball, b: Ball, ctx: PAdicContext) -> ProjPoint:
-    """A point at projective distance one from both centers: infinity when
-    both centers are integral-size, zero when both are large; a mixed pair is
-    already at distance one, where the centers themselves suffice."""
-    zero = ProjPoint.of(0)
-
-    def small(pt: ProjPoint) -> bool:
-        return pt.is_infinity or padic_abs(pt.value, ctx) <= 1
-
-    if small(a.center) and small(b.center):
-        return INFINITY if not (a.center.is_infinity or b.center.is_infinity) else zero
-    return zero

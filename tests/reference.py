@@ -3,7 +3,9 @@
 Nothing here calls back into the package's algorithmic kernels: conditional
 expectations are plain loops, partials come from sort-and-prefix-sum,
 conjugate values from a direct sup over candidate points, and lattice terms
-are evaluated by a walk of their own.
+are evaluated by a walk of their own. The exception is the last section,
+which runs the package's own kernels: the exact-conjugation route to E_t,
+and the moment determinacy check that two test modules share.
 """
 
 from __future__ import annotations
@@ -13,6 +15,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+from canonbase_lab.errors import InvariantError
+from canonbase_lab.legendre import conjugate
+from canonbase_lab.lp_canon import PsiFamily
+from canonbase_lab.measure_core import LatticeElement, SubStructure, group, same_space
+from canonbase_lab.rules import TOL, close, integer
+from canonbase_lab.rv_canon import cond_moments, validate_rv
 
 
 def ref_lp_norm(weights, values, p):
@@ -198,3 +207,62 @@ def ref_space(weights):
 def ref_substructure(blocks):
     """A substructure as the tuple of its blocks, each sorted, in block order."""
     return tuple(tuple(sorted(map(int, block))) for block in blocks)
+
+
+# -- identity checks that run the package's kernels --------------------------------
+
+class InsufficientMomentsError(InvariantError):
+    """The moment box is too small for the per-block support encountered."""
+
+
+def _partial_from_family(fam: PsiFamily, t: float) -> LatticeElement:
+    """E_t by exact conjugation of each atom's shortfall function."""
+    out = []
+    for fn, f0w in zip(fam.fibers, fam.f0.array.tolist()):
+        if f0w == 0.0:
+            out.append(0.0)
+        else:
+            out.append(conjugate(fn).evaluate(t * f0w))
+    return LatticeElement(fam.pair.base_space(), tuple(out))
+
+
+def _block_masses(
+    x: LatticeElement, y: LatticeElement, block: tuple[int, ...], quantum: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The values of x and y on the block, sorted together and grouped where
+    neighbours lie within ``quantum`` of each other, as the probability that
+    x and that y give each group within the block."""
+    idx = np.asarray(block)
+    w = x.space.weight_array[idx]
+    labels, firsts = group(np.concatenate([x.array[idx], y.array[idx]])[:, None], quantum)
+    parts = (labels[: len(idx)], labels[len(idx) :])
+    return tuple(np.bincount(g, w, len(firsts)) / w.sum() for g in parts)
+
+
+def moments_determine_check(
+    x: LatticeElement, y: LatticeElement, s: SubStructure, max_k: int
+) -> bool:
+    """True iff conditional moments up to max_k agree exactly when the
+    per-block distributions agree, checked both ways against the raw
+    distributions. Sorted neighbours no farther apart than TOL times the
+    joint sup norm of x and y count as one value. Requires max_k + 1 to cover
+    the union support per block (the moment map is then invertible); anything
+    smaller raises."""
+    validate_rv(x)
+    validate_rv(y)
+    same_space((x, y), "variables")
+    max_k = integer(max_k, "max_k", 0)
+    quantum = TOL * float(max(np.abs(x.array).max(), np.abs(y.array).max()))
+    dists = [_block_masses(x, y, b, quantum) for b in s.blocks]
+    for probs_x, _ in dists:
+        distinct = len(probs_x)
+        if distinct > max_k + 1:
+            raise InsufficientMomentsError(
+                f"a block carries {distinct} distinct values; "
+                f"max_k = {max_k} moments cannot determine them"
+            )
+    kss = [(k,) for k in range(1, max_k + 1)]
+    moments_x, moments_y = (cond_moments([v], kss, s).table for v in (x, y))
+    moments_match = all(map(close, moments_x, moments_y))
+    dists_match = all(close(probs_x, probs_y) for probs_x, probs_y in dists)
+    return moments_match == dists_match

@@ -1,16 +1,52 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 
 from canonbase_lab.errors import InvariantError
-from canonbase_lab.hilbert_canon import (
-    Subspace,
-    hs_cb,
-    nonuniform_witness,
-    phi_identity_check,
-    project,
-)
+from canonbase_lab.hilbert_canon import Subspace, _project, _vectors, hs_cb
+from canonbase_lab.measure_core import reals
+from canonbase_lab.rules import close
 
 E1 = Subspace(3, ((1.0, 0.0, 0.0),))
+
+
+def project(v: Sequence[float], sub: Subspace) -> np.ndarray:
+    """Orthogonal projection onto the subspace; the residual is orthogonal."""
+    return _project(_vectors([v], sub.dim, "v"), sub)[0]
+
+
+def phi_identity_check(
+    vs: Sequence[Sequence[float]],
+    lambdas: Sequence[float],
+    u: Sequence[float],
+    sub: Subspace,
+) -> tuple[float, float]:
+    """Both sides of
+    ||sum l_i v_i + u||^2 =
+    ||sum l_i v_i||^2 - ||sum l_i P v_i||^2 + ||sum l_i P v_i + u||^2
+    for u inside the subspace."""
+    mat = _vectors(vs, sub.dim, "vectors")
+    lam = reals(lambdas, "lambdas")
+    if lam.shape != (len(mat),):
+        raise InvariantError("lambdas: one coefficient per vector is required")
+    uv = _vectors([u], sub.dim, "u")[0]
+    if not close(uv, project(uv, sub)):
+        raise InvariantError("u: must belong to the subspace")
+    combo = lam @ mat
+    proj_combo = lam @ _project(mat, sub)
+    lhs = float((combo + uv) @ (combo + uv))
+    rhs = float(combo @ combo - proj_combo @ proj_combo + (proj_combo + uv) @ (proj_combo + uv))
+    return lhs, rhs
+
+
+def nonuniform_witness() -> tuple[list[list[float]], list[list[float]], Subspace, list[float]]:
+    """Two single-vector tuples with equal projections but different Gram
+    matrices, hence different squared norms at lambda = 1 and u = 0."""
+    sub = Subspace(3, ((1.0, 0.0, 0.0),))
+    first = [[0.0, 1.0, 0.0]]
+    second = [[0.0, 0.0, 2.0]]
+    return first, second, sub, [1.0]
 
 
 def random_subspace(rng, dim):

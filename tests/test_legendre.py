@@ -6,12 +6,11 @@ import pytest
 from canonbase_lab.errors import InvariantError
 from canonbase_lab.legendre import (
     PLConvexFn,
-    attainment_check,
-    biconjugate,
     conjugate,
     fn_from_dict,
     fn_to_dict,
 )
+from canonbase_lab.rules import TOL, close
 
 from reference import ref_conjugate_value
 
@@ -142,7 +141,7 @@ def test_conjugate_linear_is_point():
 
 
 def test_biconjugate_abs():
-    back = biconjugate(ABS)
+    back = conjugate(conjugate(ABS))
     assert back.breakpoints == ABS.breakpoints
     assert back.slopes == ABS.slopes
     for x in (-2.0, -0.5, 0.0, 1.0, 3.0):
@@ -150,7 +149,7 @@ def test_biconjugate_abs():
 
 
 def test_biconjugate_shortfall_exact_at_breakpoints():
-    back = biconjugate(SHORTFALL)
+    back = conjugate(conjugate(SHORTFALL))
     assert back.breakpoints == SHORTFALL.breakpoints
     assert back.slopes == SHORTFALL.slopes
     for b in SHORTFALL.breakpoints:
@@ -159,7 +158,7 @@ def test_biconjugate_shortfall_exact_at_breakpoints():
 
 def test_biconjugate_linear():
     phi = PLConvexFn.linear(-1.5, 1.0, 0.25)
-    back = biconjugate(phi)
+    back = conjugate(conjugate(phi))
     for x in (-2.0, 0.0, 1.0, 4.0):
         assert back.evaluate(x) == pytest.approx(phi.evaluate(x), abs=1e-12)
 
@@ -168,7 +167,7 @@ def test_biconjugate_random_instances():
     rng = random.Random(1)
     for _ in range(300):
         phi = dyadic_plfn(rng)
-        back = biconjugate(phi)
+        back = conjugate(conjugate(phi))
         assert back.breakpoints == phi.breakpoints
         assert back.slopes == phi.slopes
         for b in phi.breakpoints:
@@ -210,6 +209,34 @@ def test_fenchel_young_random():
 
 
 # -- attainment -------------------------------------------------------------------
+
+def attainment_check(
+    phi: PLConvexFn, x: float, t: float, tol: float = TOL
+) -> tuple[bool, bool, bool]:
+    """Evaluate the three equivalent attainment conditions independently.
+
+    Returns (value equality phi(x) + phi*(t) == t*x, derivative bracket of
+    phi* at t containing x, derivative bracket of phi at x containing t).
+    The contract is that all three always agree. Each test holds up to
+    ``close`` with ``tol`` on the scale of its terms: phi(x), phi*(t) and t*x;
+    x and phi's positions; t and phi's slopes.
+    """
+    x, t = float(x), float(t)
+    star = conjugate(phi)
+    fx = phi.evaluate(x)
+    ft = star.evaluate(t)
+    if not (math.isfinite(fx) and math.isfinite(ft)):
+        raise InvariantError("attainment_check needs x in dom(phi) and t in dom(phi*)")
+
+    def within(bracket: tuple[float, float], v: float, scale: float) -> bool:
+        lo, hi = bracket
+        return all(a <= b or close((a, scale), (b, scale), tol) for a, b in ((lo, v), (v, hi)))
+
+    eq = close((fx + ft, fx, ft), (t * x, fx, ft), tol)
+    xs = max(abs(v) for v in (x, phi.lo, phi.hi, *phi.breakpoints) if math.isfinite(v))
+    ts = max([abs(t), *map(abs, phi.slopes)])
+    return eq, within(star.one_sided_derivs(t), x, xs), within(phi.one_sided_derivs(x), t, ts)
+
 
 def test_attainment_worked_triples():
     assert attainment_check(ABS, 0.0, 0.5) == (True, True, True)

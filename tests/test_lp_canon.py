@@ -1,21 +1,19 @@
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from canonbase_lab.errors import InvariantError, SpaceMismatchError
-from canonbase_lab.legendre import biconjugate
+from canonbase_lab.legendre import conjugate
 from canonbase_lab.lp_canon import (
-    _partial_from_family,
     canonical_base_1type,
     canonical_base_ntype,
-    cond_exp_dotminus,
-    duality_pairing,
     f_zero,
-    grid_approx,
     increasing_realisation,
     interval_cond_exp,
     lq_transport,
@@ -23,19 +21,21 @@ from canonbase_lab.lp_canon import (
     partial_cond_exp,
     psi,
     remark_counterexample,
-    slice_norm_bound_check,
     slices,
 )
 from canonbase_lab.measure_core import (
     ExtensionPair,
     LatticeElement,
+    check_p,
+    dotminus,
+    integral,
     lp_norm,
     signed_power,
 )
 from canonbase_lab.oracle import type_equal_1
 from conftest import random_element, random_pair
 
-from reference import ref_partial_prefix, ref_slice, spow_deviation_bound
+from reference import _partial_from_family, ref_partial_prefix, ref_slice, spow_deviation_bound
 
 UNIT2 = ExtensionPair((1.0,), 2)
 F24 = UNIT2.element([[-2.0, 4.0]])
@@ -104,7 +104,7 @@ def test_psi_envelope_property(rng):
 def test_psi_biconjugate_exact(rng):
     for _, pair, f in instances(11, 30):
         for fn in psi(f, pair).fibers:
-            back = biconjugate(fn)
+            back = conjugate(conjugate(fn))
             assert back.breakpoints == fn.breakpoints
             assert back.slopes == fn.slopes
             for b in fn.breakpoints:
@@ -263,7 +263,7 @@ def test_remark_phi_attainment(rng):
     for r, pair, f in instances(16, 30):
         t = r.choice([0.2, 0.5, 0.8, r.random() or 0.3])
         g = slices(f, pair).slice_at(t)
-        lhs = t * g - cond_exp_dotminus(g, f, pair)
+        lhs = t * g - pair.cond_exp_base(dotminus(pair.embed(g), f))
         rhs = partial_cond_exp(f, pair, t)
         assert lhs.approx_equal(rhs, tol=1e-9)
 
@@ -360,6 +360,19 @@ def test_increasing_realisation_preserves_type(rng):
 
 # -- slice norm bound ---------------------------------------------------------------
 
+def slice_norm_bound_check(
+    f: LatticeElement, pair: ExtensionPair, p: float, t: float
+) -> tuple[float, float]:
+    """Returns (||f_t||_p over the base, ||f||_p / (t - t^2)^(1/p))."""
+    p = check_p(p)
+    t = float(t)
+    if not 0.0 < t < 1.0:
+        raise InvariantError(f"the slice bound needs t in (0, 1), got {t}")
+    lhs = lp_norm(slices(f, pair).slice_at(t), p)
+    rhs = lp_norm(f, p) / (t - t * t) ** (1.0 / p)
+    return lhs, rhs
+
+
 def test_slice_norm_bound_worked():
     lhs, rhs = slice_norm_bound_check(F24, UNIT2, 1, 0.5)
     assert lhs == pytest.approx(2.0, abs=1e-12)
@@ -387,32 +400,6 @@ def test_slice_norm_bound_random():
 
 # -- grid approximation -------------------------------------------------------------
 
-def test_grid_approx_worked():
-    g, h = grid_approx(F24, UNIT2, 0.5, 4.0, 8)
-    assert h.values == pytest.approx((-1.0,), abs=1e-12)
-
-
-def test_grid_approx_sandwich_and_agreement(rng):
-    for r, pair, f in instances(22, 40):
-        t = r.choice([0.25, 0.5, 0.75])
-        bound = r.choice([1.0, 2.0, 4.0, 8.0])
-        grid_n = r.choice([4, 8, 16])
-        g, h = grid_approx(f, pair, t, bound, grid_n)
-        f0 = f_zero(f, pair)
-        et = partial_cond_exp(f, pair, t)
-        ft = slices(f, pair).slice_at(t)
-        e1 = partial_cond_exp(f, pair, 1.0)
-        for i in range(pair.m):
-            gap = h.values[i] - g.values[i]
-            assert -1e-9 <= gap <= 2 * bound * f0.values[i] / grid_n + 1e-9
-            if abs(ft.values[i]) <= bound:
-                assert h.values[i] == pytest.approx(et.values[i], abs=1e-9)
-            # envelope chain
-            assert -f0.values[i] - 1e-9 <= h.values[i] <= et.values[i] + 1e-9
-            assert et.values[i] <= t * e1.values[i] + 1e-9
-            assert t * e1.values[i] <= f0.values[i] + 1e-9
-
-
 def _grid_approx_by_psi(f, pair, t, bound, grid_n):
     # g and h read off each atom's exact shortfall function
     fam = psi(f, pair)
@@ -425,33 +412,30 @@ def _grid_approx_by_psi(f, pair, t, bound, grid_n):
     return g_vals, h_vals
 
 
-@given(
-    m=st.integers(1, 6),
-    n=st.integers(1, 12),
-    orth=st.booleans(),
-    t=st.floats(0.01, 0.99),
-    bound=st.sampled_from([0.25, 1.0, 2.0, 8.0]),
-    grid_n=st.integers(1, 16),
-    data=st.data(),
-)
-def test_grid_approx_matches_psi_route(m, n, orth, t, bound, grid_n, data):
-    weights = data.draw(st.lists(st.integers(1, 8).map(lambda k: k / 4), min_size=m, max_size=m))
-    pair = ExtensionPair(weights, n, orth)
-    rows = data.draw(_fiber_rows(m, n))
-    side = st.lists(_CELLS, min_size=n, max_size=n) if orth else st.none()
-    f = pair.element(rows, data.draw(side), data.draw(side))
-    g, h = grid_approx(f, pair, t, bound, grid_n)
-    want_g, want_h = _grid_approx_by_psi(f, pair, t, bound, grid_n)
-    for got, want in ((g.values, want_g), (h.values, want_h)):
-        for a, b, row in zip(got, want, rows):
-            assert abs(a - b) <= 1e-9 * (1 + max(abs(v) for v in row)), row
+def test_grid_approx_worked():
+    g, h = _grid_approx_by_psi(F24, UNIT2, 0.5, 4.0, 8)
+    assert h == pytest.approx([-1.0], abs=1e-12)
 
 
-def test_grid_approx_rejects_bad_params():
-    with pytest.raises(InvariantError):
-        grid_approx(F24, UNIT2, 0.0, 1.0, 4)
-    with pytest.raises(InvariantError):
-        grid_approx(F24, UNIT2, 0.5, -1.0, 4)
+def test_grid_approx_sandwich_and_agreement(rng):
+    for r, pair, f in instances(22, 40):
+        t = r.choice([0.25, 0.5, 0.75])
+        bound = r.choice([1.0, 2.0, 4.0, 8.0])
+        grid_n = r.choice([4, 8, 16])
+        g, h = _grid_approx_by_psi(f, pair, t, bound, grid_n)
+        f0 = f_zero(f, pair)
+        et = partial_cond_exp(f, pair, t)
+        ft = slices(f, pair).slice_at(t)
+        e1 = partial_cond_exp(f, pair, 1.0)
+        for i in range(pair.m):
+            gap = h[i] - g[i]
+            assert -1e-9 <= gap <= 2 * bound * f0.values[i] / grid_n + 1e-9
+            if abs(ft.values[i]) <= bound:
+                assert h[i] == pytest.approx(et.values[i], abs=1e-9)
+            # envelope chain
+            assert -f0.values[i] - 1e-9 <= h[i] <= et.values[i] + 1e-9
+            assert et.values[i] <= t * e1.values[i] + 1e-9
+            assert t * e1.values[i] <= f0.values[i] + 1e-9
 
 
 # -- transport -----------------------------------------------------------------------
@@ -473,6 +457,18 @@ def test_transport_isometry_random(rng):
         q = r.choice([1.0, 1.5, 2.0, 3.0])
         out = lq_transport(f, p, q)
         assert lp_norm(out, q) == pytest.approx(lp_norm(f, p) ** (p / q), abs=1e-9)
+
+
+def duality_pairing(f: LatticeElement, g: LatticeElement, p: float, q: float) -> float:
+    """Pairing of the transported elements f^(p/q) and g^(p/q'), computed
+    through the kernel (f^(1/q) g^(1/q'))^p inside the integral."""
+    p = check_p(p)
+    q = float(q)
+    if not q > 1.0:
+        raise InvariantError("the duality pairing needs q > 1 (conjugate exponent defined)")
+    qc = q / (q - 1.0)
+    kernel = signed_power(f, 1.0 / q) * signed_power(g, 1.0 / qc)
+    return integral(signed_power(kernel, p))
 
 
 def test_duality_pairing_trivial():
@@ -506,16 +502,32 @@ def test_duality_pairing_rejects_q_one():
 
 # -- pairing characterisation of the conditional expectation -------------------------
 
-def test_pairing_check_zero_h():
-    from canonbase_lab.lp_canon import cond_exp_pairing_check
+def cond_exp_pairing_check(
+    f: LatticeElement, pair: ExtensionPair, p: float, h: LatticeElement
+) -> tuple[float, float]:
+    """Both sides of the pairing identity int f h^(p-1) = int E[f|base] h^(p-1).
 
+    The left integral runs over the total space with h lifted fiber-constant;
+    the right over the base. Requires p > 1 (the identity still holds at
+    p = 1 but no longer characterises the conditional expectation there).
+    """
+    p = check_p(p)
+    if p == 1.0:
+        raise InvariantError("the pairing characterisation needs p > 1")
+    pair.require(f)
+    if h.space != pair.base_space():
+        raise SpaceMismatchError("h must live on the base space")
+    lhs = integral(f * signed_power(pair.embed(h), p - 1.0))
+    rhs = integral(pair.cond_exp_base(f) * signed_power(h, p - 1.0))
+    return lhs, rhs
+
+
+def test_pairing_check_zero_h():
     h = LatticeElement.zero(UNIT2.base_space())
     assert cond_exp_pairing_check(F24, UNIT2, 2, h) == (0.0, 0.0)
 
 
 def test_pairing_check_embedded():
-    from canonbase_lab.lp_canon import cond_exp_pairing_check
-
     pair = ExtensionPair((1.0, 0.5), 4)
     g = LatticeElement(pair.base_space(), (1.5, -1.0))
     h = LatticeElement(pair.base_space(), (0.5, 2.0))
@@ -524,8 +536,6 @@ def test_pairing_check_embedded():
 
 
 def test_pairing_check_random(rng):
-    from canonbase_lab.lp_canon import cond_exp_pairing_check
-
     for r, pair, f in instances(25, 40):
         h = LatticeElement(
             pair.base_space(), tuple(r.randint(-32, 32) / 8 for _ in range(pair.m))
@@ -535,25 +545,44 @@ def test_pairing_check_random(rng):
 
 
 def test_pairing_check_rejects_p_one():
-    from canonbase_lab.lp_canon import cond_exp_pairing_check
-
     with pytest.raises(InvariantError):
         cond_exp_pairing_check(F24, UNIT2, 1, LatticeElement.zero(UNIT2.base_space()))
 
 
 # -- transported interval convergence -------------------------------------------------
 
-def test_transported_interval_worked_sequence():
-    from canonbase_lab.lp_canon import transported_interval_convergence
+def transported_interval_convergence(
+    f: LatticeElement,
+    pair: ExtensionPair,
+    t: float,
+    s: float,
+    q_list: Sequence[float],
+) -> list[float]:
+    """For each q, the sup-deviation between E_[t,s] of f and the q-th signed
+    power of E_[t,s] of f^(1/q). The q-structure enters only through
+    ``lq_transport``, which carries f to f^(1/q); E_[t,s] itself does not
+    depend on the exponent."""
+    t, s = float(t), float(s)
+    if not (0.0 < t < s < 1.0):
+        raise InvariantError(f"need 0 < t < s < 1, got t={t}, s={s}")
+    reference = interval_cond_exp(f, pair, t, s)
+    deviations = []
+    for q in q_list:
+        q = float(q)
+        if not q > 1.0:
+            raise InvariantError(f"transport exponents must exceed 1, got {q}")
+        transported = interval_cond_exp(lq_transport(f, 1.0, q), pair, t, s)
+        deviations.append(float(np.abs((signed_power(transported, q) - reference).array).max()))
+    return deviations
 
+
+def test_transported_interval_worked_sequence():
     devs = transported_interval_convergence(F24, UNIT2, 0.25, 0.75, [2.0, 1.5, 1.1, 1.01])
     assert all(a > b for a, b in zip(devs, devs[1:]))
     assert devs[-1] < 0.05
 
 
 def test_transported_interval_bound(rng):
-    from canonbase_lab.lp_canon import transported_interval_convergence
-
     t, s = 0.25, 0.75
     for r, pair, f in instances(26, 20, orth=False):
         # positive profiles: the deviation bound is taken per normalized fiber
@@ -566,8 +595,6 @@ def test_transported_interval_bound(rng):
 
 
 def test_transported_interval_rejects_bad_q():
-    from canonbase_lab.lp_canon import transported_interval_convergence
-
     with pytest.raises(InvariantError):
         transported_interval_convergence(F24, UNIT2, 0.25, 0.75, [1.0])
 
@@ -736,7 +763,6 @@ def test_integer_arguments_are_refused_not_truncated():
     cb = canonical_base_1type(f, pair, 2, [0.25, 0.5, 0.75, 1.0])
     assert cb.reconstruct_sorted_rows(4) == [[-1.0, 0.5, 2.0, 3.0]]
     cases = [
-        (lambda: grid_approx(f, pair, 0.5, 1.0, 2.7), "grid_n: must be an integer, got 2.7"),
         (lambda: cb.reconstruct_sorted_rows(4.0001), "fiber_cells: must be an integer, got 4.0001"),
         (lambda: canonical_base_ntype([f], pair, 2, [0.5, 1.0], k_max=1.9), "k_max: must be an integer, got 1.9"),
         (lambda: canonical_base_ntype([f], pair, 2, [0.5, 1.0], k_max=0), "k_max: must be >= 1, got 0"),

@@ -23,7 +23,6 @@ from canonbase_lab.measure_core import (
     meet,
     orthogonal,
     same_space,
-    scale,
     signed_power,
 )
 from canonbase_lab.rules import MAX_ENTRIES, check_count, check_entries, integer
@@ -129,7 +128,7 @@ def test_binary_requires_same_space():
 def test_scale_accepts_fraction():
     from fractions import Fraction
 
-    assert scale(Fraction(3, 2), elem(2.0)).values == (3.0,)
+    assert (Fraction(3, 2) * elem(2.0)).values == (3.0,)
 
 
 @given(
@@ -152,8 +151,8 @@ def test_lattice_axioms(a, b, c):
 def test_positive_scaling_distributes_over_join(a, c):
     f = LatticeElement(HALVES, tuple(a))
     g = LatticeElement(HALVES, (1.0, -1.0))
-    lhs = scale(c, join(f, g))
-    rhs = join(scale(c, f), scale(c, g))
+    lhs = c * join(f, g)
+    rhs = join(c * f, c * g)
     assert lhs.approx_equal(rhs, tol=1e-9)
 
 

@@ -13,8 +13,8 @@ from canonbase_lab.oracle import (
     type_equal_1,
     type_equal_n,
 )
-from canonbase_lab.rv_canon import moments_determine_check
 from conftest import random_element, random_pair, rearranged_copy
+from reference import moments_determine_check
 
 
 def test_type_equal_reflexive(rng):

@@ -1,31 +1,34 @@
 import random
+from dataclasses import dataclass
+from typing import Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from canonbase_lab.errors import InsufficientMomentsError, InvariantError, SpaceMismatchError
+from canonbase_lab.errors import InvariantError, SpaceMismatchError
 from canonbase_lab.measure_core import (
     LatticeElement,
     MeasureSpace,
     SubStructure,
+    block_means,
     cond_exp,
+    integral,
+    join,
+    meet,
 )
 from canonbase_lab.rules import close
 from canonbase_lab.rv_canon import (
-    EventAlgebra,
+    _monomials,
     apr_cb,
     cond_moment,
-    expectation,
-    least_squares_check,
+    is_block_measurable,
     lift_event,
-    moments_determine_check,
-    product_formula_check,
-    rv_op,
     validate_rv,
 )
 
-from reference import ref_apr_cb, ref_block_distribution
+from reference import InsufficientMomentsError, moments_determine_check, ref_apr_cb, ref_block_distribution
 
 UNIFORM4 = MeasureSpace((0.25, 0.25, 0.25, 0.25))
 TWO_BLOCKS = SubStructure(((0, 1), (2, 3)))
@@ -55,6 +58,36 @@ def random_partition(rng, count):
 
 # -- operations -------------------------------------------------------------
 
+@dataclass(frozen=True)
+class EventAlgebra:
+    """A probability space (total mass one) with a conditioning partition."""
+
+    space: MeasureSpace
+    algebra: SubStructure
+
+    def __post_init__(self):
+        if not close(self.space.total_mass, 1.0):
+            raise InvariantError(
+                f"probability space must have total mass 1, got {self.space.total_mass}"
+            )
+        self.algebra.validate_for(self.space)
+
+
+def rv_op(op: str, x: LatticeElement, y: LatticeElement | None = None) -> LatticeElement:
+    """The random-variable operations: not (1 - X), half, join, meet."""
+    validate_rv(x)
+    if op == "not":
+        return LatticeElement.constant(x.space, 1.0) - x
+    if op == "half":
+        return 0.5 * x
+    if op in ("join", "meet"):
+        if y is None:
+            raise InvariantError(f"operation {op!r} needs two random variables")
+        validate_rv(y)
+        return (join if op == "join" else meet)(x, y)
+    raise InvariantError(f"unknown random-variable operation {op!r}")
+
+
 def test_not_involution():
     x = rv(0.2, 0.8, 0.5, 1.0)
     assert rv_op("not", rv_op("not", x)).approx_equal(x, tol=1e-15)
@@ -79,7 +112,7 @@ def test_rv_range_violation():
 
 def test_expectation_is_distance_to_zero():
     x = rv(0.2, 0.8, 0.5, 0.1)
-    assert expectation(x) == pytest.approx(0.4, abs=1e-12)
+    assert integral(x) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_event_algebra_requires_probability():
@@ -137,6 +170,21 @@ def test_moment_tower_property(rng):
 
 # -- least squares ----------------------------------------------------------------
 
+def least_squares_check(x: LatticeElement, k: int, s: SubStructure) -> bool:
+    """Verify that the conditional moment minimises the L_2 distance to X^k
+    among block-constant candidates, at 21 evenly spaced constants in [0, 1]."""
+    target = _monomials([x], [[k]])[0]
+    y_star = cond_moment([x], [k], s).array
+    ys = np.linspace(0.0, 1.0, 21)
+    rows = np.vstack([target, (target - y_star) ** 2, (target - ys[:, None]) ** 2])
+    means = block_means(rows, s, x.space)[0][:, :-1]
+    mean, d_star, d = means[0], means[1], means[2:]
+    # per block, the mean squared gap to y must follow the variance
+    # decomposition, so it is least at the conditional moment; means of
+    # squared gaps of [0, 1]-valued variables are at most 1, which sets the scale
+    return close(np.append(d, 1.0), np.append(d_star + (ys[:, None] - mean) ** 2, 1.0))
+
+
 def test_least_squares_single_block():
     x = rv(0.1, 0.9, 0.4, 0.6)
     assert least_squares_check(x, 1, SubStructure.single_block(range(4)))
@@ -164,11 +212,32 @@ def test_least_squares_random(rng):
 
 # -- product formula ----------------------------------------------------------------
 
+def _monomial(xs: Sequence[LatticeElement], ks: Sequence[int]) -> LatticeElement:
+    return LatticeElement(xs[0].space, _monomials(xs, [ks])[0])
+
+
+def product_formula_check(
+    xs: Sequence[LatticeElement],
+    ks: Sequence[int],
+    ys: Sequence[LatticeElement],
+    ls: Sequence[int],
+    s: SubStructure,
+) -> tuple[float, float]:
+    """Both sides of E[X^k Y^l] = E[E[X^k | blocks] Y^l] for block-measurable Y."""
+    for y in ys:
+        validate_rv(y)
+        if not is_block_measurable(y, s):
+            raise InvariantError("every Y must be measurable for the conditioning blocks")
+    xk = _monomial(xs, ks)
+    yl = _monomial(ys, ls) if ys else LatticeElement.constant(xs[0].space, 1.0)
+    return integral(xk * yl), integral(cond_exp(xk, s) * yl)
+
+
 def test_product_formula_trivial_exponents():
     x = rv(0.2, 0.8, 0.5, 0.3)
     lhs, rhs = product_formula_check([x], [2], [], [], TWO_BLOCKS)
     assert lhs == pytest.approx(rhs, abs=1e-12)
-    assert lhs == pytest.approx(expectation(cond_moment([x], [2], TWO_BLOCKS)), abs=1e-12)
+    assert lhs == pytest.approx(integral(cond_moment([x], [2], TWO_BLOCKS)), abs=1e-12)
 
 
 def test_product_formula_measurable_tautology():
@@ -363,6 +432,25 @@ def test_block_distribution_reference_consistency(rng):
     assert dist[1] == (0.5, pytest.approx(0.5))
 
 
+# -- monomial rows ----------------------------------------------------------------------
+
+@given(
+    st.lists(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3), min_size=1, max_size=3),
+    st.data(),
+)
+def test_monomial_rows_are_the_products_of_the_nonzero_powers(values, data):
+    # bit for bit, with no factor for a zero exponent: an all-zero tuple gives ones
+    xs = [LatticeElement(MeasureSpace((1.0,) * 3), v) for v in values]
+    exponents = st.lists(st.integers(0, 3), min_size=len(xs), max_size=len(xs))
+    kss = data.draw(st.lists(exponents, min_size=1, max_size=6)) + [[0] * len(xs)]
+    for row, ks in zip(_monomials(xs, kss), kss):
+        want = np.ones(3)
+        for x, k in zip(xs, ks):
+            if k:
+                want = want * x.array**k
+        assert row.tobytes() == want.tobytes()
+
+
 # -- integer arguments go through the integer rule ---------------------------------------
 
 @pytest.mark.parametrize(
@@ -372,6 +460,7 @@ def test_block_distribution_reference_consistency(rng):
         (lambda x: cond_moment([x], [True], TWO_BLOCKS), "exponents/0/0: must be an integer, got True"),
         (lambda x: cond_moment([x], ["2"], TWO_BLOCKS), "exponents/0/0: must be an integer, got '2'"),
         (lambda x: cond_moment([x, x], [1, -1], TWO_BLOCKS), "exponents/0/1: must be >= 0, got -1"),
+        (lambda x: cond_moment([x, x], [1, False], TWO_BLOCKS), "exponents/0/1: must be an integer, got False"),
         (lambda x: lift_event(x, TWO_BLOCKS, 2.5), "fiber_cells: must be an integer, got 2.5"),
         (lambda x: lift_event(x, TWO_BLOCKS, 0), "fiber_cells: must be >= 1, got 0"),
         (lambda x: moments_determine_check(x, x, TWO_BLOCKS, 3.5), "max_k: must be an integer, got 3.5"),

