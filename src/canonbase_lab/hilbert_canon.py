@@ -10,13 +10,13 @@ entry point reads its vectors through ``_vectors``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvariantError
 from .measure_core import reals
+from .records import Record
 from .rules import check_entries, close, integer
 
 
@@ -30,24 +30,30 @@ def _vectors(values, dim: int, name: str) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """A subspace of R^dim given by an orthonormal basis (possibly empty).
-    Both fields are coerced once, here; bad input raises ``InvariantError``
-    naming ``dim`` or ``basis``."""
+    Both arguments are coerced once, here; bad input raises ``InvariantError``
+    naming ``dim`` or ``basis``. ``basis_array``, the read-only (k, dim)
+    float64 array of the basis vectors, is the storage; ``basis`` is the same
+    data as a tuple of tuples of floats, built on first use."""
 
-    dim: int
-    basis: tuple[tuple[float, ...], ...]
+    __slots__ = ("dim", "basis_array", "_basis")
 
-    def __post_init__(self):
-        dim = integer(self.dim, "dim", 0)
+    def __init__(self, dim: int, basis):
+        dim = integer(dim, "dim", 0)
         check_entries(1, dim, "dim")  # one vector of R^dim
-        mat = _vectors(self.basis, dim, "basis")
-        gram = mat @ mat.T
-        if not close(gram, np.eye(len(mat))):
+        mat = _vectors(basis, dim, "basis")
+        if not close(mat @ mat.T, np.eye(len(mat))):
             raise InvariantError("basis: not orthonormal")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "basis", tuple(map(tuple, mat.tolist())))
+        mat.flags.writeable = False
+        self._init(dim=dim, basis_array=mat, _basis=None)
+
+    def _key(self) -> tuple:
+        return (self.dim, self.basis_array)
+
+    @property
+    def basis(self) -> tuple[tuple[float, ...], ...]:
+        return self._memo("_basis", lambda: tuple(map(tuple, self.basis_array.tolist())))
 
     @classmethod
     def span(cls, dim: int, vectors: Sequence[Sequence[float]]) -> "Subspace":
@@ -62,22 +68,19 @@ class Subspace:
                 v = v - (v @ b) * b
             if not close(vec, vec - v):
                 basis.append(v / np.linalg.norm(v))
-        return cls(dim, tuple(tuple(b) for b in basis))
+        return cls(dim, basis)
 
 
 def _project(mat: np.ndarray, sub: Subspace) -> np.ndarray:
     """The orthogonal projections of the rows of ``mat`` onto the subspace."""
-    basis = np.array(sub.basis).reshape(len(sub.basis), sub.dim)
-    return mat @ basis.T @ basis
+    return mat @ sub.basis_array.T @ sub.basis_array
 
 
-@dataclass(frozen=True, eq=False)
-class HilbertBase:
+class HilbertBase(Record, eq=False):
     """The projections, one row per vector, and the Gram matrix, as read-only
     float64 arrays."""
 
-    projections: np.ndarray
-    gram: np.ndarray
+    __slots__ = ("projections", "gram")
 
 
 def hs_cb(vs: Sequence[Sequence[float]], sub: Subspace) -> HilbertBase:

@@ -16,13 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .errors import InvariantError
+from .records import Record
 from .rules import close, integer
 # parse_term and to_text stay attributes of this module: perfbench's tracer patches them here
 from .terms import (_VALUE, HalfSum, Join, LatticeTerm, Meet, Neg, Scale, Var, Zero, _check_arity, _Walk, _fold,
@@ -126,11 +126,11 @@ def interpolating_term(
 # Homogeneous functions and their lattice-term approximation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomogeneousFn:
+class HomogeneousFn(Record):
     """A continuous function on R^n, positively homogeneous of degree one,
     with a declared uniform modulus of continuity on the unit sphere."""
 
+    __slots__ = ("name", "arity", "fn", "modulus")
     name: str
     arity: int
     fn: Callable[[np.ndarray], np.ndarray]

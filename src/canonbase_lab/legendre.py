@@ -13,35 +13,32 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InvariantError
+from .records import Record
 from .rules import close, reals
 
 
-@dataclass(frozen=True)
-class PLConvexFn:
+class PLConvexFn(Record):
     """A proper convex piecewise-linear function on a closed interval.
 
     ``slopes[i]`` applies between ``breakpoints[i-1]`` and ``breakpoints[i]``
     (with the domain endpoints closing the two outer segments); a single-point
     domain has no slopes at all. Slopes are strictly increasing after the
     canonical merge of ties, and breakpoints lie strictly inside the domain.
+    The fields hold floats, and tuples of floats for breakpoints and slopes.
     """
 
-    lo: float
-    hi: float
-    breakpoints: tuple[float, ...]
-    slopes: tuple[float, ...]
-    anchor_x: float
-    anchor_y: float
+    __slots__ = ("lo", "hi", "breakpoints", "slopes", "anchor_x", "anchor_y")
 
-    def __post_init__(self):
-        lo, hi = float(self.lo), float(self.hi)
+    def __init__(self, lo: float, hi: float, breakpoints: Sequence[float], slopes: Sequence[float],
+                 anchor_x: float, anchor_y: float):
+        lo, hi = float(lo), float(hi)
         if math.isnan(lo) or math.isnan(hi) or lo > hi:
             raise InvariantError(f"invalid domain [{lo}, {hi}]")
-        breaks = [float(b) for b in self.breakpoints]
-        slopes = [float(s) for s in self.slopes]
+        breaks = [float(b) for b in breakpoints]
+        slopes = [float(s) for s in slopes]
         if lo == hi:
             if breaks or slopes:
                 raise InvariantError("a point-domain function has no breakpoints or slopes")
@@ -70,17 +67,12 @@ class PLConvexFn:
                 merged_b.append(b)
                 merged_s.append(s)
             breaks, slopes = merged_b, merged_s
-        ax, ay = float(self.anchor_x), float(self.anchor_y)
+        ax, ay = float(anchor_x), float(anchor_y)
         if not (math.isfinite(ax) and math.isfinite(ay)):
             raise InvariantError("anchor must be finite")
         if not (lo <= ax <= hi):
             raise InvariantError(f"anchor {ax} outside the domain [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "breakpoints", tuple(breaks))
-        object.__setattr__(self, "slopes", tuple(slopes))
-        object.__setattr__(self, "anchor_x", ax)
-        object.__setattr__(self, "anchor_y", ay)
+        super().__init__(lo, hi, tuple(breaks), tuple(slopes), ax, ay)
 
     # -- basic queries -----------------------------------------------------
 

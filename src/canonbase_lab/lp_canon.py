@@ -15,7 +15,6 @@ and the remark, and ``fractions`` only for ``p1_counterexample``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -35,6 +34,7 @@ from .measure_core import (
     same_space,
     signed_power,
 )
+from .records import Record
 from .rules import close, integer
 
 if TYPE_CHECKING:
@@ -85,11 +85,11 @@ def _fiber_psi(values: Sequence[float], f0: float, n: int) -> PLConvexFn:
 
 
 # stays for psi, which perfbench's tracer patches
-@dataclass(frozen=True)
-class PsiFamily:
+class PsiFamily(Record):
     """Per base atom, the piecewise-linear shortfall function, plus the
     envelope element f0 = E[|f| | base]."""
 
+    __slots__ = ("pair", "fibers", "f0")
     pair: ExtensionPair
     fibers: tuple[PLConvexFn, ...]
     f0: LatticeElement
@@ -132,16 +132,13 @@ def interval_cond_exp(f: LatticeElement, pair: ExtensionPair, t: float, s: float
 # Slices and the increasing realisation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SliceFamily:
+class SliceFamily(Record, eq=False):
     """Per base atom, the nondecreasing rearrangement of the fiber values,
     shape (m, n), and its prefix sums, shape (m, n + 1) with a leading zero
     column; both read-only float64 arrays. The slice at t is the
     ceil(t*n)-th order statistic and E_t the integral of the row up to t."""
 
-    pair: ExtensionPair
-    sorted_rows: np.ndarray
-    prefix: np.ndarray
+    __slots__ = ("pair", "sorted_rows", "prefix")
 
     def slice_at(self, t: float) -> LatticeElement:
         t = float(t)
@@ -207,8 +204,7 @@ def lq_transport(f: LatticeElement, p: float, q: float) -> LatticeElement:
 # Canonical base tuples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class LpCanonicalBase:
+class LpCanonicalBase(Record, eq=False):
     """The tuple (||f+||, ||f-||, partials over a grid) or its interval form,
     whose entries are E_b - E_a for grid points a < b. Row j of the read-only
     (len(grid), m) array ``rows`` is E_t at t = grid[j] over the base
@@ -219,6 +215,7 @@ class LpCanonicalBase:
     sorted fiber values exactly via first differences.
     """
 
+    __slots__ = ("p", "pos_norm", "neg_norm", "grid", "space", "rows", "interval_form", "orthogonal_norms")
     p: float
     pos_norm: float
     neg_norm: float
@@ -301,11 +298,11 @@ def canonical_base_1type(
     )
 
 
-@dataclass(frozen=True)
-class NTypeBase:
+class NTypeBase(Record):
     """Canonical bases of all integer combinations k . f over a box, plus the
     directional-mass summary standing in for the absolute joint type."""
 
+    __slots__ = ("bases", "absolute_summary")
     bases: Mapping[tuple[int, ...], LpCanonicalBase]
     absolute_summary: DirectionalMass
 
@@ -339,10 +336,10 @@ def canonical_base_ntype(
 # Worked counterexample families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class P1Report:
+class P1Report(Record):
     """Norms of the concentrated family f_eps and of its partial E_eps."""
 
+    __slots__ = ("eps", "p", "f_norm", "partial", "partial_norm")
     eps: Fraction
     p: float
     f_norm: float
@@ -373,10 +370,11 @@ def p1_counterexample(eps: Fraction | float, p: float) -> P1Report:
     )
 
 
-@dataclass(frozen=True)
-class RemarkReport:
+class RemarkReport(Record):
     """Outcome of the joint-type counterexample on three unit atoms."""
 
+    __slots__ = ("k_bound", "single_types_all_equal", "joint_types_equal", "witness_with_h",
+                 "witness_with_minus_h")
     k_bound: int
     single_types_all_equal: bool
     joint_types_equal: bool

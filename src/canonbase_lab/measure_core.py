@@ -57,6 +57,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InvariantError, SpaceMismatchError
+from .records import Record
 from .rules import TOL, check_entries, close, integer
 
 
@@ -110,46 +111,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class _Frozen:
-    """Immutable once ``_init`` has set its slots. Equal to an object of its
-    class with equal ``_key()`` items (arrays by ``np.array_equal``), hashed
-    over the arrays' bytes, pickled and shown as ``type(self)(*self._key())``."""
-
-    __slots__ = ()
-
-    def _init(self, **slots):
-        for name, value in slots.items():
-            object.__setattr__(self, name, value)
-
-    def _memo(self, slot: str, build):
-        """The value of ``slot``, built by ``build()`` on first use."""
-        if getattr(self, slot) is None:
-            object.__setattr__(self, slot, build())
-        return getattr(self, slot)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        pairs = zip(self._key(), other._key())
-        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
-
-    def __hash__(self):
-        # + 0.0 turns -0.0, which equals 0.0, into 0.0
-        return hash(tuple((a + 0.0).tobytes() if isinstance(a, np.ndarray) else a for a in self._key()))
-
-    def __reduce__(self):
-        return (type(self), self._key())
-
-    def __repr__(self):
-        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
-
-
-class MeasureSpace(_Frozen):
+class MeasureSpace(Record):
     """Atoms indexed 0..len-1, each carrying a strictly positive finite weight.
 
     ``weight_array``, the read-only float64 array of the weights, is the
@@ -177,7 +139,7 @@ class MeasureSpace(_Frozen):
         return float(self.weight_array.sum())
 
 
-class LatticeElement(_Frozen):
+class LatticeElement(Record):
     """One real value per atom of its measure space.
 
     ``array`` is the read-only float64 array of the values; ``values`` is the
@@ -329,7 +291,7 @@ def distance(f: LatticeElement, g: LatticeElement, p: float) -> float:
 # Sub-structures, conditional expectation, band decomposition
 # ---------------------------------------------------------------------------
 
-class SubStructure(_Frozen):
+class SubStructure(Record):
     """A partition of a subset of atom indices into nonempty blocks.
 
     The blocks generate the conditioning algebra; atoms outside the support
@@ -505,7 +467,7 @@ def orthogonal(f: LatticeElement, g: LatticeElement, tol: float = TOL) -> bool:
 # The discretized fibered extension E <= E'
 # ---------------------------------------------------------------------------
 
-class ExtensionPair(_Frozen):
+class ExtensionPair(Record):
     """The base space with each atom split into equal fiber cells, plus an
     optional orthogonal part made of two extra unit-mass fibers ("plus" and
     "minus"). The cell order of the total space is defined on ``fibers``.

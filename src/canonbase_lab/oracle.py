@@ -11,23 +11,23 @@ not depend on units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvariantError
 from .measure_core import ExtensionPair, LatticeElement, check_p, group, same_space, sort_order
+from .records import Record
 from .rules import TOL, close
 
 
-@dataclass(frozen=True)
-class DirectionalMass:
+class DirectionalMass(Record):
     """Finite measure on rays: directions normalized to sup-norm one (no sign
     flip, since homogeneity is one-sided) with mass = weight * sup-norm^p.
     Directions are grouped by ``measure_core.group`` on the quantum TOL, one
     entry per group, so a rounding boundary does not split a direction."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[tuple[float, ...], float], ...]
 
     @classmethod

@@ -13,7 +13,6 @@ conditional expectation per meet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +27,7 @@ from .measure_core import (
     cond_exp,  # perfbench's tracer also patches it here
     same_space,
 )
+from .records import Record
 from .rules import MAX_KEYS, TOL, check_count, check_entries, integer
 
 
@@ -118,11 +118,11 @@ def apr_cb(events: Sequence[LatticeElement], s: SubStructure) -> BlockTable:
     return BlockTable(space, map(frozenset, subsets[1:]), means, labels)
 
 
-@dataclass(frozen=True)
-class LiftedEvent:
+class LiftedEvent(Record):
     """The event {(atom, r) : r <= X(atom)} realised on a product space with
     equal fiber cells; its conditional probability over the base is X."""
 
+    __slots__ = ("pair", "indicator", "snapped", "was_rounded")
     pair: ExtensionPair
     indicator: LatticeElement
     snapped: LatticeElement

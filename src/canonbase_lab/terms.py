@@ -17,83 +17,56 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvariantError, TermSyntaxError
+from .records import Record
 from .rules import integer
 
 
-class LatticeTerm:
-    """Base class for term nodes. A node is immutable: one constructor, shared
-    by every class, sets the fields its class names in ``_fields``, in order,
-    and nothing changes them after. Equality and hash go by the class and the
-    field values, and the repr names the fields, as a frozen dataclass's
-    would; ``vars(node)`` maps the field names to their values."""
+class LatticeTerm(Record):
+    """Base class for term nodes, immutable records whose fields their class
+    names in ``__slots__``: equal and hashed alike by class and field values."""
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init__(self, *values):
-        if len(values) != len(self._fields):
-            raise TypeError(f"{type(self).__name__} takes fields {self._fields}, got {len(values)} values")
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable term")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable term")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or tuple(self.__dict__.values()) == tuple(other.__dict__.values())
-
-    def __hash__(self):
-        return hash(tuple(self.__dict__.values()))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
-        return f"{type(self).__qualname__}({fields})"
 
 
 class Zero(LatticeTerm):
-    pass
+    __slots__ = ()
 
 
 class Var(LatticeTerm):
-    _fields = ("index",)
+    __slots__ = ("index",)
     index: int
 
 
 class Neg(LatticeTerm):
-    _fields = ("arg",)
+    __slots__ = ("arg",)
     arg: LatticeTerm
 
 
 class Abs(LatticeTerm):
-    _fields = ("arg",)
+    __slots__ = ("arg",)
     arg: LatticeTerm
 
 
 class HalfSum(LatticeTerm):
-    _fields = ("left", "right")
+    __slots__ = ("left", "right")
     left: LatticeTerm
     right: LatticeTerm
 
 
 class Join(LatticeTerm):
-    _fields = ("left", "right")
+    __slots__ = ("left", "right")
     left: LatticeTerm
     right: LatticeTerm
 
 
 class Meet(LatticeTerm):
-    _fields = ("left", "right")
+    __slots__ = ("left", "right")
     left: LatticeTerm
     right: LatticeTerm
 
 
 class Scale(LatticeTerm):
-    _fields = ("factor", "arg")
+    __slots__ = ("factor", "arg")
     factor: Fraction
     arg: LatticeTerm
 

@@ -6,10 +6,10 @@ All arithmetic in this module is exact rational; no floating point enters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError
+from .records import Record
 from .rules import integer
 
 
@@ -42,17 +42,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PAdicContext:
-    prime: int
+class PAdicContext(Record):
+    __slots__ = ("prime",)
 
-    def __post_init__(self):
-        p = integer(self.prime, "prime", 2)
+    def __init__(self, prime: int):
+        p = integer(prime, "prime", 2)
         if p >= PRIME_BOUND:
             raise InvariantError(f"must be below {PRIME_BOUND}, the bound of the exact primality test")
         if not _is_prime(p):
             raise InvariantError(f"{p} is not prime")
-        object.__setattr__(self, "prime", p)
+        super().__init__(p)
 
 
 def _vp(n: int, p: int) -> int:
@@ -76,15 +75,13 @@ def padic_abs(x, ctx: PAdicContext) -> Fraction:
     return Fraction(1, p**v) if v >= 0 else Fraction(p**(-v))
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(Record):
     """A point of the projective line: an exact rational, or infinity."""
 
-    value: Fraction | None
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if self.value is not None:
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Fraction | None):
+        super().__init__(None if value is None else Fraction(value))
 
     @property
     def is_infinity(self) -> bool:
@@ -123,18 +120,16 @@ def _dotminus(a: Fraction, b: Fraction) -> Fraction:
     return a - b if a > b else Fraction(0)
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(Record):
     """A closed ball of the sort: a center point and a radius in [0, 1]."""
 
-    center: ProjPoint
-    radius: Fraction
+    __slots__ = ("center", "radius")
 
-    def __post_init__(self):
-        r = Fraction(self.radius)
+    def __init__(self, center: ProjPoint, radius: Fraction):
+        r = Fraction(radius)
         if not (0 <= r <= 1):
             raise InvariantError(f"ball radius must lie in [0, 1], got {r}")
-        object.__setattr__(self, "radius", r)
+        super().__init__(center, r)
 
 
 def ball_distance(a: Ball, b: Ball, ctx: PAdicContext) -> Fraction:

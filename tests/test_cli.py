@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import io
 import json
@@ -639,6 +640,25 @@ def test_reports_and_out_files_are_the_stdlib_encoding(tmp_path):
             text = (tmp_path / out).read_text(encoding="utf-8")
             assert text == _canonical(text)
             assert json.loads(text) == json.loads(stdout)["outputs"]
+
+
+# -- input digests -------------------------------------------------------------------
+
+def _digest_is_sha256(tmp_path, data: bytes) -> None:
+    path = tmp_path / "input.bin"
+    path.write_bytes(data)
+    assert cli._digest(str(path)) == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("size", [0, cli.OPENSSL_FROM - 1, cli.OPENSSL_FROM])
+def test_the_digest_is_sha256_on_both_sides_of_the_openssl_limit(tmp_path, size):
+    assert cli.OPENSSL_FROM == 2**20
+    _digest_is_sha256(tmp_path, bytes(range(256)) * (size // 256) + b"\x7f" * (size % 256))
+
+
+@given(st.binary(max_size=4096))
+def test_the_digest_is_sha256_of_the_bytes(tmp_path_factory, data):
+    _digest_is_sha256(tmp_path_factory.mktemp("digest"), data)
 
 
 # -- verdicts do not depend on units; no environment knob -------------------------

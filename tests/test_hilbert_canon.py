@@ -1,3 +1,4 @@
+import tracemalloc
 from typing import Sequence
 
 import numpy as np
@@ -193,3 +194,24 @@ def test_span_keeps_small_vectors_and_drops_near_dependents():
 def test_every_entry_point_rejects_non_finite_and_misshapen_vectors(call, v):
     with pytest.raises(InvariantError):
         call(v)
+
+
+def test_a_subspace_keeps_its_basis_as_one_read_only_array():
+    sub = Subspace(2, [[0.6, 0.8], [-0.8, 0.6]])
+    assert sub.basis_array.dtype == np.float64 and not sub.basis_array.flags.writeable
+    assert sub.basis == ((0.6, 0.8), (-0.8, 0.6)) and sub.basis is sub.basis
+    assert Subspace(3, ()).basis == () and Subspace(3, ()).basis_array.shape == (0, 3)
+    # The input is built before tracing starts, so what stays traced is what
+    # the subspace holds: 8 bytes an entry as an array, where a tuple of
+    # tuples adds 32 more, a float object and a pointer each.
+    k, dim = 64, 1024
+    basis = [[float(i == j) for j in range(dim)] for i in range(k)]
+    tracemalloc.start()
+    try:
+        sub = Subspace(dim, basis)
+        del basis
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 2 * 8 * k * dim
+    assert np.array_equal(sub.basis_array, np.eye(k, dim))

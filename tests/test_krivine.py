@@ -337,7 +337,7 @@ def test_eval_array_memory_stays_bounded_on_a_shared_max_min_term():
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
-            kids = {id(k): k for k in vars(node).values() if isinstance(k, LatticeTerm)}
+            kids = {id(k): k for k in map(node.__getattribute__, node.__slots__) if isinstance(k, LatticeTerm)}
             parents.update(kids.keys())
             stack += kids.values()
     assert sum(count > 1 for count in parents.values()) >= 100

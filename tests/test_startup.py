@@ -2,8 +2,9 @@
 subcommand imports, and the BLAS thread default of the CLI. Each check
 that reads ``sys.modules`` or the environment runs in a subprocess. Also
 that each public name lives in its module, the one place to import it from,
-that the modules the calls without array work load import no numpy, and that
-the package holds no code that only the tests reach."""
+that the modules the calls without array work load import no numpy, that
+no call on small documents loads OpenSSL or ``dataclasses``, and that the
+package holds no code that only the tests reach."""
 
 import ast
 import json
@@ -38,7 +39,7 @@ EXPORTS = {
 # OPENBLAS_NUM_THREADS the process ends with and its number of threads (None
 # where /proc does not list them), and the exit code of a CLI call made by
 # ``_cli``.
-OPTIONAL = ("numpy.random", "numpy.ma", "fractions", "_hashlib")
+OPTIONAL = ("numpy.random", "numpy.ma", "fractions", "_hashlib", "dataclasses")
 _REPORT = f"""
 import atexit, json, os, sys
 atexit.register(lambda: print(json.dumps({{
@@ -114,7 +115,7 @@ def test_krivine_approx_does_not_load_measure_core():
 #: The modules that the calls without array work load, which therefore import
 #: neither numpy nor another module of the package outside this set, except
 #: inside a function or under ``if TYPE_CHECKING:``.
-NUMPY_FREE = ("__init__", "__main__", "cli", "errors", "legendre", "rules", "terms", "ultra_ball")
+NUMPY_FREE = ("__init__", "__main__", "cli", "errors", "legendre", "records", "rules", "terms", "ultra_ball")
 
 
 def _module_level_imports(tree: ast.Module):
@@ -143,14 +144,15 @@ def _imported_modules(node) -> list[str]:
 
 
 def test_the_numpy_free_modules_import_no_numpy_at_module_level():
-    package = Path(canonbase_lab.__file__).parent
+    """Also that no module imports ``dataclasses`` or ``hashlib`` at module level."""
     offending = []
-    for name in NUMPY_FREE:
-        path = package / f"{name}.py"
+    for path in sorted(Path(canonbase_lab.__file__).parent.glob("*.py")):
+        numpy_free = path.stem in NUMPY_FREE
         for node in _module_level_imports(ast.parse(path.read_text(), str(path))):
             for top, *sub in (target.split(".") for target in _imported_modules(node)):
-                if top == "numpy" or top == "canonbase_lab" and sub and sub[0] not in NUMPY_FREE:
-                    offending.append(f"{name}.py:{node.lineno}: {ast.unparse(node)}")
+                if top in ("dataclasses", "hashlib") or numpy_free and (
+                        top == "numpy" or top == "canonbase_lab" and sub and sub[0] not in NUMPY_FREE):
+                    offending.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert offending == []
 
 
@@ -203,6 +205,54 @@ def test_typeq_does_not_load_lp_canon(tmp_path):
                          "--p", "2"), cwd=tmp_path)
     assert loaded["exit"] == 0 and "oracle" in loaded["modules"]
     assert "lp_canon" not in loaded["modules"]
+
+
+#: A call of each subcommand on the small documents ``_small_documents`` writes.
+SMALL_CALLS = [
+    ["lp-cb", "--space", "space.json", "--element", "f.json", "--p", "2", "--grid", "4"],
+    ["typeq", "--space", "space.json", "--a", "f.json", "--b", "g.json", "--p", "2"],
+    ["rv-cb", "--space", "prob.json", "--elements", "xs.json", "--k-max", "2"],
+    ["apr-cb", "--events", "events.json"],
+    ["hs-cb", "--vectors", "vectors.json", "--subspace", "subspace.json"],
+    ["legendre", "--fn", "fn.json"],
+    ["demo", "remark"],
+    ["demo", "p1"],
+    ["krivine", "approx", "--fn", "euclid", "--eps", "0.1", "--grid", "8"],
+    ["krivine", "parse", "--term", "(x0 \\/ x1)", "--arity", "2"],
+    ["ultra", "--prime", "3", "check-triangles", "--samples", "8"],
+]
+
+
+def _small_documents(path: Path) -> None:
+    _pair_documents(path)
+    docs = {
+        "prob.json": {"weights": [0.5, 0.5], "blocks": [[0, 1]]},
+        "xs.json": {"elements": [[0.25, 1.0]]},
+        "events.json": {"weights": [1, 1, 2], "blocks": [[0, 1], [2]], "events": [[1, 0, 1], [1, 1, 0]]},
+        "vectors.json": {"vectors": [[1.0, 2.0]]},
+        "subspace.json": {"dim": 2, "basis": [[1.0, 0.0]]},
+        "fn.json": {"domain": [None, None], "breakpoints": [0.0], "slopes": [-1.0, 1.0], "anchor": [0.0, 0.0]},
+    }
+    for name, doc in docs.items():
+        (path / name).write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("argv", SMALL_CALLS, ids=lambda argv: " ".join(a for a in argv[:2] if a[0] != "-"))
+def test_calls_on_small_documents_load_neither_openssl_nor_dataclasses(tmp_path, argv):
+    # below cli.OPENSSL_FROM bytes an input is digested by the interpreter's own SHA-256
+    _small_documents(tmp_path)
+    loaded = _fresh(_cli(*argv), cwd=tmp_path)
+    assert loaded["exit"] == 0
+    assert not {"_hashlib", "dataclasses"} & set(loaded["optional"])
+
+
+def test_a_document_of_one_mib_is_digested_by_openssl(tmp_path):
+    _small_documents(tmp_path)
+    text = (tmp_path / "prob.json").read_text()
+    (tmp_path / "prob.json").write_text(text + " " * (2**20 - len(text)))  # exactly cli.OPENSSL_FROM bytes
+    loaded = _fresh(_cli("rv-cb", "--space", "prob.json", "--elements", "xs.json", "--k-max", "2"), cwd=tmp_path)
+    assert loaded["exit"] == 0 and "_hashlib" in loaded["optional"]
+    assert "dataclasses" not in loaded["optional"]
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])
