@@ -11,12 +11,12 @@ loads only with the array work: ``krivine parse`` and ``eval`` (``terms``),
 and ``krivine approx`` loads it through ``krivine`` but skips ``measure_core``.
 So ``_encode`` looks the ndarray and ``BlockTable`` types up in ``sys.modules``
 instead of importing them: a report can hold one only once its module is loaded.
-No call loads ``dataclasses``, nor OpenSSL for inputs under ``OPENSSL_FROM`` =
-1 MiB: the SHA-256 digest of such a file, the same bytes either way, comes from
-the interpreter's own module (``_sha256``; ``_sha2`` from Python 3.12), not from
-``hashlib``. Loading OpenSSL costs 2.6-3.5 ms and 3.8 MB of resident memory; it
-then hashes at 0.75-0.79 ms/MiB against 4.0-5.5 ms/MiB, so the two break even
-at 0.7-0.9 MiB (Python 3.11 on a shared 2-core Xeon host).
+No call loads ``dataclasses`` or OpenSSL: an input's SHA-256 digest, the same
+hex text as ``hashlib``'s, comes from the interpreter's own module (``_sha256``;
+``_sha2`` from Python 3.12), which spares the 3.8 MB of resident memory that
+loading OpenSSL costs. It hashes at 4.0-5.5 ms/MiB against OpenSSL's 0.75-0.79,
+so ``rv-cb`` on 7 MiB of input takes about 30 ms longer and peaks 1.2 MB lower
+(Python 3.11 on a shared 2-core Xeon host).
 
 A report is a function of argv and the bytes of the input files alone; it
 holds no clock reading, so two runs of one call print the same bytes.
@@ -62,7 +62,7 @@ import errno
 import json
 import math
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from itertools import combinations, product
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
@@ -79,8 +79,6 @@ if TYPE_CHECKING:
 
 MAX_CONES = 2**8
 MAX_SAMPLES = 2**6
-#: The size in bytes from which an input's digest loads OpenSSL.
-OPENSSL_FROM = 2**20
 
 
 class UsageError(Exception):
@@ -166,13 +164,12 @@ def load_probability_space(path: str) -> tuple[MeasureSpace, SubStructure]:
 
 def _digest(path: str) -> str:
     """The hex SHA-256 of the file's bytes (see the module docstring)."""
+    try:
+        sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:  # a build may leave the module out
+        from hashlib import sha256
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < OPENSSL_FROM:
-        with suppress(ImportError):  # a build may leave the module out
-            return __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256(data).hexdigest()
-    import hashlib
-    return hashlib.sha256(data).hexdigest()
+        return sha256(fh.read()).hexdigest()
 
 
 def _fraction(text: str) -> Fraction:

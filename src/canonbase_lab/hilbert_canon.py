@@ -33,11 +33,10 @@ def _vectors(values, dim: int, name: str) -> np.ndarray:
 class Subspace(Record):
     """A subspace of R^dim given by an orthonormal basis (possibly empty).
     Both arguments are coerced once, here; bad input raises ``InvariantError``
-    naming ``dim`` or ``basis``. ``basis_array``, the read-only (k, dim)
-    float64 array of the basis vectors, is the storage; ``basis`` is the same
-    data as a tuple of tuples of floats, built on first use."""
+    naming ``dim`` or ``basis``. ``basis_array`` is the read-only (k, dim)
+    float64 array of the basis vectors."""
 
-    __slots__ = ("dim", "basis_array", "_basis")
+    __slots__ = ("dim", "basis_array")
 
     def __init__(self, dim: int, basis):
         dim = integer(dim, "dim", 0)
@@ -46,14 +45,7 @@ class Subspace(Record):
         if not close(mat @ mat.T, np.eye(len(mat))):
             raise InvariantError("basis: not orthonormal")
         mat.flags.writeable = False
-        self._init(dim=dim, basis_array=mat, _basis=None)
-
-    def _key(self) -> tuple:
-        return (self.dim, self.basis_array)
-
-    @property
-    def basis(self) -> tuple[tuple[float, ...], ...]:
-        return self._memo("_basis", lambda: tuple(map(tuple, self.basis_array.tolist())))
+        super().__init__(dim, mat)
 
     @classmethod
     def span(cls, dim: int, vectors: Sequence[Sequence[float]]) -> "Subspace":

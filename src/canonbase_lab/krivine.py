@@ -17,7 +17,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -128,13 +128,11 @@ def interpolating_term(
 
 class HomogeneousFn(Record):
     """A continuous function on R^n, positively homogeneous of degree one,
-    with a declared uniform modulus of continuity on the unit sphere."""
+    with a declared uniform modulus of continuity on the unit sphere. ``fn``
+    maps an (arity, k) array of points to their k values, and ``modulus``
+    maps a distance to a bound on the change of value."""
 
     __slots__ = ("name", "arity", "fn", "modulus")
-    name: str
-    arity: int
-    fn: Callable[[np.ndarray], np.ndarray]
-    modulus: Callable[[float], float]
 
     def evaluate(self, point: Sequence[float]) -> float:
         pts = np.asarray(point, dtype=float).reshape(self.arity, 1)

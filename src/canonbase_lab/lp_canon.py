@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, product
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -87,12 +87,10 @@ def _fiber_psi(values: Sequence[float], f0: float, n: int) -> PLConvexFn:
 # stays for psi, which perfbench's tracer patches
 class PsiFamily(Record):
     """Per base atom, the piecewise-linear shortfall function, plus the
-    envelope element f0 = E[|f| | base]."""
+    envelope element f0 = E[|f| | base]. ``fibers`` is a tuple of
+    ``PLConvexFn``, one per base atom."""
 
     __slots__ = ("pair", "fibers", "f0")
-    pair: ExtensionPair
-    fibers: tuple[PLConvexFn, ...]
-    f0: LatticeElement
 
     def value_at(self, x: float) -> LatticeElement:
         return LatticeElement(
@@ -216,14 +214,6 @@ class LpCanonicalBase(Record, eq=False):
     """
 
     __slots__ = ("p", "pos_norm", "neg_norm", "grid", "space", "rows", "interval_form", "orthogonal_norms")
-    p: float
-    pos_norm: float
-    neg_norm: float
-    grid: tuple[float, ...]
-    space: MeasureSpace
-    rows: np.ndarray
-    interval_form: bool
-    orthogonal_norms: tuple[float, float]
 
     @property
     def partials(self) -> dict[float, LatticeElement]:
@@ -300,11 +290,10 @@ def canonical_base_1type(
 
 class NTypeBase(Record):
     """Canonical bases of all integer combinations k . f over a box, plus the
-    directional-mass summary standing in for the absolute joint type."""
+    directional-mass summary standing in for the absolute joint type.
+    ``bases`` maps each coefficient tuple k to its ``LpCanonicalBase``."""
 
     __slots__ = ("bases", "absolute_summary")
-    bases: Mapping[tuple[int, ...], LpCanonicalBase]
-    absolute_summary: DirectionalMass
 
 
 def canonical_base_ntype(
@@ -340,11 +329,6 @@ class P1Report(Record):
     """Norms of the concentrated family f_eps and of its partial E_eps."""
 
     __slots__ = ("eps", "p", "f_norm", "partial", "partial_norm")
-    eps: Fraction
-    p: float
-    f_norm: float
-    partial: LatticeElement
-    partial_norm: float
 
 
 def p1_counterexample(eps: Fraction | float, p: float) -> P1Report:
@@ -375,11 +359,6 @@ class RemarkReport(Record):
 
     __slots__ = ("k_bound", "single_types_all_equal", "joint_types_equal", "witness_with_h",
                  "witness_with_minus_h")
-    k_bound: int
-    single_types_all_equal: bool
-    joint_types_equal: bool
-    witness_with_h: float
-    witness_with_minus_h: float
 
 
 def remark_counterexample() -> RemarkReport:

@@ -122,7 +122,7 @@ class MeasureSpace(Record):
     __slots__ = ("weight_array", "_weights")
 
     def __init__(self, weights):
-        self._init(weight_array=_frozen(_weights(weights, "weights")), _weights=None)
+        super().__init__(_frozen(_weights(weights, "weights")), None)
 
     def _key(self) -> tuple:
         return (self.weight_array,)
@@ -155,7 +155,7 @@ class LatticeElement(Record):
             raise InvariantError(
                 f"values: element has shape {arr.shape} but the space has {len(space)} atoms"
             )
-        self._init(space=space, array=_frozen(arr), _values=None)
+        super().__init__(space, _frozen(arr), None)
 
     def _key(self) -> tuple:
         return (self.space, self.array)
@@ -333,14 +333,14 @@ class SubStructure(Record):
             ranks = np.empty_like(atoms)  # the atoms are distinct, so (block, rank) sorts them
             ranks[np.argsort(atoms)] = np.arange(len(atoms))
             atoms = atoms[np.argsort(ids * len(atoms) + ranks)]
-        self._init(_atoms=_frozen(atoms), _offsets=_frozen(np.append(0, np.cumsum(lengths))), _blocks=None)
+        super().__init__(_frozen(atoms), _frozen(np.append(0, np.cumsum(lengths))), None)
 
     @classmethod
     def _of(cls, atoms: np.ndarray, offsets: np.ndarray) -> "SubStructure":
         """Blocks ``atoms[offsets[k]:offsets[k + 1]]`` of two intp arrays, taken as nonempty,
         disjoint and sorted."""
         s = object.__new__(cls)
-        s._init(_atoms=_frozen(atoms), _offsets=_frozen(offsets), _blocks=None)
+        Record.__init__(s, _frozen(atoms), _frozen(offsets), None)
         return s
 
     def _key(self) -> tuple:
@@ -488,7 +488,7 @@ class ExtensionPair(Record):
         if has_orth:
             cells = np.append(cells, np.full(2 * n, 1.0 / n))
         orth = MeasureSpace(np.full(2 * n, 1.0 / n)) if has_orth else None
-        self._init(fiber_cells=n, has_orthogonal=has_orth, _base=base, _total=MeasureSpace(cells), _orth=orth)
+        super().__init__(n, has_orth, base, MeasureSpace(cells), orth)
 
     def _key(self) -> tuple:
         return (self._base.weight_array, self.fiber_cells, self.has_orthogonal)

@@ -25,10 +25,10 @@ class DirectionalMass(Record):
     """Finite measure on rays: directions normalized to sup-norm one (no sign
     flip, since homogeneity is one-sided) with mass = weight * sup-norm^p.
     Directions are grouped by ``measure_core.group`` on the quantum TOL, one
-    entry per group, so a rounding boundary does not split a direction."""
+    entry per group, so a rounding boundary does not split a direction.
+    ``entries`` is a tuple of (direction tuple, mass) pairs."""
 
     __slots__ = ("entries",)
-    entries: tuple[tuple[tuple[float, ...], float], ...]
 
     @classmethod
     def from_elements(cls, fs: Sequence[LatticeElement], p: float) -> "DirectionalMass":

@@ -16,9 +16,9 @@ def _numpy_if_arrays(items: tuple):
 class Record:
     """Immutable once constructed. The default constructor takes the fields
     that ``__slots__`` names, in order, positionally or by name; a class that
-    checks its input passes the converted fields to it, and one with slots
-    beyond its fields sets them with ``_init`` and defines ``_key``, the
-    constructor's arguments. Equal to an object of its class with equal
+    checks its input passes the converted values of all its slots to it, and
+    one with slots beyond its fields defines ``_key``, the constructor's
+    arguments. Equal to an object of its class with equal
     ``_key()`` items (arrays by ``np.array_equal``), hashed alike (an array by
     its bytes), pickled and shown as ``type(self)(*self._key())``. A class
     declared with ``eq=False`` compares and hashes by identity."""
@@ -37,10 +37,6 @@ class Record:
         if named or len(values) != len(fields):
             raise TypeError(f"{type(self).__name__} takes the fields {fields}")
         for name, value in zip(fields, values):
-            object.__setattr__(self, name, value)
-
-    def _init(self, **slots):
-        for name, value in slots.items():
             object.__setattr__(self, name, value)
 
     def _memo(self, slot: str, build):

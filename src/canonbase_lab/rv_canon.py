@@ -123,10 +123,6 @@ class LiftedEvent(Record):
     equal fiber cells; its conditional probability over the base is X."""
 
     __slots__ = ("pair", "indicator", "snapped", "was_rounded")
-    pair: ExtensionPair
-    indicator: LatticeElement
-    snapped: LatticeElement
-    was_rounded: bool
 
     def conditional_probability(self) -> LatticeElement:
         return self.pair.cond_exp_base(self.indicator)

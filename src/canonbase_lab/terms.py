@@ -34,41 +34,30 @@ class Zero(LatticeTerm):
 
 class Var(LatticeTerm):
     __slots__ = ("index",)
-    index: int
 
 
 class Neg(LatticeTerm):
     __slots__ = ("arg",)
-    arg: LatticeTerm
 
 
 class Abs(LatticeTerm):
     __slots__ = ("arg",)
-    arg: LatticeTerm
 
 
 class HalfSum(LatticeTerm):
     __slots__ = ("left", "right")
-    left: LatticeTerm
-    right: LatticeTerm
 
 
 class Join(LatticeTerm):
     __slots__ = ("left", "right")
-    left: LatticeTerm
-    right: LatticeTerm
 
 
 class Meet(LatticeTerm):
     __slots__ = ("left", "right")
-    left: LatticeTerm
-    right: LatticeTerm
 
 
 class Scale(LatticeTerm):
     __slots__ = ("factor", "arg")
-    factor: Fraction
-    arg: LatticeTerm
 
 
 _UNARY = frozenset((Neg, Abs, Scale))  # the classes with one child, ``arg``; Zero and Var have none

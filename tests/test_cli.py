@@ -650,9 +650,8 @@ def _digest_is_sha256(tmp_path, data: bytes) -> None:
     assert cli._digest(str(path)) == hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("size", [0, cli.OPENSSL_FROM - 1, cli.OPENSSL_FROM])
-def test_the_digest_is_sha256_on_both_sides_of_the_openssl_limit(tmp_path, size):
-    assert cli.OPENSSL_FROM == 2**20
+@pytest.mark.parametrize("size", [0, 2**20 - 1, 2**20, 5 * 2**20 + 3])
+def test_the_digest_is_sha256_at_every_size(tmp_path, size):
     _digest_is_sha256(tmp_path, bytes(range(256)) * (size // 256) + b"\x7f" * (size % 256))
 
 
