@@ -11,12 +11,15 @@ loads only with the array work: ``krivine parse`` and ``eval`` (``terms``),
 and ``krivine approx`` loads it through ``krivine`` but skips ``measure_core``.
 So ``_encode`` looks the ndarray and ``BlockTable`` types up in ``sys.modules``
 instead of importing them: a report can hold one only once its module is loaded.
-No call loads ``dataclasses`` or OpenSSL: an input's SHA-256 digest, the same
-hex text as ``hashlib``'s, comes from the interpreter's own module (``_sha256``;
-``_sha2`` from Python 3.12), which spares the 3.8 MB of resident memory that
-loading OpenSSL costs. It hashes at 4.0-5.5 ms/MiB against OpenSSL's 0.75-0.79,
-so ``rv-cb`` on 7 MiB of input takes about 30 ms longer and peaks 1.2 MB lower
-(Python 3.11 on a shared 2-core Xeon host).
+Each input file is opened once, by ``_read_json``, and the report's ``inputs``
+maps its path to the SHA-256 of the bytes parsed, so a call whose output path
+names an input still reports what it read. No call loads ``dataclasses`` or
+OpenSSL: that digest, the same hex text as ``hashlib``'s, comes from the
+interpreter's own module (``_sha256``; ``_sha2`` from Python 3.12), which
+spares the 3.8 MB of resident memory that loading OpenSSL costs. It hashes at
+4.0-5.5 ms/MiB against OpenSSL's 0.75-0.79, so ``rv-cb`` on 7 MiB of input
+takes about 30 ms longer and peaks 1.2 MB lower (Python 3.11 on a shared
+2-core Xeon host).
 
 A report is a function of argv and the bytes of the input files alone; it
 holds no clock reading, so two runs of one call print the same bytes.
@@ -94,11 +97,26 @@ class _Parser(argparse.ArgumentParser):
 # Input documents
 # ---------------------------------------------------------------------------
 
+#: path -> hex SHA-256 of the bytes read from it in this call; ``dispatch``
+#: empties it at its start and reports it as ``inputs``.
+_INPUTS: dict[str, str] = {}
+
+
 def _read_json(path: str, *required: str) -> dict:
-    """The JSON object in ``path``, which must have every ``required`` key."""
+    """The JSON object in ``path``, which must have every ``required`` key.
+    The file is read once: its bytes are hashed into ``_INPUTS``, then decoded
+    as text mode decodes them (UTF-8, universal newlines) and parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:  # a build may leave the module out
+        from hashlib import sha256
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        _INPUTS[path] = sha256(data).hexdigest()
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        del data  # the bytes are not held through the parse
+        doc = json.loads(text)
     except OSError as exc:
         raise InvariantError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON text, or nesting too deep
@@ -160,16 +178,6 @@ def _probability_space(doc: dict, path: str) -> tuple[MeasureSpace, SubStructure
 
 def load_probability_space(path: str) -> tuple[MeasureSpace, SubStructure]:
     return _probability_space(_read_json(path, "weights", "blocks"), path)
-
-
-def _digest(path: str) -> str:
-    """The hex SHA-256 of the file's bytes (see the module docstring)."""
-    try:
-        sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
-    except ImportError:  # a build may leave the module out
-        from hashlib import sha256
-    with open(path, "rb") as fh:
-        return sha256(fh.read()).hexdigest()
 
 
 def _fraction(text: str) -> Fraction:
@@ -304,10 +312,11 @@ def _curve(cb: lp_canon.LpCanonicalBase) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: return (exit_code, outputs, checks, inputs)
+# Command handlers: return (exit_code, outputs, checks); _read_json records
+# the inputs
 # ---------------------------------------------------------------------------
 
-def _cmd_legendre(args) -> tuple[int, dict, dict, dict]:
+def _cmd_legendre(args) -> tuple[int, dict, dict]:
     from . import legendre
     source = _read_json(args.fn)
     with _prefixed(f"{args.fn}: "):
@@ -322,10 +331,10 @@ def _cmd_legendre(args) -> tuple[int, dict, dict, dict]:
     scale = max(map(abs, phi.slopes), default=0.0) * max(positions) + abs(phi.anchor_y)
     ok = close([*map(back.evaluate, pts), scale], [*map(phi.evaluate, pts), scale])
     _write(("--out", args.out, _encode(doc)))
-    return 0, {"conjugate": doc}, {"biconjugate_roundtrip": ok}, {args.fn: _digest(args.fn)}
+    return 0, {"conjugate": doc}, {"biconjugate_roundtrip": ok}
 
 
-def _cmd_krivine(args) -> tuple[int, dict, dict, dict]:
+def _cmd_krivine(args) -> tuple[int, dict, dict]:
     from . import terms
     if args.action == "parse":
         term = terms.parse_term(args.term, args.arity)
@@ -334,7 +343,7 @@ def _cmd_krivine(args) -> tuple[int, dict, dict, dict]:
             ok = terms.parse_term(text, args.arity) == term
         except InvariantError:
             ok = False
-        return 0, {"term": text}, {"roundtrip": ok}, {}
+        return 0, {"term": text}, {"roundtrip": ok}
     if args.action == "eval":
         term = terms.parse_term(args.term, args.arity)
         with _prefixed("--point: "):
@@ -342,7 +351,7 @@ def _cmd_krivine(args) -> tuple[int, dict, dict, dict]:
             if len(point) != args.arity:
                 raise InvariantError(f"expected {args.arity} coordinates, got {len(point)}")
         value = terms.eval_scalar(term, point)
-        return 0, {"value": value}, {}, {}
+        return 0, {"value": value}, {}
     from . import krivine
     check_count(integer(args.grid, "--grid", 1), MAX_CONES, "--grid", "cones")
     with _prefixed("--fn: "):
@@ -354,10 +363,10 @@ def _cmd_krivine(args) -> tuple[int, dict, dict, dict]:
         _write(("--out", args.out, [text, "\n"]))
     elif len(text) <= 4096:
         outputs["term"] = text
-    return 0, outputs, {"reached_eps": cert <= args.eps}, {}
+    return 0, outputs, {"reached_eps": cert <= args.eps}
 
 
-def _cmd_lp_cb(args) -> tuple[int, dict, dict, dict]:
+def _cmd_lp_cb(args) -> tuple[int, dict, dict]:
     from . import lp_canon
     n = integer(args.grid, "--grid", 1)
     keys = n * (n + 1) // 2 if args.intervals else n
@@ -377,11 +386,10 @@ def _cmd_lp_cb(args) -> tuple[int, dict, dict, dict]:
     keys = [f"{a}:{b}" for a, b in combinations(labels, 2)] if args.intervals else labels
     outputs["intervals" if args.intervals else "partials"] = dict(zip(keys, cb.entries()))
     _write(("--out", args.out, _encode(outputs)), ("--curve", args.curve, _curve(cb)))
-    inputs = {args.space: _digest(args.space), args.element: _digest(args.element)}
-    return 0, outputs, {}, inputs
+    return 0, outputs, {}
 
 
-def _cmd_typeq(args) -> tuple[int, dict, dict, dict]:
+def _cmd_typeq(args) -> tuple[int, dict, dict]:
     from . import oracle
     pair = load_space(args.space)
     fa = load_element(args.a, pair)
@@ -390,11 +398,10 @@ def _cmd_typeq(args) -> tuple[int, dict, dict, dict]:
         equal = oracle.absolute_type_equal([fa], [fb], args.p)
     else:
         equal = oracle.type_equal_1(fa, fb, pair, args.p)
-    inputs = {path: _digest(path) for path in (args.space, args.a, args.b)}
-    return (0 if equal else 3), {"equal": equal}, {}, inputs
+    return (0 if equal else 3), {"equal": equal}, {}
 
 
-def _cmd_rv_cb(args) -> tuple[int, dict, dict, dict]:
+def _cmd_rv_cb(args) -> tuple[int, dict, dict]:
     from . import rv_canon
     from .measure_core import BlockTable
     integer(args.k_max, "--k-max", 0)
@@ -414,11 +421,10 @@ def _cmd_rv_cb(args) -> tuple[int, dict, dict, dict]:
         moments = BlockTable(space, names, table.table, table.labels)
     outputs = {"moments": moments, "k_max": args.k_max}
     _write(("--out", args.out, _encode(outputs)))
-    inputs = {args.space: _digest(args.space), args.elements: _digest(args.elements)}
-    return 0, outputs, {}, inputs
+    return 0, outputs, {}
 
 
-def _cmd_apr_cb(args) -> tuple[int, dict, dict, dict]:
+def _cmd_apr_cb(args) -> tuple[int, dict, dict]:
     from . import rv_canon
     from .measure_core import BlockTable
     doc = _read_json(args.events, "weights", "blocks", "events")
@@ -428,10 +434,10 @@ def _cmd_apr_cb(args) -> tuple[int, dict, dict, dict]:
         cb = rv_canon.apr_cb(events, blocks)
     names = [",".join(map(str, sorted(subset))) for subset in cb]
     outputs = {"conditional_probabilities": BlockTable(space, names, cb.table, cb.labels)}
-    return 0, outputs, {}, {args.events: _digest(args.events)}
+    return 0, outputs, {}
 
 
-def _cmd_hs_cb(args) -> tuple[int, dict, dict, dict]:
+def _cmd_hs_cb(args) -> tuple[int, dict, dict]:
     from . import hilbert_canon
     vecs_doc = _read_json(args.vectors, "vectors")
     sub_doc = _read_json(args.subspace, "dim", "basis")
@@ -440,11 +446,10 @@ def _cmd_hs_cb(args) -> tuple[int, dict, dict, dict]:
     with _prefixed(f"{args.vectors}: /"):
         base = hilbert_canon.hs_cb(vecs_doc["vectors"], sub)
     outputs = {"projections": base.projections, "gram": base.gram}
-    inputs = {args.vectors: _digest(args.vectors), args.subspace: _digest(args.subspace)}
-    return 0, outputs, {}, inputs
+    return 0, outputs, {}
 
 
-def _cmd_ultra(args) -> tuple[int, dict, dict, dict]:
+def _cmd_ultra(args) -> tuple[int, dict, dict]:
     import random
     from fractions import Fraction
     from . import ultra_ball
@@ -460,7 +465,7 @@ def _cmd_ultra(args) -> tuple[int, dict, dict, dict]:
         a = ultra_ball.Ball(point(args.a), _fraction(args.r))
         b = ultra_ball.Ball(point(args.b), _fraction(args.s))
         dist = ultra_ball.ball_distance(a, b, ctx)
-        return 0, {"distance": str(dist)}, {}, {}
+        return 0, {"distance": str(dist)}, {}
     # check-triangles over a fixed pseudo-random rational sample
     check_count(integer(args.samples, "--samples", 0), MAX_SAMPLES, "--samples", "samples")
     rng = random.Random(0)
@@ -485,10 +490,10 @@ def _cmd_ultra(args) -> tuple[int, dict, dict, dict]:
                 violations += 1
     outputs = {"samples": args.samples, "violations": violations}
     checks = {"triangle_inequality": violations == 0}
-    return (0 if violations == 0 else 3), outputs, checks, {}
+    return (0 if violations == 0 else 3), outputs, checks
 
 
-def _cmd_demo(args) -> tuple[int, dict, dict, dict]:
+def _cmd_demo(args) -> tuple[int, dict, dict]:
     from . import lp_canon
     if args.which == "p1":
         eps = _fraction(args.eps)
@@ -503,7 +508,7 @@ def _cmd_demo(args) -> tuple[int, dict, dict, dict]:
         checks = {"f_norm_is_one": close(report.f_norm, 1.0)}
         if args.p == 1.0:
             checks["partial_norm_is_one"] = close(report.partial_norm, 1.0)
-        return 0, outputs, checks, {}
+        return 0, outputs, checks
     report = lp_canon.remark_counterexample()
     outputs = {
         "k_bound": report.k_bound,
@@ -516,7 +521,7 @@ def _cmd_demo(args) -> tuple[int, dict, dict, dict]:
         "witness_separates": not close(report.witness_with_h, report.witness_with_minus_h),
     }
     ok = all(checks.values())
-    return (0 if ok else 3), outputs, checks, {}
+    return (0 if ok else 3), outputs, checks
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +613,10 @@ def _build_parser() -> _Parser:
 def dispatch(argv: Sequence[str]) -> int:
     """Run one command; print the run report; return the exit code."""
     parser = _build_parser()
+    _INPUTS.clear()
     try:
         args = parser.parse_args(list(argv))
-        code, outputs, checks, inputs = args.handler(args)
+        code, outputs, checks = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -620,7 +626,7 @@ def dispatch(argv: Sequence[str]) -> int:
         return 2
     report = {
         "command": list(argv),
-        "inputs": inputs,
+        "inputs": dict(_INPUTS),
         "outputs": outputs,
         "checks": checks,
         "exit_code": code,

@@ -104,7 +104,7 @@ def psi(f: LatticeElement, pair: ExtensionPair) -> PsiFamily:
     f0 = f_zero(f, pair)
     n = pair.n
     fibers = tuple(
-        _fiber_psi(row, f0w, n) for row, f0w in zip(pair.rows(f), f0.array.tolist())
+        _fiber_psi(row, f0w, n) for row, f0w in zip(pair.fibers(f).tolist(), f0.array.tolist())
     )
     return PsiFamily(pair, fibers, f0)
 

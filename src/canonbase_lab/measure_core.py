@@ -7,9 +7,9 @@ loop, each written as an array expression.
 
 Per-atom data is stored only in arrays marked read-only at construction: an
 element's values and a space's weights in float64, a substructure's atoms in
-intp. The tuples that ``values``, ``weights`` and ``blocks`` return are built
-on first use. So every value here is immutable, every operation is a pure
-function, and concurrent use from multiple threads needs no coordination.
+intp. No class keeps a tuple or list copy of them beside the array. So every
+value here is immutable, every operation is a pure function, and concurrent
+use from multiple threads needs no coordination.
 Input is coerced to finite reals once, at construction; the ``InvariantError``
 for a bad entry names the argument and the entry as a relative pointer
 (``rows/1/3: ...``). Each kind of check has one rule:
@@ -115,21 +115,13 @@ class MeasureSpace(Record):
     """Atoms indexed 0..len-1, each carrying a strictly positive finite weight.
 
     ``weight_array``, the read-only float64 array of the weights, is the
-    storage; ``weights`` is the same data as a tuple of floats, built on
-    first use.
+    storage.
     """
 
-    __slots__ = ("weight_array", "_weights")
+    __slots__ = ("weight_array",)
 
     def __init__(self, weights):
-        super().__init__(_frozen(_weights(weights, "weights")), None)
-
-    def _key(self) -> tuple:
-        return (self.weight_array,)
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return self._memo("_weights", lambda: tuple(self.weight_array.tolist()))
+        super().__init__(_frozen(_weights(weights, "weights")))
 
     def __len__(self) -> int:
         return len(self.weight_array)
@@ -142,12 +134,11 @@ class MeasureSpace(Record):
 class LatticeElement(Record):
     """One real value per atom of its measure space.
 
-    ``array`` is the read-only float64 array of the values; ``values`` is the
-    same data as a tuple of floats, built on first use. Equality compares the
-    space and the values.
+    ``array`` is the read-only float64 array of the values. Equality compares
+    the space and the values.
     """
 
-    __slots__ = ("space", "array", "_values")
+    __slots__ = ("space", "array")
 
     def __init__(self, space: MeasureSpace, values):
         arr = reals(values, "values")
@@ -155,14 +146,7 @@ class LatticeElement(Record):
             raise InvariantError(
                 f"values: element has shape {arr.shape} but the space has {len(space)} atoms"
             )
-        super().__init__(space, _frozen(arr), None)
-
-    def _key(self) -> tuple:
-        return (self.space, self.array)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return self._memo("_values", lambda: tuple(self.array.tolist()))
+        super().__init__(space, _frozen(arr))
 
     # -- convenience arithmetic (pointwise, same space) -------------------
 
@@ -298,10 +282,10 @@ class SubStructure(Record):
     are invisible to it. The storage is two read-only intp arrays: ``_atoms``
     holds the atoms block after block, sorted within each block, and block k
     is ``_atoms[_offsets[k]:_offsets[k + 1]]``. ``blocks`` is the same data as
-    sorted tuples, built on first use; ``len`` is the number of blocks.
+    sorted tuples, built on each read; ``len`` is the number of blocks.
     """
 
-    __slots__ = ("_atoms", "_offsets", "_blocks")
+    __slots__ = ("_atoms", "_offsets")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
         try:
@@ -333,18 +317,15 @@ class SubStructure(Record):
             ranks = np.empty_like(atoms)  # the atoms are distinct, so (block, rank) sorts them
             ranks[np.argsort(atoms)] = np.arange(len(atoms))
             atoms = atoms[np.argsort(ids * len(atoms) + ranks)]
-        super().__init__(_frozen(atoms), _frozen(np.append(0, np.cumsum(lengths))), None)
+        super().__init__(_frozen(atoms), _frozen(np.append(0, np.cumsum(lengths))))
 
     @classmethod
     def _of(cls, atoms: np.ndarray, offsets: np.ndarray) -> "SubStructure":
         """Blocks ``atoms[offsets[k]:offsets[k + 1]]`` of two intp arrays, taken as nonempty,
         disjoint and sorted."""
         s = object.__new__(cls)
-        Record.__init__(s, _frozen(atoms), _frozen(offsets), None)
+        Record.__init__(s, _frozen(atoms), _frozen(offsets))
         return s
-
-    def _key(self) -> tuple:
-        return (self._atoms, self._offsets)
 
     def __reduce__(self):
         return (SubStructure._of, self._key())
@@ -354,8 +335,7 @@ class SubStructure(Record):
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        return self._memo("_blocks", lambda: tuple(
-            tuple(b.tolist()) for b in np.split(self._atoms, self._offsets[1:])[:-1]))
+        return tuple(tuple(b.tolist()) for b in np.split(self._atoms, self._offsets[1:])[:-1])
 
     @property
     def support(self) -> frozenset[int]:
@@ -474,7 +454,7 @@ class ExtensionPair(Record):
     The embedded copy of the base lattice consists of exactly the elements
     that are constant along each base fiber and zero on the plus/minus part.
     The base and total spaces are built once, with the pair, and are its
-    storage; ``base_weights`` reads the base space's weights.
+    storage.
     """
 
     __slots__ = ("fiber_cells", "has_orthogonal", "_base", "_total", "_orth")
@@ -492,10 +472,6 @@ class ExtensionPair(Record):
 
     def _key(self) -> tuple:
         return (self._base.weight_array, self.fiber_cells, self.has_orthogonal)
-
-    @property
-    def base_weights(self) -> tuple[float, ...]:
-        return self._base.weights
 
     # -- geometry ----------------------------------------------------------
 
@@ -563,17 +539,6 @@ class ExtensionPair(Record):
         if self._orth is None:
             return None
         return LatticeElement(self._orth, f.array[self.m * self.n :])
-
-    def rows(self, f: LatticeElement) -> list[list[float]]:
-        return self.fibers(f).tolist()
-
-    def plus_values(self, f: LatticeElement) -> list[float]:
-        orth = self.orthogonal_part(f)
-        return [] if orth is None else orth.array[: self.n].tolist()
-
-    def minus_values(self, f: LatticeElement) -> list[float]:
-        orth = self.orthogonal_part(f)
-        return [] if orth is None else orth.array[self.n :].tolist()
 
     def embed(self, g: LatticeElement) -> LatticeElement:
         """Lift a base element to the total space: fiber-constant, zero on +/-."""

@@ -14,14 +14,15 @@ def _numpy_if_arrays(items: tuple):
 
 
 class Record:
-    """Immutable once constructed. The default constructor takes the fields
-    that ``__slots__`` names, in order, positionally or by name; a class that
+    """Immutable once constructed: the constructor sets every slot, and no
+    slot is filled in later. The default constructor takes the fields that
+    ``__slots__`` names, in order, positionally or by name; a class that
     checks its input passes the converted values of all its slots to it, and
-    one with slots beyond its fields defines ``_key``, the constructor's
-    arguments. Equal to an object of its class with equal
-    ``_key()`` items (arrays by ``np.array_equal``), hashed alike (an array by
-    its bytes), pickled and shown as ``type(self)(*self._key())``. A class
-    declared with ``eq=False`` compares and hashes by identity."""
+    one whose slots are not its constructor's arguments defines ``_key``, those
+    arguments. Equal to an object of its class with equal ``_key()`` items
+    (arrays by ``np.array_equal``), hashed alike (an array by its bytes),
+    pickled and shown as ``type(self)(*self._key())``. A class declared with
+    ``eq=False`` compares and hashes by identity."""
 
     __slots__ = ()
 
@@ -38,12 +39,6 @@ class Record:
             raise TypeError(f"{type(self).__name__} takes the fields {fields}")
         for name, value in zip(fields, values):
             object.__setattr__(self, name, value)
-
-    def _memo(self, slot: str, build):
-        """The value of ``slot``, built by ``build()`` on first use."""
-        if getattr(self, slot) is None:
-            object.__setattr__(self, slot, build())
-        return getattr(self, slot)
 
     def _key(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))

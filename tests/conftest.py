@@ -41,10 +41,10 @@ def random_element(rng: random.Random, pair: ExtensionPair, scale: int = 8) -> L
 def rearranged_copy(rng: random.Random, pair: ExtensionPair, f: LatticeElement) -> LatticeElement:
     """A measure-preserving rearrangement: shuffle cells within each base
     fiber and shuffle the orthogonal cells; the type over the base is kept."""
-    rows = [rng.sample(row, len(row)) for row in pair.rows(f)]
+    rows = [rng.sample(row, len(row)) for row in pair.fibers(f).tolist()]
     plus = minus = None
     if pair.has_orthogonal:
-        orth = pair.plus_values(f) + pair.minus_values(f)
+        orth = pair.orthogonal_part(f).array.tolist()
         orth = rng.sample(orth, len(orth))
         plus, minus = orth[: pair.n], orth[pair.n :]
     return pair.element(rows, plus, minus)

@@ -642,22 +642,140 @@ def test_reports_and_out_files_are_the_stdlib_encoding(tmp_path):
             assert json.loads(text) == json.loads(stdout)["outputs"]
 
 
-# -- input digests -------------------------------------------------------------------
+# -- input digests: each input is read once, and its digest is of the bytes parsed ----
 
-def _digest_is_sha256(tmp_path, data: bytes) -> None:
-    path = tmp_path / "input.bin"
-    path.write_bytes(data)
-    assert cli._digest(str(path)) == hashlib.sha256(data).hexdigest()
+def _document(size: int, newline: bytes) -> bytes:
+    """PL_FN as JSON text with a ``newline`` line break in its whitespace,
+    padded with spaces to ``size`` bytes (no padding where the text is longer)."""
+    text = b"{" + newline + json.dumps(PL_FN).encode()[1:]
+    return text + b" " * (size - len(text))
+
+
+def _digest_is_sha256(tmp_path, data: bytes, doc: dict) -> None:
+    """The reader parses the bytes ``data`` into ``doc`` and records the
+    SHA-256 of those bytes, not of the text they decode to."""
+    path = str(tmp_path / "input.json")
+    Path(path).write_bytes(data)
+    assert cli._read_json(path) == doc
+    assert cli._INPUTS[path] == hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("size", [0, 2**20 - 1, 2**20, 5 * 2**20 + 3])
 def test_the_digest_is_sha256_at_every_size(tmp_path, size):
-    _digest_is_sha256(tmp_path, bytes(range(256)) * (size // 256) + b"\x7f" * (size % 256))
+    for newline in (b"\n", b"\r\n", b"\r"):
+        data = _document(size, newline)
+        assert len(data) == size or size == 0
+        _digest_is_sha256(tmp_path, data, PL_FN)
 
 
-@given(st.binary(max_size=4096))
-def test_the_digest_is_sha256_of_the_bytes(tmp_path_factory, data):
-    _digest_is_sha256(tmp_path_factory.mktemp("digest"), data)
+_WHITESPACE = st.text(" \t\n\r", max_size=4).map(str.encode)
+
+
+@given(st.dictionaries(st.text(max_size=4), st.text(max_size=4) | st.integers(), max_size=4),
+       st.lists(_WHITESPACE, min_size=2, max_size=2))
+def test_the_digest_is_sha256_of_the_bytes(tmp_path_factory, doc, pads):
+    data = pads[0] + json.dumps(doc, ensure_ascii=False).encode() + pads[1]
+    _digest_is_sha256(tmp_path_factory.mktemp("digest"), data, doc)
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        (b'{\r\n  "domain": [null, null],\r\n  "breakpoints": [0.0],\r\n  "slopes": [-1.0, 1.0]\r\n'
+         b'  "anchor": [0.0, 0.0]\r\n}\r\n', "Expecting ',' delimiter: line 5 column 3 (char 78)"),
+        (b'{\r  "domain": [null, null],\r  "breakpoints": [0.0],\r  "slopes": [-1.0, 1.0]\r'
+         b'  "anchor": [0.0, 0.0]\r}\r', "Expecting ',' delimiter: line 5 column 3 (char 78)"),
+        (b'{\r\n  "domain": [null, null],\r  "breakpoints": [0.0],\r\n\r  "slopes": [-1.0, 1.0]\n'
+         b'  "anchor": [0.0, 0.0]\r\n}', "Expecting ',' delimiter: line 6 column 3 (char 79)"),
+        (b"\xef\xbb\xbf" + json.dumps(PL_FN).encode(),
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (b'{\r\n  "domain": [null, null],\r\n  "name": "\xff"\r\n}',
+         "'utf-8' codec can't decode byte 0xff in position 41: invalid start byte"),
+    ],
+    ids=["crlf", "lone-cr", "mixed", "bom", "bad-utf-8"],
+)
+def test_malformed_text_keeps_its_error_text(tmp_path, capsys, content, expected):
+    # a \r\n and a lone \r are each one line break and one character, as in text mode
+    path = tmp_path / "fn.json"
+    path.write_bytes(content)
+    assert cli.dispatch(["legendre", "--fn", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == f"{path}: invalid JSON ({expected})" and "inputs" not in report
+
+
+def _report(tmp_path, capsys, argv, docs=None) -> dict:
+    """The report of ``argv``, each word that names one of ``docs`` taken as
+    that file in ``tmp_path``, written there first."""
+    for name, doc in (docs or {}).items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    code = cli.dispatch([str(tmp_path / a) if a in (docs or {}) else a for a in argv])
+    report = json.loads(capsys.readouterr().out)
+    assert report["exit_code"] == code
+    return report
+
+
+_DIGEST_DOCS = {
+    "fn": PL_FN, "space": SPACE, "element": {"rows": [[0, 1], [2, 3]]}, "other": {"rows": [[1, 0], [3, 2]]},
+    "prob": PROBABILITY, "elements": {"elements": [[0.5, 0.25]]},
+    "events": {**PROBABILITY, "events": [[1, 0], [1, 1]]}, "vectors": VECTORS, "subspace": SUBSPACE,
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        LEGENDRE + ["--out", "fn"],
+        LP_CB + ["--out", "space", "--curve", "element"],
+        ["rv-cb", "--space", "prob", "--elements", "elements", "--k-max", "2", "--out", "elements"],
+        ["rv-cb", "--space", "prob", "--elements", "elements", "--k-max", "2", "--out", "prob"],
+    ],
+    ids=["legendre", "lp-cb", "rv-cb-elements", "rv-cb-space"],
+)
+def test_the_digest_is_of_the_bytes_read_when_an_output_replaces_the_input(tmp_path, capsys, argv):
+    docs = {a: _DIGEST_DOCS[a] for a in argv if a in _DIGEST_DOCS}
+    read = {str(tmp_path / name): json.dumps(doc).encode() for name, doc in docs.items()}
+    report = _report(tmp_path, capsys, argv, docs)
+    assert report["exit_code"] == 0
+    assert report["inputs"] == {path: hashlib.sha256(data).hexdigest() for path, data in read.items()}
+    assert any((Path(path).read_bytes() != data) for path, data in read.items())  # an input was replaced
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        LEGENDRE,
+        LP_CB,
+        ["typeq", "--space", "space", "--a", "element", "--b", "other", "--p", "2"],
+        ["rv-cb", "--space", "prob", "--elements", "elements", "--k-max", "2"],
+        ["apr-cb", "--events", "events"],
+        HS_CB,
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_input_is_opened_once(tmp_path, capsys, monkeypatch, argv):
+    import builtins
+    opened, real_open = {}, builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened[str(file)] = opened.get(str(file), 0) + 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    docs = {a: _DIGEST_DOCS[a] for a in argv if a in _DIGEST_DOCS}
+    report = _report(tmp_path, capsys, argv, docs)
+    paths = {str(tmp_path / name) for name in docs}
+    assert report["exit_code"] in (0, 3) and set(report["inputs"]) == paths
+    assert {path: opened.get(path) for path in paths} == dict.fromkeys(paths, 1)
+
+
+def test_inputs_name_each_file_once_and_only_for_this_call(tmp_path, capsys):
+    typeq = ["typeq", "--space", "space", "--a", "element", "--b", "element", "--p", "2"]
+    report = _report(tmp_path, capsys, typeq, _DIGEST_DOCS)
+    assert sorted(report["inputs"]) == [str(tmp_path / "element"), str(tmp_path / "space")]
+    bad = _report(tmp_path, capsys, LP_CB, {"element": {"rows": [[0, 1]]}})
+    assert bad["exit_code"] == 2 and "inputs" not in bad
+    assert _report(tmp_path, capsys, LP_CB, _DIGEST_DOCS)["inputs"]
+    assert _report(tmp_path, capsys, ["demo", "remark"])["inputs"] == {}
 
 
 # -- verdicts do not depend on units; no environment knob -------------------------

@@ -196,9 +196,9 @@ def test_eval_element_examples():
     space = MeasureSpace((1.0, 1.0))
     f = LatticeElement(space, (1.0, 0.0))
     g = LatticeElement(space, (0.0, 1.0))
-    assert eval_element(Var(0), [f]).values == f.values
-    assert eval_element(Join(Var(0), Var(1)), [f, g]).values == (1.0, 1.0)
-    assert eval_element(Abs(Var(0)), [LatticeElement(space, (-2.0, 4.0))]).values == (2.0, 4.0)
+    assert eval_element(Var(0), [f]).array.tolist() == f.array.tolist()
+    assert eval_element(Join(Var(0), Var(1)), [f, g]).array.tolist() == [1.0, 1.0]
+    assert eval_element(Abs(Var(0)), [LatticeElement(space, (-2.0, 4.0))]).array.tolist() == [2.0, 4.0]
 
 
 def test_eval_element_space_mismatch():
@@ -267,9 +267,9 @@ def test_domination_bound(term):
     ]
     sup = term_sup_norm(term)
     out = eval_element(term, fs)
-    envelope = [max(abs(f.values[i]) for f in fs) for i in range(3)]
-    for i in range(3):
-        assert abs(out.values[i]) <= sup * envelope[i] + 1e-9
+    envelope = [max(abs(v) for v in column) for column in zip(*(f.array.tolist() for f in fs))]
+    for value, bound in zip(out.array.tolist(), envelope):
+        assert abs(value) <= sup * bound + 1e-9
 
 
 # -- shared subterms -------------------------------------------------------------
@@ -322,7 +322,7 @@ def test_every_fold_walks_a_deep_chain_that_shares_one_piece():
     assert eval_scalar(term, (0.0, 1.0)) == 0.0
     space = MeasureSpace((1.0, 1.0))
     args = [LatticeElement(space, (1.0, -1.0)), LatticeElement(space, (-1.0, -1.0))]
-    assert eval_element(term, args).values == (1.0, 0.0)
+    assert eval_element(term, args).array.tolist() == [1.0, 0.0]
     assert to_text(term) == "(" * 10_000 + "x0" + " \\/ avg(x0, neg(x1)))" * 10_000
     assert term_arity(term) == 2
     assert term_lipschitz_bound(term) == 1.0

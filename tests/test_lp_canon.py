@@ -53,17 +53,17 @@ def instances(seed, count, **kw):
 def test_f_zero_nonnegative_embedded():
     pair = ExtensionPair((1.0, 2.0), 3)
     g = LatticeElement(pair.base_space(), (1.5, 0.25))
-    assert f_zero(pair.embed(g), pair).values == (1.5, 0.25)
+    assert f_zero(pair.embed(g), pair).array.tolist() == [1.5, 0.25]
 
 
 def test_f_zero_worked():
-    assert f_zero(F24, UNIT2).values == (3.0,)
+    assert f_zero(F24, UNIT2).array.tolist() == [3.0]
 
 
 def test_f_zero_orthogonal_only():
     pair = ExtensionPair((1.0,), 2, True)
     f = pair.element([[0.0, 0.0]], plus=[1.0, 1.0], minus=[-0.5, 0.0])
-    assert f_zero(f, pair).values == (0.0,)
+    assert f_zero(f, pair).array.tolist() == [0.0]
 
 
 # -- the shortfall family ----------------------------------------------------------
@@ -96,7 +96,7 @@ def test_psi_envelope_property(rng):
         xs = [-4.0, -1.0, 0.0, 0.5, 2.0, 5.0]
         for x, y in zip(xs, xs[1:]):
             vx, vy = fam.value_at(x), fam.value_at(y)
-            for a, b, f0 in zip(vx.values, vy.values, fam.f0.values):
+            for a, b, f0 in zip(vx.array.tolist(), vy.array.tolist(), fam.f0.array.tolist()):
                 assert a <= b + 1e-12
                 assert b <= a + (y - x) * f0 + 1e-9
 
@@ -114,8 +114,8 @@ def test_psi_biconjugate_exact(rng):
 def test_psi_cdf_identity(rng):
     for _, pair, f in instances(12, 30):
         fam = psi(f, pair)
-        rows = pair.rows(f)
-        for fn, f0, row in zip(fam.fibers, fam.f0.values, rows):
+        rows = pair.fibers(f).tolist()
+        for fn, f0, row in zip(fam.fibers, fam.f0.array.tolist(), rows):
             if f0 == 0.0:
                 continue
             probe = list(fn.breakpoints) + [-5.0, 0.3, 7.0]
@@ -128,8 +128,8 @@ def test_psi_cdf_identity(rng):
 # -- partial conditional expectations ------------------------------------------------
 
 def test_partial_endpoints():
-    assert partial_cond_exp(F24, UNIT2, 0.0).values == (0.0,)
-    assert partial_cond_exp(F24, UNIT2, 1.0).values == (1.0,)
+    assert partial_cond_exp(F24, UNIT2, 0.0).array.tolist() == [0.0]
+    assert partial_cond_exp(F24, UNIT2, 1.0).array.tolist() == [1.0]
 
 
 def test_partial_linear_on_embedded_nonnegative():
@@ -137,14 +137,14 @@ def test_partial_linear_on_embedded_nonnegative():
     g = LatticeElement(pair.base_space(), (2.0, 0.5))
     f = pair.embed(g)
     for t in (0.25, 0.5, 0.9):
-        expected = tuple(t * v for v in g.values)
+        expected = tuple(t * v for v in g.array.tolist())
         assert partial_cond_exp(f, pair, t).approx_equal(
             LatticeElement(pair.base_space(), expected), tol=1e-12
         )
 
 
 def test_partial_worked_half():
-    assert partial_cond_exp(F24, UNIT2, 0.5).values == (-1.0,)
+    assert partial_cond_exp(F24, UNIT2, 0.5).array.tolist() == [-1.0]
 
 
 def test_partial_rejects_outside_unit_interval():
@@ -156,25 +156,25 @@ def test_partial_matches_prefix_oracle(rng):
     for r, pair, f in instances(13, 40):
         t = r.randint(1, 15) / 16 if r.random() < 0.5 else r.random()
         got = partial_cond_exp(f, pair, t)
-        rows = pair.rows(f)
-        for value, row in zip(got.values, rows):
+        rows = pair.fibers(f).tolist()
+        for value, row in zip(got.array.tolist(), rows):
             assert value == pytest.approx(ref_partial_prefix(row, t), abs=1e-9)
 
 
 def test_partial_prefix_identity_exact(rng):
     for _, pair, f in instances(14, 20):
         n = pair.n
-        rows = [sorted(row) for row in pair.rows(f)]
+        rows = [sorted(row) for row in pair.fibers(f).tolist()]
         for k in (1, n // 2, n):
             got = partial_cond_exp(f, pair, k / n)
-            for value, row in zip(got.values, rows):
+            for value, row in zip(got.array.tolist(), rows):
                 assert value == pytest.approx(sum(row[:k]) / n, abs=1e-12)
 
 
 def test_partial_convex_in_t(rng):
     ts = [k / 8 for k in range(9)]
     for _, pair, f in instances(15, 20):
-        curves = [partial_cond_exp(f, pair, t).values for t in ts]
+        curves = [partial_cond_exp(f, pair, t).array.tolist() for t in ts]
         e1 = curves[-1]
         for i in range(pair.m):
             seq = [c[i] for c in curves]
@@ -191,7 +191,7 @@ def test_partial_prefix_matches_conjugation():
     kinds_seen = set()
     for n in (16, 7):
         for r, pair, f in instances(30 + n, 10, n=n):
-            rows = pair.rows(f)
+            rows = pair.fibers(f).tolist()
             for row in rows:
                 kind = r.choice(["zero", "constant", "random", "random"])
                 kinds_seen.add(kind)
@@ -199,14 +199,16 @@ def test_partial_prefix_matches_conjugation():
                     row[:] = [0.0] * n
                 elif kind == "constant":
                     row[:] = [row[0]] * n
-            f = pair.element(rows, pair.plus_values(f) or None, pair.minus_values(f) or None)
+            orth = pair.orthogonal_part(f)
+            plus, minus = (None, None) if orth is None else (orth.array[:n], orth.array[n:])
+            f = pair.element(rows, plus, minus)
             ts = [k / n for k in range(n + 1)]
             ts += [math.nextafter(k / n, 0.0) for k in range(1, n + 1)]
             ts += [r.random() for _ in range(4)]
             fam = psi(f, pair)
             for t in ts:
-                got = partial_cond_exp(f, pair, t).values
-                want = _partial_from_family(fam, t).values
+                got = partial_cond_exp(f, pair, t).array.tolist()
+                want = _partial_from_family(fam, t).array.tolist()
                 for a, b, row in zip(got, want, rows):
                     assert abs(a - b) <= 1e-9 * (1 + max(abs(v) for v in row)), (t, row)
     assert kinds_seen == {"zero", "constant", "random"}
@@ -252,8 +254,8 @@ def test_partial_prefix_matches_conjugation_under_hypothesis(m, n, orth, data):
     )
     fam = psi(f, pair)
     for t in data.draw(st.lists(t_values, min_size=1, max_size=6)):
-        got = partial_cond_exp(f, pair, t).values
-        want = _partial_from_family(fam, t).values
+        got = partial_cond_exp(f, pair, t).array.tolist()
+        want = _partial_from_family(fam, t).array.tolist()
         for a, b, row in zip(got, want, rows):
             assert abs(a - b) <= 1e-9 * (1 + max(abs(v) for v in row)), (t, row)
 
@@ -271,18 +273,18 @@ def test_remark_phi_attainment(rng):
 # -- intervals ---------------------------------------------------------------------
 
 def test_interval_full_range_is_cond_exp():
-    assert interval_cond_exp(F24, UNIT2, 0.0, 1.0).values == (1.0,)
+    assert interval_cond_exp(F24, UNIT2, 0.0, 1.0).array.tolist() == [1.0]
 
 
 def test_interval_worked():
-    assert interval_cond_exp(F24, UNIT2, 0.5, 1.0).values == (2.0,)
+    assert interval_cond_exp(F24, UNIT2, 0.5, 1.0).array.tolist() == [2.0]
 
 
 def test_interval_embedded_scaling():
     pair = ExtensionPair((1.0,), 4)
     f = pair.embed(LatticeElement(pair.base_space(), (2.0,)))
     out = interval_cond_exp(f, pair, 0.25, 0.75)
-    assert out.values == pytest.approx((1.0,), abs=1e-12)
+    assert out.array.tolist() == pytest.approx([1.0], abs=1e-12)
 
 
 def test_interval_rejects_bad_order():
@@ -302,8 +304,8 @@ def test_interval_additivity(rng):
 
 def test_slices_order_statistics():
     fam = slices(F24, UNIT2)
-    assert fam.slice_at(0.25).values == (-2.0,)
-    assert fam.slice_at(0.75).values == (4.0,)
+    assert fam.slice_at(0.25).array.tolist() == [-2.0]
+    assert fam.slice_at(0.75).array.tolist() == [4.0]
 
 
 def test_slices_embedded_fixed():
@@ -311,7 +313,7 @@ def test_slices_embedded_fixed():
     g = LatticeElement(pair.base_space(), (1.0, -2.0))
     fam = slices(pair.embed(g), pair)
     for t in (0.1, 0.5, 0.999, 1.0):
-        assert fam.slice_at(t).values == g.values
+        assert fam.slice_at(t).array.tolist() == g.array.tolist()
 
 
 def test_slices_nondecreasing(rng):
@@ -320,17 +322,17 @@ def test_slices_nondecreasing(rng):
         prev = fam.slice_at(1 / 64)
         for t in (0.25, 0.5, 0.75, 1.0):
             cur = fam.slice_at(t)
-            assert all(a <= b + 1e-12 for a, b in zip(prev.values, cur.values))
+            assert all(a <= b + 1e-12 for a, b in zip(prev.array.tolist(), cur.array.tolist()))
             prev = cur
 
 
 def test_slices_match_reference(rng):
     for r, pair, f in instances(19, 30):
         fam = slices(f, pair)
-        rows = pair.rows(f)
+        rows = pair.fibers(f).tolist()
         t = r.random() or 0.5
         got = fam.slice_at(t)
-        for value, row in zip(got.values, rows):
+        for value, row in zip(got.array.tolist(), rows):
             assert value == pytest.approx(ref_slice(row, t), abs=1e-12)
 
 
@@ -338,15 +340,15 @@ def test_increasing_realisation_sorts_rows():
     pair = ExtensionPair((1.0,), 2, True)
     f = pair.element([[4.0, -2.0]])
     fhat = increasing_realisation(f, pair, 1)
-    assert pair.rows(fhat) == [[-2.0, 4.0]]
-    assert pair.plus_values(fhat) == [0.0, 0.0]
+    assert pair.fibers(fhat).tolist() == [[-2.0, 4.0]]
+    assert pair.orthogonal_part(fhat).array[: pair.n].tolist() == [0.0, 0.0]
 
 
 def test_increasing_realisation_fixed_point():
     pair = ExtensionPair((1.0,), 2, True)
     f = pair.element([[-2.0, 4.0]], plus=[1.5, 1.5], minus=[-0.5, -0.5])
     fhat = increasing_realisation(f, pair, 1)
-    assert fhat.values == f.values
+    assert fhat.array.tolist() == f.array.tolist()
 
 
 def test_increasing_realisation_preserves_type(rng):
@@ -354,8 +356,9 @@ def test_increasing_realisation_preserves_type(rng):
         fhat = increasing_realisation(f, pair, 1)
         assert type_equal_1(f, fhat, pair, 1)
         # the plus fiber carries all positive orthogonal mass
-        assert all(v >= 0 for v in pair.plus_values(fhat))
-        assert all(v <= 0 for v in pair.minus_values(fhat))
+        plus_minus = pair.orthogonal_part(fhat).array.tolist()
+        assert all(v >= 0 for v in plus_minus[: pair.n])
+        assert all(v <= 0 for v in plus_minus[pair.n :])
 
 
 # -- slice norm bound ---------------------------------------------------------------
@@ -404,7 +407,7 @@ def _grid_approx_by_psi(f, pair, t, bound, grid_n):
     # g and h read off each atom's exact shortfall function
     fam = psi(f, pair)
     g_vals, h_vals = [], []
-    for fn, f0w in zip(fam.fibers, fam.f0.values):
+    for fn, f0w in zip(fam.fibers, fam.f0.array.tolist()):
         grid = [bound * k / grid_n for k in range(-grid_n, grid_n + 1)]
         g_vals.append(max(t * x * f0w - fn.evaluate(x) for x in grid))
         candidates = [-bound, bound] + [b for b in fn.breakpoints if -bound < b < bound]
@@ -423,19 +426,19 @@ def test_grid_approx_sandwich_and_agreement(rng):
         bound = r.choice([1.0, 2.0, 4.0, 8.0])
         grid_n = r.choice([4, 8, 16])
         g, h = _grid_approx_by_psi(f, pair, t, bound, grid_n)
-        f0 = f_zero(f, pair)
-        et = partial_cond_exp(f, pair, t)
-        ft = slices(f, pair).slice_at(t)
-        e1 = partial_cond_exp(f, pair, 1.0)
+        f0 = f_zero(f, pair).array.tolist()
+        et = partial_cond_exp(f, pair, t).array.tolist()
+        ft = slices(f, pair).slice_at(t).array.tolist()
+        e1 = partial_cond_exp(f, pair, 1.0).array.tolist()
         for i in range(pair.m):
             gap = h[i] - g[i]
-            assert -1e-9 <= gap <= 2 * bound * f0.values[i] / grid_n + 1e-9
-            if abs(ft.values[i]) <= bound:
-                assert h[i] == pytest.approx(et.values[i], abs=1e-9)
+            assert -1e-9 <= gap <= 2 * bound * f0[i] / grid_n + 1e-9
+            if abs(ft[i]) <= bound:
+                assert h[i] == pytest.approx(et[i], abs=1e-9)
             # envelope chain
-            assert -f0.values[i] - 1e-9 <= h[i] <= et.values[i] + 1e-9
-            assert et.values[i] <= t * e1.values[i] + 1e-9
-            assert t * e1.values[i] <= f0.values[i] + 1e-9
+            assert -f0[i] - 1e-9 <= h[i] <= et[i] + 1e-9
+            assert et[i] <= t * e1[i] + 1e-9
+            assert t * e1[i] <= f0[i] + 1e-9
 
 
 # -- transport -----------------------------------------------------------------------
@@ -446,7 +449,7 @@ def test_transport_identity_when_equal_exponents():
 
 def test_transport_worked():
     out = lq_transport(F24, 1, 2)
-    assert out.values == pytest.approx((-math.sqrt(2), 2.0), abs=1e-12)
+    assert out.array.tolist() == pytest.approx([-math.sqrt(2), 2.0], abs=1e-12)
     assert lp_norm(out, 2) == pytest.approx(math.sqrt(3), abs=1e-12)
     assert lp_norm(out, 2) == pytest.approx(lp_norm(F24, 1) ** 0.5, abs=1e-12)
 
@@ -490,7 +493,7 @@ def test_duality_pairing_two_routes(rng):
         theta_g = lq_transport(g, p, qc)
         direct = sum(
             w * a * b
-            for w, a, b in zip(f.space.weights, theta_f.values, theta_g.values)
+            for w, a, b in zip(f.space.weight_array.tolist(), theta_f.array.tolist(), theta_g.array.tolist())
         )
         assert lhs == pytest.approx(direct, abs=1e-9 * (1 + abs(direct)))
 
@@ -590,7 +593,7 @@ def test_transported_interval_bound(rng):
         f0 = f_zero(f, pair)
         for q in (2.0, 1.5, 1.1):
             dev = transported_interval_convergence(f, pair, t, s, [q])[0]
-            envelope = max(f0.values)
+            envelope = max(f0.array.tolist())
             assert dev <= spow_deviation_bound(t, s, q) * envelope + 1e-9
 
 
@@ -605,14 +608,14 @@ def test_base_worked_single_point_grid():
     cb = canonical_base_1type(F24, UNIT2, 1, [0.5])
     assert cb.pos_norm == pytest.approx(2.0, abs=1e-12)
     assert cb.neg_norm == pytest.approx(1.0, abs=1e-12)
-    assert cb.partials[0.5].values == (-1.0,)
+    assert cb.partials[0.5].array.tolist() == [-1.0]
 
 
 def test_base_zero_element():
     zero = LatticeElement.zero(UNIT2.total_space())
     cb = canonical_base_1type(zero, UNIT2, 1, [0.25, 0.5, 1.0])
     assert cb.pos_norm == 0.0 and cb.neg_norm == 0.0
-    assert all(v == 0.0 for e in cb.partials.values() for v in e.values)
+    assert all(v == 0.0 for e in cb.partials.values() for v in e.array.tolist())
 
 
 def test_base_reconstruction_worked():
@@ -627,7 +630,7 @@ def test_base_reconstruction_random(rng):
         grid = [k / n for k in range(1, n + 1)]
         cb = canonical_base_1type(f, pair, 1, grid)
         rows = cb.reconstruct_sorted_rows(n)
-        expected = [sorted(row) for row in pair.rows(f)]
+        expected = [sorted(row) for row in pair.fibers(f).tolist()]
         for got, want in zip(rows, expected):
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -638,7 +641,7 @@ def test_base_interval_variant_reconstruction(rng):
         grid = [k / n for k in range(n + 1)]
         cb = canonical_base_1type(f, pair, 1, grid, intervals=True)
         rows = cb.reconstruct_sorted_rows(n)
-        expected = [sorted(row) for row in pair.rows(f)]
+        expected = [sorted(row) for row in pair.fibers(f).tolist()]
         for got, want in zip(rows, expected):
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -725,7 +728,7 @@ def test_p1_family_norms():
         rep = p1_counterexample(eps, 1.0)
         assert rep.f_norm == 1.0
         assert rep.partial_norm == 1.0
-        assert all(v == -1.0 for v in rep.partial.values)
+        assert all(v == -1.0 for v in rep.partial.array.tolist())
 
 
 def test_p2_family_decays():
@@ -752,7 +755,7 @@ def test_remark_report():
 
 def test_signed_power_consistency_with_transport():
     out = lq_transport(F24, 1, 2)
-    assert out.values[0] == signed_power(-2.0, 0.5)
+    assert out.array.tolist()[0] == signed_power(-2.0, 0.5)
 
 
 # -- integer arguments go through the integer rule ---------------------------------------

@@ -102,22 +102,22 @@ def test_distance_uses_halving():
 def test_lp_norm_matches_reference(values, p):
     space = MeasureSpace((0.25,) * len(values))
     f = LatticeElement(space, tuple(values))
-    assert lp_norm(f, p) == pytest.approx(ref_lp_norm(space.weights, values, p), abs=1e-12)
+    assert lp_norm(f, p) == pytest.approx(ref_lp_norm(space.weight_array.tolist(), values, p), abs=1e-12)
 
 
 # -- lattice operations --------------------------------------------------------
 
 def test_abs_pointwise():
-    assert abs(elem(-3.0, 2.0)).values == (3.0, 2.0)
+    assert abs(elem(-3.0, 2.0)).array.tolist() == [3.0, 2.0]
 
 
 def test_dotminus():
-    assert dotminus(elem(1.0, 5.0), elem(3.0, 2.0)).values == (0.0, 3.0)
+    assert dotminus(elem(1.0, 5.0), elem(3.0, 2.0)).array.tolist() == [0.0, 3.0]
 
 
 def test_join_idempotent():
     f = elem(1.0, -2.0, 0.5)
-    assert join(f, f).values == f.values
+    assert join(f, f).array.tolist() == f.array.tolist()
 
 
 def test_binary_requires_same_space():
@@ -128,7 +128,7 @@ def test_binary_requires_same_space():
 def test_scale_accepts_fraction():
     from fractions import Fraction
 
-    assert (Fraction(3, 2) * elem(2.0)).values == (3.0,)
+    assert (Fraction(3, 2) * elem(2.0)).array.tolist() == [3.0]
 
 
 @given(
@@ -140,11 +140,11 @@ def test_lattice_axioms(a, b, c):
     space = MeasureSpace((1.0, 1.0, 1.0))
     f, g, h = (LatticeElement(space, tuple(v)) for v in (a, b, c))
     # absorption
-    assert join(f, meet(f, g)).values == f.values
-    assert meet(f, join(f, g)).values == f.values
+    assert join(f, meet(f, g)).array.tolist() == f.array.tolist()
+    assert meet(f, join(f, g)).array.tolist() == f.array.tolist()
     # commutativity / associativity
-    assert join(f, g).values == join(g, f).values
-    assert join(join(f, g), h).values == join(f, join(g, h)).values
+    assert join(f, g).array.tolist() == join(g, f).array.tolist()
+    assert join(join(f, g), h).array.tolist() == join(f, join(g, h)).array.tolist()
 
 
 @given(st.lists(st.floats(-8, 8), min_size=2, max_size=2), st.floats(0.01, 4))
@@ -181,25 +181,25 @@ def test_cond_exp_fixes_block_constant():
     space = MeasureSpace((1.0, 2.0, 1.0))
     s = SubStructure(((0, 1), (2,)))
     f = LatticeElement(space, (3.0, 3.0, -1.0))
-    assert cond_exp(f, s).values == f.values
+    assert cond_exp(f, s).array.tolist() == f.array.tolist()
 
 
 def test_cond_exp_weighted_mean():
     space = MeasureSpace((1.0, 3.0))
     f = LatticeElement(space, (4.0, 0.0))
-    assert cond_exp(f, SubStructure.single_block((0, 1))).values == (1.0, 1.0)
+    assert cond_exp(f, SubStructure.single_block((0, 1))).array.tolist() == [1.0, 1.0]
 
 
 def test_cond_exp_equal_weights_mean():
     f = LatticeElement(HALVES, (-2.0, 4.0))
-    assert cond_exp(f, SubStructure.single_block((0, 1))).values == (1.0, 1.0)
+    assert cond_exp(f, SubStructure.single_block((0, 1))).array.tolist() == [1.0, 1.0]
 
 
 def test_cond_exp_zero_off_support():
     space = MeasureSpace((1.0, 1.0, 1.0))
     f = LatticeElement(space, (5.0, 5.0, 7.0))
     out = cond_exp(f, SubStructure(((0, 1),)))
-    assert out.values == (5.0, 5.0, 0.0)
+    assert out.array.tolist() == [5.0, 5.0, 0.0]
 
 
 def test_cond_exp_averaging_identity(rng):
@@ -208,10 +208,10 @@ def test_cond_exp_averaging_identity(rng):
         f = random_element(rng, pair)
         s = pair.base_substructure()
         out = cond_exp(f, s)
-        w = f.space.weights
+        w, got, values = f.space.weight_array.tolist(), out.array.tolist(), f.array.tolist()
         for block in s.blocks:
-            lhs = sum(w[i] * out.values[i] for i in block)
-            rhs = sum(w[i] * f.values[i] for i in block)
+            lhs = sum(w[i] * got[i] for i in block)
+            rhs = sum(w[i] * values[i] for i in block)
             assert abs(lhs - rhs) <= 1e-9
 
 
@@ -229,7 +229,7 @@ def test_cond_exp_matches_reference(rng):
         pair = random_pair(rng)
         f = random_element(rng, pair)
         s = pair.base_substructure()
-        expected = ref_cond_exp(f.space.weights, f.values, s.blocks)
+        expected = ref_cond_exp(f.space.weight_array.tolist(), f.array.tolist(), s.blocks)
         assert cond_exp(f, s).approx_equal(
             LatticeElement(f.space, tuple(expected)), tol=1e-12
         )
@@ -241,22 +241,22 @@ def test_band_inside():
     space = MeasureSpace((1.0, 1.0))
     f = LatticeElement(space, (1.0, 2.0))
     fe, fperp = band_decompose(f, SubStructure(((0, 1),)))
-    assert fe.values == f.values and fperp.values == (0.0, 0.0)
+    assert fe.array.tolist() == f.array.tolist() and fperp.array.tolist() == [0.0, 0.0]
 
 
 def test_band_outside():
     space = MeasureSpace((1.0, 1.0))
     f = LatticeElement(space, (0.0, 2.0))
     fe, fperp = band_decompose(f, SubStructure(((0,),)))
-    assert fe.values == (0.0, 0.0) and fperp.values == (0.0, 2.0)
+    assert fe.array.tolist() == [0.0, 0.0] and fperp.array.tolist() == [0.0, 2.0]
 
 
 def test_band_coordinate_split():
     space = MeasureSpace((1.0, 1.0, 1.0))
     f = LatticeElement(space, (1.0, 2.0, 3.0))
     fe, fperp = band_decompose(f, SubStructure(((0, 1),)))
-    assert fe.values == (1.0, 2.0, 0.0)
-    assert fperp.values == (0.0, 0.0, 3.0)
+    assert fe.array.tolist() == [1.0, 2.0, 0.0]
+    assert fperp.array.tolist() == [0.0, 0.0, 3.0]
 
 
 def test_band_parts_orthogonal_and_sum_exactly(rng):
@@ -266,7 +266,7 @@ def test_band_parts_orthogonal_and_sum_exactly(rng):
         s = pair.base_substructure()
         fe, fperp = band_decompose(f, s)
         assert orthogonal(fe, fperp, tol=0.0)
-        assert (fe + fperp).values == f.values
+        assert (fe + fperp).array.tolist() == f.array.tolist()
 
 
 # -- orthogonality ------------------------------------------------------------------
@@ -285,9 +285,9 @@ def test_pair_total_space_geometry():
     pair = ExtensionPair((2.0, 1.0), 4, True)
     total = pair.total_space()
     assert len(total) == (2 + 2) * 4
-    assert total.weights[:4] == (0.5,) * 4
-    assert total.weights[4:8] == (0.25,) * 4
-    assert total.weights[8:] == (0.25,) * 8
+    assert total.weight_array.tolist()[:4] == [0.5] * 4
+    assert total.weight_array.tolist()[4:8] == [0.25] * 4
+    assert total.weight_array.tolist()[8:] == [0.25] * 8
 
 
 def test_pair_embed_is_fiber_constant():
@@ -295,8 +295,8 @@ def test_pair_embed_is_fiber_constant():
     g = LatticeElement(pair.base_space(), (1.5, -2.0))
     lifted = pair.embed(g)
     assert pair.is_embedded(lifted)
-    assert pair.rows(lifted) == [[1.5] * 3, [-2.0] * 3]
-    assert pair.plus_values(lifted) == [0.0] * 3
+    assert pair.fibers(lifted).tolist() == [[1.5] * 3, [-2.0] * 3]
+    assert pair.orthogonal_part(lifted).array[: pair.n].tolist() == [0.0] * 3
 
 
 def test_pair_cond_exp_two_routes(rng):
@@ -324,7 +324,7 @@ def test_element_array_is_read_only_float64():
     assert f.array.dtype == np.float64
     with pytest.raises(ValueError):
         f.array[0] = 7.0
-    assert f.values == tuple(f.array.tolist())
+    assert f.array.tolist() == [1.0, -2.5, 3.0]
 
 
 def test_non_numeric_input_raises_invariant_error():
@@ -343,11 +343,12 @@ def test_pair_builds_its_spaces_once_and_exposes_read_only_fibers(rng):
     f = random_element(rng, pair)
     fibers = pair.fibers(f)
     assert fibers.shape == (pair.m, pair.n)
-    assert fibers.tolist() == pair.rows(f)
+    cells = f.array.tolist()
+    assert fibers.tolist() == [cells[i * pair.n : (i + 1) * pair.n] for i in range(pair.m)]
     with pytest.raises(ValueError):
         fibers[0, 0] = 1.0
     orth = pair.orthogonal_part(f)
-    assert orth.values == tuple(pair.plus_values(f) + pair.minus_values(f))
+    assert orth.array.tolist() == cells[pair.m * pair.n :]
 
 
 def test_cond_exp_sums_in_atom_order_like_the_reference(rng):
@@ -364,7 +365,8 @@ def test_cond_exp_sums_in_atom_order_like_the_reference(rng):
             start += size
         s = SubStructure(tuple(blocks))
         f = LatticeElement(space, tuple(rng.uniform(-5, 5) for _ in atoms))
-        assert cond_exp(f, s).values == tuple(ref_cond_exp(space.weights, f.values, s.blocks))
+        want = ref_cond_exp(space.weight_array.tolist(), f.array.tolist(), s.blocks)
+        assert cond_exp(f, s).array.tolist() == want
 
 
 def test_entry_cap_admits_2_to_the_24_entries_and_no_more():
@@ -449,9 +451,9 @@ def _compare_as_references(a, b, ref_a, ref_b):
 @given(_WEIGHTS, _WEIGHTS)
 def test_space_behaves_as_its_tuple_reference(w1, w2):
     a, b = MeasureSpace(w1), MeasureSpace(w2)
-    assert a.weights == ref_space(w1) and len(a) == len(w1)
+    assert a.weight_array.tolist() == list(ref_space(w1)) and len(a) == len(w1)
     assert a.total_mass == pytest.approx(math.fsum(ref_space(w1)), rel=1e-15)
-    assert pickle.loads(pickle.dumps(a)).weights == ref_space(w1)
+    assert pickle.loads(pickle.dumps(a)).weight_array.tolist() == list(ref_space(w1))
     _compare_as_references(a, b, ref_space(w1), ref_space(w2))
     with pytest.raises(AttributeError, match="^MeasureSpace is immutable"):
         a.weight_array = b.weight_array
@@ -475,7 +477,8 @@ def test_substructure_behaves_as_its_tuple_reference(b1, b2):
 @given(_WEIGHTS, _WEIGHTS, st.integers(1, 3), st.integers(1, 3), st.booleans(), st.booleans())
 def test_pair_behaves_as_its_tuple_reference(w1, w2, n1, n2, o1, o2):
     p, q = ExtensionPair(w1, n1, o1), ExtensionPair(w2, n2, o2)
-    assert p.base_weights == ref_space(w1) and (p.m, p.n, p.has_orthogonal) == (len(w1), n1, o1)
+    assert p.base_space().weight_array.tolist() == list(ref_space(w1))
+    assert (p.m, p.n, p.has_orthogonal) == (len(w1), n1, o1)
     _compare_as_references(p, q, (ref_space(w1), n1, o1), (ref_space(w2), n2, o2))
     assert pickle.loads(pickle.dumps(p)).total_space() == p.total_space()
 
@@ -483,7 +486,7 @@ def test_pair_behaves_as_its_tuple_reference(w1, w2, n1, n2, o1, o2):
 @given(*[st.lists(st.sampled_from([-0.0, 0.0, 1.0]), min_size=2, max_size=2)] * 2)
 def test_element_equality_and_hash_follow_the_values(v1, v2):
     f, g = LatticeElement(HALVES, v1), LatticeElement(MeasureSpace((0.5, 0.5)), v2)
-    _compare_as_references(f, g, (HALVES.weights, tuple(v1)), (HALVES.weights, tuple(v2)))
+    _compare_as_references(f, g, (HALVES.weight_array.tolist(), v1), (HALVES.weight_array.tolist(), v2))
 
 
 @given(st.integers(-2, 6), st.integers(1, 4), st.integers(1, 3), st.booleans())
@@ -499,18 +502,25 @@ def test_derived_substructures_match_their_tuple_reference(k, m, n, orth):
 
 def test_space_and_substructure_keep_only_their_arrays():
     # The inputs are built before tracing starts, so what stays traced is
-    # what the two objects hold. As arrays, their per-atom data takes 16
-    # bytes an atom, a weight and an index; a tuple of the weights alone
-    # adds 32 more, a float object and a pointer each.
+    # what the objects hold. As arrays, their per-atom data takes 40 bytes an
+    # atom: a weight, an index, a value, and a pair's base and total weights
+    # (one fiber cell an atom); a tuple or list copy of any of them adds 32
+    # more, a float object and a pointer each. Comparing, hashing and
+    # pickling an object leaves no such copy behind.
     n = 10**5
     weights = [1.0 + i / n for i in range(n)]
     blocks = [list(range(k, n, 1000)) for k in range(1000)]
+    values = np.linspace(-1.0, 1.0, n)
     tracemalloc.start()
     try:
         space, s = MeasureSpace(weights), SubStructure(blocks)
-        del weights, blocks
+        f, pair = LatticeElement(space, values), ExtensionPair(weights, 1)
+        for x in (space, s, f, pair):
+            clone = pickle.loads(pickle.dumps(x))
+            assert clone == x and hash(clone) == hash(x)
+        del weights, blocks, values, clone
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept <= 2 * 16 * n
-    assert len(space) == n and len(s) == 1000
+    assert kept <= 48 * n
+    assert len(space) == n and len(s) == 1000 and len(f.array) == n and pair.m == n

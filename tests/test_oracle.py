@@ -59,9 +59,9 @@ def test_type_equal_n_joint_permutation(rng):
         orth_perm = rng.sample(range(2 * pair.n), 2 * pair.n)
 
         def permute(f):
-            rows = pair.rows(f)
+            rows = pair.fibers(f).tolist()
             new_rows = [[rows[i][j] for j in perm[i]] for i in range(pair.m)]
-            orth = pair.plus_values(f) + pair.minus_values(f)
+            orth = pair.orthogonal_part(f).array.tolist()
             new_orth = [orth[j] for j in orth_perm]
             return pair.element(new_rows, new_orth[: pair.n], new_orth[pair.n :])
 
@@ -106,7 +106,7 @@ def test_absolute_type_permutation_invariance(rng):
         f = LatticeElement(space, vals)
         perm = rng.sample(range(4), 4)
         g = LatticeElement(
-            MeasureSpace(tuple(space.weights[i] for i in perm)),
+            MeasureSpace(space.weight_array[perm]),
             tuple(vals[i] for i in perm),
         )
         assert absolute_type_equal([f], [g], 1.5)
