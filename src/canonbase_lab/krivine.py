@@ -1,4 +1,4 @@
-"""Lattice terms (``terms``) on arrays and lattice elements, two-point
+"""Lattice terms (``terms``) on arrays, two-point
 interpolation, and approximation of continuous positively-homogeneous
 degree-one functions. Evaluation folds ``_CHUNK`` columns at a time.
 
@@ -17,7 +17,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,9 +27,6 @@ from .rules import close, integer
 # parse_term and to_text stay attributes of this module: perfbench's tracer patches them here
 from .terms import (_VALUE, HalfSum, Join, LatticeTerm, Meet, Neg, Scale, Var, Zero, _check_arity, _Walk, _fold,
                     _walk, eval_scalar, parse_term, term_lipschitz_bound, to_text)
-
-if TYPE_CHECKING:
-    from .measure_core import LatticeElement
 
 
 # the array forms of the join and meet rules of ``terms._VALUE``
@@ -53,13 +50,6 @@ def _evaluate(walk: _Walk, points: np.ndarray) -> np.ndarray:
 def eval_array(term: LatticeTerm, points: np.ndarray) -> np.ndarray:
     """Vectorized evaluation; ``points`` has one row per variable."""
     return _evaluate(_walk(term), points)
-
-
-def eval_element(term: LatticeTerm, args: Sequence[LatticeElement]) -> LatticeElement:
-    """Apply the term atom by atom to lattice elements on a common space."""
-    from .measure_core import LatticeElement, same_space
-    space = same_space(args, "args")
-    return LatticeElement(space, _evaluate(_walk(term), np.array([g.array for g in args])))
 
 
 # ---------------------------------------------------------------------------

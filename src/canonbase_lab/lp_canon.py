@@ -15,7 +15,7 @@ and the remark, and ``fractions`` only for ``p1_counterexample``.
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -31,8 +31,6 @@ from .measure_core import (
     meet,
     neg_part,
     pos_part,
-    same_space,
-    signed_power,
 )
 from .records import Record
 from .rules import close, integer
@@ -41,7 +39,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     from .legendre import PLConvexFn
-    from .oracle import DirectionalMass
 
 _INF = math.inf
 
@@ -117,15 +114,6 @@ def partial_cond_exp(f: LatticeElement, pair: ExtensionPair, t: float) -> Lattic
     return slices(f, pair).partial_at(t)
 
 
-def interval_cond_exp(f: LatticeElement, pair: ExtensionPair, t: float, s: float) -> LatticeElement:
-    """E_[t,s] = E_s - E_t; additive over adjacent intervals."""
-    t, s = float(t), float(s)
-    if not (0.0 <= t < s <= 1.0):
-        raise InvariantError(f"need 0 <= t < s <= 1, got t={t}, s={s}")
-    fam = slices(f, pair)
-    return fam.partial_at(s) - fam.partial_at(t)
-
-
 # ---------------------------------------------------------------------------
 # Slices and the increasing realisation
 # ---------------------------------------------------------------------------
@@ -176,27 +164,9 @@ def slices(f: LatticeElement, pair: ExtensionPair) -> SliceFamily:
     return SliceFamily(pair, rows, prefix)
 
 
-def increasing_realisation(f: LatticeElement, pair: ExtensionPair, p: float) -> LatticeElement:
-    """The canonical type-preserving rearrangement: each base fiber sorted
-    ascending, and the orthogonal part replaced by the signed constants
-    +|f+ restricted to the orthogonal part| and -|f- restricted|."""
-    p = check_p(p)
-    plus_c, minus_c = _orthogonal_norms(f, pair, p)
-    return pair.element(slices(f, pair).sorted_rows, plus=[plus_c] * pair.n, minus=[-minus_c] * pair.n)
-
-
 # ---------------------------------------------------------------------------
 # Transport between L_p structures
 # ---------------------------------------------------------------------------
-
-def lq_transport(f: LatticeElement, p: float, q: float) -> LatticeElement:
-    """The carrier bijection between the p- and q-structures: atomwise signed
-    power v -> v^(p/q); transports the norm via ||f||_p^(p/q)."""
-    p, q = check_p(p), check_p(q)
-    if p == q:
-        return f
-    return signed_power(f, p / q)
-
 
 # ---------------------------------------------------------------------------
 # Canonical base tuples
@@ -286,39 +256,6 @@ def canonical_base_1type(
     return LpCanonicalBase(
         p, pos_norm, neg_norm, pts, pair.base_space(), rows, bool(intervals), _orthogonal_norms(f, pair, p)
     )
-
-
-class NTypeBase(Record):
-    """Canonical bases of all integer combinations k . f over a box, plus the
-    directional-mass summary standing in for the absolute joint type.
-    ``bases`` maps each coefficient tuple k to its ``LpCanonicalBase``."""
-
-    __slots__ = ("bases", "absolute_summary")
-
-
-def canonical_base_ntype(
-    fs: Sequence[LatticeElement],
-    pair: ExtensionPair,
-    p: float,
-    grid: Sequence[float],
-    k_max: int,
-) -> NTypeBase:
-    from .oracle import DirectionalMass
-
-    p = check_p(p)
-    same_space(fs, "elements")
-    pair.require(fs[0])
-    # the integer box must contain a spanning set
-    k_max = integer(k_max, "k_max", 1)
-    bases = {}
-    for combo in product(range(-k_max, k_max + 1), repeat=len(fs)):
-        elem = LatticeElement.zero(pair.total_space())
-        for k, g in zip(combo, fs):
-            if k:
-                elem = elem + float(k) * g
-        bases[combo] = canonical_base_1type(elem, pair, p, grid)
-    summary = DirectionalMass.from_elements(fs, p)
-    return NTypeBase(bases, summary)
 
 
 # ---------------------------------------------------------------------------

@@ -212,35 +212,12 @@ def meet(f: LatticeElement, g: LatticeElement) -> LatticeElement:
     return LatticeElement(f.space, np.minimum(f.array, g.array))
 
 
-def dotminus(f: LatticeElement, g: LatticeElement) -> LatticeElement:
-    """Truncated subtraction, (a - b) v 0, per atom."""
-    same_space((f, g), "operands")
-    return LatticeElement(f.space, np.maximum(f.array - g.array, 0.0))
-
-
 def pos_part(f: LatticeElement) -> LatticeElement:
     return LatticeElement(f.space, np.maximum(f.array, 0.0))
 
 
 def neg_part(f: LatticeElement) -> LatticeElement:
     return LatticeElement(f.space, np.maximum(-f.array, 0.0))
-
-
-def signed_power(x, alpha: float):
-    """x**alpha extended to negative x by odd reflection, so (-7)**2 -> -49.
-
-    ``x`` is a float, or an element, which is raised atom by atom.
-    """
-    alpha = float(alpha)
-    if not alpha > 0:
-        raise InvariantError(f"signed_power needs a positive exponent, got {alpha}")
-    if isinstance(x, LatticeElement):
-        mag = np.abs(x.array) ** alpha
-        return LatticeElement(x.space, np.where(x.array >= 0.0, mag, -mag))
-    x = float(x)
-    if x >= 0.0:
-        return x ** alpha
-    return -((-x) ** alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +241,6 @@ def lp_norm(f: LatticeElement, p: float) -> float:
 def integral(f: LatticeElement) -> float:
     """The weighted sum sum_i w_i v_i."""
     return float(np.sum(f.space.weight_array * f.array))
-
-
-def distance(f: LatticeElement, g: LatticeElement, p: float) -> float:
-    """The lattice-structure metric d(f, g) = || (f - g)/2 ||_p."""
-    return lp_norm((f - g) * 0.5, p)
 
 
 # ---------------------------------------------------------------------------
@@ -426,21 +398,6 @@ def cond_exp(f: LatticeElement, s: SubStructure) -> LatticeElement:
     """
     table, labels = block_means(f.array[None], s, f.space)
     return LatticeElement(f.space, table[0][labels])
-
-
-def band_decompose(f: LatticeElement, s: SubStructure) -> tuple[LatticeElement, LatticeElement]:
-    """Split f into its part over the support and the orthogonal remainder."""
-    inside = s._labels(f.space) < len(s)
-    return (
-        LatticeElement(f.space, np.where(inside, f.array, 0.0)),
-        LatticeElement(f.space, np.where(inside, 0.0, f.array)),
-    )
-
-
-def orthogonal(f: LatticeElement, g: LatticeElement, tol: float = TOL) -> bool:
-    """True iff |f| ^ |g| is the zero element, tested as |f + g| = |f - g|."""
-    same_space((f, g), "operands")
-    return close(np.abs(f.array + g.array), np.abs(f.array - g.array), tol)
 
 
 # ---------------------------------------------------------------------------

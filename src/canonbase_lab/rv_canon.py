@@ -1,5 +1,5 @@
 """[0,1]-valued random variables on finite probability spaces: conditional
-moments, event canonical bases, and the event lifting onto a product space.
+moments and event canonical bases.
 
 Both canonical bases are block-constant, so they are computed per block and
 returned as a ``BlockTable``. ``cond_moments`` feeds one monomial per row to
@@ -20,14 +20,12 @@ import numpy as np
 from .errors import InvariantError
 from .measure_core import (
     BlockTable,
-    ExtensionPair,
     LatticeElement,
     SubStructure,
     block_means,
     cond_exp,  # perfbench's tracer also patches it here
     same_space,
 )
-from .records import Record
 from .rules import MAX_KEYS, TOL, check_count, check_entries, integer
 
 
@@ -80,11 +78,6 @@ def cond_moment(
     return cond_moments(xs, [ks], s)[tuple(ks)]
 
 
-def is_block_measurable(y: LatticeElement, s: SubStructure) -> bool:
-    """True iff y is close to its conditional expectation."""
-    return y.approx_equal(cond_exp(y, s))
-
-
 def apr_cb(events: Sequence[LatticeElement], s: SubStructure) -> BlockTable:
     """Conditional probabilities of all nonempty intersections of the events,
     indexed by the subset of event indices. Errors name the offending entry
@@ -116,31 +109,3 @@ def apr_cb(events: Sequence[LatticeElement], s: SubStructure) -> BlockTable:
     for j in range(k):
         subsets += [subset + (j,) for subset in subsets]
     return BlockTable(space, map(frozenset, subsets[1:]), means, labels)
-
-
-class LiftedEvent(Record):
-    """The event {(atom, r) : r <= X(atom)} realised on a product space with
-    equal fiber cells; its conditional probability over the base is X."""
-
-    __slots__ = ("pair", "indicator", "snapped", "was_rounded")
-
-    def conditional_probability(self) -> LatticeElement:
-        return self.pair.cond_exp_base(self.indicator)
-
-
-def lift_event(x: LatticeElement, s: SubStructure, fiber_cells: int) -> LiftedEvent:
-    """Lift a [0,1]-valued variable to the indicator of its sub-graph event.
-
-    Values are snapped to the grid {k/n}; any rounding actually applied is
-    reported on the result.
-    """
-    validate_rv(x)
-    if not is_block_measurable(x, s):
-        raise InvariantError("x must be measurable for the conditioning blocks")
-    pair = ExtensionPair(x.space.weight_array, fiber_cells)
-    n = pair.n
-    ks = np.clip(np.floor(x.array * n + 0.5), 0, n)
-    snapped = LatticeElement(x.space, ks / n)
-    was_rounded = not snapped.approx_equal(x)
-    indicator = pair.element(np.arange(n) < ks[:, None])
-    return LiftedEvent(pair, indicator, snapped, was_rounded)

@@ -3,23 +3,30 @@
 Nothing here calls back into the package's algorithmic kernels: conditional
 expectations are plain loops, partials come from sort-and-prefix-sum,
 conjugate values from a direct sup over candidate points, and lattice terms
-are evaluated by a walk of their own. The exception is the last section,
-which runs the package's own kernels: the exact-conjugation route to E_t,
-and the moment determinacy check that two test modules share.
+are evaluated by a walk of their own. The exceptions are the last two
+sections. One runs the package's own kernels: the exact-conjugation route to
+E_t, and the moment determinacy check that two test modules share. The other
+holds the paper's constructions that no program call runs and several test
+modules use: truncated subtraction, the signed power, the n-type base and the
+lifted event.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from typing import Sequence
 
 import numpy as np
 
 from canonbase_lab.errors import InvariantError
 from canonbase_lab.legendre import conjugate
-from canonbase_lab.lp_canon import PsiFamily
-from canonbase_lab.measure_core import LatticeElement, SubStructure, group, same_space
+from canonbase_lab.lp_canon import PsiFamily, canonical_base_1type
+from canonbase_lab.measure_core import (ExtensionPair, LatticeElement, SubStructure, check_p, cond_exp, group,
+                                        same_space)
+from canonbase_lab.oracle import DirectionalMass
+from canonbase_lab.records import Record
 from canonbase_lab.rules import TOL, close, integer
 from canonbase_lab.rv_canon import cond_moments, validate_rv
 
@@ -266,3 +273,98 @@ def moments_determine_check(
     moments_match = all(map(close, moments_x, moments_y))
     dists_match = all(close(probs_x, probs_y) for probs_x, probs_y in dists)
     return moments_match == dists_match
+
+
+# -- paper constructions that no program call runs ---------------------------------
+
+def dotminus(f: LatticeElement, g: LatticeElement) -> LatticeElement:
+    """Truncated subtraction, (a - b) v 0, per atom."""
+    same_space((f, g), "operands")
+    return LatticeElement(f.space, np.maximum(f.array - g.array, 0.0))
+
+
+
+def signed_power(x, alpha: float):
+    """x**alpha extended to negative x by odd reflection, so (-7)**2 -> -49.
+
+    ``x`` is a float, or an element, which is raised atom by atom.
+    """
+    alpha = float(alpha)
+    if not alpha > 0:
+        raise InvariantError(f"signed_power needs a positive exponent, got {alpha}")
+    if isinstance(x, LatticeElement):
+        mag = np.abs(x.array) ** alpha
+        return LatticeElement(x.space, np.where(x.array >= 0.0, mag, -mag))
+    x = float(x)
+    if x >= 0.0:
+        return x ** alpha
+    return -((-x) ** alpha)
+
+
+
+class NTypeBase(Record):
+    """Canonical bases of all integer combinations k . f over a box, plus the
+    directional-mass summary standing in for the absolute joint type.
+    ``bases`` maps each coefficient tuple k to its ``LpCanonicalBase``."""
+
+    __slots__ = ("bases", "absolute_summary")
+
+
+def canonical_base_ntype(
+    fs: Sequence[LatticeElement],
+    pair: ExtensionPair,
+    p: float,
+    grid: Sequence[float],
+    k_max: int,
+) -> NTypeBase:
+    p = check_p(p)
+    same_space(fs, "elements")
+    pair.require(fs[0])
+    # the integer box must contain a spanning set
+    k_max = integer(k_max, "k_max", 1)
+    bases = {}
+    for combo in product(range(-k_max, k_max + 1), repeat=len(fs)):
+        elem = LatticeElement.zero(pair.total_space())
+        for k, g in zip(combo, fs):
+            if k:
+                elem = elem + float(k) * g
+        bases[combo] = canonical_base_1type(elem, pair, p, grid)
+    summary = DirectionalMass.from_elements(fs, p)
+    return NTypeBase(bases, summary)
+
+
+
+def is_block_measurable(y: LatticeElement, s: SubStructure) -> bool:
+    """True iff y is close to its conditional expectation."""
+    return y.approx_equal(cond_exp(y, s))
+
+
+
+
+
+class LiftedEvent(Record):
+    """The event {(atom, r) : r <= X(atom)} realised on a product space with
+    equal fiber cells; its conditional probability over the base is X."""
+
+    __slots__ = ("pair", "indicator", "snapped", "was_rounded")
+
+    def conditional_probability(self) -> LatticeElement:
+        return self.pair.cond_exp_base(self.indicator)
+
+
+def lift_event(x: LatticeElement, s: SubStructure, fiber_cells: int) -> LiftedEvent:
+    """Lift a [0,1]-valued variable to the indicator of its sub-graph event.
+
+    Values are snapped to the grid {k/n}; any rounding actually applied is
+    reported on the result.
+    """
+    validate_rv(x)
+    if not is_block_measurable(x, s):
+        raise InvariantError("x must be measurable for the conditioning blocks")
+    pair = ExtensionPair(x.space.weight_array, fiber_cells)
+    n = pair.n
+    ks = np.clip(np.floor(x.array * n + 0.5), 0, n)
+    snapped = LatticeElement(x.space, ks / n)
+    was_rounded = not snapped.approx_equal(x)
+    indicator = pair.element(np.arange(n) < ks[:, None])
+    return LiftedEvent(pair, indicator, snapped, was_rounded)

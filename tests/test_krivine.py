@@ -5,6 +5,7 @@ import struct
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from canonbase_lab.krivine import (
     _evaluate,
     approximate_on_sphere,
     eval_array,
-    eval_element,
     interpolating_term,
     registry_function,
 )
@@ -43,6 +43,13 @@ from canonbase_lab.terms import (
 )
 from canonbase_lab.measure_core import LatticeElement, MeasureSpace
 from reference import ref_covers, ref_dominating, ref_max_min, ref_sphere_error
+
+
+def eval_element(term: LatticeTerm, args: Sequence[LatticeElement]) -> LatticeElement:
+    """Apply the term atom by atom to lattice elements on a common space."""
+    from canonbase_lab.measure_core import LatticeElement, same_space
+    space = same_space(args, "args")
+    return LatticeElement(space, _evaluate(_walk(term), np.array([g.array for g in args])))
 
 
 def term_arity(term: LatticeTerm) -> int:

