@@ -6,15 +6,20 @@ closed by its reader (128 + SIGPIPE). Each call imports only the modules its
 subcommand runs, and runs BLAS on one thread unless OPENBLAS_NUM_THREADS is set.
 It loads no numpy submodule that it does not use (``numpy.random``,
 ``numpy.ma``), and ``fractions`` only where it parses a rational. Numpy itself
-loads only with the array work: ``krivine parse`` and ``eval`` (``terms``),
-``legendre`` and ``ultra`` (``rules`` and their own modules) start without it,
-and ``krivine approx`` loads it through ``krivine`` but skips ``measure_core``.
-So ``_encode`` looks the ndarray and ``BlockTable`` types up in ``sys.modules``
-instead of importing them: a report can hold one only once its module is loaded.
-Each input file is opened once, by ``_read_json``, and the report's ``inputs``
-maps its path to the SHA-256 of the bytes parsed, so a call whose output path
-names an input still reports what it read. No call loads ``dataclasses`` or
-OpenSSL: that digest, the same hex text as ``hashlib``'s, comes from the
+loads only with the bulk kernels: ``rv-cb`` and ``apr-cb`` (``rv_canon`` and
+the block kernel of ``measure_core``), ``hs-cb`` (``hilbert_canon``) and
+``krivine approx`` (``krivine``, which skips ``measure_core``). Every other
+call starts without it: ``lp-cb``, ``typeq`` and both demos run the element
+algebra, the slice kernel and the type oracles on the standard library's
+float64 buffers, and ``krivine parse`` and ``eval`` (``terms``), ``legendre``
+and ``ultra`` (``rules`` and their own modules) do no array work. So
+``_encode`` looks the ndarray and ``BlockTable`` types up in ``sys.modules``
+instead of importing them: a report can hold one only once its module is
+loaded. Each input file is opened once, by ``_read_json``, and the report's
+``inputs`` maps its path to the SHA-256 of the bytes parsed, so a call whose
+output path names an input still reports what it read; ``typeq`` given one
+path as ``--a`` and ``--b`` reads and builds that element once. No call loads
+``dataclasses`` or OpenSSL: that digest, the same hex text as ``hashlib``'s, comes from the
 interpreter's own module (``_sha256``; ``_sha2`` from Python 3.12), which
 spares the 3.8 MB of resident memory that loading OpenSSL costs. It hashes at
 4.0-5.5 ms/MiB against OpenSSL's 0.75-0.79, so ``rv-cb`` on 7 MiB of input
@@ -25,15 +30,15 @@ A report is a function of argv and the bytes of the input files alone; it
 holds no clock reading, so two runs of one call print the same bytes.
 Every report on stdout, and every JSON ``--out`` file, is exactly the text
 of ``json.dumps(doc, sort_keys=True, indent=2)`` (a report adds a newline),
-where ``doc`` is the document with each float64 array replaced by its
-``.tolist()`` and each ``BlockTable`` by the object that maps each of its
-keys to its element's values. The handlers put the read-only arrays of
-lattice elements into their outputs unconverted, and ``_encode`` streams the
-text. The canonical bases computed over a substructure (conditional moments,
-meet probabilities) are constant on its blocks, so ``rv-cb`` and ``apr-cb``
-hand over one ``BlockTable``, one value per block and row, and ``_encode``
-formats each distinct value of the whole table once and gathers the text of
-every atom by its block.
+where ``doc`` is the document with each float64 buffer or array replaced by
+its ``.tolist()`` and each ``BlockTable`` by the object that maps each of its
+keys to its element's values. The handlers put the read-only buffers of
+lattice elements and canonical bases into their outputs unconverted, and
+``_encode`` streams the text. The canonical bases computed over a
+substructure (conditional moments, meet probabilities) are constant on its
+blocks, so ``rv-cb`` and ``apr-cb`` hand over one ``BlockTable``, one value
+per block and row, and ``_encode`` formats each distinct value of the whole
+table once and gathers the text of every atom by its block.
 
 Sizes are capped before anything is allocated, and a rejection exits 2
 naming the flag or pointer and the cap. A result holds at most
@@ -65,6 +70,7 @@ import errno
 import json
 import math
 import sys
+from array import array
 from contextlib import contextmanager
 from itertools import combinations, product
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
@@ -114,7 +120,9 @@ def _read_json(path: str, *required: str) -> dict:
         with open(path, "rb") as fh:
             data = fh.read()
         _INPUTS[path] = sha256(data).hexdigest()
-        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         del data  # the bytes are not held through the parse
         doc = json.loads(text)
     except OSError as exc:
@@ -195,21 +203,20 @@ def _fraction(text: str) -> Fraction:
 def _encode(obj: Any, level: int = 0) -> Iterator[str]:
     """Yield, in chunks, exactly the text of
     ``json.dumps(obj, sort_keys=True, indent=2)`` for ``obj`` nested ``level``
-    deep, where each 1-D or 2-D float64 array in ``obj`` stands for its
-    ``.tolist()`` and each ``BlockTable`` for the dict of its elements' value
-    lists. Dict and block-table keys must be strings.
+    deep, where each float64 buffer (a memoryview, an ``array('d')``) and each
+    1-D or 2-D float64 ndarray in ``obj`` stands for its ``.tolist()`` and each
+    ``BlockTable`` for the dict of its elements' value lists. Dict and
+    block-table keys must be strings.
 
     The leaves go through json's C encoder, which ``indent`` would otherwise
-    switch off. Floats are formatted one distinct value at a time: ``_texts``
-    takes ``np.unique`` over the int64 view of their bits (so -0.0 stays apart
-    from 0.0), one ``json.dumps`` of the distinct values (so repr, NaN and
-    Infinity are json's own), then a gather by the inverse index. A block
-    table is formatted once for all its rows, which hold one value per block,
-    and each key's list is its row's text gathered by the atoms' block labels.
-    A matrix is formatted once too, then listed row by row. On all-distinct
-    values an array costs about 1.3 C-encoder calls, still less than json's
-    ``indent`` path. Lists and dicts are walked item by item; the lists left in
-    reports are short."""
+    switch off. A flat sequence of floats (a buffer, a vector, a matrix row, a
+    list of floats) is one ``json.dumps`` call, whose ", " separators become
+    the indented ones (so repr, NaN and Infinity are json's own). A block
+    table is formatted once for all its rows, which hold one value per block:
+    ``_texts`` takes ``np.unique`` over the int64 view of their bits (so -0.0
+    stays apart from 0.0) and formats each distinct value once, and each key's
+    list is its row's text gathered by the atoms' block labels. Other lists
+    and dicts are walked item by item; they are short in reports."""
     ndarray = getattr(sys.modules.get("numpy"), "ndarray", ())
     table = getattr(sys.modules.get(f"{__package__}.measure_core"), "BlockTable", ())
     inner = "\n" + "  " * (level + 1)
@@ -231,16 +238,17 @@ def _encode(obj: Any, level: int = 0) -> Iterator[str]:
             sep = "," + inner
         yield close + "}"
     elif isinstance(obj, ndarray):
-        import numpy as np
-        if obj.dtype != np.float64 or obj.ndim not in (1, 2):
+        if obj.dtype != "float64" or obj.ndim not in (1, 2):
             raise TypeError(f"only 1-D and 2-D float64 arrays are encoded, got {obj.dtype} {obj.shape}")
-        texts = _texts(obj)
-        if obj.ndim == 2:
-            texts = np.array([_list(row, level + 1) for row in texts], dtype=object)
-        yield _list(texts, level)
+        yield from _encode(obj.tolist() if obj.ndim == 1 else list(obj), level)
+    elif isinstance(obj, (memoryview, array)):
+        yield from _encode(obj.tolist(), level)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             yield "[]"
+            return
+        if all(type(x) is float for x in obj):
+            yield "[" + inner + json.dumps(list(obj))[1:-1].replace(", ", "," + inner) + close + "]"
             return
         sep = "[" + inner
         for item in obj:
@@ -306,8 +314,8 @@ def _curve(cb: lp_canon.LpCanonicalBase) -> Iterator[str]:
     """CSV of the partial family: header t,atom_0,...; 12 significant digits."""
     if cb.interval_form:
         raise InvariantError("curve export needs the partial (non-interval) form")
-    yield ",".join(["t", *(f"atom_{i}" for i in range(cb.rows.shape[1]))]) + "\n"
-    for t, row in zip(cb.grid, cb.rows.tolist()):
+    yield ",".join(["t", *(f"atom_{i}" for i in range(len(cb.space)))]) + "\n"
+    for t, row in zip(cb.grid, cb.rows):
         yield ",".join(f"{x:.12g}" for x in (t, *row)) + "\n"
 
 
@@ -393,7 +401,7 @@ def _cmd_typeq(args) -> tuple[int, dict, dict]:
     from . import oracle
     pair = load_space(args.space)
     fa = load_element(args.a, pair)
-    fb = load_element(args.b, pair)
+    fb = fa if args.b == args.a else load_element(args.b, pair)  # one file is read once
     if args.absolute:
         equal = oracle.absolute_type_equal([fa], [fb], args.p)
     else:
@@ -502,7 +510,7 @@ def _cmd_demo(args) -> tuple[int, dict, dict]:
             "eps": str(report.eps),
             "p": report.p,
             "f_norm": report.f_norm,
-            "partial_values": report.partial.array,
+            "partial_values": report.partial.values,
             "partial_norm": report.partial_norm,
         }
         checks = {"f_norm_is_one": close(report.f_norm, 1.0)}

@@ -15,14 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantError
-from .measure_core import reals
 from .records import Record
-from .rules import check_entries, close, integer
+from .rules import check_entries, close, integer, real_array
 
 
 def _vectors(values, dim: int, name: str) -> np.ndarray:
     """``values`` as a (k, dim) array of finite reals; an empty list is k = 0."""
-    mat = reals(values, name)
+    cells, shape = real_array(values, name)
+    mat = np.frombuffer(cells, dtype=np.float64).reshape(shape)
     if mat.size == 0 and mat.ndim == 1:
         mat = mat.reshape(0, dim)
     if mat.ndim != 2 or mat.shape[1] != dim:

@@ -1,24 +1,28 @@
 """Partial conditional expectations over a fibered extension, together with
-slices, increasing realisations, L_p <-> L_q transport, and the canonical
-base tuples built from them.
+slices and the canonical base tuples built from them.
 
 Everything here works per base atom through one kernel, ``SliceFamily``: the
 sorted fiber values and their prefix sums. The slice at t is an order
 statistic, and E_t, the integral of the sorted fiber profile from 0 to t, is a
-prefix sum plus a fraction of the next cell. E_t is also the conjugate at
-slope t*f0 of the piecewise-linear shortfall function ``psi``; the tests use
-that exact route as a cross-check of the prefix kernel, so ``legendre`` loads
-only when it runs. Likewise ``oracle`` loads only for ``canonical_base_ntype``
-and the remark, and ``fractions`` only for ``p1_counterexample``.
+prefix sum plus a fraction of the next cell. The kernel runs on the standard
+library: each fiber is sorted once with ``sorted``, its prefix sums come from
+``itertools.accumulate``, and the partials at t are read off them column by
+column into float64 ``array('d')`` rows, with the float operations, and so the
+results, of the numpy kernel it replaced. So ``lp-cb`` and the demos never
+load numpy. E_t is also the conjugate at slope t*f0 of the piecewise-linear
+shortfall function ``psi``; the tests use that exact route as a cross-check of
+the prefix kernel, so ``legendre`` loads only when it runs. Likewise
+``oracle`` loads only for the remark, and ``fractions`` only for
+``p1_counterexample``.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from array import array
+from itertools import accumulate, chain, combinations, repeat
+from operator import add, mul, sub, truediv
 from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
 
 from .errors import InvariantError
 from .measure_core import (
@@ -100,9 +104,7 @@ def psi(f: LatticeElement, pair: ExtensionPair) -> PsiFamily:
     """The shortfall family x -> E[(x*f0 - f)^+ | base], exact and PL per atom."""
     f0 = f_zero(f, pair)
     n = pair.n
-    fibers = tuple(
-        _fiber_psi(row, f0w, n) for row, f0w in zip(pair.fibers(f).tolist(), f0.array.tolist())
-    )
+    fibers = tuple(_fiber_psi(row, f0w, n) for row, f0w in zip(pair.fibers(f), f0.values))
     return PsiFamily(pair, fibers, f0)
 
 
@@ -115,14 +117,15 @@ def partial_cond_exp(f: LatticeElement, pair: ExtensionPair, t: float) -> Lattic
 
 
 # ---------------------------------------------------------------------------
-# Slices and the increasing realisation
+# Slices
 # ---------------------------------------------------------------------------
 
 class SliceFamily(Record, eq=False):
-    """Per base atom, the nondecreasing rearrangement of the fiber values,
-    shape (m, n), and its prefix sums, shape (m, n + 1) with a leading zero
-    column; both read-only float64 arrays. The slice at t is the
-    ceil(t*n)-th order statistic and E_t the integral of the row up to t."""
+    """Per base atom, the nondecreasing rearrangement of the fiber values and
+    its prefix sums with a leading 0.0: ``sorted_rows`` and ``prefix`` are
+    read-only float64 buffers of m*n and m*(n + 1) values, atom after atom.
+    The slice at t is the ceil(t*n)-th order statistic and E_t the integral
+    of the row up to t."""
 
     __slots__ = ("pair", "sorted_rows", "prefix")
 
@@ -132,23 +135,24 @@ class SliceFamily(Record, eq=False):
         if not 0.0 < t <= 1.0:
             raise InvariantError(f"slices are defined for t in (0, 1], got {t}")
         k = min(n, max(1, math.ceil(t * n)))
-        return LatticeElement(self.pair.base_space(), self.sorted_rows[:, k - 1])
+        return LatticeElement(self.pair.base_space(), self.sorted_rows[k - 1 :: n])
 
-    def partials_at(self, ts: Sequence[float]) -> np.ndarray:
-        """E_t for each t of ``ts`` as a read-only (len(ts), m) array: per
-        atom, the sum of the k = floor(t*n) smallest cells plus the fraction
-        t*n - k of the next one (none at k = n), divided by n."""
-        ts = np.array(ts, dtype=np.float64).reshape(-1)
-        ok = (0.0 <= ts) & (ts <= 1.0)
-        if not ok.all():
-            raise InvariantError(f"t must lie in [0, 1], got {ts[~ok][0]}")
+    def partials_at(self, ts: Sequence[float]) -> list[memoryview]:
+        """E_t for each t of ``ts``, as a read-only float64 buffer of m values
+        each: per atom, the sum of the k = floor(t*n) smallest cells plus the
+        fraction t*n - k of the next one (none at k = n), divided by n."""
+        ts = [float(t) for t in ts]
+        for t in ts:
+            if not 0.0 <= t <= 1.0:
+                raise InvariantError(f"t must lie in [0, 1], got {t}")
         n = self.pair.n
-        k = np.minimum(np.floor(ts * n), n).astype(np.intp)
-        rows = self.prefix[:, k].T
-        inner = np.flatnonzero(k < n)
-        rows[inner] += (ts[inner] * n - k[inner])[:, None] * self.sorted_rows[:, k[inner]].T
-        rows /= n
-        rows.flags.writeable = False
+        rows = []
+        for t in ts:
+            k = min(math.floor(t * n), n)
+            sums = self.prefix[k :: n + 1]
+            if k < n:
+                sums = map(add, sums, map(mul, repeat(t * n - k), self.sorted_rows[k::n]))
+            rows.append(memoryview(array("d", map(truediv, sums, repeat(n)))).toreadonly())
         return rows
 
     def partial_at(self, t: float) -> LatticeElement:
@@ -158,15 +162,11 @@ class SliceFamily(Record, eq=False):
 
 def slices(f: LatticeElement, pair: ExtensionPair) -> SliceFamily:
     """Sort the fibers of f over the base once and take their prefix sums."""
-    rows = np.sort(pair.fibers(f), axis=1)
-    prefix = np.pad(np.cumsum(rows, axis=1), ((0, 0), (1, 0)))
-    rows.flags.writeable = prefix.flags.writeable = False
-    return SliceFamily(pair, rows, prefix)
+    rows = [sorted(row) for row in pair.fibers(f)]
+    prefix = array("d", chain.from_iterable([0.0, *accumulate(row)] for row in rows))
+    rows = array("d", chain.from_iterable(rows))
+    return SliceFamily(pair, memoryview(rows).toreadonly(), memoryview(prefix).toreadonly())
 
-
-# ---------------------------------------------------------------------------
-# Transport between L_p structures
-# ---------------------------------------------------------------------------
 
 # ---------------------------------------------------------------------------
 # Canonical base tuples
@@ -174,9 +174,10 @@ def slices(f: LatticeElement, pair: ExtensionPair) -> SliceFamily:
 
 class LpCanonicalBase(Record, eq=False):
     """The tuple (||f+||, ||f-||, partials over a grid) or its interval form,
-    whose entries are E_b - E_a for grid points a < b. Row j of the read-only
-    (len(grid), m) array ``rows`` is E_t at t = grid[j] over the base
-    ``space``; ``orthogonal_norms`` are those of f's orthogonal part.
+    whose entries are E_b - E_a for grid points a < b. ``rows`` holds, for
+    each t of ``grid``, E_t over the base ``space`` as a read-only float64
+    buffer of one value per atom; ``orthogonal_norms`` are those of f's
+    orthogonal part.
 
     On the full grid {k/n : k = 1..n} (right endpoint included, standing in
     for the endpoint limit over a dense grid) the partials determine the
@@ -190,17 +191,17 @@ class LpCanonicalBase(Record, eq=False):
         """E_t per grid point, as base-space elements."""
         return {t: LatticeElement(self.space, row) for t, row in zip(self.grid, self.rows)}
 
-    def entries(self) -> Sequence[np.ndarray]:
+    def entries(self) -> Sequence[Sequence[float]]:
         """The entries of the base, one row each: ``rows``, or in the interval
         form E_b - E_a for each pair of grid points a < b, in
         ``itertools.combinations`` order."""
         if not self.interval_form:
             return self.rows
-        return [b - a for a, b in combinations(self.rows, 2)]
+        return [array("d", map(sub, b, a)) for a, b in combinations(self.rows, 2)]
 
-    def _values(self) -> np.ndarray:
+    def _values(self) -> list[float]:
         """The norms followed by the entries of the base."""
-        return np.concatenate([[self.pos_norm, self.neg_norm], *self.entries()])
+        return [self.pos_norm, self.neg_norm, *chain.from_iterable(self.entries())]
 
     def approx_equal(self, other: "LpCanonicalBase") -> bool:
         """Same p, form, grid and base space; the norms and entries close as
@@ -216,12 +217,11 @@ class LpCanonicalBase(Record, eq=False):
         Requires the full grid, {k/n : k = 1..n} or {k/n : k = 0..n}."""
         n = integer(fiber_cells, "fiber_cells", 1)
         first = 0 if self.interval_form else 1
-        if len(self.grid) != n + 1 - first or not close(
-            self.grid, np.arange(first, n + 1) / n
-        ):
+        if len(self.grid) != n + 1 - first or not close(self.grid, [k / n for k in range(first, n + 1)]):
             raise InvariantError(f"reconstruction needs the grid {{k/n : k = {first}..n}}")
-        steps = np.diff(self.rows, axis=0, prepend=np.zeros((first, self.rows.shape[1])))
-        return (n * steps).T.tolist()
+        rows = [[0.0] * len(self.space)] * first + self.rows
+        steps = (map(sub, b, a) for a, b in zip(rows, rows[1:]))
+        return [[n * x for x in column] for column in zip(*steps)]
 
 
 def _orthogonal_norms(f: LatticeElement, pair: ExtensionPair, p: float) -> tuple[float, float]:

@@ -3,24 +3,31 @@
 Elements are real-valued functions on the atoms of a finite measure space.
 This module decides how they are stored, how input becomes real numbers and
 how the cells of a fibered pair are laid out, and it holds every per-atom
-loop, each written as an array expression.
+loop.
 
-Per-atom data is stored only in arrays marked read-only at construction: an
-element's values and a space's weights in float64, a substructure's atoms in
-intp. No class keeps a tuple or list copy of them beside the array. So every
+Per-atom data is stored once, in a float64 ``array('d')`` of the standard
+library behind a read-only ``memoryview``: an element's ``values`` and a
+space's ``weights``. No class keeps a second copy of them. The element
+operations, ``lp_norm`` and ``integral`` (summed with ``math.fsum``), the
+pair's fibers, ``sort_order`` and ``group`` work on these buffers, so the
+calls that run only them (``lp-cb``, ``typeq`` and the demos) never load
+numpy. ``array`` and ``weight_array`` are zero-copy read-only numpy views of
+the same buffers, built when read; only the bulk kernels read them: the
+substructure, whose atoms are two read-only intp arrays, the block kernel
+``block_means``, ``BlockTable`` and ``cond_exp`` here, which import numpy
+inside their functions, and ``rv_canon`` and ``hilbert_canon``. So every
 value here is immutable, every operation is a pure function, and concurrent
 use from multiple threads needs no coordination.
-Input is coerced to finite reals once, at construction; the ``InvariantError``
-for a bad entry names the argument and the entry as a relative pointer
-(``rows/1/3: ...``). Each kind of check has one rule:
+Input is coerced to finite reals once, at construction, by ``rules.real_array``;
+the ``InvariantError`` for a bad entry names the argument and the entry as a
+relative pointer (``rows/1/3: ...``). Each kind of check has one rule:
 ``rules.integer`` (cell counts, moment orders, atom indices, a prime, an
 arity), ``check_p`` (1 <= p < inf, so ``lp_norm`` is never the sup norm),
 ``rules.check_entries`` (at most ``MAX_ENTRIES`` entries, rows times atoms,
 checked before anything is allocated; ``check_count`` applies another cap
 such as ``MAX_KEYS``), ``same_space`` (elements combined live on one space)
 and ``ExtensionPair.require`` (an element of a pair's total space, whose cell
-order ``ExtensionPair.fibers`` defines). The scalar rules live in ``rules``,
-which loads no numpy; this module holds their array work.
+order ``ExtensionPair.fibers`` defines). The scalar rules live in ``rules``.
 
 Values that are constant on the blocks of a substructure (conditional
 expectations and moments, conditional probabilities of events) are computed
@@ -32,78 +39,71 @@ rule, ``rules.close``, on floats, sequences and arrays alike. Data a and b
 agree when |a - b| <= TOL * s at every entry, where s is the larger sup norm
 of a and b. The bound is relative, so scaling both sides by c > 0 keeps the
 verdict, as it must, since types over a base do not depend on units; data
-that are both zero agree. The two functions that take a ``tol``
-(``LatticeElement.approx_equal`` and ``orthogonal``) give it this meaning, and
-``tol=0.0`` asks for exact equality. Where the two sides can cancel to about 0
-while their terms do not (a value against its expected value, a point against
-a breakpoint), the size of the terms goes to ``close`` as one more entry on
-both sides, so rounding noise is judged on that size. Where values are sorted
-or grouped before a comparison, ``sort_order`` and ``group`` take TOL times the
-joint sup norm as the rounding quantum of the sort key and as the gap within
-which sorted neighbours join one group, so no rounding boundary splits equal
-values. A check against the range [0, 1] uses TOL as an absolute margin, since
-the range fixes the scale. The Krivine cone engine's membership slack and structural
-check are guards of its own fit, not verdicts on data, and keep their own
-constants.
+that are both zero agree. ``LatticeElement.approx_equal`` takes a ``tol`` with
+this meaning, and ``tol=0.0`` asks for exact equality. Where the two sides can
+cancel to about 0 while their terms do not (a value against its expected
+value, a point against a breakpoint), the size of the terms goes to ``close``
+as one more entry on both sides, so rounding noise is judged on that size.
+Where values are sorted or grouped before a comparison, ``sort_order`` and
+``group`` take TOL times the joint sup norm as the rounding quantum of the
+sort key and as the gap within which sorted neighbours join one group, so no
+rounding boundary splits equal values. A check against the range [0, 1] uses
+TOL as an absolute margin, since the range fixes the scale. The Krivine cone
+engine's membership slack and structural check are guards of its own fit, not
+verdicts on data, and keep their own constants.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from contextlib import suppress
-from itertools import chain
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from itertools import chain, repeat
+from operator import add, mul, neg, sub
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import InvariantError, SpaceMismatchError
 from .records import Record
-from .rules import TOL, check_entries, close, integer
+from .rules import TOL, check_entries, close, integer, real_array
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
-def sort_order(vectors: np.ndarray, quantum: float) -> np.ndarray:
-    """Indices sorting ``vectors`` along the second-to-last axis by the
-    coordinates on the last, lexicographically; each coordinate but the last is
-    rounded to a multiple of ``quantum``, so its noise cannot override the next."""
-    coords = np.moveaxis(vectors, -1, 0)
-    return np.lexsort([coords[-1], *np.round(coords[-2::-1] / quantum)])  # last key first
+def sort_order(vectors: Sequence[Sequence[float]], quantum: float) -> list[int]:
+    """Indices sorting ``vectors`` lexicographically, stably; each coordinate
+    but the last is rounded to a multiple of ``quantum``, so its noise cannot
+    override the next."""
+    def key(i: int) -> tuple:
+        v = vectors[i]
+        return (*[round(x / quantum) for x in v[:-1]], v[-1])
+
+    return sorted(range(len(vectors)), key=key)
 
 
-def group(vectors: np.ndarray, quantum: float) -> tuple[np.ndarray, np.ndarray]:
-    """Group labels of the rows of the (r, d) array ``vectors``, numbered in
-    ``sort_order``, where a row within ``quantum`` of the one before it in every
-    coordinate joins its group; and the first row of each group."""
-    order = sort_order(vectors, quantum)
-    starts = np.ones(len(order), bool)
-    starts[1:] = np.any(np.abs(np.diff(vectors[order], axis=0)) > quantum, axis=1)
-    labels = np.empty(len(order), np.intp)
-    labels[order] = np.cumsum(starts) - 1
-    return labels, order[starts]
+def group(vectors: Sequence[Sequence[float]], quantum: float) -> tuple[list[int], list[int]]:
+    """Group labels of ``vectors``, numbered in ``sort_order``, where a vector
+    within ``quantum`` of the one before it in every coordinate joins its
+    group; and the index of the first vector of each group."""
+    labels, firsts, prev = [0] * len(vectors), [], None
+    for i in sort_order(vectors, quantum):
+        v = vectors[i]
+        if prev is None or any(abs(a - b) > quantum for a, b in zip(v, prev)):
+            firsts.append(i)
+        labels[i], prev = len(firsts) - 1, v
+    return labels, firsts
 
 
-def reals(values, name: str) -> np.ndarray:
-    """A fresh float64 array of ``values``; every entry must be a finite real."""
-    try:
-        arr = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvariantError(f"{name}: expected real numbers ({exc})") from None
-    finite = np.isfinite(arr)
-    if not finite.all():
-        bad = np.argwhere(~finite)[0]
-        pos = "".join(f"/{k}" for k in bad)
-        raise InvariantError(f"{name}{pos}: must be finite, got {float(arr[tuple(bad)])}")
-    return arr
+def _stored(cells: array) -> memoryview:
+    """The read-only view that stores ``cells``, a float64 array that no one
+    else holds."""
+    return memoryview(cells).toreadonly()
 
 
-def _weights(values, name: str) -> np.ndarray:
-    """``reals`` for atom weights: one or more, each strictly positive."""
-    arr = reals(values, name)
-    if arr.ndim != 1 or len(arr) < 1:
-        raise InvariantError(f"{name}: a measure space needs at least one atom")
-    bad = np.flatnonzero(arr <= 0.0)
-    if len(bad):
-        raise InvariantError(f"{name}/{bad[0]}: must be positive, got {float(arr[bad[0]])}")
-    return arr
+def _numpy_view(buffer: memoryview) -> np.ndarray:
+    """The read-only float64 ndarray over ``buffer``, sharing its memory."""
+    import numpy as np
+    return np.frombuffer(buffer, dtype=np.float64)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -111,78 +111,95 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _weights(values, name: str) -> array:
+    """``rules.real_array`` for atom weights: one or more, each strictly positive."""
+    cells, shape = real_array(values, name)
+    if len(shape) != 1 or not cells:
+        raise InvariantError(f"{name}: a measure space needs at least one atom")
+    if min(cells) <= 0.0:
+        i = next(i for i, w in enumerate(cells) if w <= 0.0)
+        raise InvariantError(f"{name}/{i}: must be positive, got {cells[i]}")
+    return cells
+
+
 class MeasureSpace(Record):
     """Atoms indexed 0..len-1, each carrying a strictly positive finite weight.
 
-    ``weight_array``, the read-only float64 array of the weights, is the
-    storage.
+    ``weights``, the read-only float64 buffer of the weights, is the storage;
+    ``weight_array`` is a numpy view of it.
     """
 
-    __slots__ = ("weight_array",)
+    __slots__ = ("weights",)
 
     def __init__(self, weights):
-        super().__init__(_frozen(_weights(weights, "weights")))
+        super().__init__(_stored(_weights(weights, "weights")))
 
     def __len__(self) -> int:
-        return len(self.weight_array)
+        return len(self.weights)
+
+    @property
+    def weight_array(self) -> np.ndarray:
+        return _numpy_view(self.weights)
 
     @property
     def total_mass(self) -> float:
-        return float(self.weight_array.sum())
+        return math.fsum(self.weights)
 
 
 class LatticeElement(Record):
     """One real value per atom of its measure space.
 
-    ``array`` is the read-only float64 array of the values. Equality compares
-    the space and the values.
+    ``values`` is the read-only float64 buffer of the values, and ``array`` a
+    numpy view of it. Equality compares the space and the values.
     """
 
-    __slots__ = ("space", "array")
+    __slots__ = ("space", "values")
 
     def __init__(self, space: MeasureSpace, values):
-        arr = reals(values, "values")
-        if arr.shape != (len(space),):
-            raise InvariantError(
-                f"values: element has shape {arr.shape} but the space has {len(space)} atoms"
-            )
-        super().__init__(space, _frozen(arr))
+        cells, shape = real_array(values, "values")
+        if shape != (len(space),):
+            raise InvariantError(f"values: element has shape {shape} but the space has {len(space)} atoms")
+        super().__init__(space, _stored(cells))
+
+    @property
+    def array(self) -> np.ndarray:
+        return _numpy_view(self.values)
 
     # -- convenience arithmetic (pointwise, same space) -------------------
 
     def __add__(self, other: "LatticeElement") -> "LatticeElement":
         same_space((self, other), "operands")
-        return LatticeElement(self.space, self.array + other.array)
+        return LatticeElement(self.space, array("d", map(add, self.values, other.values)))
 
     def __sub__(self, other: "LatticeElement") -> "LatticeElement":
         same_space((self, other), "operands")
-        return LatticeElement(self.space, self.array - other.array)
+        return LatticeElement(self.space, array("d", map(sub, self.values, other.values)))
 
     def __neg__(self) -> "LatticeElement":
-        return LatticeElement(self.space, -self.array)
+        return LatticeElement(self.space, array("d", map(neg, self.values)))
 
     def __abs__(self) -> "LatticeElement":
-        return LatticeElement(self.space, np.abs(self.array))
+        return LatticeElement(self.space, array("d", map(abs, self.values)))
 
     def __mul__(self, c) -> "LatticeElement":
         """A scalar multiple, or the pointwise product with another element."""
         if isinstance(c, LatticeElement):
             same_space((self, c), "operands")
-            return LatticeElement(self.space, self.array * c.array)
-        return LatticeElement(self.space, float(c) * self.array)
+            return LatticeElement(self.space, array("d", map(mul, self.values, c.values)))
+        return LatticeElement(self.space, array("d", map(mul, repeat(float(c)), self.values)))
 
     __rmul__ = __mul__
 
     def approx_equal(self, other: "LatticeElement", tol: float = TOL) -> bool:
-        return self.space == other.space and close(self.array, other.array, tol)
+        return self.space == other.space and close(self.values, other.values, tol)
 
     @classmethod
     def zero(cls, space: MeasureSpace) -> "LatticeElement":
-        return cls(space, np.zeros(len(space)))
+        return cls(space, array("d", bytes(8 * len(space))))
 
     @classmethod
     def constant(cls, space: MeasureSpace, c: float) -> "LatticeElement":
-        return cls(space, np.full(len(space), float(c)))
+        return cls(space, array("d", [float(c)]) * len(space))
 
 
 def same_space(elements: Sequence[LatticeElement], name: str) -> MeasureSpace:
@@ -199,29 +216,30 @@ def same_space(elements: Sequence[LatticeElement], name: str) -> MeasureSpace:
 
 
 # ---------------------------------------------------------------------------
-# Vector-lattice operations
+# Vector-lattice operations; like numpy's maximum and minimum, each keeps its
+# second operand on a tie, so 0.0 v -0.0 is -0.0 and (-0.0)+ is 0.0
 # ---------------------------------------------------------------------------
 
 def join(f: LatticeElement, g: LatticeElement) -> LatticeElement:
     same_space((f, g), "operands")
-    return LatticeElement(f.space, np.maximum(f.array, g.array))
+    return LatticeElement(f.space, array("d", map(max, g.values, f.values)))
 
 
 def meet(f: LatticeElement, g: LatticeElement) -> LatticeElement:
     same_space((f, g), "operands")
-    return LatticeElement(f.space, np.minimum(f.array, g.array))
+    return LatticeElement(f.space, array("d", map(min, g.values, f.values)))
 
 
 def pos_part(f: LatticeElement) -> LatticeElement:
-    return LatticeElement(f.space, np.maximum(f.array, 0.0))
+    return LatticeElement(f.space, array("d", map(max, repeat(0.0), f.values)))
 
 
 def neg_part(f: LatticeElement) -> LatticeElement:
-    return LatticeElement(f.space, np.maximum(-f.array, 0.0))
+    return LatticeElement(f.space, array("d", map(max, repeat(0.0), map(neg, f.values))))
 
 
 # ---------------------------------------------------------------------------
-# Norms, integrals and distance
+# Norms and integrals
 # ---------------------------------------------------------------------------
 
 def check_p(p: float) -> float:
@@ -233,18 +251,19 @@ def check_p(p: float) -> float:
 
 
 def lp_norm(f: LatticeElement, p: float) -> float:
-    """Weighted L_p norm (sum_i w_i |v_i|^p)^(1/p); requires 1 <= p < inf."""
+    """Weighted L_p norm (sum_i w_i |v_i|^p)^(1/p), the sum correctly
+    rounded; requires 1 <= p < inf."""
     p = check_p(p)
-    return float(np.sum(f.space.weight_array * np.abs(f.array) ** p)) ** (1.0 / p)
+    return math.fsum(map(mul, f.space.weights, map(pow, map(abs, f.values), repeat(p)))) ** (1.0 / p)
 
 
 def integral(f: LatticeElement) -> float:
-    """The weighted sum sum_i w_i v_i."""
-    return float(np.sum(f.space.weight_array * f.array))
+    """The weighted sum sum_i w_i v_i, correctly rounded."""
+    return math.fsum(map(mul, f.space.weights, f.values))
 
 
 # ---------------------------------------------------------------------------
-# Sub-structures, conditional expectation, band decomposition
+# Sub-structures and conditional expectation: the bulk kernels, on numpy
 # ---------------------------------------------------------------------------
 
 class SubStructure(Record):
@@ -260,6 +279,7 @@ class SubStructure(Record):
     __slots__ = ("_atoms", "_offsets")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
+        import numpy as np
         try:
             blocks = tuple(blocks)
             types = set(map(type, chain.from_iterable(blocks)))
@@ -307,6 +327,7 @@ class SubStructure(Record):
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
+        import numpy as np
         return tuple(tuple(b.tolist()) for b in np.split(self._atoms, self._offsets[1:])[:-1])
 
     @property
@@ -314,6 +335,7 @@ class SubStructure(Record):
         return frozenset(self._atoms.tolist())
 
     def validate_for(self, space: MeasureSpace) -> None:
+        import numpy as np
         n = len(space)
         over = np.flatnonzero(self._atoms >= n)
         if len(over):
@@ -322,6 +344,7 @@ class SubStructure(Record):
 
     def _labels(self, space: MeasureSpace) -> np.ndarray:
         """Per atom, the index of its block; len(self) off the support."""
+        import numpy as np
         self.validate_for(space)
         labels = np.full(len(space), len(self), np.intp)
         labels[self._atoms] = np.repeat(np.arange(len(self)), np.diff(self._offsets))
@@ -339,12 +362,14 @@ class SubStructure(Record):
 
     @classmethod
     def discrete(cls, n: int) -> "SubStructure":
+        import numpy as np
         atoms = np.arange(len(range(n)))  # no atoms for n <= 0, as range(n)
         return cls._of(atoms, np.append(atoms, len(atoms)))
 
 
 def _block_sums(x: np.ndarray, labels: np.ndarray, blocks: int) -> np.ndarray:
     """Per block, the sum of x over its atoms, added in atom-index order."""
+    import numpy as np
     return np.bincount(labels, x, blocks + 1)[:blocks]
 
 
@@ -354,6 +379,7 @@ def block_means(rows: np.ndarray, s: SubStructure, space: MeasureSpace) -> tuple
     its values over each block of s, then 0.0 for the atoms off the support;
     and the atoms' block labels, which index its columns. Both sums of a mean
     run in atom-index order."""
+    import numpy as np
     labels, masses = s.partition(space)
     w = space.weight_array
     table = np.zeros((len(rows), len(masses) + 1))
@@ -421,14 +447,17 @@ class ExtensionPair(Record):
         n = integer(fiber_cells, "fiber_cells", 1)
         has_orth = bool(has_orthogonal)
         check_entries(len(base) + 2 * has_orth, n, "fiber_cells")
-        cells = np.repeat(base.weight_array / n, n)
+        cells = array("d")
+        for w in base.weights:
+            cells += array("d", [w / n]) * n
+        orth = array("d", [1.0 / n]) * (2 * n) if has_orth else None
         if has_orth:
-            cells = np.append(cells, np.full(2 * n, 1.0 / n))
-        orth = MeasureSpace(np.full(2 * n, 1.0 / n)) if has_orth else None
+            cells += orth
+            orth = MeasureSpace(orth)
         super().__init__(n, has_orth, base, MeasureSpace(cells), orth)
 
     def _key(self) -> tuple:
-        return (self._base.weight_array, self.fiber_cells, self.has_orthogonal)
+        return (self._base.weights, self.fiber_cells, self.has_orthogonal)
 
     # -- geometry ----------------------------------------------------------
 
@@ -454,31 +483,28 @@ class ExtensionPair(Record):
         plus: Sequence[float] | None = None,
         minus: Sequence[float] | None = None,
     ) -> LatticeElement:
-        grid = reals(rows, "rows")
-        if grid.shape != (self.m, self.n):
-            raise InvariantError(
-                f"rows: expected {self.m} fiber rows of {self.n} cells, got shape {grid.shape}"
-            )
-        parts = [grid.ravel()]
+        cells, shape = real_array(rows, "rows")
+        if shape != (self.m, self.n):
+            raise InvariantError(f"rows: expected {self.m} fiber rows of {self.n} cells, got shape {shape}")
         for name, part in (("plus", plus), ("minus", minus)):
-            cells = np.zeros(self.n) if part is None else reals(part, name)
+            fiber, shape = (array("d", bytes(8 * self.n)), (self.n,)) if part is None else real_array(part, name)
             if not self.has_orthogonal:
-                if np.any(cells != 0.0):
+                if any(fiber):
                     raise InvariantError(f"{name}: fiber given but the pair has no orthogonal part")
                 continue
-            if cells.shape != (self.n,):
-                raise InvariantError(f"{name}: expected {self.n} cells, got shape {cells.shape}")
-            parts.append(cells)
-        return LatticeElement(self.total_space(), np.concatenate(parts))
+            if shape != (self.n,):
+                raise InvariantError(f"{name}: expected {self.n} cells, got shape {shape}")
+            cells += fiber
+        return LatticeElement(self._total, cells)
 
     def require(self, f: LatticeElement) -> None:
         """Raise ``SpaceMismatchError`` unless f lives on the total space."""
         if f.space != self._total:
             raise SpaceMismatchError("element must live on the total space of the pair")
 
-    def fibers(self, f: LatticeElement) -> np.ndarray:
-        """The base fibers of f as a read-only (m, n) view: row i holds the
-        cells over base atom i.
+    def fibers(self, f: LatticeElement) -> list[memoryview]:
+        """The base fibers of f as m read-only float64 views of its buffer:
+        row i holds the cells over base atom i.
 
         This is the one place the cell order of the total space is defined:
         base atom i occupies cells i*n .. i*n+n-1, followed (when present) by
@@ -486,7 +512,8 @@ class ExtensionPair(Record):
         which ``orthogonal_part`` returns.
         """
         self.require(f)
-        return f.array[: self.m * self.n].reshape(self.m, self.n)
+        n = self.n
+        return [f.values[i * n : (i + 1) * n] for i in range(self.m)]
 
     def orthogonal_part(self, f: LatticeElement) -> LatticeElement | None:
         """The plus cells then the minus cells of f, as an element of the
@@ -495,21 +522,22 @@ class ExtensionPair(Record):
         self.require(f)
         if self._orth is None:
             return None
-        return LatticeElement(self._orth, f.array[self.m * self.n :])
+        return LatticeElement(self._orth, f.values[self.m * self.n :])
 
     def embed(self, g: LatticeElement) -> LatticeElement:
         """Lift a base element to the total space: fiber-constant, zero on +/-."""
         if g.space != self.base_space():
             raise SpaceMismatchError("element to embed must live on the base space")
-        return self.element(np.repeat(g.array[:, None], self.n, axis=1))
+        return self.element([[v] * self.n for v in g.values])
 
     def is_embedded(self, f: LatticeElement) -> bool:
         """True iff f is close to the lift of its first fiber cells."""
-        lift = self.element(np.repeat(self.fibers(f)[:, :1], self.n, axis=1))
-        return close(f.array, lift.array)
+        lift = self.element([[row[0]] * self.n for row in self.fibers(f)])
+        return close(f.values, lift.values)
 
     def base_substructure(self) -> SubStructure:
         """The fibers over the base, as blocks of the total space."""
+        import numpy as np
         return SubStructure._of(np.arange(self.m * self.n), np.arange(self.m + 1) * self.n)
 
     def cond_exp_base(self, f: LatticeElement) -> LatticeElement:
@@ -517,5 +545,4 @@ class ExtensionPair(Record):
         a base-space element (per base atom, the correctly rounded mean of its
         fiber cells)."""
         n = self.n
-        return LatticeElement(self._base, [math.fsum(row) / n for row in self.fibers(f).tolist()])
-
+        return LatticeElement(self._base, [math.fsum(row) / n for row in self.fibers(f)])

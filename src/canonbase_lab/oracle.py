@@ -6,14 +6,14 @@ distributions (per-atom multisets of fiber values) plus orthogonal-part data,
 and absolute types through the directional mass measure, which records per
 ray the total weighted p-th power of the sup norm. Every comparison follows
 the relative tolerance policy stated in ``measure_core``, so the verdicts do
-not depend on units.
+not depend on units. The oracles read the elements' float64 buffers with the
+standard library, so ``typeq`` and ``demo remark`` never load numpy.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
-
-import numpy as np
 
 from .errors import InvariantError
 from .measure_core import ExtensionPair, LatticeElement, check_p, group, same_space, sort_order
@@ -32,22 +32,25 @@ class DirectionalMass(Record):
 
     @classmethod
     def from_elements(cls, fs: Sequence[LatticeElement], p: float) -> "DirectionalMass":
-        space = same_space(fs, "elements")
-        vecs = np.stack([g.array for g in fs], axis=1)
-        sup = np.abs(vecs).max(axis=1)
-        ray = sup != 0.0
-        directions = vecs[ray] / sup[ray, None]
-        masses = space.weight_array[ray] * sup[ray] ** float(p)
+        space, p = same_space(fs, "elements"), float(p)
+        directions, masses = [], []
+        for w, vec in zip(space.weights, zip(*(g.values for g in fs))):
+            sup = max(map(abs, vec))
+            if sup != 0.0:
+                directions.append(tuple(x / sup for x in vec))
+                masses.append(w * sup**p)
         labels, firsts = group(directions, TOL)
-        merged = np.bincount(labels, masses)
-        return cls(tuple(zip(map(tuple, directions[firsts].tolist()), merged.tolist())))
+        merged = [0.0] * len(firsts)
+        for label, mass in zip(labels, masses):  # in atom order
+            merged[label] += mass
+        return cls(tuple(zip([directions[i] for i in firsts], merged)))
 
     def approx_equal(self, other: "DirectionalMass") -> bool:
         """Rays of the same dimensions, with close directions and close masses."""
         if [len(d) for d, _ in self.entries] != [len(d) for d, _ in other.entries]:
             return False
-        dirs_a, dirs_b = (np.array([x for d, _ in m.entries for x in d]) for m in (self, other))
-        mass_a, mass_b = (np.array([w for _, w in m.entries]) for m in (self, other))
+        dirs_a, dirs_b = ([x for d, _ in m.entries for x in d] for m in (self, other))
+        mass_a, mass_b = ([w for _, w in m.entries] for m in (self, other))
         return close(dirs_a, dirs_b) and close(mass_a, mass_b)
 
 
@@ -61,11 +64,15 @@ def type_equal_1(f: LatticeElement, g: LatticeElement, pair: ExtensionPair, p: f
     return type_equal_n([f], [g], pair, p)
 
 
-def _joint_rows(fs: Sequence[LatticeElement], pair: ExtensionPair, quantum: float) -> np.ndarray:
+def _joint_rows(fs: Sequence[LatticeElement], pair: ExtensionPair, quantum: float) -> list[float]:
     """Per base atom, the fiber cells as value vectors (one coordinate per
-    element), in ``measure_core.sort_order`` on ``quantum``; (m, n, len(fs))."""
-    cells = np.stack([pair.fibers(g) for g in fs], axis=-1)
-    return np.take_along_axis(cells, sort_order(cells, quantum)[..., None], axis=1)
+    element), in ``measure_core.sort_order`` on ``quantum``; the coordinates
+    of the vectors in that order, atom after atom."""
+    out: list[float] = []
+    for fibers in zip(*(pair.fibers(g) for g in fs)):
+        cells = list(zip(*fibers))
+        out += chain.from_iterable(cells[i] for i in sort_order(cells, quantum))
+    return out
 
 
 def type_equal_n(
@@ -82,7 +89,7 @@ def type_equal_n(
     both = [*fs, *gs]
     for e in both:
         pair.require(e)
-    quantum = TOL * max(float(np.abs(pair.fibers(e)).max()) for e in both) or 1.0
+    quantum = TOL * max(max(map(abs, row)) for e in both for row in pair.fibers(e)) or 1.0
     if not close(_joint_rows(fs, pair, quantum), _joint_rows(gs, pair, quantum)):
         return False
     if not pair.has_orthogonal:

@@ -13,6 +13,12 @@ def _numpy_if_arrays(items: tuple):
     return np if np is not None and any(map(isinstance, items, repeat(np.ndarray))) else None
 
 
+def _plain(x):
+    """A buffer (a memoryview) as the list of its items, which pickles and
+    shows; anything else as itself."""
+    return x.tolist() if isinstance(x, memoryview) else x
+
+
 class Record:
     """Immutable once constructed: the constructor sets every slot, and no
     slot is filled in later. The default constructor takes the fields that
@@ -20,8 +26,10 @@ class Record:
     checks its input passes the converted values of all its slots to it, and
     one whose slots are not its constructor's arguments defines ``_key``, those
     arguments. Equal to an object of its class with equal ``_key()`` items
-    (arrays by ``np.array_equal``), hashed alike (an array by its bytes),
-    pickled and shown as ``type(self)(*self._key())``. A class declared with
+    (arrays by ``np.array_equal``, buffers item by item), hashed alike (an
+    array by its bytes, a buffer by its items), pickled and shown as
+    ``type(self)(*self._key())`` with each buffer as its list. So -0.0 and 0.0
+    compare equal and hash alike in either store. A class declared with
     ``eq=False`` compares and hashes by identity."""
 
     __slots__ = ()
@@ -60,7 +68,7 @@ class Record:
         return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in zip(a, b))
 
     def __hash__(self):
-        key = self._key()
+        key = tuple(tuple(x.tolist()) if isinstance(x, memoryview) else x for x in self._key())
         np = _numpy_if_arrays(key)
         if np is None:
             return hash(key)
@@ -68,7 +76,7 @@ class Record:
         return hash(tuple((x + 0.0).tobytes() if isinstance(x, np.ndarray) else x for x in key))
 
     def __reduce__(self):
-        return (type(self), self._key())
+        return (type(self), tuple(map(_plain, self._key())))
 
     def __repr__(self):
-        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
+        return f"{type(self).__name__}({', '.join(repr(_plain(x)) for x in self._key())})"

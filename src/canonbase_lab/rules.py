@@ -1,14 +1,16 @@
 """The scalar rules: the tolerance of every verdict on computed floats (see
-the policy in ``measure_core``), and the checks of integers, sizes and short
-lists of reals. This module loads no numpy, so the calls that do no array work
-start without it; ``close`` finds numpy in ``sys.modules`` when given an
-ndarray, since whoever holds one has loaded it.
+the policy in ``measure_core``), the one rule that reads input as real
+numbers, and the checks of integers and sizes. This module loads no numpy, so
+the calls that do no array work start without it; ``close`` finds numpy in
+``sys.modules`` when given an ndarray, since whoever holds one has loaded it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from array import array
+from contextlib import suppress
 from numbers import Integral, Real
 
 from .errors import InvariantError
@@ -49,26 +51,84 @@ def close(a, b, tol: float = TOL) -> bool:
     return True
 
 
-def reals(values, name: str, size: int | None = None) -> list[float]:
-    """The list ``values`` as floats, ``size`` of them if given; every entry
-    must be a finite real. Other data than a list of numbers (a scalar, a
-    nested list, strings, None) go to ``measure_core.reals``, whose rule and
-    messages these are."""
-    if type(values) is list and all(isinstance(v, Real) and v.__class__ is not bool for v in values):
-        try:
-            out = [float(v) for v in values]
-        except OverflowError as exc:
-            raise InvariantError(f"{name}: expected real numbers ({exc})") from None
-        for i, x in enumerate(out):
+def real_array(values, name: str) -> tuple[array, tuple[int, ...]]:
+    """``values`` as a fresh float64 ``array('d')``, its entries in row-major
+    order, and their shape, read as ``numpy.array(values, dtype=float64)``
+    reads them: lists, tuples and ranges nest, anything with a ``tolist`` (an
+    ndarray, an array, a memoryview) reads as its list, None reads as NaN and
+    every other leaf goes through ``float``. Every entry must be a finite
+    real; the ``InvariantError`` names ``name`` and, for a non-finite entry,
+    its index as a pointer (``rows/1/3: must be finite, got inf``)."""
+    try:
+        cells, shape = _fast_cells(values) or _cells(values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvariantError(f"{name}: expected real numbers ({exc})") from None
+    if not math.isfinite(sum(cells)):  # a finite sum has finite terms; else find the first bad one
+        for k, x in enumerate(cells):
             if not math.isfinite(x):
-                raise InvariantError(f"{name}/{i}: must be finite, got {x}")
-    else:
-        from .measure_core import reals as array
-        arr = array(values, name)
-        out = arr.tolist() if arr.ndim == 1 else None
-    if out is None or len(out) != (size or len(out)):
+                index = []
+                for size in reversed(shape):
+                    k, i = divmod(k, size)
+                    index.append(i)
+                pos = "".join(f"/{i}" for i in reversed(index))
+                raise InvariantError(f"{name}{pos}: must be finite, got {x}")
+    return cells, shape
+
+
+def _fast_cells(values) -> tuple[array, tuple[int, ...]] | None:
+    """``_cells`` for a float64 buffer, a list or tuple of numbers, or a list
+    of equally long lists of numbers, done in C; None for anything else, and
+    for such data with a leaf that ``_cells`` must read or reject."""
+    if hasattr(values, "tolist"):
+        with suppress(TypeError):
+            view = memoryview(values)
+            if view.format == "d" and view.c_contiguous and view.ndim:
+                cells = array("d")
+                cells.frombytes(view.cast("B"))
+                return cells, view.shape
+        return None
+    if not isinstance(values, (list, tuple)):
+        return None
+    with suppress(TypeError, ValueError, OverflowError):
+        return array("d", values), (len(values),)
+    size = len(values[0]) if values and type(values[0]) is list else -1
+    if size < 0 or any(type(row) is not list or len(row) != size for row in values):
+        return None
+    cells = array("d")
+    with suppress(TypeError, ValueError, OverflowError):
+        for row in values:
+            cells.fromlist(row)
+        return cells, (len(values), size)
+    return None
+
+
+def _cells(values) -> tuple[array, tuple[int, ...]]:
+    """The nesting of ``values`` read level by level, as numpy discovers a
+    shape, then its leaves as floats."""
+    shape: list[int] = []
+    level = [values]
+    while True:
+        level = [x.tolist() if hasattr(x, "tolist") else x for x in level]
+        nested = [isinstance(x, (list, tuple, range)) for x in level]
+        if not any(nested):
+            break
+        if not all(nested) or len(set(map(len, level))) > 1:
+            raise ValueError(
+                "setting an array element with a sequence. The requested array has an inhomogeneous shape "
+                f"after {len(shape)} dimensions. The detected shape was {tuple(shape)} + inhomogeneous part."
+            )
+        shape.append(len(level[0]))
+        level = [y for x in level for y in x]
+    return array("d", [math.nan if x is None else float(x) for x in level]), tuple(shape)
+
+
+def reals(values, name: str, size: int | None = None) -> list[float]:
+    """The list ``values`` as floats, ``size`` of them if given, by the rule
+    of ``real_array``; anything but a flat list is an ``InvariantError``."""
+    cells, shape = real_array(values, name)
+    if len(shape) != 1 or len(cells) != (size or len(cells)):
         raise InvariantError(f"{name}: expected a list of {size or 'any number of'} reals")
-    return out
+    return cells.tolist()
 
 
 def integer(value, name: str, least: int) -> int:

@@ -41,7 +41,7 @@ def random_element(rng: random.Random, pair: ExtensionPair, scale: int = 8) -> L
 def rearranged_copy(rng: random.Random, pair: ExtensionPair, f: LatticeElement) -> LatticeElement:
     """A measure-preserving rearrangement: shuffle cells within each base
     fiber and shuffle the orthogonal cells; the type over the base is kept."""
-    rows = [rng.sample(row, len(row)) for row in pair.fibers(f).tolist()]
+    rows = [rng.sample(row.tolist(), len(row)) for row in pair.fibers(f)]
     plus = minus = None
     if pair.has_orthogonal:
         orth = pair.orthogonal_part(f).array.tolist()

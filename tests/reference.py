@@ -31,6 +31,21 @@ from canonbase_lab.rules import TOL, close, integer
 from canonbase_lab.rv_canon import cond_moments, validate_rv
 
 
+def ref_array_reals(values, name):
+    """The numpy rule for real input: a fresh float64 array of ``values``,
+    every entry a finite real, with the messages the package gives."""
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvariantError(f"{name}: expected real numbers ({exc})") from None
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = np.argwhere(~finite)[0]
+        pos = "".join(f"/{k}" for k in bad)
+        raise InvariantError(f"{name}{pos}: must be finite, got {float(arr[tuple(bad)])}")
+    return arr
+
+
 def ref_lp_norm(weights, values, p):
     return sum(w * abs(v) ** p for w, v in zip(weights, values)) ** (1.0 / p)
 

@@ -331,6 +331,32 @@ def test_the_pair_rules_keep_their_error_messages(tmp_path, capsys, doc, expecte
     assert json.loads(capsys.readouterr().out)["error"] == f"{space}: {expected}"
 
 
+_RAGGED = "expected real numbers (setting an array element with a sequence. The requested array has an inhomogeneous shape"
+_ORTH = {**SPACE, "orthogonal_part": True}
+
+
+@pytest.mark.parametrize("space, element, expected", [
+    (SPACE, {"rows": [[0, "a"], [2, 3]]}, "/rows: expected real numbers (could not convert string to float: 'a')"),
+    (SPACE, {"rows": [[0, 10**400], [2, 3]]}, "/rows: expected real numbers (int too large to convert to float)"),
+    (SPACE, {"rows": [[0, 1], [2]]}, f"/rows: {_RAGGED} after 1 dimensions. The detected shape was (2,) + inhomogeneous part.)"),
+    (SPACE, {"rows": [[0, 1], [2, [3]]]},
+     f"/rows: {_RAGGED} after 2 dimensions. The detected shape was (2, 2) + inhomogeneous part.)"),
+    (SPACE, {"rows": [[0, 1], [2, None]]}, "/rows/1/1: must be finite, got nan"),
+    (SPACE, {"rows": [[0, 1], [2, 3], [4, 5]]}, "/rows: expected 2 fiber rows of 2 cells, got shape (3, 2)"),
+    (SPACE, {"rows": "ab"}, "/rows: expected real numbers (could not convert string to float: 'ab')"),
+    (SPACE, {"rows": [[0, 1], [2, 3]], "plus": [1.0, 0.0]}, "/plus: fiber given but the pair has no orthogonal part"),
+    (_ORTH, {"rows": [[0, 1], [2, 3]], "plus": [1.0, 1e400]}, "/plus/1: must be finite, got inf"),
+    (_ORTH, {"rows": [[0, 1], [2, 3]], "minus": [[1.0, 2.0]]}, "/minus: expected 2 cells, got shape (1, 2)"),
+    (_ORTH, {"rows": [[0, 1], ["1e999", 3]]}, "/rows/1/0: must be finite, got inf"),
+    (_ORTH, {"rows": [[True, 1], [2, 3]], "minus": [{}, 0]},
+     "/minus: expected real numbers (float() argument must be a string or a real number, not 'dict')"),
+])
+def test_the_element_rules_keep_their_error_messages(tmp_path, capsys, space, element, expected):
+    # the whole message, as numpy's array rule wrote it before elements were read without numpy
+    report = _report(tmp_path, capsys, LP_CB, {"space": space, "element": element})
+    assert report["exit_code"] == 2 and report["error"] == f"{tmp_path / 'element'}: {expected}"
+
+
 @pytest.mark.parametrize(
     "content, expected",
     [
@@ -766,6 +792,23 @@ def test_every_input_is_opened_once(tmp_path, capsys, monkeypatch, argv):
     paths = {str(tmp_path / name) for name in docs}
     assert report["exit_code"] in (0, 3) and set(report["inputs"]) == paths
     assert {path: opened.get(path) for path in paths} == dict.fromkeys(paths, 1)
+
+
+def test_typeq_reads_a_file_named_by_a_and_b_once(tmp_path, capsys, monkeypatch):
+    import builtins
+    opened, real_open = [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    typeq = ["typeq", "--space", "space", "--a", "element", "--b", "element", "--p", "2"]
+    report = _report(tmp_path, capsys, typeq, _DIGEST_DOCS)
+    element = str(tmp_path / "element")
+    assert report["exit_code"] == 0 and report["outputs"] == {"equal": True}
+    assert opened.count(element) == 1
+    assert report["inputs"][element] == hashlib.sha256(json.dumps(_DIGEST_DOCS["element"]).encode()).hexdigest()
 
 
 def test_inputs_name_each_file_once_and_only_for_this_call(tmp_path, capsys):

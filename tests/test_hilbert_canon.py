@@ -6,8 +6,7 @@ import pytest
 
 from canonbase_lab.errors import InvariantError
 from canonbase_lab.hilbert_canon import Subspace, _project, _vectors, hs_cb
-from canonbase_lab.measure_core import reals
-from canonbase_lab.rules import close
+from canonbase_lab.rules import close, reals
 
 E1 = Subspace(3, ((1.0, 0.0, 0.0),))
 
@@ -28,7 +27,7 @@ def phi_identity_check(
     ||sum l_i v_i||^2 - ||sum l_i P v_i||^2 + ||sum l_i P v_i + u||^2
     for u inside the subspace."""
     mat = _vectors(vs, sub.dim, "vectors")
-    lam = reals(lambdas, "lambdas")
+    lam = np.array(reals(lambdas, "lambdas"))
     if lam.shape != (len(mat),):
         raise InvariantError("lambdas: one coefficient per vector is required")
     uv = _vectors([u], sub.dim, "u")[0]

@@ -312,7 +312,7 @@ def test_pair_embed_is_fiber_constant():
     g = LatticeElement(pair.base_space(), (1.5, -2.0))
     lifted = pair.embed(g)
     assert pair.is_embedded(lifted)
-    assert pair.fibers(lifted).tolist() == [[1.5] * 3, [-2.0] * 3]
+    assert [row.tolist() for row in pair.fibers(lifted)] == [[1.5] * 3, [-2.0] * 3]
     assert pair.orthogonal_part(lifted).array[: pair.n].tolist() == [0.0] * 3
 
 
@@ -344,6 +344,34 @@ def test_element_array_is_read_only_float64():
     assert f.array.tolist() == [1.0, -2.5, 3.0]
 
 
+def test_array_views_share_the_stored_buffer():
+    # one copy of each datum: the numpy views are read-only float64 views of
+    # the read-only standard-library buffers, built on each read
+    pair = ExtensionPair((1.0, 2.0), 2, True)
+    f = pair.element([[1.0, -2.0], [0.5, 0.0]], plus=[3.0, 0.0], minus=[0.0, -1.0])
+    for buffer, view in [(f.values, f.array), *((s.weights, s.weight_array) for s in
+                                                (f.space, pair.base_space(), HALVES))]:
+        assert isinstance(buffer, memoryview) and buffer.readonly and buffer.format == "d"
+        assert view.dtype == np.float64 and not view.flags.writeable
+        assert np.shares_memory(view, np.asarray(buffer)) and view.tolist() == buffer.tolist()
+        with pytest.raises(TypeError):
+            buffer[0] = 7.0
+    assert f.space is pair.total_space()
+
+
+def test_records_over_buffers_compare_hash_pickle_and_show_their_values():
+    space = MeasureSpace([1.0, 2.0])
+    f, g = LatticeElement(space, [-0.0, 3.0]), LatticeElement(MeasureSpace((1, 2)), (0.0, 3))
+    assert f == g and hash(f) == hash(g)
+    assert f != LatticeElement(space, [0.0, 3.5]) and f != space
+    assert repr(f) == "LatticeElement(MeasureSpace([1.0, 2.0]), [-0.0, 3.0])"
+    assert eval(repr(f)) == f
+    clone = pickle.loads(pickle.dumps(f))
+    assert clone == f and hash(clone) == hash(f) and clone.values.tolist() == [-0.0, 3.0]
+    pair = ExtensionPair([0.5], 3, True)
+    assert repr(pair) == "ExtensionPair([0.5], 3, True)" and eval(repr(pair)) == pair
+
+
 def test_non_numeric_input_raises_invariant_error():
     with pytest.raises(InvariantError):
         LatticeElement(HALVES, ("x", 1.0))
@@ -359,11 +387,12 @@ def test_pair_builds_its_spaces_once_and_exposes_read_only_fibers(rng):
     assert pair.base_space() is pair.base_space()
     f = random_element(rng, pair)
     fibers = pair.fibers(f)
-    assert fibers.shape == (pair.m, pair.n)
+    assert [len(row) for row in fibers] == [pair.n] * pair.m
     cells = f.array.tolist()
-    assert fibers.tolist() == [cells[i * pair.n : (i + 1) * pair.n] for i in range(pair.m)]
-    with pytest.raises(ValueError):
-        fibers[0, 0] = 1.0
+    assert [row.tolist() for row in fibers] == [cells[i * pair.n : (i + 1) * pair.n] for i in range(pair.m)]
+    assert all(np.shares_memory(np.asarray(row), f.array) for row in fibers)  # views of f's buffer
+    with pytest.raises(TypeError):
+        fibers[0][0] = 1.0
     orth = pair.orthogonal_part(f)
     assert orth.array.tolist() == cells[pair.m * pair.n :]
 

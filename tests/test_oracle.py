@@ -59,7 +59,7 @@ def test_type_equal_n_joint_permutation(rng):
         orth_perm = rng.sample(range(2 * pair.n), 2 * pair.n)
 
         def permute(f):
-            rows = pair.fibers(f).tolist()
+            rows = [row.tolist() for row in pair.fibers(f)]
             new_rows = [[rows[i][j] for j in perm[i]] for i in range(pair.m)]
             orth = pair.orthogonal_part(f).array.tolist()
             new_orth = [orth[j] for j in orth_perm]

@@ -1,6 +1,7 @@
 """The scalar rules: ``close`` gives one verdict on Python floats and on
-arrays, and the short-list ``reals`` reads lists as ``measure_core.reals``
-reads them, with the same messages."""
+arrays, and ``real_array`` and the short-list ``reals`` read input as the
+numpy rule they replaced (``ref_array_reals``) read it, with the same
+messages."""
 
 import math
 
@@ -10,8 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from canonbase_lab.errors import InvariantError
-from canonbase_lab.measure_core import reals as array_reals
-from canonbase_lab.rules import TOL, close, reals
+from canonbase_lab.rules import TOL, close, real_array, reals
+from reference import ref_array_reals as array_reals
 
 _ENTRIES = st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
 # each entry of b is a relative nudge of a's entry, or an entry of its own
@@ -84,3 +85,24 @@ def test_reals_checks_the_length():
     assert reals([1, 2], "/anchor", 2) == [1.0, 2.0]
     with pytest.raises(InvariantError, match="^/anchor: expected a list of 2 reals$"):
         reals([1.0], "/anchor", 2)
+
+
+@pytest.mark.parametrize("values", [
+    [1, 2.5, -0.0], [], [10**400], [1.0, math.inf], [math.nan], [[1.0], [2.0]], "1.5", "abc", None,
+    [None, 1.0], [True, 2], ["1", "2"], [{}, 1], 5, [[]], [[1.0, 2.0], [3.0]], [[1, 2], [3, [4]]],
+    [[1, 2], "ab"], [[1, "a"], [2]], [[], [1]], [1, [2]], [[1.0, math.inf], [2.0, 3.0]], [[1, 2], [3, None]],
+    [[[1.0], [2.0]], [[3.0], [-math.inf]]], ((1.0, 2.0), (3.0, 4.0)), [(1, 2), [3, 4]], range(3), [[1e308, 1e308]],
+    np.arange(6.0).reshape(2, 3), np.arange(6.0).reshape(2, 3).T, np.arange(3), [np.arange(2.0), np.arange(2.0)],
+    [np.float64(1.5), np.array(2.0)], np.array([1.0, np.inf]), [[1, 2], [3, 10**400]], [[1, 2], [3, "x"]],
+])
+def test_real_array_reads_input_as_the_array_rule_does(values):
+    # the message of each refusal, the shape and every bit of the values
+    try:
+        expected = array_reals(values, "rows")
+    except InvariantError as exc:
+        with pytest.raises(InvariantError) as got:
+            real_array(values, "rows")
+        assert str(got.value) == str(exc)
+        return
+    cells, shape = real_array(values, "rows")
+    assert shape == expected.shape and cells.tobytes() == expected.tobytes()

@@ -347,7 +347,7 @@ def test_lift_zero_and_one():
 def test_lift_constant_two_fifths():
     x = rv(0.4, 0.4, 0.4, 0.4)
     lifted = lift_event(x, SubStructure.discrete(4), 5)
-    rows = lifted.pair.fibers(lifted.indicator).tolist()
+    rows = [row.tolist() for row in lifted.pair.fibers(lifted.indicator)]
     assert all(sum(row) == 2.0 for row in rows)
     assert lifted.conditional_probability().array.tolist() == [0.4] * 4
     assert not lifted.was_rounded

@@ -2,10 +2,12 @@
 subcommand imports, and the BLAS thread default of the CLI. Each check
 that reads ``sys.modules`` or the environment runs in a subprocess. Also
 that each public name lives in its module, the one place to import it from,
-that the modules the calls without array work load import no numpy, that
-no call on small documents loads OpenSSL or ``dataclasses``, and that the
-package holds no code that only the tests reach."""
+that the modules the numpy-free calls load import no numpy, that exactly the
+calls of the bulk kernels load numpy, that no call on small documents loads
+OpenSSL or ``dataclasses``, and that the package holds no code that only the
+tests reach."""
 
+import argparse
 import ast
 import json
 import os
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 import canonbase_lab
+from canonbase_lab import cli
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 EXPORTS = {
@@ -112,10 +115,11 @@ def test_krivine_approx_does_not_load_measure_core():
     assert "krivine" in loaded["modules"] and "measure_core" not in loaded["modules"]
 
 
-#: The modules that the calls without array work load, which therefore import
-#: neither numpy nor another module of the package outside this set, except
-#: inside a function or under ``if TYPE_CHECKING:``.
-NUMPY_FREE = ("__init__", "__main__", "cli", "errors", "legendre", "records", "rules", "terms", "ultra_ball")
+#: The modules that the numpy-free calls load, which therefore import neither
+#: numpy nor another module of the package outside this set, except inside a
+#: function or under ``if TYPE_CHECKING:``.
+NUMPY_FREE = ("__init__", "__main__", "cli", "errors", "legendre", "lp_canon", "measure_core", "oracle", "records",
+              "rules", "terms", "ultra_ball")
 
 
 def _module_level_imports(tree: ast.Module):
@@ -188,6 +192,24 @@ def _pair_documents(path: Path) -> None:
     (path / "space.json").write_text(json.dumps({"base_weights": [0.5, 0.5], "fiber_cells": 2}))
     (path / "f.json").write_text(json.dumps({"rows": [[1.0, 2.0], [0.0, -1.0]]}))
     (path / "g.json").write_text(json.dumps({"rows": [[2.0, 1.0], [-1.0, 0.0]]}))
+    (path / "orth.json").write_text(json.dumps({"base_weights": [0.5, 2.0], "fiber_cells": 2, "orthogonal_part": True}))
+    (path / "h.json").write_text(json.dumps({"rows": [[1.0, 2.0], [0.0, -1.0]], "plus": [3.0, -1.0], "minus": [0.0, 2.0]}))
+    (path / "k.json").write_text(json.dumps({"rows": [[2.0, 1.0], [-1.0, 0.0]], "plus": [-1.0, 2.0], "minus": [3.0, 0.0]}))
+
+
+_LP_CB = ["lp-cb", "--space", "orth.json", "--element", "h.json", "--p", "2", "--grid", "4"]
+_TYPEQ = ["typeq", "--space", "orth.json", "--a", "h.json", "--b", "k.json", "--p", "1.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    _LP_CB, _LP_CB + ["--intervals"], _LP_CB + ["--curve", "curve.csv", "--out", "out.json"],
+    _TYPEQ, _TYPEQ + ["--absolute"], ["demo", "p1"], ["demo", "p1", "--p", "2", "--eps", "1/8"], ["demo", "remark"],
+], ids=["lp-cb", "lp-cb intervals", "lp-cb curve", "typeq", "typeq absolute", "demo p1", "demo p1 p=2", "demo remark"])
+def test_the_element_algebra_calls_finish_without_numpy(tmp_path, argv):
+    _pair_documents(tmp_path)
+    loaded = _fresh(_cli(*argv), cwd=tmp_path)
+    assert loaded["exit"] in (0, 3) and not loaded["numpy"]
+    assert "measure_core" in loaded["modules"]
 
 
 def test_lp_cb_loads_neither_legendre_nor_oracle_nor_fractions(tmp_path):
@@ -237,6 +259,34 @@ def _small_documents(path: Path) -> None:
         (path / name).write_text(json.dumps(doc))
 
 
+def _leaf_commands(parser: argparse.ArgumentParser, prefix: tuple = ()):
+    """The subcommand paths of ``parser`` that take no further subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_commands(sub, (*prefix, name))
+            return
+    yield " ".join(prefix)
+
+
+def test_exactly_the_bulk_kernel_calls_load_numpy(tmp_path):
+    """One call of every subcommand of the parser, in a fresh interpreter
+    each: only rv-cb, apr-cb, hs-cb and krivine approx load numpy."""
+    calls = {" ".join(a for a in argv[:2] if a[0] != "-"): argv for argv in SMALL_CALLS}
+    calls["krivine eval"] = ["krivine", "eval", "--term", "(x0 \\/ x1)", "--arity", "2", "--point", "1,2"]
+    calls["ultra ball-dist"] = ["ultra", "--prime", "3", "ball-dist", "0", "1/3", "inf", "0"]
+    calls["ultra check-triangles"] = calls.pop("ultra")
+    assert set(calls) == set(_leaf_commands(cli._build_parser()))
+    _small_documents(tmp_path)
+    numpy = set()
+    for name, argv in calls.items():
+        loaded = _fresh(_cli(*argv), cwd=tmp_path)
+        assert loaded["exit"] == 0, name
+        if loaded["numpy"]:
+            numpy.add(name)
+    assert numpy == {"rv-cb", "apr-cb", "hs-cb", "krivine approx"}
+
+
 @pytest.mark.parametrize("argv", SMALL_CALLS, ids=lambda argv: " ".join(a for a in argv[:2] if a[0] != "-"))
 def test_calls_on_small_documents_load_neither_openssl_nor_dataclasses(tmp_path, argv):
     _small_documents(tmp_path)
@@ -278,20 +328,27 @@ def test_every_re_export_is_the_submodule_attribute(module, name):
     assert not hasattr(canonbase_lab, name)
 
 
-def test_the_cli_runs_blas_on_one_thread_by_default():
-    # demo remark loads numpy, through lp_canon, after the CLI has set the default
-    loaded = _fresh(_cli("demo", "remark"))
-    assert loaded["numpy"] and loaded["blas_threads"] == "1"
+#: A call of rv-cb on two atoms, which loads numpy after the CLI has set the
+#: BLAS default.
+_RV_CB = ["rv-cb", "--space", "prob.json", "--elements", "xs.json", "--k-max", "2"]
+
+
+def test_the_cli_runs_blas_on_one_thread_by_default(tmp_path):
+    _small_documents(tmp_path)
+    loaded = _fresh(_cli(*_RV_CB), cwd=tmp_path)
+    assert loaded["exit"] == 0 and loaded["numpy"] and loaded["blas_threads"] == "1"
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     if "openblas" not in blas or loaded["threads"] is None:
         pytest.skip("counts OpenBLAS threads through /proc")
     assert loaded["threads"] == 1
 
 
-def test_a_callers_blas_thread_count_is_kept():
+def test_a_callers_blas_thread_count_is_kept(tmp_path):
+    _small_documents(tmp_path)
     two = {"OPENBLAS_NUM_THREADS": "2"}
     assert _fresh("import canonbase_lab.cli", two)["blas_threads"] == "2"
-    assert _fresh(_cli("demo", "remark"), two)["blas_threads"] == "2"
+    loaded = _fresh(_cli(*_RV_CB), two, cwd=tmp_path)
+    assert loaded["numpy"] and loaded["blas_threads"] == "2"
 
 
 def _names_read(node: ast.AST):
