@@ -240,16 +240,15 @@ def _encode(obj: Any, level: int = 0) -> Iterator[str]:
     elif isinstance(obj, ndarray):
         if obj.dtype != "float64" or obj.ndim not in (1, 2):
             raise TypeError(f"only 1-D and 2-D float64 arrays are encoded, got {obj.dtype} {obj.shape}")
-        yield from _encode(obj.tolist() if obj.ndim == 1 else list(obj), level)
+        if obj.ndim == 2:
+            yield from _encode(list(obj), level)
+        else:
+            yield _floats(obj.tolist(), level)
     elif isinstance(obj, (memoryview, array)):
-        yield from _encode(obj.tolist(), level)
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
-        if all(type(x) is float for x in obj):
-            yield "[" + inner + json.dumps(list(obj))[1:-1].replace(", ", "," + inner) + close + "]"
-            return
+        yield _floats(obj.tolist(), level)
+    elif isinstance(obj, (list, tuple)) and all(type(x) is float for x in obj):
+        yield _floats(list(obj), level)
+    elif isinstance(obj, (list, tuple)):  # not empty, since [] is a list of floats
         sep = "[" + inner
         for item in obj:
             yield sep
@@ -258,6 +257,15 @@ def _encode(obj: Any, level: int = 0) -> Iterator[str]:
         yield close + "]"
     else:
         yield json.dumps(obj)
+
+
+def _floats(values: list[float], level: int) -> str:
+    """The indented JSON list of ``values``: one call of json's C encoder,
+    whose ", " separators, which no float's text holds, become indented."""
+    if not values:
+        return "[]"
+    inner = "\n" + "  " * (level + 1)
+    return "[" + inner + json.dumps(values)[1:-1].replace(", ", "," + inner) + "\n" + "  " * level + "]"
 
 
 def _texts(values: np.ndarray) -> np.ndarray:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, combinations, repeat
-from operator import add, mul, sub, truediv
+from operator import sub
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import InvariantError
@@ -33,7 +34,7 @@ from .measure_core import (
     integral,
     lp_norm,
     meet,
-    neg_part,
+    nonnegative_sum,
     pos_part,
 )
 from .records import Record
@@ -149,10 +150,13 @@ class SliceFamily(Record, eq=False):
         rows = []
         for t in ts:
             k = min(math.floor(t * n), n)
-            sums = self.prefix[k :: n + 1]
+            sums = self.prefix[k :: n + 1].tolist()  # column k, one value per atom
             if k < n:
-                sums = map(add, sums, map(mul, repeat(t * n - k), self.sorted_rows[k::n]))
-            rows.append(memoryview(array("d", map(truediv, sums, repeat(n)))).toreadonly())
+                frac = t * n - k
+                row = [(s + frac * x) / n for s, x in zip(sums, self.sorted_rows[k::n].tolist())]
+            else:
+                row = [s / n for s in sums]
+            rows.append(memoryview(array("d", row)).toreadonly())
         return rows
 
     def partial_at(self, t: float) -> LatticeElement:
@@ -162,9 +166,11 @@ class SliceFamily(Record, eq=False):
 
 def slices(f: LatticeElement, pair: ExtensionPair) -> SliceFamily:
     """Sort the fibers of f over the base once and take their prefix sums."""
-    rows = [sorted(row) for row in pair.fibers(f)]
-    prefix = array("d", chain.from_iterable([0.0, *accumulate(row)] for row in rows))
-    rows = array("d", chain.from_iterable(rows))
+    rows, prefix = array("d"), array("d")
+    for fiber in pair.fibers(f):
+        row = sorted(fiber)
+        rows.fromlist(row)
+        prefix.fromlist([0.0, *accumulate(row)])
     return SliceFamily(pair, memoryview(rows).toreadonly(), memoryview(prefix).toreadonly())
 
 
@@ -224,11 +230,27 @@ class LpCanonicalBase(Record, eq=False):
         return [[n * x for x in column] for column in zip(*steps)]
 
 
-def _orthogonal_norms(f: LatticeElement, pair: ExtensionPair, p: float) -> tuple[float, float]:
-    """The p-norms of the plus and minus parts of f's orthogonal part, (0, 0)
-    when the pair has none."""
+def _part_norms(rows: Sequence[Sequence[float]], weights: Sequence[float], p: float) -> tuple[float, float]:
+    """The L_p norms of the positive and of the negative part of the cells of
+    the nondecreasing ``rows``, each cell weighing its row's weight: per
+    sign, the sum over the rows of the weight times the sum of |v|^p over the
+    row's cells of that sign, which the sort puts at the row's ends. Each sum
+    is correctly rounded, so the norms agree with ``lp_norm`` of each part to
+    within a few units in the last place, and read inf where a sum overflows."""
+    plus = nonnegative_sum(
+        w * math.fsum(map(pow, row[bisect_right(row, 0.0) :], repeat(p))) for w, row in zip(weights, rows)
+    )
+    minus = nonnegative_sum(
+        w * math.fsum(map(pow, map(abs, row[: bisect_left(row, 0.0)]), repeat(p))) for w, row in zip(weights, rows)
+    )
+    return plus ** (1.0 / p), minus ** (1.0 / p)
+
+
+def _orthogonal_rows(f: LatticeElement, pair: ExtensionPair) -> list[list[float]]:
+    """The cells of f's orthogonal part, sorted, as one row of cells of
+    weight 1/n; no row when the pair has none."""
     orth = pair.orthogonal_part(f)
-    return (0.0, 0.0) if orth is None else (lp_norm(pos_part(orth), p), lp_norm(neg_part(orth), p))
+    return [] if orth is None else [sorted(orth.values)]
 
 
 def canonical_base_1type(
@@ -251,10 +273,15 @@ def canonical_base_1type(
         raise InvariantError("the grid must be nonempty")
     if any(b <= a for a, b in zip(pts, pts[1:])):
         raise InvariantError("grid points must be strictly increasing")
-    rows = slices(f, pair).partials_at(pts)
-    pos_norm, neg_norm = lp_norm(pos_part(f), p), lp_norm(neg_part(f), p)
+    fam, n = slices(f, pair), pair.n
+    rows = fam.partials_at(pts)
+    # the norms of f+ and f- over the total space, from its sorted fibers and orthogonal cells
+    orth = _orthogonal_rows(f, pair)
+    fibers = [fam.sorted_rows[i * n : (i + 1) * n] for i in range(pair.m)]
+    weights = [w / n for w in pair.base_space().weights] + [1.0 / n] * len(orth)
+    pos_norm, neg_norm = _part_norms(fibers + orth, weights, p)
     return LpCanonicalBase(
-        p, pos_norm, neg_norm, pts, pair.base_space(), rows, bool(intervals), _orthogonal_norms(f, pair, p)
+        p, pos_norm, neg_norm, pts, pair.base_space(), rows, bool(intervals), _part_norms(orth, [1.0 / n], p)
     )
 
 

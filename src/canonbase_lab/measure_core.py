@@ -134,6 +134,14 @@ class MeasureSpace(Record):
     def __init__(self, weights):
         super().__init__(_stored(_weights(weights, "weights")))
 
+    @classmethod
+    def _of(cls, cells: array) -> "MeasureSpace":
+        """The space of ``cells``, a float64 array of positive finite weights
+        that no one else holds, taken without a check or a copy."""
+        space = object.__new__(cls)
+        Record.__init__(space, _stored(cells))
+        return space
+
     def __len__(self) -> int:
         return len(self.weights)
 
@@ -160,6 +168,15 @@ class LatticeElement(Record):
         if shape != (len(space),):
             raise InvariantError(f"values: element has shape {shape} but the space has {len(space)} atoms")
         super().__init__(space, _stored(cells))
+
+    @classmethod
+    def _of(cls, space: MeasureSpace, cells: array) -> "LatticeElement":
+        """The element of ``cells``, a float64 array of finite values, one per
+        atom of ``space``, that no one else holds, taken without a check or a
+        copy."""
+        element = object.__new__(cls)
+        Record.__init__(element, space, _stored(cells))
+        return element
 
     @property
     def array(self) -> np.ndarray:
@@ -234,8 +251,6 @@ def pos_part(f: LatticeElement) -> LatticeElement:
     return LatticeElement(f.space, array("d", map(max, repeat(0.0), f.values)))
 
 
-def neg_part(f: LatticeElement) -> LatticeElement:
-    return LatticeElement(f.space, array("d", map(max, repeat(0.0), map(neg, f.values))))
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +265,28 @@ def check_p(p: float) -> float:
     return p
 
 
+def power(x: float, p: float) -> float:
+    """x ** p for x >= 0, or inf where that overflows, as numpy gives it."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
+def nonnegative_sum(terms: Iterable[float]) -> float:
+    """The correctly rounded sum of nonnegative ``terms``, or inf where a term
+    or the sum overflows, as numpy gives it."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def lp_norm(f: LatticeElement, p: float) -> float:
     """Weighted L_p norm (sum_i w_i |v_i|^p)^(1/p), the sum correctly
     rounded; requires 1 <= p < inf."""
     p = check_p(p)
-    return math.fsum(map(mul, f.space.weights, map(pow, map(abs, f.values), repeat(p)))) ** (1.0 / p)
+    return nonnegative_sum(map(mul, f.space.weights, map(pow, map(abs, f.values), repeat(p)))) ** (1.0 / p)
 
 
 def integral(f: LatticeElement) -> float:
@@ -453,8 +485,10 @@ class ExtensionPair(Record):
         orth = array("d", [1.0 / n]) * (2 * n) if has_orth else None
         if has_orth:
             cells += orth
-            orth = MeasureSpace(orth)
-        super().__init__(n, has_orth, base, MeasureSpace(cells), orth)
+            orth = MeasureSpace._of(orth)
+        # a cell weight w/n is positive unless it underflows, which the check names
+        total = MeasureSpace._of(cells) if min(base.weights) / n > 0.0 else MeasureSpace(cells)
+        super().__init__(n, has_orth, base, total, orth)
 
     def _key(self) -> tuple:
         return (self._base.weights, self.fiber_cells, self.has_orthogonal)
@@ -495,7 +529,7 @@ class ExtensionPair(Record):
             if shape != (self.n,):
                 raise InvariantError(f"{name}: expected {self.n} cells, got shape {shape}")
             cells += fiber
-        return LatticeElement(self._total, cells)
+        return LatticeElement._of(self._total, cells)
 
     def require(self, f: LatticeElement) -> None:
         """Raise ``SpaceMismatchError`` unless f lives on the total space."""

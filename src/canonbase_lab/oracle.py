@@ -16,7 +16,7 @@ from itertools import chain
 from typing import Sequence
 
 from .errors import InvariantError
-from .measure_core import ExtensionPair, LatticeElement, check_p, group, same_space, sort_order
+from .measure_core import ExtensionPair, LatticeElement, check_p, group, power, same_space, sort_order
 from .records import Record
 from .rules import TOL, close
 
@@ -38,7 +38,7 @@ class DirectionalMass(Record):
             sup = max(map(abs, vec))
             if sup != 0.0:
                 directions.append(tuple(x / sup for x in vec))
-                masses.append(w * sup**p)
+                masses.append(w * power(sup, p))
         labels, firsts = group(directions, TOL)
         merged = [0.0] * len(firsts)
         for label, mass in zip(labels, masses):  # in atom order

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from canonbase_lab.errors import InvariantError, SpaceMismatchError
 from canonbase_lab.legendre import conjugate
 from canonbase_lab.lp_canon import (
-    _orthogonal_norms,
+    _orthogonal_rows,
+    _part_norms,
     canonical_base_1type,
     f_zero,
     p1_counterexample,
@@ -26,6 +27,7 @@ from canonbase_lab.measure_core import (
     check_p,
     integral,
     lp_norm,
+    pos_part,
 )
 from canonbase_lab.oracle import type_equal_1
 from conftest import random_element, random_pair
@@ -42,6 +44,12 @@ def interval_cond_exp(f: LatticeElement, pair: ExtensionPair, t: float, s: float
     fam = slices(f, pair)
     return fam.partial_at(s) - fam.partial_at(t)
 
+
+
+def _orthogonal_norms(f: LatticeElement, pair: ExtensionPair, p: float) -> tuple[float, float]:
+    """The p-norms of the plus and minus parts of f's orthogonal part, (0, 0)
+    when the pair has none."""
+    return _part_norms(_orthogonal_rows(f, pair), [1.0 / pair.n], p)
 
 
 def increasing_realisation(f: LatticeElement, pair: ExtensionPair, p: float) -> LatticeElement:
@@ -644,6 +652,28 @@ def test_base_zero_element():
     cb = canonical_base_1type(zero, UNIT2, 1, [0.25, 0.5, 1.0])
     assert cb.pos_norm == 0.0 and cb.neg_norm == 0.0
     assert all(v == 0.0 for e in cb.partials.values() for v in e.array.tolist())
+
+
+def test_base_norms_are_the_norms_of_the_parts(rng):
+    # each within a few units in the last place of lp_norm of its part; the
+    # orthogonal norms likewise on the orthogonal part, and signed zeros add nothing
+    for _ in range(60):
+        pair = random_pair(rng, n=rng.randint(1, 9))
+        f = random_element(rng, pair) * rng.choice([1e-200, 1.0, 3.7, 1e150])
+        orth = pair.orthogonal_part(f)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            cb = canonical_base_1type(f, pair, p, [1.0])
+            assert cb.pos_norm == pytest.approx(lp_norm(pos_part(f), p), rel=4e-16, abs=0.0)
+            assert cb.neg_norm == pytest.approx(lp_norm(pos_part(-f), p), rel=4e-16, abs=0.0)
+            if orth is None:
+                assert cb.orthogonal_norms == (0.0, 0.0)
+            else:
+                expected = (lp_norm(pos_part(orth), p), lp_norm(pos_part(-orth), p))
+                assert cb.orthogonal_norms == pytest.approx(expected, rel=4e-16, abs=0.0)
+    pair = ExtensionPair((1.0,), 4, True)
+    f = pair.element([[-0.0, 0.0, -0.0, 0.0]], plus=[-0.0] * 4, minus=[0.0] * 4)
+    cb = canonical_base_1type(f, pair, 2, [1.0])
+    assert (cb.pos_norm, cb.neg_norm, cb.orthogonal_norms) == (0.0, 0.0, (0.0, 0.0))
 
 
 def test_base_reconstruction_worked():

@@ -372,6 +372,17 @@ def test_records_over_buffers_compare_hash_pickle_and_show_their_values():
     assert repr(pair) == "ExtensionPair([0.5], 3, True)" and eval(repr(pair)) == pair
 
 
+def test_a_cell_weight_that_underflows_is_named_as_before():
+    # the total space is taken unchecked unless a cell weight w/n can underflow
+    for weights, message in (([1.0, 5e-324], "weights/3: must be positive, got 0.0"),
+                             ([5e-324], "weights/0: must be positive, got 0.0")):
+        with pytest.raises(InvariantError) as caught:
+            ExtensionPair(weights, 3, True)
+        assert str(caught.value) == message
+    pair = ExtensionPair([5e-324, 2.0], 1)
+    assert pair.total_space().weights.tolist() == [5e-324, 2.0]
+
+
 def test_non_numeric_input_raises_invariant_error():
     with pytest.raises(InvariantError):
         LatticeElement(HALVES, ("x", 1.0))
