@@ -70,7 +70,6 @@ import errno
 import json
 import math
 import sys
-from array import array
 from contextlib import contextmanager
 from itertools import combinations, product
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
@@ -203,8 +202,8 @@ def _fraction(text: str) -> Fraction:
 def _encode(obj: Any, level: int = 0) -> Iterator[str]:
     """Yield, in chunks, exactly the text of
     ``json.dumps(obj, sort_keys=True, indent=2)`` for ``obj`` nested ``level``
-    deep, where each float64 buffer (a memoryview, an ``array('d')``) and each
-    1-D or 2-D float64 ndarray in ``obj`` stands for its ``.tolist()`` and each
+    deep, where each float64 buffer (a memoryview) and each 1-D or 2-D float64
+    ndarray in ``obj`` stands for its ``.tolist()`` and each
     ``BlockTable`` for the dict of its elements' value lists. Dict and
     block-table keys must be strings.
 
@@ -244,7 +243,7 @@ def _encode(obj: Any, level: int = 0) -> Iterator[str]:
             yield from _encode(list(obj), level)
         else:
             yield _floats(obj.tolist(), level)
-    elif isinstance(obj, (memoryview, array)):
+    elif isinstance(obj, memoryview):
         yield _floats(obj.tolist(), level)
     elif isinstance(obj, (list, tuple)) and all(type(x) is float for x in obj):
         yield _floats(list(obj), level)

@@ -73,12 +73,16 @@ if TYPE_CHECKING:
 def sort_order(vectors: Sequence[Sequence[float]], quantum: float) -> list[int]:
     """Indices sorting ``vectors`` lexicographically, stably; each coordinate
     but the last is rounded to a multiple of ``quantum``, so its noise cannot
-    override the next."""
-    def key(i: int) -> tuple:
-        v = vectors[i]
-        return (*[round(x / quantum) for x in v[:-1]], v[-1])
-
-    return sorted(range(len(vectors)), key=key)
+    override the next. As numpy's ``lexsort`` does, one stable sort per
+    coordinate, the last coordinate first."""
+    order = list(range(len(vectors)))
+    if vectors:
+        *rounded, last = zip(*vectors)
+        order.sort(key=last.__getitem__)
+        for column in reversed(rounded):
+            keys = [round(x / quantum) for x in column]
+            order.sort(key=keys.__getitem__)
+    return order
 
 
 def group(vectors: Sequence[Sequence[float]], quantum: float) -> tuple[list[int], list[int]]:
@@ -134,14 +138,6 @@ class MeasureSpace(Record):
     def __init__(self, weights):
         super().__init__(_stored(_weights(weights, "weights")))
 
-    @classmethod
-    def _of(cls, cells: array) -> "MeasureSpace":
-        """The space of ``cells``, a float64 array of positive finite weights
-        that no one else holds, taken without a check or a copy."""
-        space = object.__new__(cls)
-        Record.__init__(space, _stored(cells))
-        return space
-
     def __len__(self) -> int:
         return len(self.weights)
 
@@ -168,15 +164,6 @@ class LatticeElement(Record):
         if shape != (len(space),):
             raise InvariantError(f"values: element has shape {shape} but the space has {len(space)} atoms")
         super().__init__(space, _stored(cells))
-
-    @classmethod
-    def _of(cls, space: MeasureSpace, cells: array) -> "LatticeElement":
-        """The element of ``cells``, a float64 array of finite values, one per
-        atom of ``space``, that no one else holds, taken without a check or a
-        copy."""
-        element = object.__new__(cls)
-        Record.__init__(element, space, _stored(cells))
-        return element
 
     @property
     def array(self) -> np.ndarray:
@@ -347,9 +334,7 @@ class SubStructure(Record):
     def _of(cls, atoms: np.ndarray, offsets: np.ndarray) -> "SubStructure":
         """Blocks ``atoms[offsets[k]:offsets[k + 1]]`` of two intp arrays, taken as nonempty,
         disjoint and sorted."""
-        s = object.__new__(cls)
-        Record.__init__(s, _frozen(atoms), _frozen(offsets))
-        return s
+        return cls._unchecked(_frozen(atoms), _frozen(offsets))
 
     def __reduce__(self):
         return (SubStructure._of, self._key())
@@ -485,9 +470,9 @@ class ExtensionPair(Record):
         orth = array("d", [1.0 / n]) * (2 * n) if has_orth else None
         if has_orth:
             cells += orth
-            orth = MeasureSpace._of(orth)
+            orth = MeasureSpace._unchecked(_stored(orth))
         # a cell weight w/n is positive unless it underflows, which the check names
-        total = MeasureSpace._of(cells) if min(base.weights) / n > 0.0 else MeasureSpace(cells)
+        total = MeasureSpace._unchecked(_stored(cells)) if min(base.weights) / n > 0.0 else MeasureSpace(cells)
         super().__init__(n, has_orth, base, total, orth)
 
     def _key(self) -> tuple:
@@ -529,7 +514,7 @@ class ExtensionPair(Record):
             if shape != (self.n,):
                 raise InvariantError(f"{name}: expected {self.n} cells, got shape {shape}")
             cells += fiber
-        return LatticeElement._of(self._total, cells)
+        return LatticeElement._unchecked(self._total, _stored(cells))  # each part is checked
 
     def require(self, f: LatticeElement) -> None:
         """Raise ``SpaceMismatchError`` unless f lives on the total space."""

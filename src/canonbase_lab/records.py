@@ -48,6 +48,14 @@ class Record:
         for name, value in zip(fields, values):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _unchecked(cls, *values):
+        """An instance whose slots hold ``values``, converted and checked
+        already, taken without the class's constructor."""
+        record = object.__new__(cls)
+        Record.__init__(record, *values)
+        return record
+
     def _key(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))
 

@@ -46,6 +46,24 @@ def ref_array_reals(values, name):
     return arr
 
 
+def ref_sort_order(vectors: np.ndarray, quantum: float) -> np.ndarray:
+    """numpy's ``lexsort`` over the rows of ``vectors``, each coordinate but
+    the last rounded to a multiple of ``quantum``: the rule ``sort_order``
+    follows."""
+    coords = vectors.T
+    return np.lexsort([coords[-1], *np.round(coords[-2::-1] / quantum)])  # last key first
+
+
+def ref_group(vectors: np.ndarray, quantum: float) -> tuple[np.ndarray, np.ndarray]:
+    """The group labels and first rows of ``group``, by numpy."""
+    order = ref_sort_order(vectors, quantum)
+    starts = np.ones(len(order), bool)
+    starts[1:] = np.any(np.abs(np.diff(vectors[order], axis=0)) > quantum, axis=1)
+    labels = np.empty(len(order), np.intp)
+    labels[order] = np.cumsum(starts) - 1
+    return labels, order[starts]
+
+
 def ref_lp_norm(weights, values, p):
     return sum(w * abs(v) ** p for w, v in zip(weights, values)) ** (1.0 / p)
 
@@ -256,7 +274,8 @@ def _block_masses(
     x and that y give each group within the block."""
     idx = np.asarray(block)
     w = x.space.weight_array[idx]
-    labels, firsts = group(np.concatenate([x.array[idx], y.array[idx]])[:, None], quantum)
+    values = np.concatenate([x.array[idx], y.array[idx]]).tolist()
+    labels, firsts = group([(v,) for v in values], quantum)
     parts = (labels[: len(idx)], labels[len(idx) :])
     return tuple(np.bincount(g, w, len(firsts)) / w.sum() for g in parts)
 

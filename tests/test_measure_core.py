@@ -15,15 +15,18 @@ from canonbase_lab.measure_core import (
     MeasureSpace,
     SubStructure,
     cond_exp,
+    group,
     join,
     lp_norm,
     meet,
     same_space,
+    sort_order,
 )
 from canonbase_lab.rules import MAX_ENTRIES, TOL, check_count, check_entries, close, integer
 from conftest import random_element, random_pair
 
-from reference import dotminus, ref_cond_exp, ref_lp_norm, ref_space, ref_substructure, signed_power
+from reference import (dotminus, ref_cond_exp, ref_group, ref_lp_norm, ref_sort_order, ref_space, ref_substructure,
+                       signed_power)
 
 HALVES = MeasureSpace((0.5, 0.5))
 
@@ -581,3 +584,22 @@ def test_space_and_substructure_keep_only_their_arrays():
         tracemalloc.stop()
     assert kept <= 48 * n
     assert len(space) == n and len(s) == 1000 and len(f.array) == n and pair.m == n
+
+
+# coordinates on a coarse grid, so that ties, near-ties and signed zeros occur
+_COORDS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 + 4e-10, 1.0 - 6e-10, 2.5, 1e-10, -3e-10])
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(st.tuples(*[_COORDS] * d), max_size=12)),
+       st.sampled_from([1e-9, 1e-3, 1.0]))
+def test_sort_order_and_group_follow_the_numpy_rule(vectors, quantum):
+    # the stable sort per coordinate gives lexsort's order, ties and signed zeros included
+    order = sort_order(vectors, quantum)
+    labels, firsts = group(vectors, quantum)
+    if not vectors:
+        assert order == [] and labels == [] and firsts == []
+        return
+    arr = np.array(vectors)
+    ref_labels, ref_firsts = ref_group(arr, quantum)
+    assert order == ref_sort_order(arr, quantum).tolist()
+    assert labels == ref_labels.tolist() and firsts == ref_firsts.tolist()
