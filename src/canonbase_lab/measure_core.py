@@ -58,8 +58,8 @@ from __future__ import annotations
 import math
 from array import array
 from contextlib import suppress
-from itertools import chain, repeat
-from operator import add, mul, neg, sub
+from itertools import accumulate, chain, compress, repeat
+from operator import add, gt, mul, neg, or_, sub
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import InvariantError, SpaceMismatchError
@@ -70,32 +70,34 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def sort_order(vectors: Sequence[Sequence[float]], quantum: float) -> list[int]:
-    """Indices sorting ``vectors`` lexicographically, stably; each coordinate
-    but the last is rounded to a multiple of ``quantum``, so its noise cannot
-    override the next. As numpy's ``lexsort`` does, one stable sort per
-    coordinate, the last coordinate first."""
-    order = list(range(len(vectors)))
-    if vectors:
-        *rounded, last = zip(*vectors)
-        order.sort(key=last.__getitem__)
-        for column in reversed(rounded):
-            keys = [round(x / quantum) for x in column]
-            order.sort(key=keys.__getitem__)
+def sort_order(columns: Sequence[Sequence[float]], quantum: float) -> list[int]:
+    """Indices sorting the vectors whose coordinates are the ``columns``
+    lexicographically, stably; each coordinate but the last is rounded to a
+    multiple of ``quantum``, so its noise cannot override the next. As numpy's
+    ``lexsort`` does: one stable sort per coordinate, the last one first."""
+    *rounded, last = columns
+    order = sorted(range(len(last)), key=last.__getitem__)
+    for column in reversed(rounded):
+        keys = [round(x / quantum) for x in column]
+        order.sort(key=keys.__getitem__)
     return order
 
 
-def group(vectors: Sequence[Sequence[float]], quantum: float) -> tuple[list[int], list[int]]:
-    """Group labels of ``vectors``, numbered in ``sort_order``, where a vector
-    within ``quantum`` of the one before it in every coordinate joins its
-    group; and the index of the first vector of each group."""
-    labels, firsts, prev = [0] * len(vectors), [], None
-    for i in sort_order(vectors, quantum):
-        v = vectors[i]
-        if prev is None or any(abs(a - b) > quantum for a, b in zip(v, prev)):
-            firsts.append(i)
-        labels[i], prev = len(firsts) - 1, v
-    return labels, firsts
+def group(columns: Sequence[Sequence[float]], quantum: float) -> tuple[list[int], list[int]]:
+    """Group labels of the vectors whose coordinates are the ``columns``,
+    numbered in ``sort_order``, where a vector within ``quantum`` of the one
+    before it in every coordinate joins its group; and the index of the first
+    vector of each group."""
+    order = sort_order(columns, quantum)
+    starts = [not k for k in range(len(order))]  # the first vector starts a group
+    for column in columns:
+        ordered = list(map(column.__getitem__, order))
+        apart = map(gt, map(abs, map(sub, ordered[1:], ordered[:-1])), repeat(quantum))
+        starts[1:] = map(or_, starts[1:], apart)
+    labels = [0] * len(order)
+    for i, count in zip(order, accumulate(starts)):
+        labels[i] = count - 1
+    return labels, list(compress(order, starts))
 
 
 def _stored(cells: array) -> memoryview:

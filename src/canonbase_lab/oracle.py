@@ -12,7 +12,8 @@ standard library, so ``typeq`` and ``demo remark`` never load numpy.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import compress, repeat
+from operator import mul, truediv
 from typing import Sequence
 
 from .errors import InvariantError
@@ -33,17 +34,18 @@ class DirectionalMass(Record):
     @classmethod
     def from_elements(cls, fs: Sequence[LatticeElement], p: float) -> "DirectionalMass":
         space, p = same_space(fs, "elements"), float(p)
-        directions, masses = [], []
-        for w, vec in zip(space.weights, zip(*(g.values for g in fs))):
-            sup = max(map(abs, vec))
-            if sup != 0.0:
-                directions.append(tuple(x / sup for x in vec))
-                masses.append(w * power(sup, p))
+        sups = list(map(abs, fs[0].values))
+        for g in fs[1:]:
+            sups = list(map(max, map(abs, g.values), sups))
+        rays = list(map(bool, sups))  # the atoms where some element is not 0
+        sups = list(compress(sups, rays))
+        directions = [list(map(truediv, compress(g.values, rays), sups)) for g in fs]
+        masses = map(mul, compress(space.weights, rays), map(power, sups, repeat(p)))
         labels, firsts = group(directions, TOL)
         merged = [0.0] * len(firsts)
         for label, mass in zip(labels, masses):  # in atom order
             merged[label] += mass
-        return cls(tuple(zip([directions[i] for i in firsts], merged)))
+        return cls(tuple(zip(zip(*(map(d.__getitem__, firsts) for d in directions)), merged)))
 
     def approx_equal(self, other: "DirectionalMass") -> bool:
         """Rays of the same dimensions, with close directions and close masses."""
@@ -66,12 +68,13 @@ def type_equal_1(f: LatticeElement, g: LatticeElement, pair: ExtensionPair, p: f
 
 def _joint_rows(fs: Sequence[LatticeElement], pair: ExtensionPair, quantum: float) -> list[float]:
     """Per base atom, the fiber cells as value vectors (one coordinate per
-    element), in ``measure_core.sort_order`` on ``quantum``; the coordinates
-    of the vectors in that order, atom after atom."""
+    element), in ``measure_core.sort_order`` on ``quantum``: atom after atom,
+    each element's cells in that order."""
     out: list[float] = []
-    for fibers in zip(*(pair.fibers(g) for g in fs)):
-        cells = list(zip(*fibers))
-        out += chain.from_iterable(cells[i] for i in sort_order(cells, quantum))
+    for fibers in zip(*(pair.fibers(g) for g in fs)):  # one fiber per element
+        order = sort_order(fibers, quantum)
+        for fiber in fibers:
+            out += map(fiber.__getitem__, order)
     return out
 
 

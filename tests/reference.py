@@ -275,7 +275,7 @@ def _block_masses(
     idx = np.asarray(block)
     w = x.space.weight_array[idx]
     values = np.concatenate([x.array[idx], y.array[idx]]).tolist()
-    labels, firsts = group([(v,) for v in values], quantum)
+    labels, firsts = group([values], quantum)
     parts = (labels[: len(idx)], labels[len(idx) :])
     return tuple(np.bincount(g, w, len(firsts)) / w.sum() for g in parts)
 

@@ -590,16 +590,16 @@ def test_space_and_substructure_keep_only_their_arrays():
 _COORDS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 + 4e-10, 1.0 - 6e-10, 2.5, 1e-10, -3e-10])
 
 
-@given(st.integers(1, 3).flatmap(lambda d: st.lists(st.tuples(*[_COORDS] * d), max_size=12)),
-       st.sampled_from([1e-9, 1e-3, 1.0]))
-def test_sort_order_and_group_follow_the_numpy_rule(vectors, quantum):
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(st.tuples(*[_COORDS] * d), max_size=12).map(
+    lambda vectors: [[v[j] for v in vectors] for j in range(d)])), st.sampled_from([1e-9, 1e-3, 1.0]))
+def test_sort_order_and_group_follow_the_numpy_rule(columns, quantum):
     # the stable sort per coordinate gives lexsort's order, ties and signed zeros included
-    order = sort_order(vectors, quantum)
-    labels, firsts = group(vectors, quantum)
-    if not vectors:
+    order = sort_order(columns, quantum)
+    labels, firsts = group(columns, quantum)
+    if not columns[0]:
         assert order == [] and labels == [] and firsts == []
         return
-    arr = np.array(vectors)
+    arr = np.array(columns).T
     ref_labels, ref_firsts = ref_group(arr, quantum)
     assert order == ref_sort_order(arr, quantum).tolist()
     assert labels == ref_labels.tolist() and firsts == ref_firsts.tolist()
