@@ -5,7 +5,7 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from canonbase_lab.errors import InvariantError, SpaceMismatchError
@@ -19,6 +19,7 @@ from canonbase_lab.measure_core import (
     join,
     lp_norm,
     meet,
+    pos_part,
     same_space,
     sort_order,
 )
@@ -603,3 +604,25 @@ def test_sort_order_and_group_follow_the_numpy_rule(columns, quantum):
     ref_labels, ref_firsts = ref_group(arr, quantum)
     assert order == ref_sort_order(arr, quantum).tolist()
     assert labels == ref_labels.tolist() and firsts == ref_firsts.tolist()
+
+
+_SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e300, -1e-300])
+
+
+@given(st.lists(st.tuples(_SIGNED, _SIGNED), min_size=1, max_size=6), _SIGNED)
+@example([(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (1.0, 1.0)], -0.0)
+def test_element_operations_give_numpys_bits(pairs, c):
+    # signed zeros included: join and meet keep their second operand on a tie, as numpy's maximum and minimum do
+    space = MeasureSpace([1.0] * len(pairs))
+    f, g = (LatticeElement(space, [p[k] for p in pairs]) for k in (0, 1))
+    a, b = f.array, g.array
+    with np.errstate(over="ignore"):
+        expected = [(lambda: join(f, g), np.maximum(a, b)), (lambda: meet(f, g), np.minimum(a, b)),
+                    (lambda: pos_part(f), np.maximum(a, 0.0)), (lambda: abs(f), np.abs(a)), (lambda: -f, -a),
+                    (lambda: f + g, a + b), (lambda: f - g, a - b), (lambda: f * g, a * b), (lambda: c * f, c * a)]
+    for op, want in expected:
+        if np.isfinite(want).all():  # an overflow is refused as a non-finite value
+            assert op().array.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(InvariantError, match="must be finite, got"):
+                op()
