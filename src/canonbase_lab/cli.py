@@ -239,10 +239,7 @@ def _encode(obj: Any, level: int = 0) -> Iterator[str]:
     elif isinstance(obj, ndarray):
         if obj.dtype != "float64" or obj.ndim not in (1, 2):
             raise TypeError(f"only 1-D and 2-D float64 arrays are encoded, got {obj.dtype} {obj.shape}")
-        if obj.ndim == 2:
-            yield from _encode(list(obj), level)
-        else:
-            yield _floats(obj.tolist(), level)
+        yield from _encode(list(obj) if obj.ndim == 2 else obj.tolist(), level)
     elif isinstance(obj, memoryview):
         yield _floats(obj.tolist(), level)
     elif isinstance(obj, (list, tuple)) and all(type(x) is float for x in obj):
