@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import math
 import sys
-from array import array
 from contextlib import suppress
 from numbers import Integral, Real
+from typing import TYPE_CHECKING
 
 from .errors import InvariantError
+
+if TYPE_CHECKING:
+    from array import array
 
 #: The relative tolerance of ``close``.
 TOL = 1e-9
@@ -79,6 +82,8 @@ def _fast_cells(values) -> tuple[array, tuple[int, ...]] | None:
     """``_cells`` for a float64 buffer, a list or tuple of numbers, or a list
     of equally long lists of numbers, done in C; None for anything else, and
     for such data with a leaf that ``_cells`` must read or reject."""
+    from array import array  # loaded by the calls that read reals, not by every call
+
     if hasattr(values, "tolist"):
         with suppress(TypeError):
             view = memoryview(values)
@@ -105,6 +110,8 @@ def _fast_cells(values) -> tuple[array, tuple[int, ...]] | None:
 def _cells(values) -> tuple[array, tuple[int, ...]]:
     """The nesting of ``values`` read level by level, as numpy discovers a
     shape, then its leaves as floats."""
+    from array import array
+
     shape: list[int] = []
     level = [values]
     while True:
