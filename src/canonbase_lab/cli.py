@@ -209,8 +209,8 @@ def _encode(obj: Any, level: int = 0) -> Iterator[str]:
 
     The leaves go through json's C encoder, which ``indent`` would otherwise
     switch off. A flat sequence of floats (a buffer, a vector, a matrix row, a
-    list of floats) is one ``json.dumps`` call, whose ", " separators become
-    the indented ones (so repr, NaN and Infinity are json's own). A block
+    list of floats) is one ``json.dumps`` call with the indented separator (so
+    repr, NaN and Infinity are json's own). A block
     table is formatted once for all its rows, which hold one value per block:
     ``_texts`` takes ``np.unique`` over the int64 view of their bits (so -0.0
     stays apart from 0.0) and formats each distinct value once, and each key's
@@ -257,11 +257,11 @@ def _encode(obj: Any, level: int = 0) -> Iterator[str]:
 
 def _floats(values: list[float], level: int) -> str:
     """The indented JSON list of ``values``: one call of json's C encoder,
-    whose ", " separators, which no float's text holds, become indented."""
+    with the indented separator between items."""
     if not values:
         return "[]"
     inner = "\n" + "  " * (level + 1)
-    return "[" + inner + json.dumps(values)[1:-1].replace(", ", "," + inner) + "\n" + "  " * level + "]"
+    return "[" + inner + json.dumps(values, separators=("," + inner, ": "))[1:-1] + "\n" + "  " * level + "]"
 
 
 def _texts(values: np.ndarray) -> np.ndarray:
