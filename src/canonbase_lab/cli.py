@@ -19,12 +19,12 @@ loaded. Each input file is opened once, by ``_read_json``, and the report's
 ``inputs`` maps its path to the SHA-256 of the bytes parsed, so a call whose
 output path names an input still reports what it read; ``typeq`` given one
 path as ``--a`` and ``--b`` reads and builds that element once. No call loads
-``dataclasses`` or OpenSSL: that digest, the same hex text as ``hashlib``'s, comes from the
-interpreter's own module (``_sha256``; ``_sha2`` from Python 3.12), which
-spares the 3.8 MB of resident memory that loading OpenSSL costs. It hashes at
-4.0-5.5 ms/MiB against OpenSSL's 0.75-0.79, so ``rv-cb`` on 7 MiB of input
-takes about 30 ms longer and peaks 1.2 MB lower (Python 3.11 on a shared
-2-core Xeon host).
+``dataclasses`` or OpenSSL: that digest, the same hex text as ``hashlib``'s,
+comes from the interpreter's own module (``_sha256``; ``_sha2`` from Python
+3.12), which spares the 3.8 MB of resident memory that loading OpenSSL costs.
+It hashes at 4.0-5.5 ms/MiB against OpenSSL's 0.75-0.79, so ``rv-cb`` on 7 MiB
+of input takes about 30 ms longer and peaks 1.2 MB lower (Python 3.11 on a
+shared 2-core Xeon host).
 
 A report is a function of argv and the bytes of the input files alone; it
 holds no clock reading, so two runs of one call print the same bytes.
@@ -203,19 +203,19 @@ def _encode(obj: Any, level: int = 0) -> Iterator[str]:
     """Yield, in chunks, exactly the text of
     ``json.dumps(obj, sort_keys=True, indent=2)`` for ``obj`` nested ``level``
     deep, where each float64 buffer (a memoryview) and each 1-D or 2-D float64
-    ndarray in ``obj`` stands for its ``.tolist()`` and each
-    ``BlockTable`` for the dict of its elements' value lists. Dict and
-    block-table keys must be strings.
+    ndarray in ``obj`` stands for its ``.tolist()`` and each ``BlockTable`` for
+    the dict of its elements' value lists. Dict and block-table keys must be
+    strings.
 
     The leaves go through json's C encoder, which ``indent`` would otherwise
     switch off. A flat sequence of floats (a buffer, a vector, a matrix row, a
     list of floats) is one ``json.dumps`` call with the indented separator (so
-    repr, NaN and Infinity are json's own). A block
-    table is formatted once for all its rows, which hold one value per block:
-    ``_texts`` takes ``np.unique`` over the int64 view of their bits (so -0.0
-    stays apart from 0.0) and formats each distinct value once, and each key's
-    list is its row's text gathered by the atoms' block labels. Other lists
-    and dicts are walked item by item; they are short in reports."""
+    repr, NaN and Infinity are json's own). A block table is formatted once
+    for all its rows, which hold one value per block: ``_texts`` takes
+    ``np.unique`` over the int64 view of their bits (so -0.0 stays apart from
+    0.0) and formats each distinct value once, and each key's list is its
+    row's text gathered by the atoms' block labels. Other lists and dicts are
+    walked item by item; they are short in reports."""
     ndarray = getattr(sys.modules.get("numpy"), "ndarray", ())
     table = getattr(sys.modules.get(f"{__package__}.measure_core"), "BlockTable", ())
     inner = "\n" + "  " * (level + 1)

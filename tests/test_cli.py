@@ -331,14 +331,16 @@ def test_the_pair_rules_keep_their_error_messages(tmp_path, capsys, doc, expecte
     assert json.loads(capsys.readouterr().out)["error"] == f"{space}: {expected}"
 
 
-_RAGGED = "expected real numbers (setting an array element with a sequence. The requested array has an inhomogeneous shape"
+_RAGGED = ("expected real numbers (setting an array element with a sequence. "
+           "The requested array has an inhomogeneous shape")
 _ORTH = {**SPACE, "orthogonal_part": True}
 
 
 @pytest.mark.parametrize("space, element, expected", [
     (SPACE, {"rows": [[0, "a"], [2, 3]]}, "/rows: expected real numbers (could not convert string to float: 'a')"),
     (SPACE, {"rows": [[0, 10**400], [2, 3]]}, "/rows: expected real numbers (int too large to convert to float)"),
-    (SPACE, {"rows": [[0, 1], [2]]}, f"/rows: {_RAGGED} after 1 dimensions. The detected shape was (2,) + inhomogeneous part.)"),
+    (SPACE, {"rows": [[0, 1], [2]]},
+     f"/rows: {_RAGGED} after 1 dimensions. The detected shape was (2,) + inhomogeneous part.)"),
     (SPACE, {"rows": [[0, 1], [2, [3]]]},
      f"/rows: {_RAGGED} after 2 dimensions. The detected shape was (2, 2) + inhomogeneous part.)"),
     (SPACE, {"rows": [[0, 1], [2, None]]}, "/rows/1/1: must be finite, got nan"),

@@ -32,8 +32,8 @@ from canonbase_lab.measure_core import (
 from canonbase_lab.oracle import type_equal_1
 from conftest import random_element, random_pair
 
-from reference import (_partial_from_family, canonical_base_ntype, dotminus, ref_partial_prefix, ref_slice, signed_power,
-                       spow_deviation_bound)
+from reference import (_partial_from_family, canonical_base_ntype, dotminus, ref_partial_prefix, ref_slice,
+                       signed_power, spow_deviation_bound)
 
 
 def interval_cond_exp(f: LatticeElement, pair: ExtensionPair, t: float, s: float) -> LatticeElement:

@@ -192,9 +192,13 @@ def _pair_documents(path: Path) -> None:
     (path / "space.json").write_text(json.dumps({"base_weights": [0.5, 0.5], "fiber_cells": 2}))
     (path / "f.json").write_text(json.dumps({"rows": [[1.0, 2.0], [0.0, -1.0]]}))
     (path / "g.json").write_text(json.dumps({"rows": [[2.0, 1.0], [-1.0, 0.0]]}))
-    (path / "orth.json").write_text(json.dumps({"base_weights": [0.5, 2.0], "fiber_cells": 2, "orthogonal_part": True}))
-    (path / "h.json").write_text(json.dumps({"rows": [[1.0, 2.0], [0.0, -1.0]], "plus": [3.0, -1.0], "minus": [0.0, 2.0]}))
-    (path / "k.json").write_text(json.dumps({"rows": [[2.0, 1.0], [-1.0, 0.0]], "plus": [-1.0, 2.0], "minus": [3.0, 0.0]}))
+    docs = {
+        "orth.json": {"base_weights": [0.5, 2.0], "fiber_cells": 2, "orthogonal_part": True},
+        "h.json": {"rows": [[1.0, 2.0], [0.0, -1.0]], "plus": [3.0, -1.0], "minus": [0.0, 2.0]},
+        "k.json": {"rows": [[2.0, 1.0], [-1.0, 0.0]], "plus": [-1.0, 2.0], "minus": [3.0, 0.0]},
+    }
+    for name, doc in docs.items():
+        (path / name).write_text(json.dumps(doc))
 
 
 _LP_CB = ["lp-cb", "--space", "orth.json", "--element", "h.json", "--p", "2", "--grid", "4"]
