@@ -516,7 +516,7 @@ class ExtensionPair(Record):
             if shape != (self.n,):
                 raise InvariantError(f"{name}: expected {self.n} cells, got shape {shape}")
             cells += fiber
-        return LatticeElement._unchecked(self._total, _stored(cells))  # each part is checked
+        return LatticeElement._unchecked(self.total_space(), _stored(cells))  # each part is checked
 
     def require(self, f: LatticeElement) -> None:
         """Raise ``SpaceMismatchError`` unless f lives on the total space."""
