@@ -541,7 +541,7 @@ def _cmd_demo(args) -> tuple[int, dict, dict]:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="canonlab", description=__doc__)
+    parser = _Parser(prog="canonlab", description=(__doc__ or "").partition("\n")[0])  # None under -OO
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("legendre", help="conjugate of a piecewise-linear convex function")

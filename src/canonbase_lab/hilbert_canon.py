@@ -34,7 +34,8 @@ class Subspace(Record):
     """A subspace of R^dim given by an orthonormal basis (possibly empty).
     Both arguments are coerced once, here; bad input raises ``InvariantError``
     naming ``dim`` or ``basis``. ``basis_array`` is the read-only (k, dim)
-    float64 array of the basis vectors."""
+    float64 array of the basis vectors; the subspace compares, hashes, pickles
+    and shows as ``dim`` and the basis vectors as tuples."""
 
     __slots__ = ("dim", "basis_array")
 
@@ -46,6 +47,9 @@ class Subspace(Record):
             raise InvariantError("basis: not orthonormal")
         mat.flags.writeable = False
         super().__init__(dim, mat)
+
+    def _key(self) -> tuple:
+        return (self.dim, tuple(map(tuple, self.basis_array.tolist())))
 
     @classmethod
     def span(cls, dim: int, vectors: Sequence[Sequence[float]]) -> "Subspace":

@@ -135,25 +135,9 @@ class PLConvexFn(Record):
                 return (self.slopes[cand], self.slopes[cand + 1])
         return (self.slopes[j], self.slopes[j])
 
-    def shift(self, c: float) -> "PLConvexFn":
-        """The function plus a constant."""
-        return PLConvexFn(
-            self.lo, self.hi, self.breakpoints, self.slopes, self.anchor_x, self.anchor_y + c
-        )
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def absolute_value(cls) -> "PLConvexFn":
-        return cls(-math.inf, math.inf, (0.0,), (-1.0, 1.0), 0.0, 0.0)
-
     @classmethod
     def point(cls, x: float, value: float) -> "PLConvexFn":
         return cls(x, x, (), (), x, value)
-
-    @classmethod
-    def linear(cls, slope: float, x0: float = 0.0, y0: float = 0.0) -> "PLConvexFn":
-        return cls(-math.inf, math.inf, (), (slope,), x0, y0)
 
 
 def conjugate(phi: PLConvexFn) -> PLConvexFn:

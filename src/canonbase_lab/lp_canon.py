@@ -99,11 +99,6 @@ class PsiFamily(Record):
 
     __slots__ = ("pair", "fibers", "f0")
 
-    def value_at(self, x: float) -> LatticeElement:
-        return LatticeElement(
-            self.pair.base_space(), tuple(fn.evaluate(x) for fn in self.fibers)
-        )
-
 
 # no CLI call runs this; it stays because perfbench's tracer patches it here
 def psi(f: LatticeElement, pair: ExtensionPair) -> PsiFamily:
@@ -196,11 +191,6 @@ class LpCanonicalBase(Record, eq=False):
     """
 
     __slots__ = ("p", "pos_norm", "neg_norm", "grid", "space", "rows", "interval_form", "orthogonal_norms")
-
-    @property
-    def partials(self) -> dict[float, LatticeElement]:
-        """E_t per grid point, as base-space elements."""
-        return {t: LatticeElement(self.space, row) for t, row in zip(self.grid, self.rows)}
 
     def entries(self) -> list[memoryview]:
         """The entries of the base, one read-only float64 buffer each:

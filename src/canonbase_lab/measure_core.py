@@ -2,8 +2,9 @@
 
 Elements are real-valued functions on the atoms of a finite measure space.
 This module decides how they are stored, how input becomes real numbers and
-how the cells of a fibered pair are laid out, and it holds every per-atom
-loop.
+how the cells of a fibered pair are laid out, and it holds the per-atom
+loops of the element algebra; ``lp_canon``'s slice kernel and ``oracle``'s
+type checks keep their own, on the same buffers.
 
 Per-atom data is stored once, in a float64 ``array('d')`` of the standard
 library behind a read-only ``memoryview``: an element's ``values`` and a
@@ -147,10 +148,6 @@ class MeasureSpace(Record):
     def weight_array(self) -> np.ndarray:
         return _numpy_view(self.weights)
 
-    @property
-    def total_mass(self) -> float:
-        return math.fsum(self.weights)
-
 
 class LatticeElement(Record):
     """One real value per atom of its measure space.
@@ -198,14 +195,6 @@ class LatticeElement(Record):
 
     def approx_equal(self, other: "LatticeElement", tol: float = TOL) -> bool:
         return self.space == other.space and close(self.values, other.values, tol)
-
-    @classmethod
-    def zero(cls, space: MeasureSpace) -> "LatticeElement":
-        return cls(space, array("d", bytes(8 * len(space))))
-
-    @classmethod
-    def constant(cls, space: MeasureSpace, c: float) -> "LatticeElement":
-        return cls(space, array("d", [float(c)]) * len(space))
 
 
 def same_space(elements: Sequence[LatticeElement], name: str) -> MeasureSpace:
@@ -292,9 +281,11 @@ class SubStructure(Record):
 
     The blocks generate the conditioning algebra; atoms outside the support
     are invisible to it. The storage is two read-only intp arrays: ``_atoms``
-    holds the atoms block after block, sorted within each block, and block k
-    is ``_atoms[_offsets[k]:_offsets[k + 1]]``. ``blocks`` is the same data as
-    sorted tuples, built on each read; ``len`` is the number of blocks.
+    holds the atoms block after block, each block in the order given, and
+    block k is ``_atoms[_offsets[k]:_offsets[k + 1]]``. ``blocks`` is the same
+    data as tuples, each block sorted, built on each read; the substructure
+    compares, hashes, pickles and shows as ``blocks``, so the order of the
+    atoms within a block does not matter. ``len`` is the number of blocks.
     """
 
     __slots__ = ("_atoms", "_offsets")
@@ -325,21 +316,10 @@ class SubStructure(Record):
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if len(repeated):
             raise InvariantError(f"blocks: atom {repeated[0]} appears more than once")
-        ids = np.repeat(np.arange(len(lengths)), lengths)
-        if (np.diff(atoms)[np.diff(ids) == 0] < 0).any():  # a block out of order
-            ranks = np.empty_like(atoms)  # the atoms are distinct, so (block, rank) sorts them
-            ranks[np.argsort(atoms)] = np.arange(len(atoms))
-            atoms = atoms[np.argsort(ids * len(atoms) + ranks)]
         super().__init__(_frozen(atoms), _frozen(np.append(0, np.cumsum(lengths))))
 
-    @classmethod
-    def _of(cls, atoms: np.ndarray, offsets: np.ndarray) -> "SubStructure":
-        """Blocks ``atoms[offsets[k]:offsets[k + 1]]`` of two intp arrays, taken as nonempty,
-        disjoint and sorted."""
-        return cls._unchecked(_frozen(atoms), _frozen(offsets))
-
-    def __reduce__(self):
-        return (SubStructure._of, self._key())
+    def _key(self) -> tuple:
+        return (self.blocks,)
 
     def __len__(self) -> int:
         return len(self._offsets) - 1
@@ -347,18 +327,18 @@ class SubStructure(Record):
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         import numpy as np
-        return tuple(tuple(b.tolist()) for b in np.split(self._atoms, self._offsets[1:])[:-1])
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self._atoms.tolist())
+        return tuple(tuple(sorted(b.tolist())) for b in np.split(self._atoms, self._offsets[1:])[:-1])
 
     def validate_for(self, space: MeasureSpace) -> None:
+        """``InvariantError`` naming the first block that holds an atom the
+        space lacks, and the smallest such atom of that block."""
         import numpy as np
         n = len(space)
-        over = np.flatnonzero(self._atoms >= n)
-        if len(over):
-            k, atom = np.searchsorted(self._offsets, over[0], "right") - 1, self._atoms[over[0]]
+        over = self._atoms >= n
+        if over.any():
+            k = np.searchsorted(self._offsets, over.argmax(), "right") - 1
+            block = self._atoms[self._offsets[k] : self._offsets[k + 1]]
+            atom = block[block >= n].min()
             raise InvariantError(f"blocks/{k}: references atom {atom} but the space has {n} atoms")
 
     def _labels(self, space: MeasureSpace) -> np.ndarray:
@@ -374,16 +354,6 @@ class SubStructure(Record):
         per block, its mass, summed in atom-index order."""
         labels = self._labels(space)
         return labels, _block_sums(space.weight_array, labels, len(self))
-
-    @classmethod
-    def single_block(cls, indices: Iterable[int]) -> "SubStructure":
-        return cls((tuple(indices),))
-
-    @classmethod
-    def discrete(cls, n: int) -> "SubStructure":
-        import numpy as np
-        atoms = np.arange(len(range(n)))  # no atoms for n <= 0, as range(n)
-        return cls._of(atoms, np.append(atoms, len(atoms)))
 
 
 def _block_sums(x: np.ndarray, labels: np.ndarray, blocks: int) -> np.ndarray:
@@ -462,7 +432,7 @@ class ExtensionPair(Record):
     __slots__ = ("fiber_cells", "has_orthogonal", "_base", "_total", "_orth")
 
     def __init__(self, base_weights, fiber_cells: int, has_orthogonal: bool = False):
-        base = MeasureSpace(_weights(base_weights, "base_weights"))
+        base = MeasureSpace._unchecked(_stored(_weights(base_weights, "base_weights")))
         n = integer(fiber_cells, "fiber_cells", 1)
         has_orth = bool(has_orthogonal)
         check_entries(len(base) + 2 * has_orth, n, "fiber_cells")
@@ -558,8 +528,8 @@ class ExtensionPair(Record):
 
     def base_substructure(self) -> SubStructure:
         """The fibers over the base, as blocks of the total space."""
-        import numpy as np
-        return SubStructure._of(np.arange(self.m * self.n), np.arange(self.m + 1) * self.n)
+        n = self.n
+        return SubStructure(range(i * n, (i + 1) * n) for i in range(self.m))
 
     def cond_exp_base(self, f: LatticeElement) -> LatticeElement:
         """Conditional expectation onto the embedded base lattice, returned as

@@ -1,16 +1,7 @@
 """The one base of the package's value classes, from term nodes to lattice
-elements. It loads no numpy, which whoever holds an array has loaded."""
+elements."""
 
 from __future__ import annotations
-
-import sys
-from itertools import repeat
-
-
-def _numpy_if_arrays(items: tuple):
-    """numpy, found in ``sys.modules``, if an item is an ndarray; else None."""
-    np = sys.modules.get("numpy")
-    return np if np is not None and any(map(isinstance, items, repeat(np.ndarray))) else None
 
 
 def _plain(x):
@@ -25,11 +16,11 @@ class Record:
     ``__slots__`` names, in order, positionally or by name; a class that
     checks its input passes the converted values of all its slots to it, and
     one whose slots are not its constructor's arguments defines ``_key``, those
-    arguments. Equal to an object of its class with equal ``_key()`` items
-    (arrays by ``np.array_equal``, buffers item by item), hashed alike (an
-    array by its bytes, a buffer by its items), pickled and shown as
-    ``type(self)(*self._key())`` with each buffer as its list. So -0.0 and 0.0
-    compare equal and hash alike in either store. A class declared with
+    arguments as plain values and buffers. Equal to an object of its class
+    with equal ``_key()`` items (buffers item by item), hashed alike (a buffer
+    by its items), pickled and shown as ``type(self)(*self._key())`` with each
+    buffer as its list, so a pickle comes back through the constructor. So
+    -0.0 and 0.0 compare equal and hash alike. A class declared with
     ``eq=False`` compares and hashes by identity."""
 
     __slots__ = ()
@@ -69,19 +60,10 @@ class Record:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        a, b = self._key(), other._key()
-        np = _numpy_if_arrays(a)
-        if np is None:
-            return a == b
-        return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in zip(a, b))
+        return self._key() == other._key()
 
     def __hash__(self):
-        key = tuple(tuple(x.tolist()) if isinstance(x, memoryview) else x for x in self._key())
-        np = _numpy_if_arrays(key)
-        if np is None:
-            return hash(key)
-        # + 0.0 turns -0.0, which equals 0.0, into 0.0
-        return hash(tuple((x + 0.0).tobytes() if isinstance(x, np.ndarray) else x for x in key))
+        return hash(tuple(tuple(x.tolist()) if isinstance(x, memoryview) else x for x in self._key()))
 
     def __reduce__(self):
         return (type(self), tuple(map(_plain, self._key())))

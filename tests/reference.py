@@ -358,7 +358,7 @@ def canonical_base_ntype(
     k_max = integer(k_max, "k_max", 1)
     bases = {}
     for combo in product(range(-k_max, k_max + 1), repeat=len(fs)):
-        elem = LatticeElement.zero(pair.total_space())
+        elem = LatticeElement(pair.total_space(), [0.0] * len(pair.total_space()))
         for k, g in zip(combo, fs):
             if k:
                 elem = elem + float(k) * g

@@ -393,6 +393,16 @@ def test_usage_errors_exit_1_with_the_usage_on_stderr(capsys, argv):
     assert out == "" and err.startswith("usage error: ") and "usage: canonlab" in err
 
 
+def test_help_exits_0_with_a_one_line_description(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.dispatch(["--help"])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 0 and err == ""
+    usage, description, rest = out.split("\n\n", 2)
+    assert usage.startswith("usage: canonlab") and rest.startswith("positional arguments:")
+    assert description == "Command-line front end: JSON input, deterministic run reports on stdout."
+
+
 def test_a_large_prime_is_accepted_at_once(capsys):
     start = time.perf_counter()
     code = cli.dispatch(["ultra", "--prime", str(2**61 - 1), "ball-dist", "0", "0", "1", "0"])

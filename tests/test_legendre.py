@@ -16,7 +16,7 @@ from reference import ref_conjugate_value
 
 INF = math.inf
 
-ABS = PLConvexFn.absolute_value()
+ABS = PLConvexFn(-INF, INF, (0.0,), (-1.0, 1.0), 0.0, 0.0)
 # the shortfall instance 0.5*(3x+2)^+ + 0.5*(3x-4)^+
 SHORTFALL = PLConvexFn(-INF, INF, (-2 / 3, 4 / 3), (0.0, 1.5, 3.0), -2 / 3, 0.0)
 
@@ -133,7 +133,7 @@ def test_conjugate_shortfall_at_mid_slope():
 
 
 def test_conjugate_linear_is_point():
-    phi = PLConvexFn.linear(2.0, 0.0, 1.0)
+    phi = PLConvexFn(-INF, INF, (), (2.0,), 0.0, 1.0)
     star = conjugate(phi)
     assert star.is_point() and star.lo == 2.0
     assert star.evaluate(2.0) == -1.0
@@ -157,7 +157,7 @@ def test_biconjugate_shortfall_exact_at_breakpoints():
 
 
 def test_biconjugate_linear():
-    phi = PLConvexFn.linear(-1.5, 1.0, 0.25)
+    phi = PLConvexFn(-INF, INF, (), (-1.5,), 1.0, 0.25)
     back = conjugate(conjugate(phi))
     for x in (-2.0, 0.0, 1.0, 4.0):
         assert back.evaluate(x) == pytest.approx(phi.evaluate(x), abs=1e-12)
@@ -176,7 +176,7 @@ def test_biconjugate_random_instances():
 
 def test_conjugate_monotone_under_constant_shift():
     star = conjugate(SHORTFALL)
-    shifted_star = conjugate(SHORTFALL.shift(0.75))
+    shifted_star = conjugate(PLConvexFn(-INF, INF, (-2 / 3, 4 / 3), (0.0, 1.5, 3.0), -2 / 3, 0.75))
     for t in (0.0, 0.5, 1.5, 3.0):
         assert shifted_star.evaluate(t) == pytest.approx(star.evaluate(t) - 0.75, abs=1e-12)
 

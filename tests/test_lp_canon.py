@@ -122,7 +122,7 @@ def test_psi_constant_fiber():
 
 def test_psi_zero_element():
     pair = ExtensionPair((1.0, 1.0), 4)
-    fam = psi(LatticeElement.zero(pair.total_space()), pair)
+    fam = psi(pair.element([[0.0] * 4] * 2), pair)
     assert all(fn.evaluate(x) == 0.0 for fn in fam.fibers for x in (-2.0, 0.0, 2.0))
 
 
@@ -131,8 +131,8 @@ def test_psi_envelope_property(rng):
         fam = psi(f, pair)
         xs = [-4.0, -1.0, 0.0, 0.5, 2.0, 5.0]
         for x, y in zip(xs, xs[1:]):
-            vx, vy = fam.value_at(x), fam.value_at(y)
-            for a, b, f0 in zip(vx.array.tolist(), vy.array.tolist(), fam.f0.array.tolist()):
+            vx, vy = ([fn.evaluate(v) for fn in fam.fibers] for v in (x, y))
+            for a, b, f0 in zip(vx, vy, fam.f0.array.tolist()):
                 assert a <= b + 1e-12
                 assert b <= a + (y - x) * f0 + 1e-9
 
@@ -562,7 +562,7 @@ def cond_exp_pairing_check(
 
 
 def test_pairing_check_zero_h():
-    h = LatticeElement.zero(UNIT2.base_space())
+    h = LatticeElement(UNIT2.base_space(), (0.0,))
     assert cond_exp_pairing_check(F24, UNIT2, 2, h) == (0.0, 0.0)
 
 
@@ -585,7 +585,7 @@ def test_pairing_check_random(rng):
 
 def test_pairing_check_rejects_p_one():
     with pytest.raises(InvariantError):
-        cond_exp_pairing_check(F24, UNIT2, 1, LatticeElement.zero(UNIT2.base_space()))
+        cond_exp_pairing_check(F24, UNIT2, 1, LatticeElement(UNIT2.base_space(), (0.0,)))
 
 
 # -- transported interval convergence -------------------------------------------------
@@ -644,14 +644,14 @@ def test_base_worked_single_point_grid():
     cb = canonical_base_1type(F24, UNIT2, 1, [0.5])
     assert cb.pos_norm == pytest.approx(2.0, abs=1e-12)
     assert cb.neg_norm == pytest.approx(1.0, abs=1e-12)
-    assert cb.partials[0.5].array.tolist() == [-1.0]
+    assert cb.grid == (0.5,) and cb.rows[0].tolist() == [-1.0]
 
 
 def test_base_zero_element():
-    zero = LatticeElement.zero(UNIT2.total_space())
+    zero = UNIT2.element([[0.0, 0.0]])
     cb = canonical_base_1type(zero, UNIT2, 1, [0.25, 0.5, 1.0])
     assert cb.pos_norm == 0.0 and cb.neg_norm == 0.0
-    assert all(v == 0.0 for e in cb.partials.values() for v in e.array.tolist())
+    assert all(v == 0.0 for row in cb.rows for v in row)
 
 
 def test_base_norms_are_the_norms_of_the_parts(rng):

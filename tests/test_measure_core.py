@@ -93,13 +93,13 @@ def test_substructure_rejects_overlap():
 
 def test_substructure_support():
     s = SubStructure(((0, 2), (3,)))
-    assert s.support == frozenset({0, 2, 3})
+    assert set(chain.from_iterable(s.blocks)) == {0, 2, 3}
 
 
 # -- norms -------------------------------------------------------------------
 
 def test_lp_norm_zero_element():
-    assert lp_norm(LatticeElement.zero(HALVES), 1) == 0.0
+    assert lp_norm(LatticeElement(HALVES, (0.0, 0.0)), 1) == 0.0
 
 
 def test_lp_norm_worked_values():
@@ -115,7 +115,7 @@ def test_lp_norm_rejects_small_exponent():
 
 def test_distance_uses_halving():
     f = LatticeElement(HALVES, (-2.0, 4.0))
-    g = LatticeElement.zero(HALVES)
+    g = LatticeElement(HALVES, (0.0, 0.0))
     assert distance(f, g, 1) == pytest.approx(1.5)
 
 
@@ -208,12 +208,12 @@ def test_cond_exp_fixes_block_constant():
 def test_cond_exp_weighted_mean():
     space = MeasureSpace((1.0, 3.0))
     f = LatticeElement(space, (4.0, 0.0))
-    assert cond_exp(f, SubStructure.single_block((0, 1))).array.tolist() == [1.0, 1.0]
+    assert cond_exp(f, SubStructure(((0, 1),))).array.tolist() == [1.0, 1.0]
 
 
 def test_cond_exp_equal_weights_mean():
     f = LatticeElement(HALVES, (-2.0, 4.0))
-    assert cond_exp(f, SubStructure.single_block((0, 1))).array.tolist() == [1.0, 1.0]
+    assert cond_exp(f, SubStructure(((0, 1),))).array.tolist() == [1.0, 1.0]
 
 
 def test_cond_exp_zero_off_support():
@@ -297,7 +297,7 @@ def test_orthogonal_examples():
     assert orthogonal(LatticeElement(space, (1.0, 0.0)), LatticeElement(space, (0.0, 1.0)))
     assert not orthogonal(LatticeElement(space, (1.0, 1.0)), LatticeElement(space, (0.0, 1.0)))
     f = LatticeElement(space, (3.0, -2.0))
-    assert orthogonal(f, LatticeElement.zero(space))
+    assert orthogonal(f, LatticeElement(space, (0.0, 0.0)))
 
 
 # -- the fibered extension -----------------------------------------------------------
@@ -513,7 +513,6 @@ def _compare_as_references(a, b, ref_a, ref_b):
 def test_space_behaves_as_its_tuple_reference(w1, w2):
     a, b = MeasureSpace(w1), MeasureSpace(w2)
     assert a.weight_array.tolist() == list(ref_space(w1)) and len(a) == len(w1)
-    assert a.total_mass == pytest.approx(math.fsum(ref_space(w1)), rel=1e-15)
     assert pickle.loads(pickle.dumps(a)).weight_array.tolist() == list(ref_space(w1))
     _compare_as_references(a, b, ref_space(w1), ref_space(w2))
     with pytest.raises(AttributeError, match="^MeasureSpace is immutable"):
@@ -528,7 +527,6 @@ def test_substructure_behaves_as_its_tuple_reference(b1, b2):
     ref = ref_substructure(b1)
     assert s.blocks == ref and len(s) == len(ref)
     assert all(type(i) is int for i in chain.from_iterable(s.blocks))
-    assert s.support == frozenset(chain.from_iterable(ref))
     assert pickle.loads(pickle.dumps(s)).blocks == ref
     _compare_as_references(s, t, ref, ref_substructure(b2))
     with pytest.raises(AttributeError, match="^SubStructure is immutable"):
@@ -550,15 +548,12 @@ def test_element_equality_and_hash_follow_the_values(v1, v2):
     _compare_as_references(f, g, (HALVES.weight_array.tolist(), v1), (HALVES.weight_array.tolist(), v2))
 
 
-@given(st.integers(-2, 6), st.integers(1, 4), st.integers(1, 3), st.booleans())
-def test_derived_substructures_match_their_tuple_reference(k, m, n, orth):
-    discrete = ref_substructure([i] for i in range(k))
-    assert SubStructure.discrete(k).blocks == discrete
-    assert SubStructure.discrete(k) == SubStructure(discrete)
+@given(st.integers(1, 4), st.integers(1, 3), st.booleans())
+def test_derived_substructures_match_their_tuple_reference(m, n, orth):
     fibers = ref_substructure(range(i * n, (i + 1) * n) for i in range(m))
     base = ExtensionPair((1.0,) * m, n, orth).base_substructure()
     assert base.blocks == fibers and base == SubStructure(fibers) and hash(base) == hash(SubStructure(fibers))
-    assert SubStructure.single_block(range(m * n - 1, -1, -1)) == SubStructure([range(m * n)])
+    assert SubStructure([range(m * n - 1, -1, -1)]) == SubStructure([range(m * n)])
 
 
 def test_space_and_substructure_keep_only_their_arrays():

@@ -15,6 +15,7 @@ from canonbase_lab.krivine import HomogeneousFn
 from canonbase_lab.legendre import PLConvexFn
 from canonbase_lab.lp_canon import (LpCanonicalBase, P1Report, PsiFamily, RemarkReport, SliceFamily,
                                     canonical_base_1type, p1_counterexample, psi, remark_counterexample, slices)
+from canonbase_lab.errors import InvariantError
 from canonbase_lab.measure_core import ExtensionPair, LatticeElement, MeasureSpace, SubStructure
 from canonbase_lab.oracle import DirectionalMass
 from canonbase_lab.records import Record
@@ -81,6 +82,46 @@ def test_the_former_dataclasses_keep_the_record_contract(cls):
     clone = pickle.loads(pickle.dumps(a))
     assert clone == a and hash(clone) == hash(a)
     assert repr(a).startswith(f"{cls.__name__}(")
+
+
+def _holds_an_array(x) -> bool:
+    if isinstance(x, (tuple, list)):
+        return any(map(_holds_an_array, x))
+    return isinstance(x, np.ndarray)
+
+
+def test_only_the_identity_records_key_on_arrays():
+    # equality, hashing, pickling and showing read plain values and buffers only
+    built = [build() for build in RECORDS.values()]
+    built += [MeasureSpace((1.0, 2.0)), _F, _PAIR, SubStructure([[2, 0], [1]]), _PAIR.base_substructure()]
+    for record in built:
+        assert type(record) in IDENTITY or not _holds_an_array(record._key()), type(record).__name__
+
+
+def test_a_substructure_is_its_blocks_each_sorted():
+    given, ordered = SubStructure([[3, 0, 2], [1]]), SubStructure(((0, 2, 3), (1,)))
+    assert given == ordered and hash(given) == hash(ordered) and given.blocks == ((0, 2, 3), (1,))
+    assert given != SubStructure(((1,), (0, 2, 3)))
+    assert given.__reduce__() == (SubStructure, (((0, 2, 3), (1,)),))  # back through the constructor
+    clone = pickle.loads(pickle.dumps(given))
+    assert clone == ordered and hash(clone) == hash(given) and clone.blocks == given.blocks
+    assert repr(given) == "SubStructure(((0, 2, 3), (1,)))" and eval(repr(given)) == given
+
+
+def test_a_subspace_is_its_dim_and_basis_rows():
+    sub = Subspace(2, [[0.6, 0.8], [-0.8, 0.6]])
+    assert sub.__reduce__() == (Subspace, (2, ((0.6, 0.8), (-0.8, 0.6))))  # back through the constructor
+    assert repr(sub) == "Subspace(2, ((0.6, 0.8), (-0.8, 0.6)))" and eval(repr(sub)) == sub
+    assert Subspace(2, [[-0.0, 1.0]]) == Subspace(2, [[0.0, 1.0]]) != Subspace(2, [[0.0, -1.0]])
+    assert hash(Subspace(2, [[-0.0, 1.0]])) == hash(Subspace(2, [[0.0, 1.0]]))
+    assert Subspace(2, ()) != Subspace(3, ())
+
+
+def test_validate_for_names_the_smallest_missing_atom_of_the_first_bad_block():
+    s = SubStructure([[1, 0], [7, 5, 2], [9]])
+    with pytest.raises(InvariantError) as caught:
+        s.validate_for(MeasureSpace((1.0,) * 3))
+    assert str(caught.value) == "blocks/1: references atom 5 but the space has 3 atoms"
 
 
 def test_records_of_different_fields_or_classes_differ():
