@@ -401,6 +401,13 @@ def test_help_exits_0_with_a_one_line_description(capsys):
     usage, description, rest = out.split("\n\n", 2)
     assert usage.startswith("usage: canonlab") and rest.startswith("positional arguments:")
     assert description == "Command-line front end: JSON input, deterministic run reports on stdout."
+    # under -OO the module has no docstring, and the help has no description
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-OO", "-m", "canonbase_lab", "--help"],
+                          env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0 and proc.stdout.split("\n\n")[1].startswith("positional arguments:")
 
 
 def test_a_large_prime_is_accepted_at_once(capsys):

@@ -10,12 +10,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from canonbase_lab.errors import InvariantError
 from canonbase_lab.hilbert_canon import HilbertBase, Subspace, hs_cb
 from canonbase_lab.krivine import HomogeneousFn
 from canonbase_lab.legendre import PLConvexFn
 from canonbase_lab.lp_canon import (LpCanonicalBase, P1Report, PsiFamily, RemarkReport, SliceFamily,
                                     canonical_base_1type, p1_counterexample, psi, remark_counterexample, slices)
-from canonbase_lab.errors import InvariantError
 from canonbase_lab.measure_core import ExtensionPair, LatticeElement, MeasureSpace, SubStructure
 from canonbase_lab.oracle import DirectionalMass
 from canonbase_lab.records import Record
