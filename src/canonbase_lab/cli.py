@@ -8,7 +8,10 @@ It loads no numpy submodule that it does not use (``numpy.random``,
 ``numpy.ma``), and ``fractions`` only where it parses a rational. Numpy itself
 loads only with the bulk kernels: ``rv-cb`` and ``apr-cb`` (``rv_canon`` and
 the block kernel of ``measure_core``), ``hs-cb`` (``hilbert_canon``) and
-``krivine approx`` (``krivine``, which skips ``measure_core``). Every other
+``krivine approx`` (``krivine``, which skips ``measure_core``). ``rv-cb`` and
+``apr-cb`` parse and check every input before numpy loads, and release each
+parsed document first, so its objects and numpy's 13 MB are never resident
+together. Every other
 call starts without it: ``lp-cb``, ``typeq`` and both demos run the element
 algebra, the slice kernel and the type oracles on the standard library's
 float64 buffers, and ``krivine parse`` and ``eval`` (``terms``), ``legendre``
@@ -38,7 +41,11 @@ lattice elements and canonical bases into their outputs unconverted, and
 substructure (conditional moments, meet probabilities) are constant on its
 blocks, so ``rv-cb`` and ``apr-cb`` hand over one ``BlockTable``, one value
 per block and row, and ``_encode`` formats each distinct value of the whole
-table once and gathers the text of every atom by its block.
+table once and gathers the text of each key's list by the atoms' blocks, in
+chunks of ``CHUNK_ATOMS`` atoms, so no per-atom list is held whole.
+``_emit`` joins small chunks into writes of about ``WRITE_CHARS``
+characters: stdout may be unbuffered (``PYTHONUNBUFFERED``), and then each
+write is a system call.
 
 Sizes are capped before anything is allocated, and a rejection exits 2
 naming the flag or pointer and the cap. A result holds at most
@@ -71,7 +78,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from .errors import InvariantError
@@ -214,8 +221,9 @@ def _encode(obj: Any, level: int = 0) -> Iterator[str]:
     for all its rows, which hold one value per block: ``_texts`` takes
     ``np.unique`` over the int64 view of their bits (so -0.0 stays apart from
     0.0) and formats each distinct value once, and each key's list is its
-    row's text gathered by the atoms' block labels. Other lists and dicts are
-    walked item by item; they are short in reports."""
+    row's text gathered by the atoms' block labels, ``CHUNK_ATOMS`` atoms per
+    chunk (``_gathered``). Other lists and dicts are walked item by item; they
+    are short in reports."""
     ndarray = getattr(sys.modules.get("numpy"), "ndarray", ())
     table = getattr(sys.modules.get(f"{__package__}.measure_core"), "BlockTable", ())
     inner = "\n" + "  " * (level + 1)
@@ -233,7 +241,7 @@ def _encode(obj: Any, level: int = 0) -> Iterator[str]:
             if rows is None:
                 yield from _encode(obj[key], level + 1)
             else:
-                yield _list(rows[key][obj.labels], level + 1)
+                yield from _gathered(rows[key], obj.labels, level + 1)
             sep = "," + inner
         yield close + "}"
     elif isinstance(obj, ndarray):
@@ -274,19 +282,47 @@ def _texts(values: np.ndarray) -> np.ndarray:
     return np.array(texts, dtype=object)[inverse.reshape(values.shape)]
 
 
-def _list(texts: np.ndarray, level: int) -> str:
-    """The indented JSON list of the 1-D object array ``texts``."""
-    if not len(texts):
-        return "[]"
+#: The atoms whose texts one chunk of a block table's list gathers.
+CHUNK_ATOMS = 8192
+
+
+def _gathered(texts: np.ndarray, labels: np.ndarray, level: int) -> Iterator[str]:
+    """The indented JSON list of ``texts[labels]``, for the 1-D object array
+    ``texts``, yielded in chunks of ``CHUNK_ATOMS`` items, each gathered only
+    when it is yielded."""
+    if not len(labels):
+        yield "[]"
+        return
     inner = "\n" + "  " * (level + 1)
-    return "[" + inner + ("," + inner).join(texts.tolist()) + "\n" + "  " * level + "]"
+    sep = "[" + inner
+    for start in range(0, len(labels), CHUNK_ATOMS):
+        yield sep + ("," + inner).join(texts[labels[start : start + CHUNK_ATOMS]].tolist())
+        sep = "," + inner
+    yield "\n" + "  " * level + "]"
+
+
+#: The size, in characters, that ``_emit`` gathers small chunks into before
+#: it writes them.
+WRITE_CHARS = 2**16
 
 
 def _emit(report: dict) -> None:
     """Write the report to stdout as it is encoded, not as one string, so a
-    large report is never held twice."""
-    sys.stdout.writelines(_encode(report))
-    sys.stdout.write("\n")
+    large report is never held twice. Small chunks are joined into writes of
+    at most ``WRITE_CHARS`` characters, since stdout may be unbuffered, and a
+    larger chunk is written as it is."""
+    pending: list[str] = []
+    size = 0
+    for chunk in chain(_encode(report), "\n"):
+        if pending and size + len(chunk) > WRITE_CHARS:
+            sys.stdout.write("".join(pending))
+            pending, size = [], 0
+        if len(chunk) >= WRITE_CHARS:
+            sys.stdout.write(chunk)
+        else:
+            pending.append(chunk)
+            size += len(chunk)
+    sys.stdout.write("".join(pending))  # it holds the final newline
 
 
 def _write(*files: tuple[str, str | None, Iterable[str]]) -> None:
@@ -442,6 +478,7 @@ def _cmd_apr_cb(args) -> tuple[int, dict, dict]:
     doc = _read_json(args.events, "weights", "blocks", "events")
     space, blocks = _probability_space(doc, args.events)
     events = _load_elements(doc, "events", space, args.events)
+    del doc  # the parsed document is not held while numpy loads
     with _prefixed(f"{args.events}: /"):
         cb = rv_canon.apr_cb(events, blocks)
     names = [",".join(map(str, sorted(subset))) for subset in cb]

@@ -12,13 +12,17 @@ space's ``weights``. No class keeps a second copy of them. The element
 operations, ``lp_norm`` and ``integral`` (summed with ``math.fsum``), the
 pair's fibers, ``sort_order`` and ``group`` work on these buffers, so the
 calls that run only them (``lp-cb``, ``typeq`` and the demos) never load
-numpy. ``array`` and ``weight_array`` are zero-copy read-only numpy views of
-the same buffers, built when read; only the bulk kernels read them: the
-substructure, whose atoms are two read-only intp arrays, the block kernel
-``block_means``, ``BlockTable`` and ``cond_exp`` here, which import numpy
-inside their functions, and ``rv_canon`` and ``hilbert_canon``. So every
-value here is immutable, every operation is a pure function, and concurrent
-use from multiple threads needs no coordination.
+numpy. A substructure's atoms and block offsets are stored the same way, in
+C longs (``array('l')``), and are checked without numpy, so ``rv-cb`` and
+``apr-cb`` check every input before they load it. ``array`` and
+``weight_array`` are zero-copy read-only numpy views of the float buffers,
+built when read, and ``np.frombuffer`` gives such views of the
+substructure's; only the bulk kernels read them: ``SubStructure.partition``,
+the block kernel ``block_means``, ``BlockTable`` and ``cond_exp`` here, which
+import numpy inside their functions, and the kernels of ``rv_canon`` and
+``hilbert_canon``. So every value here is immutable, every operation is a
+pure function, and concurrent use from multiple threads needs no
+coordination.
 Input is coerced to finite reals once, at construction, by ``rules.real_array``;
 the ``InvariantError`` for a bad entry names the argument and the entry as a
 relative pointer (``rows/1/3: ...``). Each kind of check has one rule:
@@ -58,6 +62,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from contextlib import suppress
 from itertools import accumulate, chain, compress, repeat
 from operator import add, gt, mul, neg, or_, sub
@@ -102,8 +107,8 @@ def group(columns: Sequence[Sequence[float]], quantum: float) -> tuple[list[int]
 
 
 def _stored(cells: array) -> memoryview:
-    """The read-only view that stores ``cells``, a float64 array that no one
-    else holds."""
+    """The read-only view that stores ``cells``, an array that no one else
+    holds."""
     return memoryview(cells).toreadonly()
 
 
@@ -280,43 +285,46 @@ class SubStructure(Record):
     """A partition of a subset of atom indices into nonempty blocks.
 
     The blocks generate the conditioning algebra; atoms outside the support
-    are invisible to it. The storage is two read-only intp arrays: ``_atoms``
-    holds the atoms block after block, each block in the order given, and
-    block k is ``_atoms[_offsets[k]:_offsets[k + 1]]``. ``blocks`` is the same
-    data as tuples, each block sorted, built on each read; the substructure
-    compares, hashes, pickles and shows as ``blocks``, so the order of the
-    atoms within a block does not matter. ``len`` is the number of blocks.
+    are invisible to it. The storage is two read-only buffers of C longs
+    (``array('l')``, whose overflow error is the one numpy's intp gave):
+    ``_atoms`` holds the atoms block after block, each block in the order
+    given, and block k is ``_atoms[_offsets[k]:_offsets[k + 1]]``. They are
+    built and checked without numpy, so a call loads numpy only after its
+    inputs are read; the bulk kernels read them through ``np.frombuffer``.
+    ``blocks`` is the same data as tuples, each block sorted, built on each
+    read; the substructure compares, hashes, pickles and shows as ``blocks``,
+    so the order of the atoms within a block does not matter. ``len`` is the
+    number of blocks.
     """
 
     __slots__ = ("_atoms", "_offsets")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
-        import numpy as np
         try:
             blocks = tuple(blocks)
             types = set(map(type, chain.from_iterable(blocks)))
-            lengths = np.fromiter(map(len, blocks), np.intp, len(blocks))
+            lengths = list(map(len, blocks))
         except TypeError as exc:
             raise InvariantError(f"blocks: expected lists of atom indices ({exc})") from None
         atoms = None
         if types <= {int}:  # plain nonnegative ints skip the per-atom call of the integer rule
             with suppress(OverflowError):
-                atoms = np.fromiter(chain.from_iterable(blocks), np.intp)
-        if atoms is None or (atoms < 0).any():
+                atoms = array("l", chain.from_iterable(blocks))
+        if atoms is None or min(atoms, default=0) < 0:
             blocks = [[integer(i, f"blocks/{k}/{j}", 0) for j, i in enumerate(b)]
                       for k, b in enumerate(blocks)]
             atoms = None
-        if not lengths.all():
-            raise InvariantError(f"blocks/{lengths.argmin()}: must be nonempty")
+        if 0 in lengths:
+            raise InvariantError(f"blocks/{lengths.index(0)}: must be nonempty")
         try:
-            atoms = np.fromiter(chain.from_iterable(blocks), np.intp) if atoms is None else atoms
+            atoms = array("l", chain.from_iterable(blocks)) if atoms is None else atoms
         except OverflowError as exc:
             raise InvariantError(f"blocks: atom index out of range ({exc})") from None
-        ordered = np.sort(atoms)
-        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-        if len(repeated):
-            raise InvariantError(f"blocks: atom {repeated[0]} appears more than once")
-        super().__init__(_frozen(atoms), _frozen(np.append(0, np.cumsum(lengths))))
+        if len(set(chain.from_iterable(blocks))) < len(atoms):
+            ordered = sorted(atoms)
+            repeated = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
+            raise InvariantError(f"blocks: atom {repeated} appears more than once")
+        super().__init__(_stored(atoms), _stored(array("l", accumulate(lengths, initial=0))))
 
     def _key(self) -> tuple:
         return (self.blocks,)
@@ -326,27 +334,27 @@ class SubStructure(Record):
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        import numpy as np
-        return tuple(tuple(sorted(b.tolist())) for b in np.split(self._atoms, self._offsets[1:])[:-1])
+        atoms, offsets = self._atoms, self._offsets
+        return tuple(tuple(sorted(atoms[a:b])) for a, b in zip(offsets, offsets[1:]))
 
     def validate_for(self, space: MeasureSpace) -> None:
         """``InvariantError`` naming the first block that holds an atom the
         space lacks, and the smallest such atom of that block."""
-        import numpy as np
         n = len(space)
-        over = self._atoms >= n
-        if over.any():
-            k = np.searchsorted(self._offsets, over.argmax(), "right") - 1
-            block = self._atoms[self._offsets[k] : self._offsets[k + 1]]
-            atom = block[block >= n].min()
+        if max(self._atoms, default=-1) >= n:
+            i = next(i for i, atom in enumerate(self._atoms) if atom >= n)
+            k = bisect_right(self._offsets, i) - 1
+            atom = min(a for a in self._atoms[self._offsets[k] : self._offsets[k + 1]] if a >= n)
             raise InvariantError(f"blocks/{k}: references atom {atom} but the space has {n} atoms")
 
     def _labels(self, space: MeasureSpace) -> np.ndarray:
         """Per atom, the index of its block; len(self) off the support."""
         import numpy as np
-        self.validate_for(space)
+        atoms, offsets = np.frombuffer(self._atoms, "l"), np.frombuffer(self._offsets, "l")
+        if atoms.max(initial=-1) >= len(space):
+            self.validate_for(space)  # which names the block and the atom
         labels = np.full(len(space), len(self), np.intp)
-        labels[self._atoms] = np.repeat(np.arange(len(self)), np.diff(self._offsets))
+        labels[atoms] = np.repeat(np.arange(len(self)), np.diff(offsets))
         return labels
 
     def partition(self, space: MeasureSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -362,18 +370,18 @@ def _block_sums(x: np.ndarray, labels: np.ndarray, blocks: int) -> np.ndarray:
     return np.bincount(labels, x, blocks + 1)[:blocks]
 
 
-def block_means(rows: np.ndarray, s: SubStructure, space: MeasureSpace) -> tuple[np.ndarray, np.ndarray]:
-    """The block kernel: for the (r, atoms) array ``rows`` of values on
-    ``space``, the (r, blocks + 1) table whose row holds the weighted mean of
-    its values over each block of s, then 0.0 for the atoms off the support;
-    and the atoms' block labels, which index its columns. Both sums of a mean
-    run in atom-index order."""
+def block_means(rows: Iterable[np.ndarray], s: SubStructure, space: MeasureSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The block kernel: for the value rows ``rows`` on ``space``, each taken,
+    reduced and dropped before the next, the (r, blocks + 1) table whose row
+    holds the weighted mean of its values over each block of s, then 0.0 for
+    the atoms off the support; and the atoms' block labels, which index its
+    columns. Both sums of a mean run in atom-index order."""
     import numpy as np
     labels, masses = s.partition(space)
     w = space.weight_array
-    table = np.zeros((len(rows), len(masses) + 1))
-    for out, x in zip(table, rows):
-        out[:-1] = _block_sums(w * x, labels, len(masses)) / masses
+    means = [_block_sums(w * x, labels, len(masses)) / masses for x in rows]
+    table = np.zeros((len(means), len(masses) + 1))
+    table[:, :-1] = np.reshape(means, (len(means), len(masses)))
     return table, labels
 
 
@@ -411,7 +419,7 @@ def cond_exp(f: LatticeElement, s: SubStructure) -> LatticeElement:
     the result over any block equals the integral of f there. This is the
     one-row case of ``block_means``.
     """
-    table, labels = block_means(f.array[None], s, f.space)
+    table, labels = block_means([f.array], s, f.space)
     return LatticeElement(f.space, table[0][labels])
 
 

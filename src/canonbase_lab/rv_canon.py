@@ -2,20 +2,24 @@
 moments and event canonical bases.
 
 Both canonical bases are block-constant, so they are computed per block and
-returned as a ``BlockTable``. ``cond_moments`` feeds one monomial per row to
-the block kernel ``block_means``. ``apr_cb`` sums the weights per (block,
-event mask), an atom's mask holding the events that contain it, and gets the
-mass of every meet by the zeta transform over the subset lattice (Bjorklund,
-Husfeldt, Kaski and Koivisto, "Fourier meets Mobius", STOC 2007). For k events
-on B blocks that costs O(atoms + B * k * 2^k), against O(atoms * 2^k) for one
-conditional expectation per meet.
+returned as a ``BlockTable``. ``cond_moments`` feeds the monomials to the
+block kernel ``block_means`` one row at a time: each is built, reduced to its
+block means and dropped before the next, so the kernel holds one row of
+atoms, not one per key. Every exponent is checked before the first row is
+built. ``apr_cb`` sums the weights per (block, event mask), an atom's mask
+holding the events that contain it, and gets the mass of every meet by the
+zeta transform over the subset lattice (Bjorklund, Husfeldt, Kaski and
+Koivisto, "Fourier meets Mobius", STOC 2007). For k events on B blocks that
+costs O(atoms + B * k * 2^k), against O(atoms * 2^k) for one conditional
+expectation per meet.
+
+Numpy is imported inside the functions that use it, never when this module
+loads, so ``rv-cb`` and ``apr-cb`` load it only once every input is read.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import InvariantError
 from .measure_core import (
@@ -28,34 +32,43 @@ from .measure_core import (
 )
 from .rules import MAX_KEYS, TOL, check_count, check_entries, integer
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def validate_rv(x: LatticeElement) -> None:
     """Every value of x lies in [0, 1]; the error begins with the index of
     the first atom outside, as a relative pointer into x."""
+    import numpy as np
     bad = np.flatnonzero((x.array < -TOL) | (x.array > 1.0 + TOL))
     if len(bad):
         i = bad[0]
         raise InvariantError(f"{i}: random-variable value {x.array[i]} outside [0, 1]")
 
 
-def _monomials(xs: Sequence[LatticeElement], kss: Sequence[Sequence[int]]) -> np.ndarray:
-    """The (len(kss), atoms) array of the products prod_i X_i^{k_i}, one row
-    per exponent tuple, multiplied in variable order; each power X_i^k is
-    taken once. Exponent i of tuple r is named ``exponents/r/i``."""
+def _monomials(xs: Sequence[LatticeElement], kss: Sequence[Sequence[int]]) -> Iterator[np.ndarray]:
+    """The products prod_i X_i^{k_i}, one row per exponent tuple, each
+    multiplied in variable order and built only when the one before it has
+    been taken. Every exponent is checked before the first row is built;
+    exponent i of tuple r is named ``exponents/r/i``."""
     space = same_space(xs, "variables")
-    powers: dict[tuple[int, int], np.ndarray] = {}
-    rows = np.ones((len(kss), len(space)))
-    for r, (row, ks) in enumerate(zip(rows, kss)):
+    checked = []
+    for r, ks in enumerate(kss):
         if len(xs) != len(ks):
             raise InvariantError("exponent tuple length must match the variable tuple")
-        for i, (x, k) in enumerate(zip(xs, ks)):
-            k = integer(k, f"exponents/{r}/{i}", 0)
-            if not k:
-                continue  # X_i^0 is all ones, and a row times 1.0 is the row
-            if (i, k) not in powers:
-                powers[i, k] = x.array**k
-            row *= powers[i, k]
-    return rows
+        checked.append([integer(k, f"exponents/{r}/{i}", 0) for i, k in enumerate(ks)])
+    return _rows(xs, checked, len(space))
+
+
+def _rows(xs: Sequence[LatticeElement], kss: list[list[int]], atoms: int) -> Iterator[np.ndarray]:
+    """``_monomials`` for exponent tuples already checked."""
+    import numpy as np
+    for ks in kss:
+        row = np.ones(atoms)
+        for x, k in zip(xs, ks):
+            if k:  # X_i^0 is all ones, and a row times 1.0 is the row
+                row *= x.array**k
+        yield row
 
 
 def cond_moments(
@@ -84,6 +97,7 @@ def apr_cb(events: Sequence[LatticeElement], s: SubStructure) -> BlockTable:
     as a pointer relative to the argument (``events/1/4: ...``); more than
     ``MAX_ENTRIES`` entries (2^k - 1 meets times the atoms), or more than
     ``MAX_KEYS`` meets, is an error naming ``events``."""
+    import numpy as np
     space = same_space(events, "events")
     for j, e in enumerate(events):
         bad = np.flatnonzero(np.minimum(np.abs(e.array), np.abs(e.array - 1.0)) > TOL)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -600,14 +601,28 @@ def _block_tables(draw):
     return BlockTable(space, keys, table.reshape(len(keys), blocks + 1), labels)
 
 
+def _cycling_table(atoms: int) -> BlockTable:
+    """A table of two keys on ``atoms`` atoms, whose labels cycle through
+    three blocks and the column off the support."""
+    table = np.array([[0.5, -0.0, 1e16, 0.0], [math.nan, 0.1, -1.5, 0.0]])
+    return BlockTable(MeasureSpace(np.ones(atoms)), ["b", "a"], table, np.arange(atoms) % 4)
+
+
 @given(_block_tables())
 @example(BlockTable(MeasureSpace((1.0, 1.0, 1.0)), ["b", "a"],
                     np.array([[0.5, -0.0, 0.0], [math.nan, 1e16, 0.0]]), np.array([2, 0, 1])))
+# lists of about one and several chunks, which are gathered one at a time
+@example(_cycling_table(cli.CHUNK_ATOMS - 1))
+@example(_cycling_table(cli.CHUNK_ATOMS))
+@example(_cycling_table(cli.CHUNK_ATOMS + 1))
+@example(_cycling_table(3 * cli.CHUNK_ATOMS + 1))
 def test_encode_writes_a_block_table_as_the_map_of_its_elements(table):
     doc = {"table": table, "after": 1}
     rows = {key: row[table.labels].tolist() for key, row in zip(table, table.table)}
     as_lists = {"table": rows, "after": 1}
-    assert "".join(cli._encode(doc)) == json.dumps(as_lists, sort_keys=True, indent=2)
+    text, expected = "".join(cli._encode(doc)), json.dumps(as_lists, sort_keys=True, indent=2)
+    same = text == expected  # a flag, so a failure names a position instead of diffing 400 kB of text
+    assert same, f"the texts part at character {len(os.path.commonprefix([text, expected]))}"
 
 
 def test_rv_cb_rows_equal_cond_moment_bit_for_bit(tmp_path, capsys):
@@ -633,6 +648,73 @@ def test_rv_cb_rows_equal_cond_moment_bit_for_bit(tmp_path, capsys):
             monomial = monomial * x.array**k
         assert values == cond_moment(elements, ks, s).array.tolist()
         assert values == cond_exp(LatticeElement(space, monomial), s).array.tolist()
+
+
+@pytest.mark.parametrize("blocks, moments, probabilities", [
+    ([], {"1": [0.0, 0.0, 0.0], "2": [0.0, 0.0, 0.0]},
+     {"0": [0.0, 0.0, 0.0], "0,1": [0.0, 0.0, 0.0], "1": [0.0, 0.0, 0.0]}),
+    ([[2, 0]], {"1": [0.4166666666666667, 0.0, 0.4166666666666667], "2": [0.1875, 0.0, 0.1875]},
+     {"0": [1.0, 0.0, 1.0], "0,1": [0.6666666666666666, 0.0, 0.6666666666666666],
+      "1": [0.6666666666666666, 0.0, 0.6666666666666666]}),
+], ids=["no blocks", "partial support"])
+def test_atoms_off_the_support_read_zero(tmp_path, monkeypatch, capsys, blocks, moments, probabilities):
+    # the whole report, byte for byte
+    monkeypatch.chdir(tmp_path)
+    weights = [0.5, 0.25, 0.25]
+    _write(tmp_path, "prob.json", {"weights": weights, "blocks": blocks})
+    _write(tmp_path, "xs.json", {"elements": [[0.5, 1.0, 0.25]]})
+    _write(tmp_path, "events.json", {"weights": weights, "blocks": blocks, "events": [[1, 0, 1], [1, 1, 0]]})
+    calls = [
+        (["rv-cb", "--space", "prob.json", "--elements", "xs.json", "--k-max", "2"],
+         {"k_max": 2, "moments": moments}),
+        (["apr-cb", "--events", "events.json"], {"conditional_probabilities": probabilities}),
+    ]
+    for argv, outputs in calls:
+        assert cli.dispatch(argv) == 0
+        inputs = {a: hashlib.sha256(Path(a).read_bytes()).hexdigest() for a in argv if a.endswith(".json")}
+        report = {"checks": {}, "command": argv, "exit_code": 0, "inputs": inputs, "outputs": outputs}
+        assert capsys.readouterr().out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rv-cb", "--space", "prob", "--elements", "elements", "--k-max", "2"],
+    ["apr-cb", "--events", "events"],
+], ids=lambda argv: argv[0])
+def test_every_parsed_document_is_released_before_the_kernel_runs(tmp_path, capsys, monkeypatch, argv):
+    from canonbase_lab import rv_canon
+
+    class Document(dict):  # a dict that a weak reference can follow
+        pass
+
+    documents, alive = [], []
+    read_json = cli._read_json
+
+    def tracked(*args):
+        doc = Document(read_json(*args))
+        documents.append(weakref.ref(doc))
+        return doc
+
+    def counted(kernel):
+        return lambda *args: alive.append(sum(ref() is not None for ref in documents)) or kernel(*args)
+
+    monkeypatch.setattr(cli, "_read_json", tracked)
+    for name in ("cond_moments", "apr_cb"):
+        monkeypatch.setattr(rv_canon, name, counted(getattr(rv_canon, name)))
+    docs = {"prob": PROBABILITY, "elements": {"elements": [[0.5, 0.25]]},
+            "events": {**PROBABILITY, "events": [[1, 0], [1, 1]]}}
+    assert _report(tmp_path, capsys, argv, docs)["exit_code"] == 0
+    assert documents and alive == [0]
+
+
+def test_emit_joins_small_chunks_and_writes_a_large_one_as_it_is(monkeypatch):
+    writes = []
+    chunks = ["a" * 10] * 10_000 + ["b" * (cli.WRITE_CHARS + 1), "c"]
+    monkeypatch.setattr(cli, "_encode", lambda report: iter(chunks))
+    monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": staticmethod(writes.append)})())
+    cli._emit({})
+    assert "".join(writes) == "".join(chunks) + "\n"
+    full = cli.WRITE_CHARS // 10 * 10  # the most "a" chunks that one write holds
+    assert list(map(len, writes)) == [full, 100_000 - full, cli.WRITE_CHARS + 1, 2]
 
 
 # -- golden reports: the stdout and --out path of a real subprocess ------------

@@ -119,9 +119,10 @@ def test_a_subspace_is_its_dim_and_basis_rows():
 
 def test_validate_for_names_the_smallest_missing_atom_of_the_first_bad_block():
     s = SubStructure([[1, 0], [7, 5, 2], [9]])
-    with pytest.raises(InvariantError) as caught:
-        s.validate_for(MeasureSpace((1.0,) * 3))
-    assert str(caught.value) == "blocks/1: references atom 5 but the space has 3 atoms"
+    for check in (s.validate_for, s.partition):  # the block kernels check the space too
+        with pytest.raises(InvariantError) as caught:
+            check(MeasureSpace((1.0,) * 3))
+        assert str(caught.value) == "blocks/1: references atom 5 but the space has 3 atoms"
 
 
 def test_records_of_different_fields_or_classes_differ():

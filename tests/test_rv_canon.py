@@ -173,7 +173,7 @@ def test_moment_tower_property(rng):
 def least_squares_check(x: LatticeElement, k: int, s: SubStructure) -> bool:
     """Verify that the conditional moment minimises the L_2 distance to X^k
     among block-constant candidates, at 21 evenly spaced constants in [0, 1]."""
-    target = _monomials([x], [[k]])[0]
+    target = next(_monomials([x], [[k]]))
     y_star = cond_moment([x], [k], s).array
     ys = np.linspace(0.0, 1.0, 21)
     rows = np.vstack([target, (target - y_star) ** 2, (target - ys[:, None]) ** 2])
@@ -213,7 +213,7 @@ def test_least_squares_random(rng):
 # -- product formula ----------------------------------------------------------------
 
 def _monomial(xs: Sequence[LatticeElement], ks: Sequence[int]) -> LatticeElement:
-    return LatticeElement(xs[0].space, _monomials(xs, [ks])[0])
+    return LatticeElement(xs[0].space, next(_monomials(xs, [ks])))
 
 
 def product_formula_check(

@@ -3,9 +3,9 @@ subcommand imports, and the BLAS thread default of the CLI. Each check
 that reads ``sys.modules`` or the environment runs in a subprocess. Also
 that each public name lives in its module, the one place to import it from,
 that the modules the numpy-free calls load import no numpy, that exactly the
-calls of the bulk kernels load numpy, that no call on small documents loads
-OpenSSL or ``dataclasses``, and that the package holds no code that only the
-tests reach."""
+calls of the bulk kernels load numpy, and only once they have read every
+input, that no call on small documents loads OpenSSL or ``dataclasses``, and
+that the package holds no code that only the tests reach."""
 
 import argparse
 import ast
@@ -40,8 +40,8 @@ EXPORTS = {
 # Prints at exit, as one JSON line on stderr, the loaded package modules,
 # whether numpy is loaded, which of the modules in OPTIONAL are loaded, the
 # OPENBLAS_NUM_THREADS the process ends with and its number of threads (None
-# where /proc does not list them), and the exit code of a CLI call made by
-# ``_cli``.
+# where /proc does not list them), the exit code of a CLI call made by
+# ``_cli`` and what ``_READS`` recorded.
 OPTIONAL = ("numpy.random", "numpy.ma", "fractions", "_hashlib", "dataclasses")
 _REPORT = f"""
 import atexit, json, os, sys
@@ -52,6 +52,7 @@ atexit.register(lambda: print(json.dumps({{
     "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
     "exit": globals().get("EXIT"),
+    "reads": globals().get("READS"),
 }}), file=sys.stderr))
 """
 
@@ -119,7 +120,7 @@ def test_krivine_approx_does_not_load_measure_core():
 #: numpy nor another module of the package outside this set, except inside a
 #: function or under ``if TYPE_CHECKING:``.
 NUMPY_FREE = ("__init__", "__main__", "cli", "errors", "legendre", "lp_canon", "measure_core", "oracle", "records",
-              "rules", "terms", "ultra_ball")
+              "rules", "rv_canon", "terms", "ultra_ball")
 
 
 def _module_level_imports(tree: ast.Module):
@@ -271,6 +272,29 @@ def _leaf_commands(parser: argparse.ArgumentParser, prefix: tuple = ()):
                 yield from _leaf_commands(sub, (*prefix, name))
             return
     yield " ".join(prefix)
+
+
+#: Records in ``READS``, at each return of ``cli._read_json``, whether numpy
+#: is loaded.
+_READS = (
+    "import canonbase_lab.cli as cli\n"
+    "READS, _read_json = [], cli._read_json\n"
+    "def _probe(*args):\n"
+    "    doc = _read_json(*args)\n"
+    "    READS.append('numpy' in sys.modules)\n"
+    "    return doc\n"
+    "cli._read_json = _probe\n"
+)
+
+
+@pytest.mark.parametrize("argv", [argv for argv in SMALL_CALLS if argv[0] in ("rv-cb", "apr-cb")],
+                         ids=lambda argv: argv[0])
+def test_the_bulk_kernel_calls_load_numpy_after_reading_every_input(tmp_path, argv):
+    # so the parsed documents and numpy's own memory are never resident together
+    _small_documents(tmp_path)
+    loaded = _fresh(_READS + _cli(*argv), cwd=tmp_path)
+    assert loaded["exit"] == 0 and loaded["numpy"]
+    assert loaded["reads"] == [False] * sum(a.endswith(".json") for a in argv)
 
 
 def test_exactly_the_bulk_kernel_calls_load_numpy(tmp_path):
