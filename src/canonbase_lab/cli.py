@@ -15,13 +15,11 @@ together. Every other
 call starts without it: ``lp-cb``, ``typeq`` and both demos run the element
 algebra, the slice kernel and the type oracles on the standard library's
 float64 buffers, and ``krivine parse`` and ``eval`` (``terms``), ``legendre``
-and ``ultra`` (``rules`` and their own modules) do no array work. So
-``_encode`` looks the ndarray and ``BlockTable`` types up in ``sys.modules``
-instead of importing them: a report can hold one only once its module is
-loaded. Each input file is opened once, by ``_read_json``, and the report's
-``inputs`` maps its path to the SHA-256 of the bytes parsed, so a call whose
-output path names an input still reports what it read; ``typeq`` given one
-path as ``--a`` and ``--b`` reads and builds that element once. No call loads
+and ``ultra`` (``rules`` and their own modules) do no array work. Each input
+file is opened once, by ``_read_json``, and the report's ``inputs`` maps its
+path to the SHA-256 of the bytes parsed, so a call whose output path names an
+input still reports what it read; ``typeq`` given one path as ``--a`` and
+``--b`` reads and builds that element once. No call loads
 ``dataclasses`` or OpenSSL: that digest, the same hex text as ``hashlib``'s,
 comes from the interpreter's own module (``_sha256``; ``_sha2`` from Python
 3.12), which spares the 3.8 MB of resident memory that loading OpenSSL costs.
@@ -33,15 +31,15 @@ A report is a function of argv and the bytes of the input files alone; it
 holds no clock reading, so two runs of one call print the same bytes.
 Every report on stdout, and every JSON ``--out`` file, is exactly the text
 of ``json.dumps(doc, sort_keys=True, indent=2)`` (a report adds a newline),
-where ``doc`` is the document with each float64 buffer or array replaced by
-its ``.tolist()`` and each ``BlockTable`` by the object that maps each of its
-keys to its element's values. The handlers put the read-only buffers of
-lattice elements and canonical bases into their outputs unconverted, and
-``_encode`` streams the text. The canonical bases computed over a
-substructure (conditional moments, meet probabilities) are constant on its
-blocks, so ``rv-cb`` and ``apr-cb`` hand over one ``BlockTable``, one value
-per block and row, and ``_encode`` formats each distinct value of the whole
-table once and gathers the text of each key's list by the atoms' blocks, in
+where ``doc`` is the document with each float64 buffer replaced by its
+``.tolist()`` and each block column by its list of per-atom values. The
+handlers put the read-only buffers of lattice elements, canonical bases and
+matrix rows into their outputs unconverted, and ``_encode`` streams the text.
+The canonical bases computed over a substructure (conditional moments, meet
+probabilities) are constant on its blocks, so ``rv-cb`` and ``apr-cb`` pass
+``rv_canon``'s ``BlockTable``, one value per block and key, to ``_columns``,
+which formats each distinct value of the table once; each key's column
+gathers its list from those texts by the atoms' blocks as it is written, in
 chunks of ``CHUNK_ATOMS`` atoms, so no per-atom list is held whole.
 ``_emit`` joins small chunks into writes of about ``WRITE_CHARS``
 characters: stdout may be unbuffered (``PYTHONUNBUFFERED``), and then each
@@ -78,6 +76,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from functools import partial
 from itertools import chain, combinations, product
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
@@ -90,7 +89,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from . import lp_canon
-    from .measure_core import ExtensionPair, LatticeElement, MeasureSpace, SubStructure
+    from .measure_core import BlockTable, ExtensionPair, LatticeElement, MeasureSpace, SubStructure
 
 MAX_CONES = 2**8
 MAX_SAMPLES = 2**6
@@ -209,45 +208,33 @@ def _fraction(text: str) -> Fraction:
 def _encode(obj: Any, level: int = 0) -> Iterator[str]:
     """Yield, in chunks, exactly the text of
     ``json.dumps(obj, sort_keys=True, indent=2)`` for ``obj`` nested ``level``
-    deep, where each float64 buffer (a memoryview) and each 1-D or 2-D float64
-    ndarray in ``obj`` stands for its ``.tolist()`` and each ``BlockTable`` for
-    the dict of its elements' value lists. Dict and block-table keys must be
-    strings.
+    deep, where each float64 buffer (a memoryview) in ``obj`` stands for its
+    ``.tolist()`` and each column of ``_columns`` for the list of its row's
+    value at each atom. Dict keys must be strings.
 
     The leaves go through json's C encoder, which ``indent`` would otherwise
-    switch off. A flat sequence of floats (a buffer, a vector, a matrix row, a
-    list of floats) is one ``json.dumps`` call with the indented separator (so
-    repr, NaN and Infinity are json's own). A block table is formatted once
-    for all its rows, which hold one value per block: ``_texts`` takes
-    ``np.unique`` over the int64 view of their bits (so -0.0 stays apart from
-    0.0) and formats each distinct value once, and each key's list is its
-    row's text gathered by the atoms' block labels, ``CHUNK_ATOMS`` atoms per
-    chunk (``_gathered``). Other lists and dicts are walked item by item; they
-    are short in reports."""
-    ndarray = getattr(sys.modules.get("numpy"), "ndarray", ())
-    table = getattr(sys.modules.get(f"{__package__}.measure_core"), "BlockTable", ())
+    switch off. A flat sequence of floats (a buffer, a matrix row, a list of
+    floats) is one ``json.dumps`` call with the indented separator (so repr,
+    NaN and Infinity are json's own), and a column writes itself
+    (``_gathered``). Other lists and dicts are walked item by item; they are
+    short in reports. Any other leaf, an ndarray among them, is json's own
+    scalar or a ``TypeError``."""
     inner = "\n" + "  " * (level + 1)
     close = "\n" + "  " * level
-    if isinstance(obj, (dict, table)):
+    if isinstance(obj, dict):
         if not obj:
             yield "{}"
             return
-        rows = None if isinstance(obj, dict) else dict(zip(obj, _texts(obj.table)))
         sep = "{" + inner
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             yield sep + json.dumps(key) + ": "
-            if rows is None:
-                yield from _encode(obj[key], level + 1)
-            else:
-                yield from _gathered(rows[key], obj.labels, level + 1)
+            yield from _encode(obj[key], level + 1)
             sep = "," + inner
         yield close + "}"
-    elif isinstance(obj, ndarray):
-        if obj.dtype != "float64" or obj.ndim not in (1, 2):
-            raise TypeError(f"only 1-D and 2-D float64 arrays are encoded, got {obj.dtype} {obj.shape}")
-        yield from _encode(list(obj) if obj.ndim == 2 else obj.tolist(), level)
+    elif isinstance(obj, partial):  # a column of _columns, which takes its level
+        yield from obj(level)
     elif isinstance(obj, memoryview):
         yield _floats(obj.tolist(), level)
     elif isinstance(obj, (list, tuple)) and all(type(x) is float for x in obj):
@@ -272,17 +259,25 @@ def _floats(values: list[float], level: int) -> str:
     return "[" + inner + json.dumps(values, separators=("," + inner, ": "))[1:-1] + "\n" + "  " * level + "]"
 
 
+def _columns(names: Sequence[str], table: BlockTable) -> dict[str, partial]:
+    """The report's map of a block table: under the name of each row, in row
+    order, the column that ``_encode`` writes as the list of the row's value
+    at each atom. The whole table is formatted once, here (``_texts``), and
+    each list is gathered by the atoms' block labels as it is written."""
+    return {name: partial(_gathered, texts, table.labels) for name, texts in zip(names, _texts(table.table))}
+
+
 def _texts(values: np.ndarray) -> np.ndarray:
     """The JSON text of each float of the C-ordered float64 array ``values``,
-    as an object array of the same shape; each distinct value is formatted
-    once."""
+    as an object array of the same shape; each distinct value, by its bits
+    (so -0.0 is not 0.0), is formatted once."""
     import numpy as np
     bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
     texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
     return np.array(texts, dtype=object)[inverse.reshape(values.shape)]
 
 
-#: The atoms whose texts one chunk of a block table's list gathers.
+#: The atoms whose texts one chunk of a column's list gathers.
 CHUNK_ATOMS = 8192
 
 
@@ -330,8 +325,12 @@ def _write(*files: tuple[str, str | None, Iterable[str]]) -> None:
     none; a flag not given has no path and is skipped. Each file goes to a
     temporary beside its target, and the temporaries replace their targets
     once all are written. A path that cannot be written, or names an existing
-    non-regular file, is an input error naming the flag and the path."""
+    non-regular file, is an input error naming the flag and the path; so are
+    two flags that name one file, before anything is written."""
     files = tuple(file for file in files if file[1])
+    for (flag, path, _), (other, same, _) in combinations(files, 2):
+        if os.path.realpath(path) == os.path.realpath(same):
+            raise InvariantError(f"{flag} and {other}: both name {same}")
     temps: list[str] = []
     try:
         for flag, path, chunks in files:
@@ -352,8 +351,6 @@ def _write(*files: tuple[str, str | None, Iterable[str]]) -> None:
 
 def _curve(cb: lp_canon.LpCanonicalBase) -> Iterator[str]:
     """CSV of the partial family: header t,atom_0,...; 12 significant digits."""
-    if cb.interval_form:
-        raise InvariantError("curve export needs the partial (non-interval) form")
     yield ",".join(["t", *(f"atom_{i}" for i in range(len(cb.space)))]) + "\n"
     for t, row in zip(cb.grid, cb.rows):
         yield ",".join(f"{x:.12g}" for x in (t, *row)) + "\n"
@@ -419,6 +416,8 @@ def _cmd_lp_cb(args) -> tuple[int, dict, dict]:
     n = integer(args.grid, "--grid", 1)
     keys = n * (n + 1) // 2 if args.intervals else n
     check_count(keys, MAX_KEYS, "--grid", "keys")
+    if args.intervals and args.curve:
+        raise InvariantError("--curve: the curve is of the partials, so it cannot be given with --intervals")
     pair = load_space(args.space)
     check_entries(keys, pair.m, "--grid")
     f = load_element(args.element, pair)
@@ -451,7 +450,6 @@ def _cmd_typeq(args) -> tuple[int, dict, dict]:
 
 def _cmd_rv_cb(args) -> tuple[int, dict, dict]:
     from . import rv_canon
-    from .measure_core import BlockTable
     integer(args.k_max, "--k-max", 0)
     space, blocks = load_probability_space(args.space)
     xs = _load_elements(_read_json(args.elements, "elements"), "elements", space, args.elements)
@@ -462,11 +460,8 @@ def _cmd_rv_cb(args) -> tuple[int, dict, dict]:
     check_entries(keys, len(space), "--k-max")
     check_count(keys, MAX_KEYS, "--k-max", "keys")
     exps = [ks for ks in product(range(args.k_max + 1), repeat=len(xs)) if any(ks)]
-    moments: Any = {}
-    if exps:
-        table = rv_canon.cond_moments(xs, exps, blocks)
-        names = [",".join(map(str, ks)) for ks in exps]
-        moments = BlockTable(space, names, table.table, table.labels)
+    names = [",".join(map(str, ks)) for ks in exps]
+    moments = _columns(names, rv_canon.cond_moments(xs, exps, blocks)) if exps else {}
     outputs = {"moments": moments, "k_max": args.k_max}
     _write(("--out", args.out, _encode(outputs)))
     return 0, outputs, {}
@@ -474,15 +469,14 @@ def _cmd_rv_cb(args) -> tuple[int, dict, dict]:
 
 def _cmd_apr_cb(args) -> tuple[int, dict, dict]:
     from . import rv_canon
-    from .measure_core import BlockTable
     doc = _read_json(args.events, "weights", "blocks", "events")
     space, blocks = _probability_space(doc, args.events)
     events = _load_elements(doc, "events", space, args.events)
     del doc  # the parsed document is not held while numpy loads
     with _prefixed(f"{args.events}: /"):
         cb = rv_canon.apr_cb(events, blocks)
-    names = [",".join(map(str, sorted(subset))) for subset in cb]
-    outputs = {"conditional_probabilities": BlockTable(space, names, cb.table, cb.labels)}
+    names = [",".join(map(str, subset)) for subset in cb.keys]
+    outputs = {"conditional_probabilities": _columns(names, cb)}
     return 0, outputs, {}
 
 
@@ -494,7 +488,8 @@ def _cmd_hs_cb(args) -> tuple[int, dict, dict]:
         sub = hilbert_canon.Subspace(sub_doc["dim"], sub_doc["basis"])
     with _prefixed(f"{args.vectors}: /"):
         base = hilbert_canon.hs_cb(vecs_doc["vectors"], sub)
-    outputs = {"projections": base.projections, "gram": base.gram}
+    # lists of row buffers, so a large matrix is formatted one row at a time
+    outputs = {"projections": [*map(memoryview, base.projections)], "gram": [*map(memoryview, base.gram)]}
     return 0, outputs, {}
 
 

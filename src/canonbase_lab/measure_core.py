@@ -18,8 +18,8 @@ C longs (``array('l')``), and are checked without numpy, so ``rv-cb`` and
 ``weight_array`` are zero-copy read-only numpy views of the float buffers,
 built when read, and ``np.frombuffer`` gives such views of the
 substructure's; only the bulk kernels read them: ``SubStructure.partition``,
-the block kernel ``block_means``, ``BlockTable`` and ``cond_exp`` here, which
-import numpy inside their functions, and the kernels of ``rv_canon`` and
+the block kernel ``block_means`` and ``cond_exp`` here, which import numpy
+inside their functions, and the kernels of ``rv_canon`` and
 ``hilbert_canon``. So every value here is immutable, every operation is a
 pure function, and concurrent use from multiple threads needs no
 coordination.
@@ -37,7 +37,7 @@ order ``ExtensionPair.fibers`` defines). The scalar rules live in ``rules``.
 Values that are constant on the blocks of a substructure (conditional
 expectations and moments, conditional probabilities of events) are computed
 by one kernel, ``block_means``, as one number per block, and are carried as a
-``BlockTable``: per row the block values, and per atom its block.
+plain ``BlockTable``: per key the block values, and per atom its block.
 
 Tolerance policy: every verdict on computed floats in this package uses one
 rule, ``rules.close``, on floats, sequences and arrays alike. Data a and b
@@ -66,7 +66,7 @@ from bisect import bisect_right
 from contextlib import suppress
 from itertools import accumulate, chain, compress, repeat
 from operator import add, gt, mul, neg, or_, sub
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InvariantError, SpaceMismatchError
 from .records import Record
@@ -116,11 +116,6 @@ def _numpy_view(buffer: memoryview) -> np.ndarray:
     """The read-only float64 ndarray over ``buffer``, sharing its memory."""
     import numpy as np
     return np.frombuffer(buffer, dtype=np.float64)
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def _weights(values, name: str) -> array:
@@ -385,31 +380,21 @@ def block_means(rows: Iterable[np.ndarray], s: SubStructure, space: MeasureSpace
     return table, labels
 
 
-class BlockTable(Mapping):
-    """Block-constant elements of one space, one per key, each built only
-    when it is read.
+class BlockTable(Record, eq=False):
+    """Block-constant values of one space: ``table`` is the read-only,
+    C-ordered float64 (len(keys), blocks + 1) array with one row per key of
+    ``keys`` and one column per block, the last for the atoms off the support;
+    ``labels`` gives each atom its column, so the r-th key's value at atom i
+    is ``table[r, labels[i]]``. ``len`` is the number of keys."""
 
-    ``table`` is the read-only, C-ordered float64 (len(keys), blocks + 1)
-    array of their values, one row per key in key order and one column per
-    block, the last for the atoms off the support; ``labels`` gives each atom
-    its column, so the element under the r-th key takes the value
-    ``table[r, labels[i]]`` at atom i. Keys iterate in row order.
-    """
+    __slots__ = ("keys", "table", "labels")
 
-    __slots__ = ("space", "table", "labels", "_rows")
-
-    def __init__(self, space: MeasureSpace, keys: Iterable, table: np.ndarray, labels: np.ndarray):
-        self.space, self.table, self.labels = space, _frozen(table), labels
-        self._rows = {key: r for r, key in enumerate(keys)}
-
-    def __getitem__(self, key) -> LatticeElement:
-        return LatticeElement(self.space, self.table[self._rows[key]][self.labels])
-
-    def __iter__(self):
-        return iter(self._rows)
+    def __init__(self, keys: Iterable, table: np.ndarray, labels: np.ndarray):
+        table.flags.writeable = False
+        super().__init__(tuple(keys), table, labels)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.keys)
 
 
 def cond_exp(f: LatticeElement, s: SubStructure) -> LatticeElement:

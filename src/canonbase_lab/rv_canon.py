@@ -2,16 +2,16 @@
 moments and event canonical bases.
 
 Both canonical bases are block-constant, so they are computed per block and
-returned as a ``BlockTable``. ``cond_moments`` feeds the monomials to the
-block kernel ``block_means`` one row at a time: each is built, reduced to its
-block means and dropped before the next, so the kernel holds one row of
-atoms, not one per key. Every exponent is checked before the first row is
-built. ``apr_cb`` sums the weights per (block, event mask), an atom's mask
-holding the events that contain it, and gets the mass of every meet by the
-zeta transform over the subset lattice (Bjorklund, Husfeldt, Kaski and
-Koivisto, "Fourier meets Mobius", STOC 2007). For k events on B blocks that
-costs O(atoms + B * k * 2^k), against O(atoms * 2^k) for one conditional
-expectation per meet.
+returned as a ``BlockTable`` keyed by exponent tuples or by ascending tuples of
+event indices. ``cond_moments`` feeds the monomials to the block kernel
+``block_means`` one row at a time: each is built, reduced to its block means
+and dropped before the next, so the kernel holds one row of atoms, not one per
+key. Every exponent is checked before the first row is built. ``apr_cb`` sums
+the weights per (block, event mask), an atom's mask holding the events that
+contain it, and gets the mass of every meet by the zeta transform over the
+subset lattice (Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets
+Mobius", STOC 2007): for k events on B blocks, O(atoms + B * k * 2^k) against
+O(atoms * 2^k) for one conditional expectation per meet.
 
 Numpy is imported inside the functions that use it, never when this module
 loads, so ``rv-cb`` and ``apr-cb`` load it only once every input is read.
@@ -79,8 +79,7 @@ def cond_moments(
     for x in xs:
         validate_rv(x)
     kss = [tuple(ks) for ks in kss]
-    table, labels = block_means(_monomials(xs, kss), s, xs[0].space)
-    return BlockTable(xs[0].space, kss, table, labels)
+    return BlockTable(kss, *block_means(_monomials(xs, kss), s, xs[0].space))
 
 
 # no CLI call runs this; it stays because perfbench's tracer patches it here
@@ -88,14 +87,15 @@ def cond_moment(
     xs: Sequence[LatticeElement], ks: Sequence[int], s: SubStructure
 ) -> LatticeElement:
     """E[prod X_i^{k_i} | blocks]; values stay within [0, 1]."""
-    return cond_moments(xs, [ks], s)[tuple(ks)]
+    moments = cond_moments(xs, [ks], s)
+    return LatticeElement(xs[0].space, moments.table[0][moments.labels])
 
 
 def apr_cb(events: Sequence[LatticeElement], s: SubStructure) -> BlockTable:
     """Conditional probabilities of all nonempty intersections of the events,
-    indexed by the subset of event indices. Errors name the offending entry
-    as a pointer relative to the argument (``events/1/4: ...``); more than
-    ``MAX_ENTRIES`` entries (2^k - 1 meets times the atoms), or more than
+    keyed by the ascending tuple of their indices. Errors name the offending
+    entry as a pointer relative to the argument (``events/1/4: ...``); more
+    than ``MAX_ENTRIES`` entries (2^k - 1 meets times the atoms), or more than
     ``MAX_KEYS`` meets, is an error naming ``events``."""
     import numpy as np
     space = same_space(events, "events")
@@ -122,4 +122,4 @@ def apr_cb(events: Sequence[LatticeElement], s: SubStructure) -> BlockTable:
     subsets = [()]  # in mask order
     for j in range(k):
         subsets += [subset + (j,) for subset in subsets]
-    return BlockTable(space, map(frozenset, subsets[1:]), means, labels)
+    return BlockTable(subsets[1:], means, labels)

@@ -528,7 +528,7 @@ _floats = st.one_of(st.sampled_from(_SPECIAL), st.floats())
 def _arrays(draw):
     # values repeat, as in block-measurable outputs; both zeros are common
     pool = draw(st.lists(_floats | st.sampled_from([0.0, -0.0]), min_size=1, max_size=4))
-    return np.array(draw(st.lists(st.sampled_from(pool), max_size=12)), dtype=np.float64)
+    return memoryview(np.array(draw(st.lists(st.sampled_from(pool), max_size=12)), dtype=np.float64))
 
 
 _strings = st.one_of(st.text(), st.sampled_from(["é", "\n\t\"\\", "\u2028", "\x00", "💡", "日本"]))
@@ -543,7 +543,7 @@ _docs = st.recursive(
 
 
 def _as_lists(doc):
-    if isinstance(doc, np.ndarray):
+    if isinstance(doc, memoryview):
         return doc.tolist()
     if isinstance(doc, dict):
         return {k: _as_lists(v) for k, v in doc.items()}
@@ -553,10 +553,10 @@ def _as_lists(doc):
 
 
 @given(_docs, st.dictionaries(_strings, _arrays(), max_size=4))
-@example({}, {"m": np.repeat([0.1, 0.0, -0.0, 1e16], 3), "z": np.array([-0.0, 0.0])})
-@example([np.array([]), [], {}, {"": [[], {}]}], {"": np.array([math.nan, math.inf, -math.inf])})
+@example({}, {"m": memoryview(np.repeat([0.1, 0.0, -0.0, 1e16], 3)), "z": memoryview(np.array([-0.0, 0.0]))})
+@example([memoryview(np.array([])), [], {}, {"": [[], {}]}], {"": memoryview(np.array([math.nan, math.inf, -math.inf]))})
 def test_encode_is_byte_identical_to_json_dumps(doc, arrays):
-    # shaped like a run report: a map of arrays next to an arbitrary document
+    # shaped like a run report: a map of buffers next to an arbitrary document
     doc = {"outputs": arrays, "rest": doc}
     assert "".join(cli._encode(doc)) == json.dumps(_as_lists(doc), sort_keys=True, indent=2)
 
@@ -572,8 +572,15 @@ def _matrices(draw):
 @given(st.lists(_matrices(), max_size=3))
 @example([np.zeros((0, 3)), np.zeros((2, 0)), np.array([[-0.0, 0.0], [math.nan, 1e16]])])
 def test_encode_writes_a_matrix_as_the_list_of_its_rows(matrices):
-    doc = {"matrices": matrices, "after": 1}
+    doc = {"matrices": [[*map(memoryview, m)] for m in matrices], "after": 1}
     assert "".join(cli._encode(doc)) == json.dumps(_as_lists(doc), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("leaf", [np.zeros(2), np.zeros((2, 2)), np.zeros(0)], ids=["1-D", "2-D", "empty"])
+def test_encode_refuses_an_ndarray_leaf(leaf):
+    # the handlers hand over buffers and row buffers; an array is not a leaf
+    with pytest.raises(TypeError):
+        "".join(cli._encode({"values": leaf}))
 
 
 def test_hs_cb_reports_1024_vectors_within_two_seconds(tmp_path, capsys):
@@ -597,28 +604,26 @@ def _block_tables(draw):
     table = np.array(draw(st.lists(st.sampled_from(pool), min_size=len(keys) * (blocks + 1),
                                    max_size=len(keys) * (blocks + 1))), dtype=np.float64)
     labels = np.array(draw(st.lists(st.integers(0, blocks), min_size=1, max_size=6)), dtype=np.intp)
-    space = MeasureSpace((1.0,) * len(labels))
-    return BlockTable(space, keys, table.reshape(len(keys), blocks + 1), labels)
+    return BlockTable(keys, table.reshape(len(keys), blocks + 1), labels)
 
 
 def _cycling_table(atoms: int) -> BlockTable:
     """A table of two keys on ``atoms`` atoms, whose labels cycle through
     three blocks and the column off the support."""
     table = np.array([[0.5, -0.0, 1e16, 0.0], [math.nan, 0.1, -1.5, 0.0]])
-    return BlockTable(MeasureSpace(np.ones(atoms)), ["b", "a"], table, np.arange(atoms) % 4)
+    return BlockTable(["b", "a"], table, np.arange(atoms) % 4)
 
 
 @given(_block_tables())
-@example(BlockTable(MeasureSpace((1.0, 1.0, 1.0)), ["b", "a"],
-                    np.array([[0.5, -0.0, 0.0], [math.nan, 1e16, 0.0]]), np.array([2, 0, 1])))
+@example(BlockTable(["b", "a"], np.array([[0.5, -0.0, 0.0], [math.nan, 1e16, 0.0]]), np.array([2, 0, 1])))
 # lists of about one and several chunks, which are gathered one at a time
 @example(_cycling_table(cli.CHUNK_ATOMS - 1))
 @example(_cycling_table(cli.CHUNK_ATOMS))
 @example(_cycling_table(cli.CHUNK_ATOMS + 1))
 @example(_cycling_table(3 * cli.CHUNK_ATOMS + 1))
 def test_encode_writes_a_block_table_as_the_map_of_its_elements(table):
-    doc = {"table": table, "after": 1}
-    rows = {key: row[table.labels].tolist() for key, row in zip(table, table.table)}
+    doc = {"table": cli._columns(table.keys, table), "after": 1}
+    rows = {key: row[table.labels].tolist() for key, row in zip(table.keys, table.table)}
     as_lists = {"table": rows, "after": 1}
     text, expected = "".join(cli._encode(doc)), json.dumps(as_lists, sort_keys=True, indent=2)
     same = text == expected  # a flag, so a failure names a position instead of diffing 400 kB of text
@@ -754,11 +759,19 @@ def test_reports_and_out_files_are_the_stdlib_encoding(tmp_path):
         "rows": [[-2, 4, 0.1], [1e-5, -0.0, 3]], "plus": [1, 0, 2], "minus": [0, 0.5, 0],
     })
     lp = ["lp-cb", "--space", space, "--element", element, "--p", 2, "--grid", 3]
+    vectors = _write(tmp_path, "vectors.json", {"vectors": [[1, 2, 0.5], [-0.0, 1e16, 3], [0.1, 0, -7]]})
+    subspace = _write(tmp_path, "subspace.json", {"dim": 3, "basis": [[0.6, 0.8, 0], [0, 0, 1]]})
+    none = _write(tmp_path, "none.json", {"vectors": []})
+    zero = _write(tmp_path, "zero.json", {"dim": 0, "basis": []})
+    zero_vectors = _write(tmp_path, "zero_vectors.json", {"vectors": [[], []]})
     runs = [
         (["rv-cb", "--space", prob, "--elements", elems, "--k-max", 2, "--out", "rv.json"], "rv.json"),
         (["apr-cb", "--events", events], None),
         (lp + ["--out", "partials.json"], "partials.json"),
         (lp + ["--intervals", "--out", "intervals.json"], "intervals.json"),
+        (["hs-cb", "--vectors", vectors, "--subspace", subspace], None),
+        (["hs-cb", "--vectors", none, "--subspace", subspace], None),
+        (["hs-cb", "--vectors", zero_vectors, "--subspace", zero], None),
     ]
     for argv, out in runs:
         stdout = _run_canonlab(tmp_path, *argv)
@@ -1011,6 +1024,9 @@ def test_a_reader_that_closes_the_pipe_early_gets_exit_141():
     assert proc.wait() == 141 and stderr == b""
 
 
+CURVE_OF_INTERVALS = "--curve: the curve is of the partials, so it cannot be given with --intervals"
+
+
 def test_curve_is_a_csv_of_the_partials(tmp_path, capsys):
     space = _write(tmp_path, "space.json", {"base_weights": [1, 2], "fiber_cells": 3})
     element = _write(tmp_path, "element.json", {"rows": [[1, 0, 2], [0.1, -1 / 3, 2 / 7]]})
@@ -1025,7 +1041,7 @@ def test_curve_is_a_csv_of_the_partials(tmp_path, capsys):
         assert line.split(",") == [f"{x:.12g}" for x in (t, *partials[f"{t:.12g}"])]
     assert lines[1] == "0.333333333333,0,-0.111111111111"
     assert cli.dispatch(lp + ["--intervals", "--curve", str(curve)]) == 2
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().out)["error"] == CURVE_OF_INTERVALS
 
 
 def test_a_failed_call_leaves_none_of_its_output_files(tmp_path, capsys):
@@ -1043,12 +1059,34 @@ def test_a_failed_call_leaves_none_of_its_output_files(tmp_path, capsys):
     assert not out.exists()
     out.write_text("kept")
     assert run("--curve", str(tmp_path))[0] == 2
-    assert run("--intervals", "--curve", str(curve))[0] == 2
+    code, report = run("--intervals", "--curve", str(curve))
+    assert code == 2 and report["error"] == CURVE_OF_INTERVALS
     assert out.read_text() == "kept"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["element.json", "ok.json", "space.json"]
     code, report = run("--curve", str(curve))
     assert code == 0 and json.loads(out.read_text()) == report["outputs"]
     assert curve.read_text().startswith("t,atom_0,atom_1\n")
+
+
+def test_curve_with_intervals_is_refused_before_any_input_is_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = cli.dispatch(["lp-cb", "--space", "missing.json", "--element", "missing.json", "--p", "2",
+                         "--grid", "3", "--intervals", "--curve", "curve.csv"])
+    assert code == 2 and json.loads(capsys.readouterr().out)["error"] == CURVE_OF_INTERVALS
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out, curve", [("x", "x"), ("./x", "x"), ("x", "sub/../x")])
+def test_two_flags_that_name_one_file_write_nothing(tmp_path, monkeypatch, capsys, out, curve):
+    # the CSV would otherwise replace the report file, and the call exit 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    _write(tmp_path, "space.json", {"base_weights": [1, 2], "fiber_cells": 3})
+    _write(tmp_path, "element.json", {"rows": [[1, 0, 2], [0.1, -1 / 3, 2 / 7]]})
+    code = cli.dispatch(["lp-cb", "--space", "space.json", "--element", "element.json", "--p", "2",
+                         "--grid", "3", "--out", out, "--curve", curve])
+    assert code == 2 and json.loads(capsys.readouterr().out)["error"] == f"--out and --curve: both name {curve}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["element.json", "space.json", "sub"]
 
 
 def test_every_subcommand_prints_the_same_report_twice(tmp_path, capsys):

@@ -269,15 +269,22 @@ def test_product_formula_rejects_nonmeasurable():
 
 # -- event canonical base -------------------------------------------------------------
 
+def _by_subset(table, space):
+    """The rows of an ``apr_cb`` table as elements of ``space``, keyed by the
+    set of events met; its keys are ascending tuples of event indices."""
+    assert all(list(key) == sorted(set(key)) for key in table.keys)
+    return {frozenset(key): LatticeElement(space, row[table.labels]) for key, row in zip(table.keys, table.table)}
+
+
 def test_apr_single_event():
     a = rv(1.0, 0.0, 1.0, 0.0)
-    out = apr_cb([a], TWO_BLOCKS)
+    out = _by_subset(apr_cb([a], TWO_BLOCKS), a.space)
     assert out[frozenset({0})].approx_equal(cond_exp(a, TWO_BLOCKS), tol=0.0)
 
 
 def test_apr_duplicate_events_collapse():
     a = rv(1.0, 0.0, 1.0, 0.0)
-    out = apr_cb([a, a], TWO_BLOCKS)
+    out = _by_subset(apr_cb([a, a], TWO_BLOCKS), a.space)
     assert out[frozenset({0})].array.tolist() == out[frozenset({1})].array.tolist()
     assert out[frozenset({0})].array.tolist() == out[frozenset({0, 1})].array.tolist()
 
@@ -285,7 +292,7 @@ def test_apr_duplicate_events_collapse():
 def test_apr_disjoint_meet_vanishes():
     a = rv(1.0, 0.0, 1.0, 0.0)
     b = rv(0.0, 1.0, 0.0, 1.0)
-    out = apr_cb([a, b], TWO_BLOCKS)
+    out = _by_subset(apr_cb([a, b], TWO_BLOCKS), a.space)
     assert out[frozenset({0, 1})].array.tolist() == [0.0] * 4
 
 
@@ -297,7 +304,7 @@ def test_apr_inclusion_exclusion_bound(rng):
             LatticeElement(space, tuple(float(rng.randint(0, 1)) for _ in range(8)))
             for _ in range(3)
         ]
-        out = apr_cb(events, s)
+        out = _by_subset(apr_cb(events, s), space)
         for subset, val in out.items():
             for j in subset:
                 single = out[frozenset({j})]
@@ -320,7 +327,7 @@ def _event_bases(draw):
 @given(_event_bases())
 def test_apr_block_path_matches_the_brute_force_meets(base):
     space, s, events = base
-    out = apr_cb([LatticeElement(space, e) for e in events], s)
+    out = _by_subset(apr_cb([LatticeElement(space, e) for e in events], s), space)
     want = ref_apr_cb(space.weight_array.tolist(), events, s.blocks)
     assert len(out) == len(want) == 2 ** len(events) - 1
     assert all(close(out[subset].array, values) for subset, values in want.items())
