@@ -369,20 +369,23 @@ def _cmd_legendre(args) -> tuple[int, dict, dict]:
     conj = legendre.conjugate(phi)
     doc = legendre.fn_to_dict(conj)
     back = legendre.conjugate(conj)
-    pts = phi.breakpoints
-    # the values are the anchor value plus slope-times-position terms, whose
-    # size sets the scale, so that a value of 0 is judged on it
-    positions = [abs(v) for v in (phi.lo, phi.hi, phi.anchor_x, *pts) if math.isfinite(v)]
+    # conjugation swaps the domain and breakpoints with the slopes, so the biconjugate's are
+    # the input's exactly; slope-times-position terms set the scale of the anchor value
+    pieces = (back.lo, back.hi, back.breakpoints, back.slopes) == (phi.lo, phi.hi, phi.breakpoints, phi.slopes)
+    positions = [abs(v) for v in (phi.lo, phi.hi, phi.anchor_x, *phi.breakpoints) if math.isfinite(v)]
     scale = max(map(abs, phi.slopes), default=0.0) * max(positions) + abs(phi.anchor_y)
-    ok = close([*map(back.evaluate, pts), scale], [*map(phi.evaluate, pts), scale])
+    ok = pieces and close((back.evaluate(phi.anchor_x), scale), (phi.anchor_y, scale))
     _write(("--out", args.out, _encode(doc)))
     return 0, {"conjugate": doc}, {"biconjugate_roundtrip": ok}
 
 
 def _cmd_krivine(args) -> tuple[int, dict, dict]:
     from . import terms
+    if args.action in ("parse", "eval"):
+        integer(args.arity, "--arity", 0)
+        with _prefixed("--term: "):
+            term = terms.parse_term(args.term, args.arity)
     if args.action == "parse":
-        term = terms.parse_term(args.term, args.arity)
         text = terms.to_text(term)
         try:  # to_text writes a group per operation, so a long chain may nest too deep
             ok = terms.parse_term(text, args.arity) == term
@@ -390,7 +393,6 @@ def _cmd_krivine(args) -> tuple[int, dict, dict]:
             ok = False
         return 0, {"term": text}, {"roundtrip": ok}
     if args.action == "eval":
-        term = terms.parse_term(args.term, args.arity)
         with _prefixed("--point: "):
             point = reals([_fraction(v) for v in args.point.split(",")], "coordinates")
             if len(point) != args.arity:
@@ -401,6 +403,8 @@ def _cmd_krivine(args) -> tuple[int, dict, dict]:
     check_count(integer(args.grid, "--grid", 1), MAX_CONES, "--grid", "cones")
     with _prefixed("--fn: "):
         fn = krivine.registry_function(args.fn)
+    if not args.eps > 0:
+        raise InvariantError(f"--eps: must be positive, got {args.eps}")
     term, cert = krivine.approximate_on_sphere(fn, args.eps, args.grid)
     text = krivine.to_text(term)
     outputs = {"certified_error": cert, "term_chars": len(text), "function": fn.name}
@@ -413,11 +417,14 @@ def _cmd_krivine(args) -> tuple[int, dict, dict]:
 
 def _cmd_lp_cb(args) -> tuple[int, dict, dict]:
     from . import lp_canon
+    from .measure_core import check_p
     n = integer(args.grid, "--grid", 1)
     keys = n * (n + 1) // 2 if args.intervals else n
     check_count(keys, MAX_KEYS, "--grid", "keys")
     if args.intervals and args.curve:
         raise InvariantError("--curve: the curve is of the partials, so it cannot be given with --intervals")
+    with _prefixed("--p: "):
+        check_p(args.p)
     pair = load_space(args.space)
     check_entries(keys, pair.m, "--grid")
     f = load_element(args.element, pair)
@@ -438,6 +445,9 @@ def _cmd_lp_cb(args) -> tuple[int, dict, dict]:
 
 def _cmd_typeq(args) -> tuple[int, dict, dict]:
     from . import oracle
+    from .measure_core import check_p
+    with _prefixed("--p: "):
+        check_p(args.p)
     pair = load_space(args.space)
     fa = load_element(args.a, pair)
     fb = fa if args.b == args.a else load_element(args.b, pair)  # one file is read once
@@ -498,17 +508,18 @@ def _cmd_ultra(args) -> tuple[int, dict, dict]:
     from fractions import Fraction
     from . import ultra_ball
 
-    def point(text: str) -> ultra_ball.ProjPoint:
-        if text.strip().lower() in ("inf", "infinity", "oo"):
-            return ultra_ball.INFINITY
-        return ultra_ball.ProjPoint.of(_fraction(text))
-
     with _prefixed("--prime: "):
         ctx = ultra_ball.PAdicContext(args.prime)
     if args.action == "ball-dist":
-        a = ultra_ball.Ball(point(args.a), _fraction(args.r))
-        b = ultra_ball.Ball(point(args.b), _fraction(args.s))
-        dist = ultra_ball.ball_distance(a, b, ctx)
+        balls = []
+        for center, radius in (("a", "r"), ("b", "s")):
+            text = getattr(args, center)
+            with _prefixed(f"{center}: "):
+                at_infinity = text.strip().lower() in ("inf", "infinity", "oo")
+                c = ultra_ball.INFINITY if at_infinity else ultra_ball.ProjPoint.of(_fraction(text))
+            with _prefixed(f"{radius}: "):
+                balls.append(ultra_ball.Ball(c, _fraction(getattr(args, radius))))
+        dist = ultra_ball.ball_distance(*balls, ctx)
         return 0, {"distance": str(dist)}, {}
     # check-triangles over a fixed pseudo-random rational sample
     check_count(integer(args.samples, "--samples", 0), MAX_SAMPLES, "--samples", "samples")
@@ -539,9 +550,12 @@ def _cmd_ultra(args) -> tuple[int, dict, dict]:
 
 def _cmd_demo(args) -> tuple[int, dict, dict]:
     from . import lp_canon
+    from .measure_core import check_p
     if args.which == "p1":
-        eps = _fraction(args.eps)
-        report = lp_canon.p1_counterexample(eps, args.p)
+        with _prefixed("--p: "):
+            check_p(args.p)
+        with _prefixed("--eps: "):
+            report = lp_canon.p1_counterexample(_fraction(args.eps), args.p)
         outputs = {
             "eps": str(report.eps),
             "p": report.p,

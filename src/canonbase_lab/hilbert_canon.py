@@ -51,21 +51,6 @@ class Subspace(Record):
     def _key(self) -> tuple:
         return (self.dim, tuple(map(tuple, self.basis_array.tolist())))
 
-    @classmethod
-    def span(cls, dim: int, vectors: Sequence[Sequence[float]]) -> "Subspace":
-        """Orthonormalize the given spanning vectors, dropping each that is
-        close to its projection onto the span of those before it. The residual's
-        rounding error scales with the vector's own norm, so that norm, not the
-        largest input's, sets the scale."""
-        basis: list[np.ndarray] = []
-        for vec in _vectors(vectors, dim, "vectors"):
-            v = vec
-            for b in basis:
-                v = v - (v @ b) * b
-            if not close(vec, vec - v):
-                basis.append(v / np.linalg.norm(v))
-        return cls(dim, basis)
-
 
 def _project(mat: np.ndarray, sub: Subspace) -> np.ndarray:
     """The orthogonal projections of the rows of ``mat`` onto the subspace."""

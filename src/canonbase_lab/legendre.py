@@ -108,33 +108,6 @@ class PLConvexFn(Record):
 
     __call__ = evaluate
 
-    def one_sided_derivs(self, x: float) -> tuple[float, float]:
-        """Left and right derivatives at x; +/-inf outward at domain endpoints.
-        An x close to an endpoint or a breakpoint, on the scale of x, the
-        domain and the breakpoints, is taken to be at it."""
-        x = float(x)
-        positions = (x, self.lo, self.hi, *self.breakpoints)
-        scale = max((abs(v) for v in positions if math.isfinite(v)), default=0.0)
-
-        def at(point: float) -> bool:
-            return close((x, scale), (point, scale))
-
-        at_lo, at_hi = at(self.lo), at(self.hi)
-        if (x < self.lo and not at_lo) or (x > self.hi and not at_hi):
-            raise InvariantError(f"{x} is outside the domain closure [{self.lo}, {self.hi}]")
-        if self.is_point():
-            return (-math.inf, math.inf)
-        if at_lo:
-            return (-math.inf, self.slopes[0])
-        if at_hi:
-            return (self.slopes[-1], math.inf)
-        pts = self.breakpoints
-        j = bisect_left(pts, x)
-        for cand in (j - 1, j):
-            if 0 <= cand < len(pts) and at(pts[cand]):
-                return (self.slopes[cand], self.slopes[cand + 1])
-        return (self.slopes[j], self.slopes[j])
-
     @classmethod
     def point(cls, x: float, value: float) -> "PLConvexFn":
         return cls(x, x, (), (), x, value)

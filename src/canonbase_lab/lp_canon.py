@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, chain, combinations, repeat
+from itertools import accumulate, combinations, repeat
 from operator import sub
 from typing import TYPE_CHECKING, Sequence
 
@@ -43,7 +43,6 @@ from .measure_core import (
     pos_part,
 )
 from .records import Record
-from .rules import close, integer
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -125,18 +124,10 @@ class SliceFamily(Record, eq=False):
     """Per base atom, the nondecreasing rearrangement of the fiber values and
     its prefix sums with a leading 0.0: ``sorted_rows`` and ``prefix`` are
     read-only float64 buffers of m*n and m*(n + 1) values, atom after atom.
-    The slice at t is the ceil(t*n)-th order statistic and E_t the integral
-    of the row up to t."""
+    E_t is the integral of the row up to t, and the slice at t its
+    ceil(t*n)-th order statistic (``slice_at`` in ``tests/test_lp_canon.py``)."""
 
     __slots__ = ("pair", "sorted_rows", "prefix")
-
-    def slice_at(self, t: float) -> LatticeElement:
-        t = float(t)
-        n = self.pair.n
-        if not 0.0 < t <= 1.0:
-            raise InvariantError(f"slices are defined for t in (0, 1], got {t}")
-        k = min(n, max(1, math.ceil(t * n)))
-        return LatticeElement(self.pair.base_space(), self.sorted_rows[k - 1 :: n])
 
     def partials_at(self, ts: Sequence[float]) -> list[memoryview]:
         """E_t for each t of ``ts``, as a read-only float64 buffer of m values
@@ -187,7 +178,9 @@ class LpCanonicalBase(Record, eq=False):
 
     On the full grid {k/n : k = 1..n} (right endpoint included, standing in
     for the endpoint limit over a dense grid) the partials determine the
-    sorted fiber values exactly via first differences.
+    sorted fiber values exactly by first differences (``reconstruct_sorted_rows``
+    in ``tests/test_lp_canon.py``); two bases compare by ``cb_approx_equal`` in
+    ``tests/reference.py``, which reads ``orthogonal_norms`` too.
     """
 
     __slots__ = ("p", "pos_norm", "neg_norm", "grid", "space", "rows", "interval_form", "orthogonal_norms")
@@ -199,30 +192,6 @@ class LpCanonicalBase(Record, eq=False):
         if not self.interval_form:
             return self.rows
         return [_stored(array("d", map(sub, b, a))) for a, b in combinations(self.rows, 2)]
-
-    def _values(self) -> list[float]:
-        """The norms followed by the entries of the base."""
-        return [self.pos_norm, self.neg_norm, *chain.from_iterable(self.entries())]
-
-    def approx_equal(self, other: "LpCanonicalBase") -> bool:
-        """Same p, form, grid and base space; the norms and entries close as
-        one vector, and the orthogonal norms close on their own scale."""
-        same = (self.p, self.interval_form, self.grid, self.space)
-        if same != (other.p, other.interval_form, other.grid, other.space):
-            return False
-        return close(self._values(), other._values()) and close(self.orthogonal_norms, other.orthogonal_norms)
-
-    def reconstruct_sorted_rows(self, fiber_cells: int) -> list[list[float]]:
-        """Invert the prefix sums: the k-th sorted fiber value per atom is
-        n*(E_{k/n} - E_{(k-1)/n}), or n*E_[(k-1)/n, k/n] in the interval form.
-        Requires the full grid, {k/n : k = 1..n} or {k/n : k = 0..n}."""
-        n = integer(fiber_cells, "fiber_cells", 1)
-        first = 0 if self.interval_form else 1
-        if len(self.grid) != n + 1 - first or not close(self.grid, [k / n for k in range(first, n + 1)]):
-            raise InvariantError(f"reconstruction needs the grid {{k/n : k = {first}..n}}")
-        rows = [[0.0] * len(self.space)] * first + self.rows
-        steps = (map(sub, b, a) for a, b in zip(rows, rows[1:]))
-        return [[n * x for x in column] for column in zip(*steps)]
 
 
 def _part_norms(rows: Sequence[Sequence[float]], weights: Sequence[float], p: float) -> tuple[float, float]:

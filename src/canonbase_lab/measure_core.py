@@ -38,24 +38,6 @@ Values that are constant on the blocks of a substructure (conditional
 expectations and moments, conditional probabilities of events) are computed
 by one kernel, ``block_means``, as one number per block, and are carried as a
 plain ``BlockTable``: per key the block values, and per atom its block.
-
-Tolerance policy: every verdict on computed floats in this package uses one
-rule, ``rules.close``, on floats, sequences and arrays alike. Data a and b
-agree when |a - b| <= TOL * s at every entry, where s is the larger sup norm
-of a and b. The bound is relative, so scaling both sides by c > 0 keeps the
-verdict, as it must, since types over a base do not depend on units; data
-that are both zero agree. ``LatticeElement.approx_equal`` takes a ``tol`` with
-this meaning, and ``tol=0.0`` asks for exact equality. Where the two sides can
-cancel to about 0 while their terms do not (a value against its expected
-value, a point against a breakpoint), the size of the terms goes to ``close``
-as one more entry on both sides, so rounding noise is judged on that size.
-Where values are sorted or grouped before a comparison, ``sort_order`` and
-``group`` take TOL times the joint sup norm as the rounding quantum of the
-sort key and as the gap within which sorted neighbours join one group, so no
-rounding boundary splits equal values. A check against the range [0, 1] uses
-TOL as an absolute margin, since the range fixes the scale. The Krivine cone
-engine's membership slack and structural check are guards of its own fit, not
-verdicts on data, and keep their own constants.
 """
 
 from __future__ import annotations
@@ -70,7 +52,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InvariantError, SpaceMismatchError
 from .records import Record
-from .rules import TOL, check_entries, close, integer, real_array
+from .rules import check_entries, integer, real_array
 
 if TYPE_CHECKING:
     import numpy as np
@@ -193,9 +175,6 @@ class LatticeElement(Record):
 
     __rmul__ = __mul__
 
-    def approx_equal(self, other: "LatticeElement", tol: float = TOL) -> bool:
-        return self.space == other.space and close(self.values, other.values, tol)
-
 
 def same_space(elements: Sequence[LatticeElement], name: str) -> MeasureSpace:
     """The one space of ``elements``: ``InvariantError`` if there are none,
@@ -212,13 +191,8 @@ def same_space(elements: Sequence[LatticeElement], name: str) -> MeasureSpace:
 
 # ---------------------------------------------------------------------------
 # Vector-lattice operations; like numpy's maximum and minimum, each keeps its
-# second operand on a tie, so 0.0 v -0.0 is -0.0 and (-0.0)+ is 0.0
+# second operand on a tie, so 0.0 ^ -0.0 is -0.0 and (-0.0)+ is 0.0
 # ---------------------------------------------------------------------------
-
-def join(f: LatticeElement, g: LatticeElement) -> LatticeElement:
-    same_space((f, g), "operands")
-    return LatticeElement(f.space, array("d", map(max, g.values, f.values)))
-
 
 def meet(f: LatticeElement, g: LatticeElement) -> LatticeElement:
     same_space((f, g), "operands")
@@ -507,22 +481,6 @@ class ExtensionPair(Record):
         if self._orth is None:
             return None
         return LatticeElement(self._orth, f.values[self.m * self.n :])
-
-    def embed(self, g: LatticeElement) -> LatticeElement:
-        """Lift a base element to the total space: fiber-constant, zero on +/-."""
-        if g.space != self.base_space():
-            raise SpaceMismatchError("element to embed must live on the base space")
-        return self.element([[v] * self.n for v in g.values])
-
-    def is_embedded(self, f: LatticeElement) -> bool:
-        """True iff f is close to the lift of its first fiber cells."""
-        lift = self.element([[row[0]] * self.n for row in self.fibers(f)])
-        return close(f.values, lift.values)
-
-    def base_substructure(self) -> SubStructure:
-        """The fibers over the base, as blocks of the total space."""
-        n = self.n
-        return SubStructure(range(i * n, (i + 1) * n) for i in range(self.m))
 
     def cond_exp_base(self, f: LatticeElement) -> LatticeElement:
         """Conditional expectation onto the embedded base lattice, returned as

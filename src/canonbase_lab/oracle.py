@@ -5,7 +5,7 @@ against: types over the base are compared through raw conditional
 distributions (per-atom multisets of fiber values) plus orthogonal-part data,
 and absolute types through the directional mass measure, which records per
 ray the total weighted p-th power of the sup norm. Every comparison follows
-the relative tolerance policy stated in ``measure_core``, so the verdicts do
+the relative tolerance policy stated in ``rules``, so the verdicts do
 not depend on units. The oracles read the elements' float64 buffers with the
 standard library, so ``typeq`` and ``demo remark`` never load numpy.
 """

@@ -1,8 +1,27 @@
 """The scalar rules: the tolerance of every verdict on computed floats (see
-the policy in ``measure_core``), the one rule that reads input as real
-numbers, and the checks of integers and sizes. This module loads no numpy, so
-the calls that do no array work start without it; ``close`` finds numpy in
-``sys.modules`` when given an ndarray, since whoever holds one has loaded it.
+the policy below), the one rule that reads input as real numbers, and the
+checks of integers and sizes. This module loads no numpy, so the calls that
+do no array work start without it; ``close`` finds numpy in ``sys.modules``
+when given an ndarray, since whoever holds one has loaded it.
+
+Tolerance policy: every verdict on computed floats in this package uses one
+rule, ``close``, on floats, sequences and arrays alike. Data a and b agree
+when |a - b| <= TOL * s at every entry, where s is the larger sup norm of a
+and b. The bound is relative, so scaling both sides by c > 0 keeps the
+verdict, as it must, since types over a base do not depend on units; data that
+are both zero agree. ``approx_equal`` in ``tests/reference.py`` takes a
+``tol`` with this meaning, and ``tol=0.0`` asks for exact equality. Where the
+two sides can cancel to about 0 while their terms do not (a value against its
+expected value, a point against a breakpoint), the size of the terms goes to
+``close`` as one more entry on both sides, so rounding noise is judged on that
+size. Where values are sorted or grouped before a comparison,
+``measure_core.sort_order`` and ``measure_core.group`` take TOL times the
+joint sup norm as the rounding quantum of the sort key and as the gap within
+which sorted neighbours join one group, so no rounding boundary splits equal
+values. A check against the range [0, 1] uses TOL as an absolute margin, since
+the range fixes the scale. The Krivine cone engine's membership slack and
+structural check are guards of its own fit, not verdicts on data, and keep
+their own constants.
 """
 
 from __future__ import annotations

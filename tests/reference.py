@@ -3,26 +3,31 @@
 Nothing here calls back into the package's algorithmic kernels: conditional
 expectations are plain loops, partials come from sort-and-prefix-sum,
 conjugate values from a direct sup over candidate points, and lattice terms
-are evaluated by a walk of their own. The exceptions are the last two
+are evaluated by a walk of their own. The exceptions are the last three
 sections. One runs the package's own kernels: the exact-conjugation route to
-E_t, and the moment determinacy check that two test modules share. The other
+E_t, and the moment determinacy check that two test modules share. The next
 holds the paper's constructions that no program call runs and several test
 modules use: truncated subtraction, the signed power, the n-type base and the
-lifted event.
+lifted event. The last holds the operations on the package's values that no
+program call runs and several test modules use: the approximate equality of
+elements and of canonical bases, the join, the lift of a base element and
+the base substructure of a pair, and one-sided derivatives.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Sequence
 
 import numpy as np
 
-from canonbase_lab.errors import InvariantError
-from canonbase_lab.legendre import conjugate
-from canonbase_lab.lp_canon import PsiFamily, canonical_base_1type
+from canonbase_lab.errors import InvariantError, SpaceMismatchError
+from canonbase_lab.legendre import PLConvexFn, conjugate
+from canonbase_lab.lp_canon import LpCanonicalBase, PsiFamily, canonical_base_1type
 from canonbase_lab.measure_core import (ExtensionPair, LatticeElement, SubStructure, check_p, cond_exp, group,
                                         same_space)
 from canonbase_lab.oracle import DirectionalMass
@@ -370,7 +375,7 @@ def canonical_base_ntype(
 
 def is_block_measurable(y: LatticeElement, s: SubStructure) -> bool:
     """True iff y is close to its conditional expectation."""
-    return y.approx_equal(cond_exp(y, s))
+    return approx_equal(y, cond_exp(y, s))
 
 
 
@@ -399,6 +404,72 @@ def lift_event(x: LatticeElement, s: SubStructure, fiber_cells: int) -> LiftedEv
     n = pair.n
     ks = np.clip(np.floor(x.array * n + 0.5), 0, n)
     snapped = LatticeElement(x.space, ks / n)
-    was_rounded = not snapped.approx_equal(x)
+    was_rounded = not approx_equal(snapped, x)
     indicator = pair.element(np.arange(n) < ks[:, None])
     return LiftedEvent(pair, indicator, snapped, was_rounded)
+
+
+# -- operations on the package's values that no program call runs -------------------
+
+def approx_equal(f: LatticeElement, other: LatticeElement, tol: float = TOL) -> bool:
+    return f.space == other.space and close(f.values, other.values, tol)
+
+
+def join(f: LatticeElement, g: LatticeElement) -> LatticeElement:
+    same_space((f, g), "operands")
+    return LatticeElement(f.space, array("d", map(max, g.values, f.values)))
+
+
+def embed(pair: ExtensionPair, g: LatticeElement) -> LatticeElement:
+    """Lift a base element to the total space: fiber-constant, zero on +/-."""
+    if g.space != pair.base_space():
+        raise SpaceMismatchError("element to embed must live on the base space")
+    return pair.element([[v] * pair.n for v in g.values])
+
+
+def base_substructure(pair: ExtensionPair) -> SubStructure:
+    """The fibers over the base, as blocks of the total space."""
+    n = pair.n
+    return SubStructure(range(i * n, (i + 1) * n) for i in range(pair.m))
+
+
+def _cb_values(cb: LpCanonicalBase) -> list[float]:
+    """The norms followed by the entries of the base."""
+    return [cb.pos_norm, cb.neg_norm, *chain.from_iterable(cb.entries())]
+
+
+def cb_approx_equal(cb: LpCanonicalBase, other: LpCanonicalBase) -> bool:
+    """Same p, form, grid and base space; the norms and entries close as
+    one vector, and the orthogonal norms close on their own scale."""
+    same = (cb.p, cb.interval_form, cb.grid, cb.space)
+    if same != (other.p, other.interval_form, other.grid, other.space):
+        return False
+    return close(_cb_values(cb), _cb_values(other)) and close(cb.orthogonal_norms, other.orthogonal_norms)
+
+
+def one_sided_derivs(phi: PLConvexFn, x: float) -> tuple[float, float]:
+    """Left and right derivatives at x; +/-inf outward at domain endpoints.
+    An x close to an endpoint or a breakpoint, on the scale of x, the
+    domain and the breakpoints, is taken to be at it."""
+    x = float(x)
+    positions = (x, phi.lo, phi.hi, *phi.breakpoints)
+    scale = max((abs(v) for v in positions if math.isfinite(v)), default=0.0)
+
+    def at(point: float) -> bool:
+        return close((x, scale), (point, scale))
+
+    at_lo, at_hi = at(phi.lo), at(phi.hi)
+    if (x < phi.lo and not at_lo) or (x > phi.hi and not at_hi):
+        raise InvariantError(f"{x} is outside the domain closure [{phi.lo}, {phi.hi}]")
+    if phi.is_point():
+        return (-math.inf, math.inf)
+    if at_lo:
+        return (-math.inf, phi.slopes[0])
+    if at_hi:
+        return (phi.slopes[-1], math.inf)
+    pts = phi.breakpoints
+    j = bisect_left(pts, x)
+    for cand in (j - 1, j):
+        if 0 <= cand < len(pts) and at(pts[cand]):
+            return (phi.slopes[cand], phi.slopes[cand + 1])
+    return (phi.slopes[j], phi.slopes[j])

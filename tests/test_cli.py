@@ -238,6 +238,29 @@ def _eval(term):
          "events: /events: 32767 keys exceed the cap of 16384 (2**14)"),
         ({}, _SAMPLES + ["200"], "--samples: 200 samples exceed the cap of 64 (2**6)"),
         ({}, _SAMPLES + ["65"], "--samples: 65 samples exceed the cap of 64 (2**6)"),
+        # a flag or positional whose value fails a rule is named first, and --p is checked before any read
+        ({"space": SPACE, "element": {"rows": [[0, 1], [2, 3]]}}, LP_CB[:-3] + ["0.5", "--grid", "2"],
+         "--p: L_p exponent must be finite and satisfy p >= 1, got 0.5"),
+        ({}, ["lp-cb", "--space", "missing", "--element", "missing", "--p", "0.5", "--grid", "2"], "--p: "),
+        (TYPEQ, TYPEQ_ARGV + ["0.5"], "--p: L_p exponent must be finite and satisfy p >= 1, got 0.5"),
+        ({}, ["typeq", "--space", "missing", "--a", "missing", "--b", "missing", "--p", "0.5"], "--p: "),
+        ({}, ["demo", "p1", "--p", "0.5"], "--p: L_p exponent must be finite and satisfy p >= 1, got 0.5"),
+        ({}, ["demo", "p1", "--p", "0.5", "--eps", "x"], "--p: "),
+        ({}, ["demo", "p1", "--eps", "3/10"], "--eps: eps must be of the form 1/m, got 3/10"),
+        ({}, ["demo", "p1", "--eps", "1/100000000"], "--eps: fiber_cells: 100000000 entries exceed the cap"),
+        ({}, ["demo", "p1", "--eps", "x"], "--eps: not a rational number: 'x'"),
+        ({}, ["krivine", "approx", "--fn", "euclid", "--eps", "-1"], "--eps: must be positive, got -1.0"),
+        ({}, ["krivine", "approx", "--fn", "euclid", "--eps", "nan"], "--eps: must be positive, got nan"),
+        ({}, ["krivine", "parse", "--term", "x0", "--arity", "-1"], "--arity: must be >= 0, got -1"),
+        ({}, ["krivine", "eval", "--term", "x0", "--arity", "-1", "--point", "1"], "--arity: must be >= 0, got -1"),
+        ({}, ["krivine", "eval", "--term", "x0 \\/ x1", "--arity", "1", "--point", "1"],
+         "--term: variable x1 out of range for arity 1 (at position 6)"),
+        ({}, ["krivine", "parse", "--term", "x0 \\/", "--arity", "1"], "--term: "),
+        ({}, ["ultra", "--prime", "3", "ball-dist", "x", "0", "1", "0"], "a: not a rational number: 'x'"),
+        ({}, ["ultra", "--prime", "3", "ball-dist", "1", "x", "1", "0"], "r: not a rational number: 'x'"),
+        ({}, ["ultra", "--prime", "3", "ball-dist", "1", "0", "x", "0"], "b: not a rational number: 'x'"),
+        ({}, ["ultra", "--prime", "3", "ball-dist", "1", "1/2", "2", "3/2"], "s: ball radius must lie in [0, 1], got 3/2"),
+        ({}, ["ultra", "--prime", "3", "ball-dist", "1", "-1", "2", "0"], "r: ball radius must lie in [0, 1], got -1"),
     ],
 )
 def test_malformed_input_exits_2_naming_the_pointer(tmp_path, capsys, docs, argv, expected):
@@ -989,6 +1012,55 @@ def test_legendre_roundtrip_holds_where_phi_vanishes(tmp_path, capsys):
                                       "slopes": [-1.7, -0.4], "anchor": [0.024, 0.0]})
     assert cli.dispatch(["legendre", "--fn", str(fn)]) == 0
     assert json.loads(capsys.readouterr().out)["checks"]["biconjugate_roundtrip"] is True
+
+
+_WRONG_SLOPE = [
+    # an affine function has no breakpoint, so a check at the breakpoints compares nothing
+    ({"domain": [None, None], "breakpoints": [], "slopes": [2.0], "anchor": [0.0, 1.0]}, (), (3.0,)),
+    # |x| agrees with the wrong biconjugate at its breakpoint, so only the outer slope tells them apart
+    (PL_FN, (0.0,), (-1.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("doc, breakpoints, slopes", _WRONG_SLOPE)
+def test_the_biconjugate_check_compares_the_pieces_and_the_anchor_value(tmp_path, capsys, monkeypatch,
+                                                                        doc, breakpoints, slopes):
+    from canonbase_lab import legendre
+
+    calls, conjugate = [], legendre.conjugate
+
+    def wrong_second(fn):
+        calls.append(fn)
+        if len(calls) < 2:
+            return conjugate(fn)
+        return legendre.PLConvexFn(-math.inf, math.inf, breakpoints, slopes, 0.0, conjugate(fn).evaluate(0.0))
+
+    monkeypatch.setattr(legendre, "conjugate", wrong_second)
+    assert cli.dispatch(["legendre", "--fn", str(_write(tmp_path, "fn.json", doc))]) == 0
+    assert len(calls) == 2 and json.loads(capsys.readouterr().out)["checks"] == {"biconjugate_roundtrip": False}
+
+
+@pytest.mark.parametrize("doc, conjugate", [
+    # the whole-line affine function 2x + 1 and the point function at 2 with value -1 are each other's conjugate
+    ({"domain": [None, None], "breakpoints": [], "slopes": [2], "anchor": [0, 1]},
+     {"domain": [2.0, 2.0], "breakpoints": [], "slopes": [], "anchor": [2.0, -1.0]}),
+    ({"domain": [1.5, 1.5], "breakpoints": [], "slopes": [], "anchor": [1.5, 2]},
+     {"domain": [None, None], "breakpoints": [], "slopes": [1.5], "anchor": [0.0, -2.0]}),
+], ids=["affine", "point"])
+def test_legendre_conjugates_an_affine_function_and_a_point_function(tmp_path, capsys, doc, conjugate):
+    assert cli.dispatch(["legendre", "--fn", str(_write(tmp_path, "fn.json", doc))]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["outputs"] == {"conjugate": conjugate}
+    assert report["checks"] == {"biconjugate_roundtrip": True}
+
+
+def test_krivine_approx_fits_the_one_variable_norm_exactly(capsys):
+    # euclid(1) is |x0|, which the arity-1 fit writes as the sum of its positive and negative parts
+    assert cli.dispatch(["krivine", "approx", "--fn", "euclid(1)", "--eps", "0.01"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["outputs"] == {"certified_error": 0.0, "function": "euclid(1)",
+                                 "term": "2*avg(1*(x0 \\/ 0), 1*(neg(x0) \\/ 0))", "term_chars": 36}
+    assert report["checks"] == {"reached_eps": True}
 
 
 def test_closed_stdout_exits_141_without_a_traceback(monkeypatch):

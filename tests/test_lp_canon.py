@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import sub
 from typing import Sequence
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from canonbase_lab.errors import InvariantError, SpaceMismatchError
 from canonbase_lab.legendre import conjugate
 from canonbase_lab.lp_canon import (
+    LpCanonicalBase,
+    SliceFamily,
     _orthogonal_rows,
     _part_norms,
     canonical_base_1type,
@@ -30,10 +33,11 @@ from canonbase_lab.measure_core import (
     pos_part,
 )
 from canonbase_lab.oracle import type_equal_1
+from canonbase_lab.rules import close, integer
 from conftest import random_element, random_pair
 
-from reference import (_partial_from_family, canonical_base_ntype, dotminus, ref_partial_prefix, ref_slice,
-                       signed_power, spow_deviation_bound)
+from reference import (_partial_from_family, approx_equal, canonical_base_ntype, cb_approx_equal, dotminus, embed,
+                       one_sided_derivs, ref_partial_prefix, ref_slice, signed_power, spow_deviation_bound)
 
 
 def interval_cond_exp(f: LatticeElement, pair: ExtensionPair, t: float, s: float) -> LatticeElement:
@@ -43,6 +47,28 @@ def interval_cond_exp(f: LatticeElement, pair: ExtensionPair, t: float, s: float
         raise InvariantError(f"need 0 <= t < s <= 1, got t={t}, s={s}")
     fam = slices(f, pair)
     return fam.partial_at(s) - fam.partial_at(t)
+
+
+def slice_at(fam: SliceFamily, t: float) -> LatticeElement:
+    t = float(t)
+    n = fam.pair.n
+    if not 0.0 < t <= 1.0:
+        raise InvariantError(f"slices are defined for t in (0, 1], got {t}")
+    k = min(n, max(1, math.ceil(t * n)))
+    return LatticeElement(fam.pair.base_space(), fam.sorted_rows[k - 1 :: n])
+
+
+def reconstruct_sorted_rows(cb: LpCanonicalBase, fiber_cells: int) -> list[list[float]]:
+    """Invert the prefix sums: the k-th sorted fiber value per atom is
+    n*(E_{k/n} - E_{(k-1)/n}), or n*E_[(k-1)/n, k/n] in the interval form.
+    Requires the full grid, {k/n : k = 1..n} or {k/n : k = 0..n}."""
+    n = integer(fiber_cells, "fiber_cells", 1)
+    first = 0 if cb.interval_form else 1
+    if len(cb.grid) != n + 1 - first or not close(cb.grid, [k / n for k in range(first, n + 1)]):
+        raise InvariantError(f"reconstruction needs the grid {{k/n : k = {first}..n}}")
+    rows = [[0.0] * len(cb.space)] * first + cb.rows
+    steps = (map(sub, b, a) for a, b in zip(rows, rows[1:]))
+    return [[n * x for x in column] for column in zip(*steps)]
 
 
 
@@ -89,7 +115,7 @@ def instances(seed, count, **kw):
 def test_f_zero_nonnegative_embedded():
     pair = ExtensionPair((1.0, 2.0), 3)
     g = LatticeElement(pair.base_space(), (1.5, 0.25))
-    assert f_zero(pair.embed(g), pair).array.tolist() == [1.5, 0.25]
+    assert f_zero(embed(pair, g), pair).array.tolist() == [1.5, 0.25]
 
 
 def test_f_zero_worked():
@@ -156,7 +182,7 @@ def test_psi_cdf_identity(rng):
                 continue
             probe = list(fn.breakpoints) + [-5.0, 0.3, 7.0]
             for x in probe:
-                _, d_plus = fn.one_sided_derivs(x)
+                _, d_plus = one_sided_derivs(fn, x)
                 frac = sum(1 for v in row if v <= x * f0 + 1e-12) / pair.n
                 assert d_plus == pytest.approx(f0 * frac, abs=1e-9)
 
@@ -171,12 +197,10 @@ def test_partial_endpoints():
 def test_partial_linear_on_embedded_nonnegative():
     pair = ExtensionPair((1.0, 1.0), 4)
     g = LatticeElement(pair.base_space(), (2.0, 0.5))
-    f = pair.embed(g)
+    f = embed(pair, g)
     for t in (0.25, 0.5, 0.9):
         expected = tuple(t * v for v in g.array.tolist())
-        assert partial_cond_exp(f, pair, t).approx_equal(
-            LatticeElement(pair.base_space(), expected), tol=1e-12
-        )
+        assert approx_equal(partial_cond_exp(f, pair, t), LatticeElement(pair.base_space(), expected), tol=1e-12)
 
 
 def test_partial_worked_half():
@@ -300,10 +324,10 @@ def test_remark_phi_attainment(rng):
     # the slice at t attains the conjugate: t*g - E[(g - f)^+ | base] = E_t for g = f_t
     for r, pair, f in instances(16, 30):
         t = r.choice([0.2, 0.5, 0.8, r.random() or 0.3])
-        g = slices(f, pair).slice_at(t)
-        lhs = t * g - pair.cond_exp_base(dotminus(pair.embed(g), f))
+        g = slice_at(slices(f, pair), t)
+        lhs = t * g - pair.cond_exp_base(dotminus(embed(pair, g), f))
         rhs = partial_cond_exp(f, pair, t)
-        assert lhs.approx_equal(rhs, tol=1e-9)
+        assert approx_equal(lhs, rhs, tol=1e-9)
 
 
 # -- intervals ---------------------------------------------------------------------
@@ -318,7 +342,7 @@ def test_interval_worked():
 
 def test_interval_embedded_scaling():
     pair = ExtensionPair((1.0,), 4)
-    f = pair.embed(LatticeElement(pair.base_space(), (2.0,)))
+    f = embed(pair, LatticeElement(pair.base_space(), (2.0,)))
     out = interval_cond_exp(f, pair, 0.25, 0.75)
     assert out.array.tolist() == pytest.approx([1.0], abs=1e-12)
 
@@ -333,31 +357,31 @@ def test_interval_additivity(rng):
         a = interval_cond_exp(f, pair, 0.1, 0.4)
         b = interval_cond_exp(f, pair, 0.4, 0.9)
         c = interval_cond_exp(f, pair, 0.1, 0.9)
-        assert (a + b).approx_equal(c, tol=1e-9)
+        assert approx_equal(a + b, c, tol=1e-9)
 
 
 # -- slices and the increasing realisation -----------------------------------------
 
 def test_slices_order_statistics():
     fam = slices(F24, UNIT2)
-    assert fam.slice_at(0.25).array.tolist() == [-2.0]
-    assert fam.slice_at(0.75).array.tolist() == [4.0]
+    assert slice_at(fam, 0.25).array.tolist() == [-2.0]
+    assert slice_at(fam, 0.75).array.tolist() == [4.0]
 
 
 def test_slices_embedded_fixed():
     pair = ExtensionPair((1.0, 1.0), 4)
     g = LatticeElement(pair.base_space(), (1.0, -2.0))
-    fam = slices(pair.embed(g), pair)
+    fam = slices(embed(pair, g), pair)
     for t in (0.1, 0.5, 0.999, 1.0):
-        assert fam.slice_at(t).array.tolist() == g.array.tolist()
+        assert slice_at(fam, t).array.tolist() == g.array.tolist()
 
 
 def test_slices_nondecreasing(rng):
     for _, pair, f in instances(18, 20):
         fam = slices(f, pair)
-        prev = fam.slice_at(1 / 64)
+        prev = slice_at(fam, 1 / 64)
         for t in (0.25, 0.5, 0.75, 1.0):
-            cur = fam.slice_at(t)
+            cur = slice_at(fam, t)
             assert all(a <= b + 1e-12 for a, b in zip(prev.array.tolist(), cur.array.tolist()))
             prev = cur
 
@@ -367,7 +391,7 @@ def test_slices_match_reference(rng):
         fam = slices(f, pair)
         rows = [row.tolist() for row in pair.fibers(f)]
         t = r.random() or 0.5
-        got = fam.slice_at(t)
+        got = slice_at(fam, t)
         for value, row in zip(got.array.tolist(), rows):
             assert value == pytest.approx(ref_slice(row, t), abs=1e-12)
 
@@ -407,7 +431,7 @@ def slice_norm_bound_check(
     t = float(t)
     if not 0.0 < t < 1.0:
         raise InvariantError(f"the slice bound needs t in (0, 1), got {t}")
-    lhs = lp_norm(slices(f, pair).slice_at(t), p)
+    lhs = lp_norm(slice_at(slices(f, pair), t), p)
     rhs = lp_norm(f, p) / (t - t * t) ** (1.0 / p)
     return lhs, rhs
 
@@ -420,7 +444,7 @@ def test_slice_norm_bound_worked():
 
 def test_slice_norm_bound_embedded():
     pair = ExtensionPair((1.0,), 4)
-    f = pair.embed(LatticeElement(pair.base_space(), (3.0,)))
+    f = embed(pair, LatticeElement(pair.base_space(), (3.0,)))
     lhs, rhs = slice_norm_bound_check(f, pair, 1, 0.5)
     assert lhs == pytest.approx(3.0, abs=1e-12)
     assert rhs == pytest.approx(12.0, abs=1e-12)
@@ -464,7 +488,7 @@ def test_grid_approx_sandwich_and_agreement(rng):
         g, h = _grid_approx_by_psi(f, pair, t, bound, grid_n)
         f0 = f_zero(f, pair).array.tolist()
         et = partial_cond_exp(f, pair, t).array.tolist()
-        ft = slices(f, pair).slice_at(t).array.tolist()
+        ft = slice_at(slices(f, pair), t).array.tolist()
         e1 = partial_cond_exp(f, pair, 1.0).array.tolist()
         for i in range(pair.m):
             gap = h[i] - g[i]
@@ -556,7 +580,7 @@ def cond_exp_pairing_check(
     pair.require(f)
     if h.space != pair.base_space():
         raise SpaceMismatchError("h must live on the base space")
-    lhs = integral(f * signed_power(pair.embed(h), p - 1.0))
+    lhs = integral(f * signed_power(embed(pair, h), p - 1.0))
     rhs = integral(pair.cond_exp_base(f) * signed_power(h, p - 1.0))
     return lhs, rhs
 
@@ -570,7 +594,7 @@ def test_pairing_check_embedded():
     pair = ExtensionPair((1.0, 0.5), 4)
     g = LatticeElement(pair.base_space(), (1.5, -1.0))
     h = LatticeElement(pair.base_space(), (0.5, 2.0))
-    lhs, rhs = cond_exp_pairing_check(pair.embed(g), pair, 2, h)
+    lhs, rhs = cond_exp_pairing_check(embed(pair, g), pair, 2, h)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -679,7 +703,7 @@ def test_base_norms_are_the_norms_of_the_parts(rng):
 def test_base_reconstruction_worked():
     grid = [0.5, 1.0]
     cb = canonical_base_1type(F24, UNIT2, 1, grid)
-    assert cb.reconstruct_sorted_rows(2) == [[-2.0, 4.0]]
+    assert reconstruct_sorted_rows(cb, 2) == [[-2.0, 4.0]]
 
 
 def test_base_reconstruction_random(rng):
@@ -687,7 +711,7 @@ def test_base_reconstruction_random(rng):
         n = pair.n
         grid = [k / n for k in range(1, n + 1)]
         cb = canonical_base_1type(f, pair, 1, grid)
-        rows = cb.reconstruct_sorted_rows(n)
+        rows = reconstruct_sorted_rows(cb, n)
         expected = [sorted(row) for row in pair.fibers(f)]
         for got, want in zip(rows, expected):
             assert got == pytest.approx(want, abs=1e-9)
@@ -698,7 +722,7 @@ def test_base_interval_variant_reconstruction(rng):
         n = pair.n
         grid = [k / n for k in range(n + 1)]
         cb = canonical_base_1type(f, pair, 1, grid, intervals=True)
-        rows = cb.reconstruct_sorted_rows(n)
+        rows = reconstruct_sorted_rows(cb, n)
         expected = [sorted(row) for row in pair.fibers(f)]
         for got, want in zip(rows, expected):
             assert got == pytest.approx(want, abs=1e-9)
@@ -712,8 +736,8 @@ def test_base_equality_iff_type_small(rng):
     g = pair.element([[2.0, -1.0, 1.0, 0.0], [0.5, 3.0, 0.5, 3.0]])  # rearranged
     h = pair.element([[1.0, 2.0, 0.0, -1.0], [3.0, 2.5, 0.5, 0.5]])  # one value off
     cb = lambda e: canonical_base_1type(e, pair, 1, grid)
-    assert cb(f).approx_equal(cb(g)) and type_equal_1(f, g, pair, 1)
-    assert not cb(f).approx_equal(cb(h)) and not type_equal_1(f, h, pair, 1)
+    assert cb_approx_equal(cb(f), cb(g)) and type_equal_1(f, g, pair, 1)
+    assert not cb_approx_equal(cb(f), cb(h)) and not type_equal_1(f, h, pair, 1)
 
 
 def test_base_equality_sees_a_small_orthogonal_part():
@@ -726,9 +750,9 @@ def test_base_equality_sees_a_small_orthogonal_part():
     grid = [k / 4 for k in range(1, 5)]
     cb = lambda e: canonical_base_1type(e, pair, 2, grid)
     assert not type_equal_1(f, g, pair, 2)
-    assert not cb(f).approx_equal(cb(g))
+    assert not cb_approx_equal(cb(f), cb(g))
     shuffled = pair.element([row[::-1] for row in rows], plus=[1e-6] * 4)
-    assert type_equal_1(f, shuffled, pair, 2) and cb(f).approx_equal(cb(shuffled))
+    assert type_equal_1(f, shuffled, pair, 2) and cb_approx_equal(cb(f), cb(shuffled))
 
 
 def test_base_detects_top_slice_trade():
@@ -739,10 +763,10 @@ def test_base_detects_top_slice_trade():
     g = pair.element([[1.0, 3.0], [1.0, 3.0]])
     grid_inner = [0.5]
     cb_inner = lambda e: canonical_base_1type(e, pair, 1, grid_inner)
-    assert cb_inner(f).approx_equal(cb_inner(g))  # interior grid cannot separate
+    assert cb_approx_equal(cb_inner(f), cb_inner(g))  # interior grid cannot separate
     grid_full = [0.5, 1.0]
     cb_full = lambda e: canonical_base_1type(e, pair, 1, grid_full)
-    assert not cb_full(f).approx_equal(cb_full(g))
+    assert not cb_approx_equal(cb_full(f), cb_full(g))
     assert not type_equal_1(f, g, pair, 1)
 
 
@@ -759,7 +783,7 @@ def test_ntype_single_reduces_to_multiples():
     nt = canonical_base_ntype([F24], UNIT2, 1, [0.5, 1.0], k_max=2)
     for k in (-2, -1, 0, 1, 2):
         direct = canonical_base_1type(float(k) * F24, UNIT2, 1, [0.5, 1.0])
-        assert nt.bases[(k,)].approx_equal(direct)
+        assert cb_approx_equal(nt.bases[(k,)], direct)
 
 
 def test_ntype_diagonal_pair_collapses():
@@ -767,7 +791,7 @@ def test_ntype_diagonal_pair_collapses():
     for k in (-1, 0, 1):
         for l in (-1, 0, 1):
             direct = canonical_base_1type(float(k + l) * F24, UNIT2, 1, [0.5, 1.0])
-            assert nt.bases[(k, l)].approx_equal(direct)
+            assert cb_approx_equal(nt.bases[(k, l)], direct)
 
 
 def test_ntype_distinguishes_remark_pair():
@@ -822,9 +846,9 @@ def test_integer_arguments_are_refused_not_truncated():
     pair = ExtensionPair((1.0,), 4)
     f = pair.element([[3.0, -1.0, 0.5, 2.0]])
     cb = canonical_base_1type(f, pair, 2, [0.25, 0.5, 0.75, 1.0])
-    assert cb.reconstruct_sorted_rows(4) == [[-1.0, 0.5, 2.0, 3.0]]
+    assert reconstruct_sorted_rows(cb, 4) == [[-1.0, 0.5, 2.0, 3.0]]
     cases = [
-        (lambda: cb.reconstruct_sorted_rows(4.0001), "fiber_cells: must be an integer, got 4.0001"),
+        (lambda: reconstruct_sorted_rows(cb, 4.0001), "fiber_cells: must be an integer, got 4.0001"),
         (lambda: canonical_base_ntype([f], pair, 2, [0.5, 1.0], k_max=1.9), "k_max: must be an integer, got 1.9"),
         (lambda: canonical_base_ntype([f], pair, 2, [0.5, 1.0], k_max=0), "k_max: must be >= 1, got 0"),
     ]

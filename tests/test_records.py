@@ -20,7 +20,7 @@ from canonbase_lab.measure_core import ExtensionPair, LatticeElement, MeasureSpa
 from canonbase_lab.oracle import DirectionalMass
 from canonbase_lab.records import Record
 from canonbase_lab.ultra_ball import Ball, PAdicContext, ProjPoint
-from reference import LiftedEvent, NTypeBase, canonical_base_ntype, lift_event
+from reference import LiftedEvent, NTypeBase, base_substructure, canonical_base_ntype, lift_event
 
 INF = math.inf
 
@@ -93,7 +93,7 @@ def _holds_an_array(x) -> bool:
 def test_only_the_identity_records_key_on_arrays():
     # equality, hashing, pickling and showing read plain values and buffers only
     built = [build() for build in RECORDS.values()]
-    built += [MeasureSpace((1.0, 2.0)), _F, _PAIR, SubStructure([[2, 0], [1]]), _PAIR.base_substructure()]
+    built += [MeasureSpace((1.0, 2.0)), _F, _PAIR, SubStructure([[2, 0], [1]]), base_substructure(_PAIR)]
     for record in built:
         assert type(record) in IDENTITY or not _holds_an_array(record._key()), type(record).__name__
 

@@ -385,13 +385,38 @@ def _names_read(node: ast.AST):
             yield sub.id if isinstance(sub, ast.Name) else sub.attr
 
 
+def _definitions(node: ast.stmt) -> list[tuple[str, str, list]] | None:
+    """(name, qualified name, nodes whose reads it reaches) for each
+    definition a top-level statement makes; None for a statement that only
+    runs at import. A class is one definition, which reads its bases, its
+    decorators, the statements of its body and its dunder methods, and each
+    other method is a definition of its own."""
+    if isinstance(node, ast.ClassDef):
+        methods = [m for m in node.body
+                   if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__"))]
+        body = [m for m in node.body if m not in methods]
+        return [(node.name, node.name, [*node.bases, *node.keywords, *node.decorator_list, *body]),
+                *((m.name, f"{node.name}.{m.name}", [m]) for m in methods)]
+    if isinstance(node, ast.FunctionDef):
+        return [(node.name, node.name, [node])]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [(t.id, t.id, [node]) for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return None
+
+
 def test_every_top_level_name_is_reached_from_the_cli_or_the_tracer():
-    """Each top-level function, class or constant of the package is reached
-    from a root: a top-level name of ``cli`` or a name perfbench's tracer
-    patches. A name reaches every definition of that name, in any module, so
-    this over-approximates what is reached and cannot flag live code;
-    test-only code, the paper's constructions that no call runs among it,
-    belongs in ``tests/``."""
+    """Each top-level function, class or constant of the package, and each
+    method of its classes, is reached from a root: a top-level name of
+    ``cli`` or a member of its classes (argparse calls ``_Parser.error``), or
+    a name perfbench's tracer patches. A reached class reaches its body and
+    its dunder methods, which the interpreter calls; any other method is
+    reached by a read of its name. A name reaches every definition of that
+    name, in any module and any class, so this over-approximates what is
+    reached and cannot flag live code; test-only code, the paper's
+    constructions that no call runs among it, belongs in ``tests/``. The same
+    over-approximation hides a test-only method that shares its name with a
+    reached one, as a method ``join`` would be reached by ``str.join``."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", Path(SRC).parent / "perfbench" / "tracer.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -403,16 +428,12 @@ def test_every_top_level_name_is_reached_from_the_cli_or_the_tracer():
     defs: dict[str, list] = {}
     for path in sorted(Path(canonbase_lab.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
-            else:  # imports and other statements that run at import
+            entries = _definitions(node)
+            if entries is None:  # imports and other statements that run at import
                 roots.update(_names_read(node))
                 continue
-            for name in names:
-                defs.setdefault(name, []).append((path.stem, node))
+            for name, qualified, nodes in entries:
+                defs.setdefault(name, []).append((f"{path.stem}.{qualified}", nodes))
                 if path.stem == "cli":
                     roots.add(name)
     reached, stack = set(), list(roots)
@@ -420,7 +441,7 @@ def test_every_top_level_name_is_reached_from_the_cli_or_the_tracer():
         name = stack.pop()
         if name in defs and name not in reached:
             reached.add(name)
-            stack += [read for _, node in defs[name] for read in _names_read(node)]
-    unreached = sorted(f"{module}.{name}" for name, nodes in defs.items() for module, _ in nodes
+            stack += [read for _, nodes in defs[name] for node in nodes for read in _names_read(node)]
+    unreached = sorted(qualified for name, entries in defs.items() for qualified, _ in entries
                        if name not in reached and not name.startswith("__"))
     assert not unreached, "reached from no root: " + ", ".join(unreached)
